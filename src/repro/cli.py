@@ -53,6 +53,11 @@ Subcommands:
 * ``trap --kind fig2|fig3 --algo NAME --n N`` — run an impossibility
   construction and print its audit;
 * ``algos`` — list registered algorithms.
+
+Every verb shares one error boundary (:func:`main`): a library error
+prints its message and exits with its taxonomy code — an ill-posed
+question (``verify --n 3 --k 3``, ``sweep --jobs 0``) is a usage error,
+exit 2 — instead of a traceback.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from repro.experiments.figures import figure2_experiment, figure3_experiment
 from repro.experiments.table1 import render_table1, reproduce_table1
 from repro.analysis.exploration import exploration_report
 from repro.analysis.towers import tower_report
+from repro.errors import ReproError, exit_code_for
 from repro.graph.topology import RingTopology
 from repro.robots.algorithms.base import get_algorithm, registry
 from repro.sim.engine import run_fsync
@@ -120,28 +126,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_backend_or_usage(choice: str) -> Optional[str]:
-    """Resolve a solver ``--backend`` choice, printing a usage error.
-
-    Returns the concrete backend, or ``None`` (exit 2) when the choice
-    cannot be honoured on this host — an explicit ``vector`` without
-    NumPy installed.
-    """
-    from repro.errors import VerificationError
-
-    try:
-        return resolve_solver_backend(choice)
-    except VerificationError as exc:
-        print(exc, file=sys.stderr)
-        return None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
-    backend = _resolve_backend_or_usage(args.backend)
-    if backend is None:
-        return 2
+    backend = resolve_solver_backend(args.backend)
     verdict = verify_exploration(
         algorithm, topology, k=args.k, backend=backend,
         scheduler=args.scheduler,
@@ -177,9 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sweep_two_robot_memoryless,
     )
 
-    backend = _resolve_backend_or_usage(args.backend)
-    if backend is None:
-        return 2
+    backend = resolve_solver_backend(args.backend)
     seed = args.rng_seed if args.rng_seed is not None else args.seed
     if args.memory == 2:
         if args.robots != 2:
@@ -240,14 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.errors import (
-        EXIT_DEGRADED,
-        EXIT_INCOMPLETE,
-        EXIT_OK,
-        EXIT_USAGE,
-        ScenarioError,
-        exit_code_for,
-    )
+    from repro.errors import EXIT_DEGRADED, EXIT_INCOMPLETE, EXIT_OK
     from repro.scenarios import (
         CampaignRunner,
         ResultStore,
@@ -256,124 +235,86 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         iter_scenarios,
     )
 
+    # Scenario errors reach main()'s boundary: incomplete is the expected
+    # keep-running state (exit 1), degraded wants `retry-failed` or
+    # --allow-degraded (4), corruption wants `fsck` (3), the rest is usage.
     if args.action == "list":
         for spec in iter_scenarios():
             print(spec.summary())
         return EXIT_OK
-    try:
-        spec = get_scenario(args.name)
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        policy_fields = {}
-        if getattr(args, "max_attempts", None) is not None:
-            policy_fields["max_attempts"] = args.max_attempts
-        if getattr(args, "chunk_timeout", None) is not None:
-            policy_fields["chunk_timeout"] = args.chunk_timeout
-        runner = CampaignRunner(
-            ResultStore(args.store),
-            backend=args.backend,
-            jobs=args.jobs,
-            policy=RetryPolicy(**policy_fields),
-            telemetry=getattr(args, "trace_dir", None),
-        )
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    spec = get_scenario(args.name)
+    policy_fields = {}
+    if getattr(args, "max_attempts", None) is not None:
+        policy_fields["max_attempts"] = args.max_attempts
+    if getattr(args, "chunk_timeout", None) is not None:
+        policy_fields["chunk_timeout"] = args.chunk_timeout
+    runner = CampaignRunner(
+        ResultStore(args.store),
+        backend=args.backend,
+        jobs=args.jobs,
+        policy=RetryPolicy(**policy_fields),
+        telemetry=getattr(args, "trace_dir", None),
+    )
     if args.action in ("run", "retry-failed"):
-        try:
-            if args.action == "run":
-                outcome = runner.run(spec, max_chunks=args.max_chunks)
-            else:
-                # Explain each poisoning from the stored retry
-                # diagnostics before re-executing the chunk.
-                for index, record in runner.failure_details(spec).items():
+        if args.action == "run":
+            outcome = runner.run(spec, max_chunks=args.max_chunks)
+        else:
+            # Explain each poisoning from the stored retry diagnostics
+            # before re-executing the chunk.
+            for index, record in runner.failure_details(spec).items():
+                print(
+                    f"chunk {index} was quarantined after "
+                    f"{record['attempts']} attempts: {record['error']}"
+                )
+                diagnostics = record.get("diagnostics") or {}
+                for entry in diagnostics.get("attempts", []):
+                    delay = entry.get("delay")
+                    deadline = entry.get("deadline")
                     print(
-                        f"chunk {index} was quarantined after "
-                        f"{record['attempts']} attempts: {record['error']}"
-                    )
-                    diagnostics = record.get("diagnostics") or {}
-                    for entry in diagnostics.get("attempts", []):
-                        delay = entry.get("delay")
-                        deadline = entry.get("deadline")
-                        print(
-                            f"  attempt {entry['attempt']}: {entry['error']}"
-                            + (
-                                f" (deadline {deadline:g}s)"
-                                if deadline is not None
-                                else ""
-                            )
-                            + (
-                                f"; backed off {delay:.3f}s"
-                                if delay is not None
-                                else "; retry budget exhausted"
-                            )
+                        f"  attempt {entry['attempt']}: {entry['error']}"
+                        + (
+                            f" (deadline {deadline:g}s)"
+                            if deadline is not None
+                            else ""
                         )
-                outcome = runner.retry_failed(spec, max_chunks=args.max_chunks)
-        except ScenarioError as exc:
-            print(exc, file=sys.stderr)
-            return exit_code_for(exc)
+                        + (
+                            f"; backed off {delay:.3f}s"
+                            if delay is not None
+                            else "; retry budget exhausted"
+                        )
+                    )
+            outcome = runner.retry_failed(spec, max_chunks=args.max_chunks)
         print(outcome.summary())
         if outcome.status.complete:
             return EXIT_OK
         return EXIT_DEGRADED if outcome.status.degraded else EXIT_INCOMPLETE
     if args.action == "status":
-        try:
-            if getattr(args, "json", False):
-                import json
+        if getattr(args, "json", False):
+            import json
 
-                print(
-                    json.dumps(
-                        runner.status_dict(spec), indent=2, sort_keys=True
-                    )
-                )
-            else:
-                print(runner.status(spec).summary())
-        except ScenarioError as exc:  # corrupt store: operator intervention
-            print(exc, file=sys.stderr)
-            return exit_code_for(exc)
+            print(json.dumps(runner.status_dict(spec), indent=2, sort_keys=True))
+        else:
+            print(runner.status(spec).summary())
         return EXIT_OK
     if args.action == "fsck":
-        try:
-            recovery = runner.fsck(spec)
-        except ScenarioError as exc:
-            print(exc, file=sys.stderr)
-            return exit_code_for(exc)
-        print(recovery.summary())
+        print(runner.fsck(spec).summary())
         return EXIT_OK
-    try:
-        # The report *is* canonical JSON; --json emits the same bytes
-        # (kept as an explicit flag so scripted consumers can state the
-        # contract they rely on).
-        text = runner.report_text(spec, allow_degraded=args.allow_degraded)
-    except ScenarioError as exc:
-        # Incomplete is the expected keep-running state; degraded wants
-        # `retry-failed` (or --allow-degraded); corruption wants `fsck`.
-        print(exc, file=sys.stderr)
-        return exit_code_for(exc)
-    print(text, end="")
+    # The report *is* canonical JSON; --json emits the same bytes (kept as
+    # an explicit flag so scripted consumers can state the contract they
+    # rely on).
+    print(runner.report_text(spec, allow_degraded=args.allow_degraded), end="")
     return EXIT_OK
 
 
 def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.errors import EXIT_OK, EXIT_USAGE, ScenarioError
+    from repro.errors import EXIT_OK
 
-    try:
-        events = telemetry.load_trace(args.trace_dir)
-        summary = telemetry.summarize(events)
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    summary = telemetry.summarize(telemetry.load_trace(args.trace_dir))
     if args.write_baseline is not None:
-        try:
-            path = telemetry.write_baseline(
-                args.write_baseline, summary, derate=args.derate
-            )
-        except ScenarioError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_USAGE
+        path = telemetry.write_baseline(
+            args.write_baseline, summary, derate=args.derate
+        )
         print(f"baseline written to {path}", file=sys.stderr)
     if args.json:
         import json
@@ -383,12 +324,8 @@ def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
         print(telemetry.render_summary(summary))
     if args.baseline is None:
         return EXIT_OK
-    try:
-        baseline = telemetry.load_baseline(args.baseline)
-        ok, lines = telemetry.diff_baseline(summary, baseline, args.threshold)
-    except ScenarioError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    baseline = telemetry.load_baseline(args.baseline)
+    ok, lines = telemetry.diff_baseline(summary, baseline, args.threshold)
     # With --json the summary on stdout must stay parseable; the diff
     # verdict goes to stderr in that case.
     sink = sys.stderr if args.json else sys.stdout
@@ -630,10 +567,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    The one error boundary of every verb: a library error prints its
+    message to stderr and maps onto the exit-code taxonomy
+    (:func:`repro.errors.exit_code_for` — bad input is a usage error,
+    exit 2), never a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return exit_code_for(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,20 +31,33 @@ solved in lockstep:
   plus popcount per component. Tables proven trapped at a target drop
   out of the remaining targets, exactly like the scalar early exit.
 
-The per-table CSR view (:func:`reachable_csr`) feeds the certificate
-path in :mod:`repro.verification.game`: states ascending, per-state
-transitions in the scalar kernel's move order — the *same* canonical
-graph the packed backend now builds, so vector and packed verdicts and
-certificates are bit-identical by construction.
+The dense tensors stop paying off past a few thousand states
+(:func:`dense_eligible`), and the paper's own positive algorithm leaves
+that range early: ``PEF_3+`` at k=3 has ``base^k = 32768`` at n=8, 61%
+of it reachable. Single instances of any size take the **frontier**
+path instead — :func:`reachable_csr`, a level-synchronous int64 BFS over
+the *reached* states only. Per level it decodes the frontier's slots,
+gathers every padded adversary move's successor at once (the move table
+spans only occupancies with popcount ``≤ k``), deduplicates against the
+visited set with ``np.unique``/``np.isin`` and keeps the level's
+transition rows; one final permutation yields the per-table CSR —
+states ascending, per-state transitions in the scalar kernel's move
+order, the *same* canonical graph the packed backend builds from
+``PackedKernel.reachable`` — so vector and packed verdicts and
+certificates are bit-identical by construction. It feeds the shared
+solve phase in :mod:`repro.verification.game` (``verify`` and the
+certificate path of validated sweeps); there is no scalar size
+fallback.
 
-NumPy stays optional: callers guard with :func:`have_numpy` /
-:func:`dense_eligible` and fall back to the scalar packed path (identical
-tallies) when the dependency is absent or a space is too large to
-materialize densely.
+NumPy stays optional: callers guard with :func:`have_numpy` (via the
+backend registry) and run the scalar packed path (identical tallies)
+when the dependency is absent; sweep chunks that are not
+:func:`dense_eligible` go per table through the frontier path.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Optional, Sequence
 
@@ -54,11 +67,12 @@ except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
     _np = None
 
 from repro.errors import VerificationError
-from repro.verification.batch import _require_numpy, have_numpy
+from repro.verification.batch import _np_node_tables, _require_numpy, have_numpy
 from repro.verification.kernel import PackedKernel
 
-#: Hard cap on a dense space's state count (beyond it, fall back to the
-#: scalar per-table path — the dense tensors would stop paying off).
+#: Hard cap on a dense space's state count (beyond it, tables are solved
+#: one by one on the frontier path — the dense tensors would stop paying
+#: off).
 MAX_DENSE_STATES = 1 << 12
 
 #: Hard cap on one table's dense successor tensor (states × branches).
@@ -77,7 +91,12 @@ BATCH_PAIR_TARGET = 1 << 20
 #: Bits per uint64 word of a reachability bit-row.
 _BITS = 64
 
+#: Bound on packed states and move labels (edge bits, then activation
+#: bits) for the int64 frontier.
+_INT64_BOUND = 1 << 62
+
 _space_cache: dict = {}
+_frontier_cache: dict = {}
 
 
 def _branch_bound(kernel: PackedKernel) -> int:
@@ -92,8 +111,9 @@ def dense_eligible(kernel: PackedKernel) -> bool:
     """Whether this instance's product space fits the dense solver.
 
     False — NumPy absent, too many dense states, or too large a
-    successor tensor — means the caller should run the scalar packed
-    path instead; the verdicts are identical either way.
+    successor tensor — means the caller should solve table by table
+    instead (the frontier path, or the packed kernel without NumPy); the
+    verdicts are identical either way.
     """
     if not have_numpy():
         return False
@@ -545,10 +565,118 @@ def solve_tables(
     return trapped, explored
 
 
+def _frontier_tables(kernel: PackedKernel) -> tuple:
+    """Process-cached, table-independent geometry of the sparse frontier.
+
+    Returns ``(occ_keys, moves_pad, mcount, robots)``: the ascending
+    occupied-node masks a state can have (popcount ``1..k`` — robots
+    sharing a node occupy fewer), the adversary move table padded over
+    exactly those rows (width 64 at k=3, not the 256 of all ``2^n``
+    occupancies on an 8-ring) with each row's valid length, and per robot
+    its chirality's node tables (left/right port masks, pointed-edge
+    masks, landing nodes) as int64 arrays.
+    """
+    key = (kernel.topology, kernel.chiralities)
+    cached = _frontier_cache.get(key)
+    if cached is None:
+        np = _np
+        occ_keys = sorted(
+            sum(1 << node for node in nodes)
+            for size in range(1, min(kernel.k, kernel.n) + 1)
+            for nodes in itertools.combinations(range(kernel.n), size)
+        )
+        moves_pad, mcount = kernel.padded_moves(occ_keys)
+        robots = tuple(
+            _np_node_tables(kernel.topology, chirality)[:4]
+            for chirality in kernel.chiralities
+        )
+        cached = (np.asarray(occ_keys, dtype=np.int64), moves_pad, mcount, robots)
+        _frontier_cache[key] = cached
+    return cached
+
+
+def _expand_frontier(
+    kernel: PackedKernel, tables: tuple, trans: "object", dirs: "object",
+    frontier: "object",
+) -> tuple:
+    """Every transition of a frontier of packed states, in kernel order.
+
+    Returns ``(succ, labels, deg, occ)``: the flat successor and label
+    arrays (per state, moves in :meth:`PackedKernel.moves_for_occupied`
+    order; under SSYNC each move crossed with activation masks
+    ``1..full_act`` ascending), the per-state transition count and the
+    occupied-node masks. One gather per robot resolves view, computed
+    state, direction and landing node for all padded moves at once.
+    """
+    np = _np
+    occ_keys, moves_pad, mcount, robots = tables
+    base, S = kernel._base, kernel.state_count
+    slots, pos = [], []
+    rest = frontier
+    for _ in range(kernel.k):
+        slot = rest % base
+        rest = rest // base
+        slots.append(slot)
+        pos.append(slot // S)
+    occ = np.zeros_like(frontier)
+    towers = np.zeros_like(frontier)
+    for p in pos:
+        bit = np.left_shift(1, p)
+        towers |= occ & bit
+        occ |= bit
+    row = np.searchsorted(occ_keys, occ)
+    moves = moves_pad[row]
+    count = mcount[row]
+    active = []
+    for i, (left, right, move_masks, move_dests) in enumerate(robots):
+        p = pos[i]
+        view = (slots[i] % S) * 8 + ((towers >> p) & 1)
+        view = (
+            view[:, None]
+            + 4 * ((moves & left[p][:, None]) != 0)
+            + 2 * ((moves & right[p][:, None]) != 0)
+        )
+        new_state = trans[view]
+        pointer = p[:, None] * 2 + dirs[new_state]
+        landing = np.where(
+            (moves & move_masks[pointer]) != 0, move_dests[pointer], p[:, None]
+        )
+        active.append(landing * S + new_state)
+    valid = np.arange(moves.shape[1])[None, :] < count[:, None]
+    if kernel.scheduler != "ssync":
+        succ = active[-1]
+        for i in range(kernel.k - 2, -1, -1):
+            succ = succ * base + active[i]
+        return succ[valid], moves[valid], count, occ
+    parts = []
+    for act in range(1, kernel.full_act + 1):
+        succ = None
+        for i in range(kernel.k - 1, -1, -1):
+            part = active[i] if act >> i & 1 else slots[i][:, None]
+            succ = part if succ is None else succ * base + part
+        parts.append(np.broadcast_to(succ, moves.shape))
+    acts = np.arange(1, kernel.full_act + 1, dtype=np.int64) << kernel.act_shift
+    labels = moves[:, :, None] | acts
+    return (
+        np.stack(parts, axis=-1)[valid].reshape(-1),
+        labels[valid].reshape(-1),
+        count * kernel.full_act,
+        occ,
+    )
+
+
 def reachable_csr(
     kernel: PackedKernel, seeds: Sequence[int]
 ) -> tuple[list[int], list[int], list[int], list[int], list[int], list[int]]:
-    """One table's reachable graph in canonical CSR form, densely.
+    """One table's reachable graph in canonical CSR form, in NumPy.
+
+    A level-synchronous int64 frontier over the reached states only, so
+    it serves any instance whose packed states fit in int64 — no dense
+    ``base^k`` materialization. Each level expands the whole frontier at
+    once (:func:`_expand_frontier`), deduplicates the successors against
+    the visited set (``np.unique`` + ``np.isin``) and keeps its
+    transition rows; the levels are then permuted into ascending state
+    order without a second traversal.
 
     Returns ``(states, indptr, labels, succs, occ, seed_idx)`` as plain
     Python lists: reached packed states ascending, per-state transitions
@@ -560,41 +688,62 @@ def reachable_csr(
     certificates. Raises :class:`VerificationError` on the same
     ``max_states`` overflow the scalar path reports.
     """
+    _require_numpy()
     np = _np
-    sp = dense_space(kernel)
-    trans, dirs, _initial = kernel.batch_tables()
-    seed_list = [int(s) for s in seeds]
-    succ = _expand(sp, trans[None, :], dirs[None, :])
-    visited, _vis_mask = _reachable(sp, _adjacency(sp, succ), seed_list)
-    reached = np.nonzero(visited[0])[0]
-    if reached.size > kernel.max_states:
+    if (
+        kernel._base ** kernel.k > _INT64_BOUND
+        or 1 << (kernel.act_shift + kernel.k) > _INT64_BOUND
+    ):
         raise VerificationError(
-            f"reachable state space exceeds {kernel.max_states} states "
-            f"for {kernel.algorithm.name!r} on {kernel.topology!r}"
+            f"packed states or move labels of {kernel.algorithm.name!r} on "
+            f"{kernel.topology!r} with k={kernel.k} overflow int64; "
+            "use backend='packed'"
         )
-    rank = np.full(sp.space, -1, dtype=np.int64)
-    rank[reached] = np.arange(reached.size)
-    deg = sp.deg[reached]
-    valid = np.arange(sp.branch)[None, :] < deg[:, None]
-    rows = succ[0][reached]
-    succs = rank[rows[valid]]
-    labels = sp.labels[reached][valid]
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(deg)]
+    tables = _frontier_tables(kernel)
+    trans, dirs, _initial = kernel.batch_tables()
+    seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
+    if not seed_array.size:
+        return [], [0], [], [], [], []
+    visited = np.unique(seed_array)
+    frontier = visited
+    levels = []
+    while frontier.size:
+        level = _expand_frontier(kernel, tables, trans, dirs, frontier)
+        levels.append((frontier,) + level)
+        fresh = np.unique(level[0])
+        fresh = fresh[~np.isin(fresh, visited, assume_unique=True)]
+        if fresh.size and visited.size + fresh.size > kernel.max_states:
+            raise VerificationError(
+                f"reachable state space exceeds {kernel.max_states} states "
+                f"for {kernel.algorithm.name!r} on {kernel.topology!r}"
+            )
+        visited = np.concatenate([visited, fresh])
+        visited.sort()
+        frontier = fresh
+    # Levels → canonical order: sort the reached states, then gather each
+    # state's contiguous transition run from its level's rows.
+    states, succ, labels, deg, occ = (
+        np.concatenate([level[part] for level in levels]) for part in range(5)
     )
+    starts = np.cumsum(deg) - deg
+    order = np.argsort(states)
+    deg = deg[order]
+    indptr = np.zeros(deg.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    gather = np.repeat(starts[order] - indptr[:-1], deg) + np.arange(indptr[-1])
+    states = states[order]
     seed_idx: list[int] = []
     seen: set[int] = set()
-    for seed in seed_list:
-        idx = int(rank[seed])
+    for idx in np.searchsorted(states, seed_array).tolist():
         if idx not in seen:
             seen.add(idx)
             seed_idx.append(idx)
     return (
-        reached.tolist(),
+        states.tolist(),
         indptr.tolist(),
-        labels.tolist(),
-        succs.tolist(),
-        sp.occ[reached].tolist(),
+        labels[gather].tolist(),
+        np.searchsorted(states, succ[gather]).tolist(),
+        occ[order].tolist(),
         seed_idx,
     )
 

@@ -39,7 +39,21 @@ Symmetry reductions (all verdict-preserving, see
 :func:`repro.graph.topology.canonical_placements`): seeds are reduced by
 ring rotation; chirality vectors by robot permutation (robots are uniform
 with identical initial states) and by ring reflection (which flips every
-robot's chirality).
+robot's chirality). *Targets* are reduced by ring rotation too, when it
+applies: rotating every robot one node on (``v → v + 1``, edge
+``e → e + 1``) commutes with a round, so on a ring whose reachable state
+set is closed under rotation (a linear-time check), rotation is an
+automorphism of the labeled game graph that maps the target-``v``
+avoiding arena onto the target-``v + 1`` one, preserving internal
+transitions, label unions (up to relabeling edges) and activation
+unions. Target 0 then wins iff any target does, and since the solve loop
+returns the first winning target, checking target 0 alone changes
+neither verdicts nor certificates. It applies to the perpetual property
+only: the live arena is also confined to target-avoiding *seeds*, and the
+rotation-reduced seeds all occupy node 0, so live targets are all
+scanned. ``PEF_3+``'s reachable sets are rotation-closed (n checks of the
+SCC search become one); ill-initiated FSYNC seeds, for example, need not
+be.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
 (prefix + cycle lasso; under SSYNC with per-step activation sets), which
@@ -184,14 +198,13 @@ def verify_exploration(
     ``backend`` picks the exploration substrate: ``"packed"`` (default)
     runs entirely on the integer kernel — same verdict, same state and
     transition counts, ~an order of magnitude faster; ``"vector"``
-    additionally builds the reachable graph densely in NumPy
-    (:mod:`repro.verification.batch_solver`) and produces verdicts *and*
-    certificates bit-identical to ``"packed"`` (both solve the same
-    canonical CSR graph; instances too large to materialize densely fall
-    back to the scalar kernel transparently); ``"auto"`` resolves to
-    ``"vector"`` when NumPy is importable and ``"packed"`` otherwise;
-    ``"object"`` is the original engine-driven path, kept as the
-    semantics oracle. Certificates from the object backend satisfy the
+    builds the reachable graph with a NumPy frontier
+    (:func:`repro.verification.batch_solver.reachable_csr`, any instance
+    size) and produces verdicts *and* certificates bit-identical to
+    ``"packed"`` (both solve the same canonical CSR graph); ``"auto"``
+    resolves to ``"vector"`` when NumPy is importable and ``"packed"``
+    otherwise; ``"object"`` is the original engine-driven path, kept as
+    the semantics oracle. Certificates from the object backend satisfy the
     same replay validation, though the particular lasso exhibited may
     differ.
 
@@ -295,9 +308,13 @@ def _verify_csr(
     — and share the solve phase below (attractor, iterative Tarjan,
     lasso extraction, all in pure Python over flat lists). The packed
     path builds the CSR from ``PackedKernel.reachable``; the vector path
-    builds the identical arrays densely in NumPy
+    builds the identical arrays with a NumPy frontier
     (:func:`repro.verification.batch_solver.reachable_csr`), so verdicts,
     counts *and certificates* agree bit-for-bit across the two.
+
+    Perpetual exploration on a ring whose reachable state set is closed
+    under rotation checks target 0 only — the rotation-reduced targets
+    of the module docstring.
     """
     total_states = 0
     total_transitions = 0
@@ -307,7 +324,7 @@ def _verify_csr(
             scheduler=scheduler,
         )
         seeds = kernel.initial_states(placements)
-        if backend == "vector" and batch_solver.dense_eligible(kernel):
+        if backend == "vector":
             csr = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
         else:
             occupied: dict[PackedState, int] = {}
@@ -315,7 +332,14 @@ def _verify_csr(
             csr = _csr_from_packed(graph, occupied, seeds)
         total_states += len(csr.states)
         total_transitions += len(csr.labels)
-        for target in topology.nodes:
+        targets = topology.nodes
+        if (
+            prop == "perpetual"
+            and topology.is_ring
+            and _rotation_closed(kernel, csr.states)
+        ):
+            targets = (0,)
+        for target in targets:
             if prop == "live":
                 allowed = _avoid_reachable_csr(csr, 1 << target)
                 if not any(allowed):
@@ -461,6 +485,32 @@ def _csr_from_packed(
         occ=[occupied[state] for state in states],
         seeds=seed_idx,
     )
+
+
+def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
+    """Whether a packed state set is closed under ring rotation.
+
+    Rotation moves every robot from node ``v`` to ``v + 1 (mod n)`` and
+    keeps its state: each slot ``v * S + s`` gains ``S``, and a slot at
+    node ``n - 1`` wraps by ``-base``. Rotation is a bijection of the
+    finite state space, so closure makes the set a union of orbits.
+    """
+    base = kernel._base
+    wrap = base - kernel.state_count
+    shift = sum(kernel.state_count * base**i for i in range(kernel.k))
+    members = set(states)
+    for state in states:
+        rotated = state + shift
+        rest = state
+        weight = base
+        for _ in range(kernel.k):
+            rest, slot = divmod(rest, base)
+            if slot >= wrap:
+                rotated -= weight
+            weight *= base
+        if rotated not in members:
+            return False
+    return True
 
 
 def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> list[bool]:

@@ -237,8 +237,8 @@ def sweep_chunk(
     backend = resolve_solver_backend(backend)
     if backend == "vector" and not validate:
         # Whole-chunk dense solve; None means the space is not dense-
-        # eligible and the per-table loop below takes over (it still
-        # vectorizes each table's reachability when eligible).
+        # eligible and the per-table loop below takes over (each table's
+        # reachability still runs on the NumPy frontier).
         outcome = _sweep_chunk_vector(
             family, n, bits_chunk, starts, prop, scheduler
         )

@@ -342,3 +342,36 @@ class TestParser:
     def test_requires_subcommand(self) -> None:
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestErrorBoundary:
+    """Every verb maps library errors onto exit codes, never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--robots", "2", "--n", "3", "--jobs", "1"],
+             "rings of size >= 4"),
+            (["sweep", "--robots", "1", "--n", "3", "--jobs", "0"],
+             "jobs must be >= 1"),
+            (["verify", "--algo", "pef3+", "--n", "3", "--k", "3"],
+             "need k < n"),
+            (["verify", "--algo", "nope", "--n", "4", "--k", "2"],
+             "unknown algorithm"),
+            (["run", "--algo", "pef1", "--n", "1", "--k", "1"],
+             "at least 2 nodes"),
+            (["trap", "--kind", "fig2", "--algo", "pef2", "--n", "2"],
+             "rings of size < 4"),
+            (["campaign", "run", "thm41-two-n4", "--jobs", "0"],
+             "jobs must be >= 1"),
+        ],
+    )
+    def test_library_error_is_usage_exit(
+        self, argv, message, tmp_path, capsys
+    ) -> None:
+        if argv[0] == "campaign":
+            argv = argv + ["--store", str(tmp_path / "store")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
