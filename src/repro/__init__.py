@@ -36,66 +36,68 @@ Quickstart::
     run_fsync(ring, schedule, PEF3Plus(), positions=[0, 3, 6],
               rounds=2000, observers=[tracker])
     assert tracker.cover_time is not None
+
+The names below resolve on first access (:mod:`repro._lazy`), so
+importing one submodule never executes the whole package.
 """
 
-from repro.types import (
-    AGREE,
-    CCW,
-    CW,
-    DISAGREE,
-    LEFT,
-    RIGHT,
-    Chirality,
-    Direction,
-    GlobalDirection,
-)
-from repro.errors import (
-    AlgorithmError,
-    CertificateError,
-    ConfigurationError,
-    ReproError,
-    ScheduleError,
-    TopologyError,
-    VerificationError,
-)
-from repro.graph import (
-    ChainTopology,
-    EvolvingGraph,
-    RingTopology,
-    Topology,
-)
-from repro.robots import PEF1, PEF2, PEF3Plus
-from repro.robots.algorithms import Algorithm, get_algorithm, registry
-from repro.sim import (
-    Configuration,
-    ExecutionTrace,
-    RunResult,
-    TowerLogger,
-    VisitTracker,
-    run_fsync,
-    run_ssync,
-)
-from repro.adversary import (
-    OscillationTrap,
-    SsyncBlocker,
-    TheoremPhaseTrap,
-    WindowConfinementAdversary,
-)
-from repro.verification import (
-    TrapCertificate,
-    synthesize_trap,
-    validate_certificate,
-    verify_exploration,
-)
-from repro.analysis import exploration_report, recurrence_report, tower_report
-from repro.scenarios import (
-    CampaignRunner,
-    ResultStore,
-    RobotClassSpec,
-    ScenarioSpec,
-    get_scenario,
-    scenario_names,
-)
+from repro._lazy import lazy_exports
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "AGREE": "repro.types",
+    "CCW": "repro.types",
+    "CW": "repro.types",
+    "DISAGREE": "repro.types",
+    "LEFT": "repro.types",
+    "RIGHT": "repro.types",
+    "Chirality": "repro.types",
+    "Direction": "repro.types",
+    "GlobalDirection": "repro.types",
+    "AlgorithmError": "repro.errors",
+    "CertificateError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "ReproError": "repro.errors",
+    "ScheduleError": "repro.errors",
+    "TopologyError": "repro.errors",
+    "VerificationError": "repro.errors",
+    "ChainTopology": "repro.graph",
+    "EvolvingGraph": "repro.graph",
+    "RingTopology": "repro.graph",
+    "Topology": "repro.graph",
+    "PEF1": "repro.robots",
+    "PEF2": "repro.robots",
+    "PEF3Plus": "repro.robots",
+    "Algorithm": "repro.robots.algorithms",
+    "get_algorithm": "repro.robots.algorithms",
+    "registry": "repro.robots.algorithms",
+    "Configuration": "repro.sim",
+    "ExecutionTrace": "repro.sim",
+    "RunResult": "repro.sim",
+    "TowerLogger": "repro.sim",
+    "VisitTracker": "repro.sim",
+    "run_fsync": "repro.sim",
+    "run_ssync": "repro.sim",
+    "OscillationTrap": "repro.adversary",
+    "SsyncBlocker": "repro.adversary",
+    "TheoremPhaseTrap": "repro.adversary",
+    "WindowConfinementAdversary": "repro.adversary",
+    "TrapCertificate": "repro.verification",
+    "synthesize_trap": "repro.verification",
+    "validate_certificate": "repro.verification",
+    "verify_exploration": "repro.verification",
+    "exploration_report": "repro.analysis",
+    "recurrence_report": "repro.analysis",
+    "tower_report": "repro.analysis",
+    "CampaignRunner": "repro.scenarios",
+    "ResultStore": "repro.scenarios",
+    "RobotClassSpec": "repro.scenarios",
+    "ScenarioSpec": "repro.scenarios",
+    "get_scenario": "repro.scenarios",
+    "scenario_names": "repro.scenarios",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __version__ = "1.1.0"
 

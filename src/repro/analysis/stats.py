@@ -3,8 +3,9 @@
 Randomized schedules (Bernoulli, Markov, whack-a-mole) make single-run
 gap numbers noisy; robustness claims need distributions. This module
 aggregates per-seed exploration reports into summary statistics with
-normal-approximation confidence intervals (numpy/scipy when available,
-with a pure-Python fallback so the core library stays dependency-free).
+normal-approximation confidence intervals (NumPy, loaded on first use,
+when available, with a pure-Python fallback so the core library stays
+dependency-free).
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by environment
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.verification.batch import load_numpy
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,9 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
     if not values:
         raise ValueError("cannot summarize an empty sample")
     n = len(values)
-    if _np is not None:
-        arr = _np.asarray(values, dtype=float)
+    np = load_numpy()
+    if np is not None:
+        arr = np.asarray(values, dtype=float)
         mean = float(arr.mean())
         std = float(arr.std(ddof=1)) if n > 1 else 0.0
         low, high = float(arr.min()), float(arr.max())

@@ -66,32 +66,35 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments.battery import schedule_battery, spread_positions
-from repro.experiments.figures import figure2_experiment, figure3_experiment
-from repro.experiments.table1 import render_table1, reproduce_table1
-from repro.analysis.exploration import exploration_report
-from repro.analysis.towers import tower_report
+from repro._lazy import lazy_exports
 from repro.errors import ReproError, exit_code_for
-from repro.graph.topology import RingTopology
-from repro.robots.algorithms.base import get_algorithm, registry
-from repro.sim.engine import run_fsync
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
     SOLVER_BACKEND_CHOICES,
     resolve_solver_backend,
 )
-from repro.verification.game import verify_exploration
-from repro.viz.ascii_art import render_space_time
+
+# Each verb imports what it needs when it runs: a listing or a report
+# never pays for the solver, the simulator or NumPy. The solver entry
+# point stays reachable as ``repro.cli.verify_exploration``, resolved on
+# first access.
+__getattr__, __dir__ = lazy_exports(
+    __name__, globals(), {"verify_exploration": "repro.verification.game"}
+)
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.table1 import render_table1, reproduce_table1
+
     rows = reproduce_table1(scale=args.scale)
     print(render_table1(rows, with_evidence=args.evidence))
     return 0 if all(row.agrees for row in rows) else 1
 
 
 def _cmd_algos(_args: argparse.Namespace) -> int:
+    from repro.robots.algorithms.base import get_algorithm, registry
+
     for name in sorted(registry):
         algorithm = get_algorithm(name)
         print(f"{name:<28} {algorithm.describe()}")
@@ -99,6 +102,14 @@ def _cmd_algos(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.exploration import exploration_report
+    from repro.analysis.towers import tower_report
+    from repro.experiments.battery import schedule_battery, spread_positions
+    from repro.graph.topology import RingTopology
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.sim.engine import run_fsync
+    from repro.viz.ascii_art import render_space_time
+
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
     schedules = dict(schedule_battery(topology, seed=args.seed))
@@ -127,6 +138,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from repro.graph.topology import RingTopology
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.verification.game import verify_exploration
+
     topology = RingTopology(args.n)
     algorithm = get_algorithm(args.algo)
     backend = resolve_solver_backend(args.backend)
@@ -227,13 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.errors import EXIT_DEGRADED, EXIT_INCOMPLETE, EXIT_OK
-    from repro.scenarios import (
-        CampaignRunner,
-        ResultStore,
-        RetryPolicy,
-        get_scenario,
-        iter_scenarios,
-    )
+    from repro.scenarios import get_scenario, iter_scenarios
 
     # Scenario errors reach main()'s boundary: incomplete is the expected
     # keep-running state (exit 1), degraded wants `retry-failed` or
@@ -242,6 +251,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for spec in iter_scenarios():
             print(spec.summary())
         return EXIT_OK
+    # Past the listing: the runner and its executors.
+    from repro.scenarios import CampaignRunner, ResultStore, RetryPolicy
+
     spec = get_scenario(args.name)
     policy_fields = {}
     if getattr(args, "max_attempts", None) is not None:
@@ -340,6 +352,10 @@ def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_trap(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import figure2_experiment, figure3_experiment
+    from repro.robots.algorithms.base import get_algorithm
+    from repro.viz.ascii_art import render_space_time
+
     algorithm = get_algorithm(args.algo)
     if args.kind == "fig3":
         out3 = figure3_experiment(algorithm, n=args.n, rounds=args.rounds)

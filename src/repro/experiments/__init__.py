@@ -15,26 +15,32 @@
   registry's ill-initiated campaign families (:mod:`repro.scenarios`).
 """
 
-from repro.experiments.battery import BatteryOutcome, run_battery, schedule_battery
-from repro.experiments.table1 import Table1Row, render_table1, reproduce_table1
-from repro.experiments.figures import (
-    Figure2Outcome,
-    Figure3Outcome,
-    figure2_experiment,
-    figure3_experiment,
-)
-from repro.experiments.figure1 import (
-    Lemma41Outcome,
-    Lemma41Scenario,
-    default_scenarios,
-    run_lemma41_construction,
-)
-from repro.experiments.cover_time import CoverTimePoint, cover_time_sweep
-from repro.experiments.ill_initiated import (
-    IllInitiatedOutcome,
-    all_placements_with_towers,
-    probe_ill_initiated,
-)
+from repro._lazy import lazy_exports
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "BatteryOutcome": "repro.experiments.battery",
+    "run_battery": "repro.experiments.battery",
+    "schedule_battery": "repro.experiments.battery",
+    "Table1Row": "repro.experiments.table1",
+    "render_table1": "repro.experiments.table1",
+    "reproduce_table1": "repro.experiments.table1",
+    "Figure2Outcome": "repro.experiments.figures",
+    "Figure3Outcome": "repro.experiments.figures",
+    "figure2_experiment": "repro.experiments.figures",
+    "figure3_experiment": "repro.experiments.figures",
+    "Lemma41Outcome": "repro.experiments.figure1",
+    "Lemma41Scenario": "repro.experiments.figure1",
+    "default_scenarios": "repro.experiments.figure1",
+    "run_lemma41_construction": "repro.experiments.figure1",
+    "CoverTimePoint": "repro.experiments.cover_time",
+    "cover_time_sweep": "repro.experiments.cover_time",
+    "IllInitiatedOutcome": "repro.experiments.ill_initiated",
+    "all_placements_with_towers": "repro.experiments.ill_initiated",
+    "probe_ill_initiated": "repro.experiments.ill_initiated",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "schedule_battery",

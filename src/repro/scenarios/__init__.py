@@ -33,43 +33,42 @@ same machinery is importable::
     assert outcome.status.all_trapped
 """
 
-from repro.scenarios.dynamics import (
-    DEFAULT_HORIZON,
-    RANDOMIZED_FAMILIES,
-    SCHEDULE_PARAMS,
-    build_schedule,
-    schedule_masks,
-    validate_dynamics,
-)
-from repro.scenarios.spec import (
-    DYNAMICS_FAMILIES,
-    EXHAUSTIVE_LIMIT,
-    SCENARIO_FORMAT_VERSION,
-    RobotClassSpec,
-    ScenarioSpec,
-)
-from repro.scenarios.simulate import simulate_chunk, simulation_placements
-from repro.scenarios.registry import (
-    get_scenario,
-    iter_scenarios,
-    register_scenario,
-    scenario_names,
-    smallest_scenario,
-)
-from repro.scenarios.faults import ENV_VAR as FAULT_PLAN_ENV_VAR
-from repro.scenarios.faults import KILL_EXIT_CODE, FaultPlan
-from repro.scenarios.store import (
-    RecoveryReport,
-    ResultStore,
-    chunk_digest,
-    is_failure_record,
-)
-from repro.scenarios.campaign import (
-    CampaignRunner,
-    CampaignRunOutcome,
-    CampaignStatus,
-    RetryPolicy,
-)
+from repro._lazy import lazy_exports
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "DEFAULT_HORIZON": "repro.scenarios.dynamics",
+    "RANDOMIZED_FAMILIES": "repro.scenarios.dynamics",
+    "SCHEDULE_PARAMS": "repro.scenarios.dynamics",
+    "build_schedule": "repro.scenarios.dynamics",
+    "schedule_masks": "repro.scenarios.dynamics",
+    "validate_dynamics": "repro.scenarios.dynamics",
+    "DYNAMICS_FAMILIES": "repro.scenarios.spec",
+    "EXHAUSTIVE_LIMIT": "repro.scenarios.spec",
+    "SCENARIO_FORMAT_VERSION": "repro.scenarios.spec",
+    "RobotClassSpec": "repro.scenarios.spec",
+    "ScenarioSpec": "repro.scenarios.spec",
+    "simulate_chunk": "repro.scenarios.simulate",
+    "simulation_placements": "repro.scenarios.simulate",
+    "get_scenario": "repro.scenarios.registry",
+    "iter_scenarios": "repro.scenarios.registry",
+    "register_scenario": "repro.scenarios.registry",
+    "scenario_names": "repro.scenarios.registry",
+    "smallest_scenario": "repro.scenarios.registry",
+    "FAULT_PLAN_ENV_VAR": "repro.scenarios.faults:ENV_VAR",
+    "KILL_EXIT_CODE": "repro.scenarios.faults",
+    "FaultPlan": "repro.scenarios.faults",
+    "RecoveryReport": "repro.scenarios.store",
+    "ResultStore": "repro.scenarios.store",
+    "chunk_digest": "repro.scenarios.store",
+    "is_failure_record": "repro.scenarios.store",
+    "CampaignRunner": "repro.scenarios.campaign",
+    "CampaignRunOutcome": "repro.scenarios.campaign",
+    "CampaignStatus": "repro.scenarios.campaign",
+    "RetryPolicy": "repro.scenarios.campaign",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "DEFAULT_HORIZON",

@@ -78,6 +78,7 @@ from repro.scenarios.store import (
 )
 from repro.verification.backends import (
     check_backend_choice,
+    import_backend,
     resolve_simulation_backend,
     resolve_solver_backend,
 )
@@ -607,6 +608,11 @@ class CampaignRunner:
             (index, spec_data, chunk, backend, self.validate)
             for index, chunk in pending
         ]
+        if payloads:
+            try:
+                import_backend(backend)
+            except VerificationError as exc:
+                raise ScenarioError(str(exc)) from exc
         if telemetry.armed():
             telemetry.counter("store.cache_hit", cached)
             telemetry.counter("store.cache_miss", len(pending))

@@ -24,7 +24,7 @@ This subpackage decides it, through three mutually-checking layers:
   spaces, bit-parallel reachability and winning-SCC detection), with the
   same optional-NumPy contract and bit-identical verdicts;
 * :mod:`repro.verification.backends` — the one registry of backend
-  names (solver vs simulation families, ``auto`` resolution) that the
+  names (one axis for both dispatch paths, ``auto`` resolution) that the
   CLI, the chunk runners and the campaign runner all derive from;
 * :mod:`repro.verification.kernel` — the packed-state kernel: the game
   solver's consumer of the compiled tables, adding adversarial move
@@ -46,45 +46,45 @@ This subpackage decides it, through three mutually-checking layers:
   table class across a process pool with deterministic chunk merging.
 """
 
-from repro.verification.backends import (
-    AUTO_BACKEND,
-    BACKEND_CHOICES,
-    SIMULATION_BACKENDS,
-    SOLVER_BACKENDS,
-    SOLVER_BACKEND_CHOICES,
-    resolve_simulation_backend,
-    resolve_solver_backend,
-    vector_available,
-)
-from repro.verification.certificates import (
-    TrapCertificate,
-    certificate_schedule,
-    validate_certificate,
-)
-from repro.verification.game import (
-    PROPERTIES,
-    ExplorationVerdict,
-    check_property,
-    synthesize_trap,
-    verify_exploration,
-)
-from repro.verification.compiled import CompiledTables
-from repro.verification.kernel import PackedKernel, check_scheduler
-from repro.verification.product import BACKENDS, ProductSystem, SysState
-from repro.verification.enumeration import (
-    SweepResult,
-    sample_table_patterns,
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memory2,
-    sweep_two_robot_memoryless,
-)
-from repro.verification.sweeps import (
-    START_POLICIES,
-    TABLE_FAMILIES,
-    available_cpus,
-    run_table_sweep,
-    sweep_chunk,
-)
+from repro._lazy import lazy_exports
+
+# Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "AUTO_BACKEND": "repro.verification.backends",
+    "BACKEND_CHOICES": "repro.verification.backends",
+    "SIMULATION_BACKENDS": "repro.verification.backends",
+    "SOLVER_BACKENDS": "repro.verification.backends",
+    "SOLVER_BACKEND_CHOICES": "repro.verification.backends",
+    "resolve_simulation_backend": "repro.verification.backends",
+    "resolve_solver_backend": "repro.verification.backends",
+    "vector_available": "repro.verification.backends",
+    "TrapCertificate": "repro.verification.certificates",
+    "certificate_schedule": "repro.verification.certificates",
+    "validate_certificate": "repro.verification.certificates",
+    "PROPERTIES": "repro.verification.game",
+    "ExplorationVerdict": "repro.verification.game",
+    "check_property": "repro.verification.game",
+    "synthesize_trap": "repro.verification.game",
+    "verify_exploration": "repro.verification.game",
+    "CompiledTables": "repro.verification.compiled",
+    "PackedKernel": "repro.verification.kernel",
+    "check_scheduler": "repro.verification.kernel",
+    "BACKENDS": "repro.verification.product",
+    "ProductSystem": "repro.verification.product",
+    "SysState": "repro.verification.product",
+    "SweepResult": "repro.verification.enumeration",
+    "sample_table_patterns": "repro.verification.enumeration",
+    "sweep_single_robot_memoryless": "repro.verification.enumeration",
+    "sweep_two_robot_memory2": "repro.verification.enumeration",
+    "sweep_two_robot_memoryless": "repro.verification.enumeration",
+    "START_POLICIES": "repro.verification.sweeps",
+    "TABLE_FAMILIES": "repro.verification.sweeps",
+    "available_cpus": "repro.verification.sweeps",
+    "run_table_sweep": "repro.verification.sweeps",
+    "sweep_chunk": "repro.verification.sweeps",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "AUTO_BACKEND",

@@ -8,18 +8,18 @@ Every layer that lets a caller pick an execution substrate — the CLI
 from this module, so a new backend cannot drift out of a help text or an
 error message.
 
-Two backend families exist because the two dispatch paths have different
-capabilities:
+Both dispatch paths offer the same three backends, fastest first
+(:data:`SOLVER_BACKENDS`; :data:`SIMULATION_BACKENDS` is the same tuple)
+and resolve a choice the same way (one :func:`resolve_solver_backend`,
+aliased as :func:`resolve_simulation_backend`):
 
-* **Solver backends** (:data:`SOLVER_BACKENDS`) drive the exact game
-  solver over the highly-dynamic adversary: ``vector`` (dense NumPy
-  lockstep over a whole chunk of tables,
-  :mod:`repro.verification.batch_solver`), ``packed`` (flat int
-  tables) and ``object`` (the differential oracle).
-* **Simulation backends** (:data:`SIMULATION_BACKENDS`) drive the
-  bounded-horizon schedule-dynamics runner: ``vector`` (NumPy
-  structure-of-arrays lockstep over a whole chunk,
-  :mod:`repro.verification.batch`), ``packed`` and ``object``.
+* on the **solver** path (the exact game solver over the highly-dynamic
+  adversary): ``vector`` (dense NumPy lockstep over a whole chunk of
+  tables, :mod:`repro.verification.batch_solver`), ``packed`` (flat int
+  tables) and ``object`` (the differential oracle);
+* on the **simulation** path (the bounded-horizon schedule-dynamics
+  runner): ``vector`` (NumPy structure-of-arrays lockstep over a whole
+  chunk, :mod:`repro.verification.batch`), ``packed`` and ``object``.
 
 ``auto`` (:data:`AUTO_BACKEND`) is the CLI-facing default: it resolves
 to the fastest backend *available on this host* for the dispatch path at
@@ -36,21 +36,26 @@ from repro.errors import VerificationError
 SOLVER_BACKENDS = ("vector", "packed", "object")
 """Backends of the exact game solver path, fastest first."""
 
-SIMULATION_BACKENDS = ("vector", "packed", "object")
-"""Backends of the schedule-simulation path, fastest first."""
+SIMULATION_BACKENDS = SOLVER_BACKENDS
+"""Backends of the schedule-simulation path: the same three names."""
 
 AUTO_BACKEND = "auto"
 """Sentinel choice: resolve to the fastest available backend."""
 
-BACKEND_CHOICES = (AUTO_BACKEND,) + SIMULATION_BACKENDS
+BACKEND_CHOICES = (AUTO_BACKEND,) + SOLVER_BACKENDS
 """Every name a caller may pass (CLI ``--backend`` choices)."""
 
-SOLVER_BACKEND_CHOICES = (AUTO_BACKEND,) + SOLVER_BACKENDS
+SOLVER_BACKEND_CHOICES = BACKEND_CHOICES
 """Solver-path ``--backend`` choices (``verify``/``sweep`` CLI)."""
 
 
 def vector_available() -> bool:
-    """True when the ``vector`` backend's NumPy dependency is importable."""
+    """True when the ``vector`` backend's NumPy dependency is usable.
+
+    Answered without importing NumPy (see
+    :func:`repro.verification.batch.have_numpy`): resolving a backend
+    must stay cheap for verbs that never compute.
+    """
     from repro.verification import batch
 
     return batch.have_numpy()
@@ -75,12 +80,13 @@ def check_solver_backend(backend: str) -> str:
 
 
 def resolve_solver_backend(backend: str) -> str:
-    """Resolve a backend choice for the exact solver path.
+    """Resolve a backend choice for either dispatch path.
 
-    ``auto`` picks ``vector`` when NumPy is importable and ``packed``
-    otherwise — the same availability contract as the simulation path;
-    asking for ``vector`` explicitly without NumPy is an error (the
-    caller wanted that substrate, not a silent fallback).
+    ``auto`` picks ``vector`` when NumPy is usable and ``packed``
+    otherwise; asking for ``vector`` explicitly without NumPy is an
+    error (the caller wanted that substrate, not a silent fallback).
+    Only availability is checked here — NumPy itself is imported later,
+    by :func:`import_backend` or the first vector kernel call.
     """
     if backend == AUTO_BACKEND:
         return "vector" if vector_available() else "packed"
@@ -92,22 +98,20 @@ def resolve_solver_backend(backend: str) -> str:
     return check_solver_backend(backend)
 
 
-def resolve_simulation_backend(backend: str) -> str:
-    """Resolve a backend choice for the simulation path.
+resolve_simulation_backend = resolve_solver_backend
+"""The simulation path resolves exactly like the solver path."""
 
-    ``auto`` picks ``vector`` when NumPy is importable and ``packed``
-    otherwise; asking for ``vector`` explicitly without NumPy is an
-    error (the caller wanted that substrate, not a silent fallback).
+
+def import_backend(backend: str) -> None:
+    """Import a resolved backend's optional dependency now.
+
+    Dispatchers call this once work is pending and before they fork
+    workers, so NumPy is imported once in the parent and every forked
+    worker inherits it instead of importing it again. A NumPy that is
+    found but fails to import raises the same ``requires numpy`` error
+    as a missing one.
     """
-    if backend == AUTO_BACKEND:
-        return "vector" if vector_available() else "packed"
-    if backend == "vector" and not vector_available():
-        raise VerificationError(
-            "backend 'vector' requires numpy, which is not installed; "
-            "pass backend='auto' to fall back to 'packed' automatically"
-        )
-    if backend not in SIMULATION_BACKENDS:
-        raise VerificationError(
-            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
-        )
-    return backend
+    if backend == "vector":
+        from repro.verification import batch
+
+        batch.require_numpy()

@@ -43,21 +43,25 @@ failed run is located, and only the executed-round counts up to and
 including it are summed. Trapped flags and round totals match the
 scalar path exactly — differentially tested in ``tests/test_batch.py``.
 
-NumPy is an **optional** dependency (same guarded-import pattern as
-:mod:`repro.analysis.stats`): without it this module imports fine,
-:func:`have_numpy` returns False, and the ``vector`` backend is simply
-unavailable (``backend="auto"`` falls back to ``packed``).
+NumPy is an **optional**, **on-demand** dependency: this module owns the
+one loader (:func:`load_numpy`) the solver backend
+(:mod:`~repro.verification.batch_solver`) and :mod:`repro.analysis.stats`
+share. Nothing imports NumPy at module load — :func:`have_numpy` answers
+from the import system's module search until the first real use, so
+verbs that never compute (``algos``, ``campaign list|status|report``, a
+cache-hit ``campaign run``) never pay for it. Without NumPy this module
+imports fine, :func:`have_numpy` returns False, and the ``vector``
+backend is simply unavailable (``backend="auto"`` falls back to
+``packed``).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import time
-from typing import Sequence
-
-try:  # NumPy is optional — the vector backend degrades to unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
+from importlib.machinery import PathFinder
+from typing import Any, Optional, Sequence
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -75,17 +79,56 @@ BatchTables = tuple
 _np_node_cache: dict = {}
 
 
+_UNLOADED = object()
+
+# The NumPy module once loaded, None when it is unavailable, _UNLOADED
+# until the first use. Tests force the no-NumPy contract by setting it
+# to None.
+_np: Any = _UNLOADED
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_installed() -> bool:
+    # The plain sys.path search first: it leaves import hooks on
+    # sys.meta_path (import timers, tracers) to the real import.
+    spec = PathFinder.find_spec("numpy") or importlib.util.find_spec("numpy")
+    return spec is not None
+
+
 def have_numpy() -> bool:
-    """True when the optional NumPy dependency imported."""
+    """True when the optional NumPy dependency is usable.
+
+    Answered without importing NumPy while it is still unloaded: a
+    package that is found but then fails to import surfaces as the
+    ``requires numpy`` error of :func:`require_numpy` at first use.
+    """
+    if _np is _UNLOADED:
+        return _numpy_installed()
     return _np is not None
 
 
-def _require_numpy() -> None:
-    if _np is None:
+def load_numpy() -> Optional[Any]:
+    """The NumPy module, imported on first call; None when unavailable."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:
+            _np = None
+        else:
+            _np = numpy
+    return _np
+
+
+def require_numpy() -> Any:
+    """The NumPy module, or a clear error naming the missing dependency."""
+    np = load_numpy()
+    if np is None:
         raise VerificationError(
             "backend 'vector' requires numpy, which is not installed; "
             "pass backend='auto' to fall back to 'packed' automatically"
         )
+    return np
 
 
 def as_batch_arrays(
@@ -97,10 +140,10 @@ def as_batch_arrays(
     :meth:`~repro.verification.compiled.CompiledTables.batch_tables`
     (which caches the result per instance, like the scalar tables).
     """
-    _require_numpy()
+    np = require_numpy()
     return (
-        _np.array(transitions, dtype=_np.int64),
-        _np.array(dir_bits, dtype=_np.int64),
+        np.array(transitions, dtype=np.int64),
+        np.array(dir_bits, dtype=np.int64),
         initial_index,
     )
 
@@ -116,13 +159,14 @@ def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
     key = (topology, chirality)
     cached = _np_node_cache.get(key)
     if cached is None:
+        np = require_numpy()
         left, right, move_masks, move_dests = _node_tables(topology, chirality)
         cached = (
-            _np.array(left, dtype=_np.int64),
-            _np.array(right, dtype=_np.int64),
-            _np.array(move_masks, dtype=_np.int64),
-            _np.array(move_dests, dtype=_np.int64),
-            _np.arange(2 * topology.n, dtype=_np.int64) >> 1,
+            np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+            np.array(move_masks, dtype=np.int64),
+            np.array(move_dests, dtype=np.int64),
+            np.arange(2 * topology.n, dtype=np.int64) >> 1,
         )
         _np_node_cache[key] = cached
     return cached
@@ -138,15 +182,16 @@ def _mask_tables(mask: int, node_tables: list[tuple], n: int) -> tuple:
     under this mask). Schedules repeat masks heavily (periodic families
     cycle through a handful), so the caller memoizes per distinct mask.
     """
+    np = require_numpy()
     ev_parts = []
     dest_parts = []
     for left, right, move_masks, move_dests, stay in node_tables:
         ev_parts.append(
-            ((mask & left) != 0).astype(_np.int64) * 4
-            + ((mask & right) != 0).astype(_np.int64) * 2
+            ((mask & left) != 0).astype(np.int64) * 4
+            + ((mask & right) != 0).astype(np.int64) * 2
         )
-        dest_parts.append(_np.where((mask & move_masks) != 0, move_dests, stay))
-    return _np.concatenate(ev_parts), _np.concatenate(dest_parts)
+        dest_parts.append(np.where((mask & move_masks) != 0, move_dests, stay))
+    return np.concatenate(ev_parts), np.concatenate(dest_parts)
 
 
 def simulate_batch(
@@ -166,7 +211,7 @@ def simulate_batch(
     seconds per kernel phase (``compile``/``gather``/``compact`` — the
     caller decides whether to emit them as telemetry).
     """
-    _require_numpy()
+    np = require_numpy()
     timings = {"compile": 0.0, "gather": 0.0, "compact": 0.0}
     if not tables:
         return [], 0, timings
@@ -180,8 +225,8 @@ def simulate_batch(
     runs_per_table = n_vectors * n_placements
     state_count = tables[0].state_count
     s8 = state_count * 8
-    one = _np.int64(1)
-    full = _np.int64((1 << n) - 1)
+    one = np.int64(1)
+    full = np.int64((1 << n) - 1)
 
     # -- compile: stack every table's flat tables into one folded array.
     # transitions[s*8+view] and dir_bits[s] collapse into one table
@@ -200,9 +245,9 @@ def simulate_batch(
         trans_rows.append(transitions)
         dir_rows.append(dir_bits)
         initials.append(initial_index)
-    trans2 = _np.stack(trans_rows)
-    dir2 = _np.stack(dir_rows)
-    td_flat = (trans2 * 2 + _np.take_along_axis(dir2, trans2, axis=1)).ravel()
+    trans2 = np.stack(trans_rows)
+    dir2 = np.stack(dir_rows)
+    td_flat = (trans2 * 2 + np.take_along_axis(dir2, trans2, axis=1)).ravel()
 
     # Run layout: run = table * runs_per_table + vector * placements +
     # placement — exactly the scalar loop nesting, which the post-hoc
@@ -210,11 +255,11 @@ def simulate_batch(
     # robot * runs + run (robot-major blocks, so a robot's — or under
     # SSYNC, the active robot's — rows are one contiguous slice).
     runs = batch * runs_per_table
-    vec_of_run = _np.tile(
-        _np.repeat(_np.arange(n_vectors, dtype=_np.int64), n_placements), batch
+    vec_of_run = np.tile(
+        np.repeat(np.arange(n_vectors, dtype=np.int64), n_placements), batch
     )
-    td_base = _np.repeat(_np.arange(batch, dtype=_np.int64) * s8, runs_per_table)
-    place2 = _np.array(placements, dtype=_np.int64)  # (P, k)
+    td_base = np.repeat(np.arange(batch, dtype=np.int64) * s8, runs_per_table)
+    place2 = np.array(placements, dtype=np.int64)  # (P, k)
 
     # The (robot, chirality-vector) node-table blocks, in row-block
     # order; per-row offsets select each row's block in the per-mask
@@ -224,28 +269,28 @@ def simulate_batch(
         for i in range(k)
         for vector in vectors
     ]
-    block_of_row = _np.concatenate(
+    block_of_row = np.concatenate(
         [vec_of_run + i * n_vectors for i in range(k)]
     )
     ev_off = block_of_row * n
     dest_off = block_of_row * (2 * n)
-    td_base_rows = _np.tile(td_base, k)
+    td_base_rows = np.tile(td_base, k)
 
-    pos = _np.concatenate(
-        [_np.tile(place2[:, i], batch * n_vectors) for i in range(k)]
+    pos = np.concatenate(
+        [np.tile(place2[:, i], batch * n_vectors) for i in range(k)]
     )
-    st = _np.tile(
-        _np.repeat(_np.array(initials, dtype=_np.int64), runs_per_table), k
+    st = np.tile(
+        np.repeat(np.array(initials, dtype=np.int64), runs_per_table), k
     )
 
-    seen = _np.zeros(runs, dtype=_np.int64)
+    seen = np.zeros(runs, dtype=np.int64)
     pos2 = pos.reshape(k, runs)
     for i in range(k):
         seen |= one << pos2[i]
-    late = _np.zeros(runs, dtype=_np.int64)
-    explored = _np.zeros(runs, dtype=bool)
-    executed = _np.zeros(runs, dtype=_np.int64)
-    orig = _np.arange(runs, dtype=_np.int64)
+    late = np.zeros(runs, dtype=np.int64)
+    explored = np.zeros(runs, dtype=bool)
+    executed = np.zeros(runs, dtype=np.int64)
+    orig = np.arange(runs, dtype=np.int64)
     timings["compile"] = time.perf_counter() - start
 
     horizon = len(masks)
@@ -255,7 +300,7 @@ def simulate_batch(
     def compact(keep) -> None:
         nonlocal pos, st, seen, late, ev_off, dest_off, td_base_rows, orig
         mark = time.perf_counter()
-        keep_rows = _np.tile(keep, k)
+        keep_rows = np.tile(keep, k)
         pos = pos[keep_rows]
         st = st[keep_rows]
         ev_off = ev_off[keep_rows]
@@ -279,7 +324,7 @@ def simulate_batch(
     # Runs already decided but not yet compacted away: their tally was
     # written the round they finished; they keep stepping harmlessly
     # (runs are independent) until the next compaction drops them.
-    pending = _np.zeros(orig.size, dtype=bool)
+    pending = np.zeros(orig.size, dtype=bool)
     for t in range(horizon):
         r = orig.size
         if r == 0:
@@ -295,11 +340,11 @@ def simulate_batch(
         if k == 1:
             tower_bit = None
         elif k == 2:
-            tower_bit = _np.tile((pos2[0] == pos2[1]).astype(_np.int64), 2)
+            tower_bit = np.tile((pos2[0] == pos2[1]).astype(np.int64), 2)
         else:
             bits = one << pos2
-            occupied = _np.zeros(r, dtype=_np.int64)
-            towers = _np.zeros(r, dtype=_np.int64)
+            occupied = np.zeros(r, dtype=np.int64)
+            towers = np.zeros(r, dtype=np.int64)
             for i in range(k):
                 towers |= occupied & bits[i]
                 occupied |= bits[i]
@@ -365,7 +410,7 @@ def simulate_batch(
             if pending.mean() >= COMPACT_THRESHOLD:
                 timings["gather"] += time.perf_counter() - mark
                 compact(~pending)
-                pending = _np.zeros(orig.size, dtype=bool)
+                pending = np.zeros(orig.size, dtype=bool)
                 mark = time.perf_counter()
     timings["gather"] += time.perf_counter() - mark
 
@@ -385,9 +430,9 @@ def simulate_batch(
     trapped = fail.any(axis=1)
     first_fail = fail.argmax(axis=1)
     cumulative = executed2.cumsum(axis=1)
-    counted = _np.where(
+    counted = np.where(
         trapped,
-        cumulative[_np.arange(batch), first_fail],
+        cumulative[np.arange(batch), first_fail],
         cumulative[:, -1],
     )
     return (
@@ -400,6 +445,8 @@ def simulate_batch(
 __all__ = [
     "as_batch_arrays",
     "have_numpy",
+    "load_numpy",
+    "require_numpy",
     "simulate_batch",
     "COMPACT_THRESHOLD",
 ]

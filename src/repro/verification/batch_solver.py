@@ -49,8 +49,9 @@ solve phase in :mod:`repro.verification.game` (``verify`` and the
 certificate path of validated sweeps); there is no scalar size
 fallback.
 
-NumPy stays optional: callers guard with :func:`have_numpy` (via the
-backend registry) and run the scalar packed path (identical tallies)
+NumPy stays optional and is loaded on first use through
+:func:`repro.verification.batch.require_numpy`: callers guard with
+:func:`have_numpy` (via the backend registry) and run the scalar packed path (identical tallies)
 when the dependency is absent; sweep chunks that are not
 :func:`dense_eligible` go per table through the frontier path.
 """
@@ -61,13 +62,8 @@ import itertools
 import time
 from typing import Optional, Sequence
 
-try:  # NumPy is optional — the vector backend degrades to unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-NumPy CI leg
-    _np = None
-
 from repro.errors import VerificationError
-from repro.verification.batch import _np_node_tables, _require_numpy, have_numpy
+from repro.verification.batch import _np_node_tables, have_numpy, require_numpy
 from repro.verification.kernel import PackedKernel
 
 #: Hard cap on a dense space's state count (beyond it, tables are solved
@@ -134,7 +130,7 @@ class DenseSpace:
     """
 
     def __init__(self, kernel: PackedKernel) -> None:
-        np = _np
+        np = require_numpy()
         self.topology = kernel.topology
         self.scheduler = kernel.scheduler
         self.k = kernel.k
@@ -237,7 +233,7 @@ class DenseSpace:
         """
         cached = self._target_cache.get(target)
         if cached is None:
-            np = _np
+            np = require_numpy()
             avoid = ((self.occ >> target) & 1) == 0
             sel = np.nonzero(avoid)[0]
             avoid_mask = np.zeros(self.words, dtype=np.uint64)
@@ -251,7 +247,7 @@ class DenseSpace:
 
 def dense_space(kernel: PackedKernel) -> DenseSpace:
     """The (process-cached) dense geometry for a kernel's instance."""
-    _require_numpy()
+    require_numpy()
     key = (
         kernel.topology,
         kernel.chiralities,
@@ -273,7 +269,7 @@ def _expand(sp: DenseSpace, trans: "object", dirs: "object") -> "object":
     ``new_state·2 + dir_bit``; the landing slot is then a select between
     the two precompiled per-direction slot tables plus the new state.
     """
-    np = _np
+    np = require_numpy()
     td = (trans * 2 + np.take_along_axis(dirs, trans, axis=1)).astype(np.int16)
     slots = []
     for view, slot0, slot1, _idle in sp.robots:
@@ -306,7 +302,7 @@ def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
     ``as_bool=False`` returns the raw 0/1 uint8 plane (one copy fewer)
     for consumers that only mask or reduce it.
     """
-    np = _np
+    np = require_numpy()
     if np.little_endian:
         flat = np.unpackbits(
             np.ascontiguousarray(rows).view(np.uint8),
@@ -322,7 +318,7 @@ def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
 
 def _adjacency(sp: DenseSpace, succ: "object") -> "object":
     """Per-state successor bitmasks ``(B, P, words)`` of a batch."""
-    np = _np
+    np = require_numpy()
     tbits = sp.bitval[succ]
     if sp.words == 1:
         return np.bitwise_or.reduce(tbits, axis=2)[:, :, None]
@@ -344,7 +340,7 @@ def _reachable(
     batch — no per-state scatter. Returns ``(visited, vis_mask)``: the
     boolean ``(B, P)`` bitmap and its packed ``(B, words)`` form.
     """
-    np = _np
+    np = require_numpy()
     batch = adj.shape[0]
     seed_mask = np.zeros(sp.words, dtype=np.uint64)
     for s in set(int(s) for s in seeds):
@@ -388,7 +384,7 @@ def _solve(
     bit-parallel Floyd–Warshall only iterates vias over avoiding states
     present in some table's arena.
     """
-    np = _np
+    np = require_numpy()
     batch = succ.shape[0]
     budget = 1 if sp.topology.is_ring else 0
     ssync = sp.scheduler == "ssync"
@@ -520,7 +516,7 @@ def solve_tables(
     bit-for-bit. ``timings`` (optional dict) accumulates
     ``compile`` / ``frontier`` / ``scc`` phase seconds.
     """
-    np = _np
+    np = require_numpy()
     sp = dense_space(kernel)
     mark = time.perf_counter()
     for state_count, _trans, _dirs in tables:
@@ -579,7 +575,7 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
     key = (kernel.topology, kernel.chiralities)
     cached = _frontier_cache.get(key)
     if cached is None:
-        np = _np
+        np = require_numpy()
         occ_keys = sorted(
             sum(1 << node for node in nodes)
             for size in range(1, min(kernel.k, kernel.n) + 1)
@@ -608,7 +604,7 @@ def _expand_frontier(
     occupied-node masks. One gather per robot resolves view, computed
     state, direction and landing node for all padded moves at once.
     """
-    np = _np
+    np = require_numpy()
     occ_keys, moves_pad, mcount, robots = tables
     base, S = kernel._base, kernel.state_count
     slots, pos = [], []
@@ -688,8 +684,7 @@ def reachable_csr(
     certificates. Raises :class:`VerificationError` on the same
     ``max_states`` overflow the scalar path reports.
     """
-    _require_numpy()
-    np = _np
+    np = require_numpy()
     if (
         kernel._base ** kernel.k > _INT64_BOUND
         or 1 << (kernel.act_shift + kernel.k) > _INT64_BOUND

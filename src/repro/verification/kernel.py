@@ -139,10 +139,9 @@ class PackedKernel(CompiledTables):
         extraction). Raises :class:`~repro.errors.VerificationError`
         when NumPy — an optional dependency — is absent.
         """
-        from repro.verification.batch import _require_numpy
+        from repro.verification.batch import require_numpy
 
-        _require_numpy()
-        import numpy as np
+        np = require_numpy()
 
         rows = [self.moves_for_occupied(occ) for occ in occupied_values]
         width = max(len(row) for row in rows)

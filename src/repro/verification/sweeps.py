@@ -40,9 +40,10 @@ from repro.robots.algorithms.tables import (
     memoryless_table_from_bits,
     table_space_size,
 )
+from repro.scenarios import faults
 from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
-from repro.verification.backends import resolve_solver_backend
+from repro.verification.backends import import_backend, resolve_solver_backend
 from repro.verification.game import check_property, verify_exploration
 from repro.verification.kernel import PackedKernel
 from repro.verification.product import check_scheduler
@@ -229,10 +230,6 @@ def sweep_chunk(
     chunk can be re-run anywhere (another worker, another process, another
     machine) and tally identically.
     """
-    # Imported here, not at module level: the scenarios package imports
-    # this module while initializing, so a top-level import would cycle.
-    from repro.scenarios import faults
-
     _check_family(family)
     backend = resolve_solver_backend(backend)
     if backend == "vector" and not validate:
@@ -302,8 +299,6 @@ def _sweep_chunk_vector(
     product space is not dense-eligible; the caller then falls back to
     the per-table path.
     """
-    from repro.scenarios import faults
-
     if not bits_chunk:
         return None
     k, maker, plan, _space = _FAMILIES[family]
@@ -449,6 +444,8 @@ def run_table_sweep(
         (family, result.n, chunk, backend, validate, starts, prop, scheduler)
         for chunk in _chunked(bit_patterns, jobs)
     ]
+    if payloads:
+        import_backend(backend)
     if jobs <= 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(payload) for payload in payloads]
     else:

@@ -9,6 +9,11 @@ from repro.graph.topology import ChainTopology, RingTopology
 from repro.robots.algorithms import PEF1, PEF2, PEF3Plus
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # Registered so the marker is known; nothing deselects it by default.
+    config.addinivalue_line("markers", "slow: a long-running test")
+
+
 @pytest.fixture
 def ring6() -> RingTopology:
     """A 6-node ring."""
