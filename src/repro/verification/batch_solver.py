@@ -37,17 +37,22 @@ that range early: ``PEF_3+`` at k=3 has ``base^k = 32768`` at n=8, 61%
 of it reachable. Single instances of any size take the **frontier**
 path instead — :func:`reachable_csr`, a level-synchronous int64 BFS over
 the *reached* states only. Per level it decodes the frontier's slots,
-gathers every padded adversary move's successor at once (the move table
-spans only occupancies with popcount ``≤ k``), deduplicates against the
-visited set with ``np.unique``/``np.isin`` and keeps the level's
-transition rows; one final permutation yields the per-table CSR —
-states ascending, per-state transitions in the scalar kernel's move
-order, the *same* canonical graph the packed backend builds from
-``PackedKernel.reachable`` — so vector and packed verdicts and
-certificates are bit-identical by construction. It feeds the shared
+gathers the valid adversary moves of every frontier state out of a
+padded move table (spanning only occupancies with popcount ``≤ k``),
+resolves all their successors at once, deduplicates against the visited
+set with ``np.unique``/``np.isin`` and keeps the level's transition
+rows; one final permutation yields the per-table CSR as
+int64 arrays — states ascending, per-state transitions in the scalar
+kernel's move order, the *same* canonical graph the packed backend
+builds from ``PackedKernel.reachable`` — so vector and packed verdicts
+and certificates are bit-identical by construction. It feeds the shared
 solve phase in :mod:`repro.verification.game` (``verify`` and the
-certificate path of validated sweeps); there is no scalar size
-fallback.
+certificate path of validated sweeps), which stays on the arrays: the
+NumPy kernels at the end of this module check rotation closure
+(:func:`rotation_closed`), grow the live arena
+(:func:`avoid_reachable`) and build each target's deduplicated arena
+(:func:`arena_csr`), the one part handed to Python — for the Tarjan
+walk. There is no scalar size fallback.
 
 NumPy stays optional and is loaded on first use through
 :func:`repro.verification.batch.require_numpy`: callers guard with
@@ -564,13 +569,15 @@ def solve_tables(
 def _frontier_tables(kernel: PackedKernel) -> tuple:
     """Process-cached, table-independent geometry of the sparse frontier.
 
-    Returns ``(occ_keys, moves_pad, mcount, robots)``: the ascending
-    occupied-node masks a state can have (popcount ``1..k`` — robots
-    sharing a node occupy fewer), the adversary move table padded over
-    exactly those rows (width 64 at k=3, not the 256 of all ``2^n``
-    occupancies on an 8-ring) with each row's valid length, and per robot
-    its chirality's node tables (left/right port masks, pointed-edge
-    masks, landing nodes) as int64 arrays.
+    Returns ``(occ_keys, move_ptr, moves, robots)``. ``occ_keys`` are
+    the ascending occupied-node masks a state can have (popcount ``1..k``
+    — robots sharing a node occupy fewer); the adversary moves of
+    ``occ_keys[r]`` are ``moves[move_ptr[r]:move_ptr[r + 1]]``, in
+    :meth:`PackedKernel.moves_for_occupied` order. Per robot, two tables
+    fold its chirality's port and move geometry over every (move,
+    node) *cell* ``m · n + node``: ``view_bits[cell]`` is the
+    ``4·left + 2·right`` edge-presence part of its view, and
+    ``landing[2 · cell + dir_bit]`` the node it ends the round on.
     """
     key = (kernel.topology, kernel.chiralities)
     cached = _frontier_cache.get(key)
@@ -581,31 +588,58 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
             for size in range(1, min(kernel.k, kernel.n) + 1)
             for nodes in itertools.combinations(range(kernel.n), size)
         )
-        moves_pad, mcount = kernel.padded_moves(occ_keys)
-        robots = tuple(
-            _np_node_tables(kernel.topology, chirality)[:4]
-            for chirality in kernel.chiralities
-        )
-        cached = (np.asarray(occ_keys, dtype=np.int64), moves_pad, mcount, robots)
+        rows = [kernel.moves_for_occupied(occ) for occ in occ_keys]
+        move_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=move_ptr[1:])
+        moves = np.array([move for row in rows for move in row], dtype=np.int64)
+        nodes = np.arange(kernel.n)
+        pointers = nodes[:, None] * 2 + np.arange(2)
+        robots = []
+        for chirality in kernel.chiralities:
+            left, right, move_masks, move_dests = _np_node_tables(
+                kernel.topology, chirality
+            )[:4]
+            view_bits = (
+                4 * ((moves[:, None] & left) != 0)
+                + 2 * ((moves[:, None] & right) != 0)
+            )
+            landing = np.where(
+                (moves[:, None, None] & move_masks[pointers]) != 0,
+                move_dests[pointers],
+                nodes[:, None],
+            )
+            robots.append((view_bits.reshape(-1), landing.reshape(-1)))
+        cached = (np.asarray(occ_keys, dtype=np.int64), move_ptr, moves, robots)
         _frontier_cache[key] = cached
     return cached
 
 
+def _csr_rows(indptr: "object", rows: "object") -> "object":
+    """Flat positions of the CSR rows ``rows``, row by row."""
+    np = require_numpy()
+    lo = indptr[rows]
+    deg = indptr[rows + 1] - lo
+    return np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+
+
 def _expand_frontier(
-    kernel: PackedKernel, tables: tuple, trans: "object", dirs: "object",
-    frontier: "object",
+    kernel: PackedKernel, tables: tuple, steps: "object", frontier: "object"
 ) -> tuple:
     """Every transition of a frontier of packed states, in kernel order.
 
-    Returns ``(succ, labels, deg, occ)``: the flat successor and label
-    arrays (per state, moves in :meth:`PackedKernel.moves_for_occupied`
-    order; under SSYNC each move crossed with activation masks
-    ``1..full_act`` ascending), the per-state transition count and the
-    occupied-node masks. One gather per robot resolves view, computed
-    state, direction and landing node for all padded moves at once.
+    ``steps[view]`` is the Look–Compute table folded with the direction
+    bit of the computed state (``new_state · 2 + dir_bit``). Returns
+    ``(succ, labels, deg, occ)``: the flat successor and label arrays
+    (per state, moves in :meth:`PackedKernel.moves_for_occupied` order;
+    under SSYNC each move crossed with activation masks ``1..full_act``
+    ascending), the per-state transition count and the occupied-node
+    masks. Only valid moves are expanded — one flat row per (state,
+    move) pair, gathered out of the move CSR — and per robot three
+    gathers resolve view, computed state and landing node for all of
+    them at once.
     """
     np = require_numpy()
-    occ_keys, moves_pad, mcount, robots = tables
+    occ_keys, move_ptr, moves, robots = tables
     base, S = kernel._base, kernel.state_count
     slots, pos = [], []
     rest = frontier
@@ -621,49 +655,39 @@ def _expand_frontier(
         towers |= occ & bit
         occ |= bit
     row = np.searchsorted(occ_keys, occ)
-    moves = moves_pad[row]
-    count = mcount[row]
+    count = move_ptr[row + 1] - move_ptr[row]
+    owner = np.repeat(np.arange(frontier.size), count)
+    move_at = _csr_rows(move_ptr, row)
+    labels = moves[move_at]
+    cell = move_at * kernel.n
     active = []
-    for i, (left, right, move_masks, move_dests) in enumerate(robots):
-        p = pos[i]
-        view = (slots[i] % S) * 8 + ((towers >> p) & 1)
-        view = (
-            view[:, None]
-            + 4 * ((moves & left[p][:, None]) != 0)
-            + 2 * ((moves & right[p][:, None]) != 0)
-        )
-        new_state = trans[view]
-        pointer = p[:, None] * 2 + dirs[new_state]
-        landing = np.where(
-            (moves & move_masks[pointer]) != 0, move_dests[pointer], p[:, None]
-        )
-        active.append(landing * S + new_state)
-    valid = np.arange(moves.shape[1])[None, :] < count[:, None]
+    for i, (view_bits, landing) in enumerate(robots):
+        here = cell + pos[i][owner]
+        own_view = (slots[i] % S) * 8 + ((towers >> pos[i]) & 1)
+        step = steps[own_view[owner] + view_bits[here]]
+        active.append(landing[2 * here + (step & 1)] * S + (step >> 1))
     if kernel.scheduler != "ssync":
         succ = active[-1]
         for i in range(kernel.k - 2, -1, -1):
             succ = succ * base + active[i]
-        return succ[valid], moves[valid], count, occ
+        return succ, labels, count, occ
     parts = []
     for act in range(1, kernel.full_act + 1):
         succ = None
         for i in range(kernel.k - 1, -1, -1):
-            part = active[i] if act >> i & 1 else slots[i][:, None]
+            part = active[i] if act >> i & 1 else slots[i][owner]
             succ = part if succ is None else succ * base + part
-        parts.append(np.broadcast_to(succ, moves.shape))
+        parts.append(succ)
     acts = np.arange(1, kernel.full_act + 1, dtype=np.int64) << kernel.act_shift
-    labels = moves[:, :, None] | acts
     return (
-        np.stack(parts, axis=-1)[valid].reshape(-1),
-        labels[valid].reshape(-1),
+        np.stack(parts, axis=-1).reshape(-1),
+        (labels[:, None] | acts).reshape(-1),
         count * kernel.full_act,
         occ,
     )
 
 
-def reachable_csr(
-    kernel: PackedKernel, seeds: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int], list[int], list[int]]:
+def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     """One table's reachable graph in canonical CSR form, in NumPy.
 
     A level-synchronous int64 frontier over the reached states only, so
@@ -674,15 +698,17 @@ def reachable_csr(
     transition rows; the levels are then permuted into ascending state
     order without a second traversal.
 
-    Returns ``(states, indptr, labels, succs, occ, seed_idx)`` as plain
-    Python lists: reached packed states ascending, per-state transitions
-    in the scalar kernel's move order (SSYNC mask-major /
-    activation-minor), occupied-node bitmask per state and seed indices
-    in first-occurrence order — exactly the CSR the packed backend
-    builds from ``PackedKernel.reachable``, so the shared solve phase in
-    :mod:`repro.verification.game` produces bit-identical verdicts and
-    certificates. Raises :class:`VerificationError` on the same
-    ``max_states`` overflow the scalar path reports.
+    Returns ``(states, indptr, labels, succs, occ, seed_idx)``: five
+    int64 arrays — reached packed states ascending, per-state
+    transitions in the scalar kernel's move order (SSYNC mask-major /
+    activation-minor), occupied-node bitmask per state — and the seed
+    indices in first-occurrence order as a list. Value for value this is
+    the CSR the packed backend builds from ``PackedKernel.reachable``,
+    so the shared solve phase in :mod:`repro.verification.game` produces
+    bit-identical verdicts and certificates; it keeps the arrays and
+    converts to Python only what its Tarjan or a certificate walks.
+    Raises :class:`VerificationError` on the same ``max_states``
+    overflow the scalar path reports.
     """
     np = require_numpy()
     if (
@@ -696,14 +722,16 @@ def reachable_csr(
         )
     tables = _frontier_tables(kernel)
     trans, dirs, _initial = kernel.batch_tables()
+    steps = trans * 2 + dirs[trans]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
     if not seed_array.size:
-        return [], [0], [], [], [], []
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros(1, dtype=np.int64), empty, empty, empty, []
     visited = np.unique(seed_array)
     frontier = visited
     levels = []
     while frontier.size:
-        level = _expand_frontier(kernel, tables, trans, dirs, frontier)
+        level = _expand_frontier(kernel, tables, steps, frontier)
         levels.append((frontier,) + level)
         fresh = np.unique(level[0])
         fresh = fresh[~np.isin(fresh, visited, assume_unique=True)]
@@ -720,6 +748,7 @@ def reachable_csr(
     states, succ, labels, deg, occ = (
         np.concatenate([level[part] for level in levels]) for part in range(5)
     )
+    del levels
     starts = np.cumsum(deg) - deg
     order = np.argsort(states)
     deg = deg[order]
@@ -733,13 +762,91 @@ def reachable_csr(
         if idx not in seen:
             seen.add(idx)
             seed_idx.append(idx)
+    labels = labels[gather]
+    succs = np.searchsorted(states, succ[gather])
+    return states, indptr, labels, succs, occ[order], seed_idx
+
+
+# ----------------------------------------------------------------------
+# Solve-phase kernels over a reachable_csr graph (repro.verification.game)
+# ----------------------------------------------------------------------
+def rotation_closed(kernel: PackedKernel, states: "object") -> bool:
+    """Whether an ascending packed-state array is closed under rotation.
+
+    The NumPy form of :func:`repro.verification.game._rotation_closed`:
+    every robot's slot moves one node on (``node → node + 1 mod n``,
+    state kept), and each rotated state must be found in ``states``.
+    """
+    np = require_numpy()
+    base, S, n = kernel._base, kernel.state_count, kernel.n
+    rotated = np.zeros_like(states)
+    rest, weight = states, 1
+    for _ in range(kernel.k):
+        slot = rest % base
+        rest = rest // base
+        rotated += ((slot // S + 1) % n * S + slot % S) * weight
+        weight *= base
+    at = np.minimum(np.searchsorted(states, rotated), states.size - 1)
+    return bool((states[at] == rotated).all())
+
+
+def avoid_reachable(
+    indptr: "object", succs: "object", occ: "object", seeds: Sequence[int],
+    target_bit: int,
+) -> "object":
+    """Boolean flags of the live arena, by level-synchronous BFS.
+
+    The NumPy form of :func:`repro.verification.game._avoid_reachable_csr`:
+    the states reachable from target-avoiding seeds through
+    target-avoiding states.
+    """
+    np = require_numpy()
+    avoiding = (occ & target_bit) == 0
+    allowed = np.zeros(avoiding.size, dtype=bool)
+    frontier = np.asarray(seeds, dtype=np.int64)
+    while frontier.size:
+        frontier = np.unique(frontier[avoiding[frontier] & ~allowed[frontier]])
+        allowed[frontier] = True
+        frontier = succs[_csr_rows(indptr, frontier)]
+    return allowed
+
+
+def arena_csr(
+    indptr: "object", labels: "object", succs: "object", avoiding: "object"
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The deduplicated successor CSR of an arena, as Python lists.
+
+    The NumPy builder of :class:`repro.verification.game._Arena`:
+    ``avoiding`` flags the arena's states; their transitions to arena
+    states are keyed ``src · N + dst``, grouped by a stable sort (one
+    group per distinct pair), their labels OR-reduced per group
+    (``np.bitwise_or.reduceat``) and the groups put back in the order of
+    their first transition — per source, successors in first-occurrence
+    move order, exactly as the Python builder emits them. Only this
+    arena-sized result is converted to lists, for the Tarjan walk.
+    """
+    np = require_numpy()
+    states = np.flatnonzero(avoiding)
+    size = states.size
+    node = np.full(avoiding.size, -1, dtype=np.int64)
+    node[states] = np.arange(size)
+    src = np.repeat(node, np.diff(indptr))
+    dst = node[succs]
+    keep = (src >= 0) & (dst >= 0)
+    key = src[keep] * size + dst[keep]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
+    pair_label = np.bitwise_or.reduceat(labels[keep][order], head)
+    emit = np.argsort(order[head])
+    key = key[head][emit]
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // size, minlength=size), out=ptr[1:])
     return (
         states.tolist(),
-        indptr.tolist(),
-        labels[gather].tolist(),
-        np.searchsorted(states, succ[gather]).tolist(),
-        occ[order].tolist(),
-        seed_idx,
+        ptr.tolist(),
+        (key % size).tolist(),
+        pair_label[emit].tolist(),
     )
 
 
@@ -747,9 +854,12 @@ __all__ = [
     "MAX_DENSE_STATES",
     "MAX_DENSE_CELLS",
     "DenseSpace",
+    "arena_csr",
+    "avoid_reachable",
     "dense_eligible",
     "dense_space",
     "have_numpy",
     "reachable_csr",
+    "rotation_closed",
     "solve_tables",
 ]

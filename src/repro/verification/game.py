@@ -55,6 +55,18 @@ scanned. ``PEF_3+``'s reachable sets are rotation-closed (n checks of the
 SCC search become one); ill-initiated FSYNC seeds, for example, need not
 be.
 
+**Solve phase.** The packed and vector backends share one pipeline over
+the reachable graph's canonical CSR form. Per target, the avoiding arena
+is first reduced to a *deduplicated* successor CSR — one entry per
+distinct (state, successor) pair, its label the OR of every transition
+between them — and one iterative Tarjan walks that, stopping at the
+first winning component; only the winner's internal transitions are
+listed, from the full CSR, for the certificate. The vector backend keeps
+the CSR as int64 NumPy arrays throughout: rotation closure, the live
+arena and the deduplication run in NumPy, and Python lists are built
+only for the arena Tarjan walks and, once a trap is found, for the
+certificate.
+
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
 (prefix + cycle lasso; under SSYNC with per-step activation sets), which
 is immediately re-validated by *simulator replay* —
@@ -200,8 +212,9 @@ def verify_exploration(
     transition counts, ~an order of magnitude faster; ``"vector"``
     builds the reachable graph with a NumPy frontier
     (:func:`repro.verification.batch_solver.reachable_csr`, any instance
-    size) and produces verdicts *and* certificates bit-identical to
-    ``"packed"`` (both solve the same canonical CSR graph); ``"auto"``
+    size), keeps it in NumPy arrays through the solve and produces
+    verdicts *and* certificates bit-identical to ``"packed"`` (both
+    solve the same canonical CSR graph); ``"auto"``
     resolves to ``"vector"`` when NumPy is importable and ``"packed"``
     otherwise; ``"object"`` is the original engine-driven path, kept as
     the semantics oracle. Certificates from the object backend satisfy the
@@ -305,12 +318,15 @@ def _verify_csr(
 
     Both backends reduce the reachable graph to one *canonical CSR*
     form — states ascending, per-state transitions in kernel move order
-    — and share the solve phase below (attractor, iterative Tarjan,
-    lasso extraction, all in pure Python over flat lists). The packed
-    path builds the CSR from ``PackedKernel.reachable``; the vector path
-    builds the identical arrays with a NumPy frontier
-    (:func:`repro.verification.batch_solver.reachable_csr`), so verdicts,
-    counts *and certificates* agree bit-for-bit across the two.
+    — and share the solve phase below (live arena, deduplicated-arena
+    Tarjan, lasso extraction). The packed path builds the CSR as Python
+    lists from ``PackedKernel.reachable`` and solves it in plain Python;
+    the vector path builds the identical values as int64 arrays with a
+    NumPy frontier (:func:`repro.verification.batch_solver.reachable_csr`)
+    and runs the graph-sized steps in NumPy, converting to lists only
+    the arena its Tarjan walks and, on a trap, the graph the certificate
+    walks. Verdicts, counts *and certificates* agree bit-for-bit across
+    the two.
 
     Perpetual exploration on a ring whose reachable state set is closed
     under rotation checks target 0 only — the rotation-reduced targets
@@ -340,12 +356,9 @@ def _verify_csr(
         ):
             targets = (0,)
         for target in targets:
+            allowed = None
             if prop == "live":
                 allowed = _avoid_reachable_csr(csr, 1 << target)
-                if not any(allowed):
-                    continue
-            else:
-                allowed = None
             win = _winning_scc_csr(kernel, csr, target, allowed)
             if win is None:
                 continue
@@ -353,9 +366,11 @@ def _verify_csr(
             if not certificates:
                 certificate = None
             else:
+                if allowed is not None and csr.on_numpy:
+                    allowed = allowed.tolist()
                 certificate = _extract_certificate_csr(
-                    kernel, vector, csr, target, scc_states, internal,
-                    allowed,
+                    kernel, vector, csr.as_lists(), target, scc_states,
+                    internal, allowed,
                 )
                 if validate:
                     validate_certificate(certificate, algorithm)
@@ -443,15 +458,56 @@ class _CsrGraph:
     kernel's per-state move order. ``occ`` is the occupied-node bitmask
     per state index and ``seeds`` the seed indices in first-occurrence
     order. Both solver backends normalize to this exact shape, which is
-    what makes their certificates bit-identical.
+    what makes their certificates bit-identical. The packed backend
+    holds the five per-state/per-transition fields as Python lists, the
+    vector backend as int64 arrays (``seeds`` is a list either way); the
+    solve helpers pick their plain-Python or NumPy form by
+    :attr:`on_numpy`, and only a certificate asks for :meth:`as_lists`.
+    """
+
+    states: Sequence[int]
+    indptr: Sequence[int]
+    labels: Sequence[int]
+    succs: Sequence[int]
+    occ: Sequence[int]
+    seeds: list[int]
+
+    @property
+    def on_numpy(self) -> bool:
+        """Whether the fields are NumPy arrays (the vector backend)."""
+        return not isinstance(self.indptr, list)
+
+    def as_lists(self) -> "_CsrGraph":
+        """This graph with every field a Python list."""
+        if not self.on_numpy:
+            return self
+        return _CsrGraph(
+            self.states.tolist(),
+            self.indptr.tolist(),
+            self.labels.tolist(),
+            self.succs.tolist(),
+            self.occ.tolist(),
+            self.seeds,
+        )
+
+
+@dataclass
+class _Arena:
+    """A target-avoiding arena as a deduplicated successor CSR.
+
+    Arena node ``j`` stands for CSR state index ``states[j]`` (ascending);
+    its distinct arena successors are ``nxt[ptr[j]:ptr[j + 1]]`` in the
+    order their first transition appears in the full CSR, and
+    ``pair_label[p]`` is the OR of every transition label between the
+    pair. Tarjan over this graph visits states and emits components in
+    exactly the order it would over the full CSR — a repeated successor
+    never changes a low-link — while walking each pair once.
     """
 
     states: list[int]
-    indptr: list[int]
-    labels: list[int]
-    succs: list[int]
-    occ: list[int]
-    seeds: list[int]
+    ptr: list[int]
+    nxt: list[int]
+    pair_label: list[int]
 
 
 def _csr_from_packed(
@@ -493,8 +549,11 @@ def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
     Rotation moves every robot from node ``v`` to ``v + 1 (mod n)`` and
     keeps its state: each slot ``v * S + s`` gains ``S``, and a slot at
     node ``n - 1`` wraps by ``-base``. Rotation is a bijection of the
-    finite state space, so closure makes the set a union of orbits.
+    finite state space, so closure makes the set a union of orbits. An
+    int64 array (the vector backend) is checked in NumPy.
     """
+    if not isinstance(states, list):
+        return batch_solver.rotation_closed(kernel, states)
     base = kernel._base
     wrap = base - kernel.state_count
     shift = sum(kernel.state_count * base**i for i in range(kernel.k))
@@ -513,8 +572,16 @@ def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
     return True
 
 
-def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> list[bool]:
-    """CSR twin of :func:`_avoid_reachable`: membership flags per index."""
+def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> Sequence[bool]:
+    """CSR twin of :func:`_avoid_reachable`: membership flags per index.
+
+    A list of bools on the packed backend; on the vector backend a
+    boolean array from a level-synchronous NumPy BFS.
+    """
+    if csr.on_numpy:
+        return batch_solver.avoid_reachable(
+            csr.indptr, csr.succs, csr.occ, csr.seeds, target_bit
+        )
     occ = csr.occ
     indptr = csr.indptr
     succs = csr.succs
@@ -650,107 +717,162 @@ def _tarjan_sccs(
                 yield component
 
 
+def _arena(csr: _CsrGraph, avoiding: Sequence[bool]) -> _Arena:
+    """The deduplicated arena of the states flagged in ``avoiding``.
+
+    NumPy builds it on the vector backend
+    (:func:`repro.verification.batch_solver.arena_csr`); this plain
+    Python loop on the packed backend emits the same lists.
+    """
+    if csr.on_numpy:
+        return _Arena(
+            *batch_solver.arena_csr(csr.indptr, csr.labels, csr.succs, avoiding)
+        )
+    indptr = csr.indptr
+    labels = csr.labels
+    succs = csr.succs
+    states = [i for i, flag in enumerate(avoiding) if flag]
+    node = [-1] * len(avoiding)
+    for j, state in enumerate(states):
+        node[state] = j
+    ptr = [0]
+    nxt: list[int] = []
+    pair_label: list[int] = []
+    at = [-1] * len(states)  # latest position of each arena node in nxt
+    for state in states:
+        start = len(nxt)
+        for t in range(indptr[state], indptr[state + 1]):
+            j = node[succs[t]]
+            if j < 0:
+                continue
+            p = at[j]
+            if p >= start:
+                pair_label[p] |= labels[t]
+            else:
+                at[j] = len(nxt)
+                nxt.append(j)
+                pair_label.append(labels[t])
+        ptr.append(len(nxt))
+    return _Arena(states, ptr, nxt, pair_label)
+
+
 def _winning_scc_csr(
     kernel: PackedKernel,
     csr: _CsrGraph,
     target: NodeId,
-    allowed: Optional[list[bool]] = None,
+    allowed: Optional[Sequence[bool]] = None,
 ) -> Optional[tuple[set[int], list[_CsrInternal]]]:
     """CSR twin of :func:`_winning_scc`, shared by packed and vector.
 
-    Labels are bitmasks, so the recurrent-edge union is a running OR and
-    the budget check a popcount; under SSYNC the same running OR
-    accumulates the activation bits, making the fairness check one shift
-    and compare. Tarjan runs iteratively over the CSR arrays with roots
-    in ascending state order and per-state transitions in kernel move
-    order — fully deterministic, so both backends emit the same SCC
-    first and extract the same certificate.
+    The target-avoiding arena (``allowed``, for the live property) is
+    first reduced to its deduplicated successor CSR (:class:`_Arena`).
+    Labels are bitmasks, so a component's recurrent-edge union is the OR
+    of its internal pairs' labels and the budget check a popcount; under
+    SSYNC the same OR accumulates the activation bits, making the
+    fairness check one shift and compare. Tarjan runs iteratively with
+    roots in ascending state order and successors in kernel move order —
+    fully deterministic, so both backends emit the same SCC first. A
+    visited node that already belongs to a component carries an index
+    above every low-link (it stands in for an on-stack flag), and that
+    index doubles as the component's membership tag. Only the winner's
+    ``internal`` transitions are listed, from the full CSR (members in
+    pop order, each one's transitions in move order), for the
+    certificate.
     """
     budget = 1 if kernel.topology.is_ring else 0
     full_mask = kernel.full_mask
     ssync = kernel.scheduler == "ssync"
     act_shift = kernel.act_shift
     full_act = kernel.full_act
-    target_bit = 1 << target
-    count = len(csr.states)
-    indptr = csr.indptr
-    succs = csr.succs
-    labels = csr.labels
-    occ = csr.occ
-    if allowed is not None:
-        avoiding = allowed
-    else:
-        avoiding = [not occ[i] & target_bit for i in range(count)]
-    if not any(avoiding):
-        return None
+    if allowed is None:
+        target_bit = 1 << target
+        if csr.on_numpy:
+            allowed = (csr.occ & target_bit) == 0
+        else:
+            allowed = [not occ & target_bit for occ in csr.occ]
+    arena = _arena(csr, allowed)
+    ptr = arena.ptr
+    nxt = arena.nxt
+    pair_label = arena.pair_label
+    size = len(arena.states)
 
     UNSEEN = -1
-    index = [UNSEEN] * count
-    low = [0] * count
-    on_stack = [False] * count
+    index = [UNSEEN] * size
+    low = [0] * size
+    cursor = ptr[:-1]
     stack: list[int] = []
     counter = 0
-    for root in range(count):
-        if not avoiding[root] or index[root] != UNSEEN:
+    tag = size  # assigned index of the next component, above every low-link
+    for root in range(size):
+        if index[root] != UNSEEN:
             continue
-        work = [(root, indptr[root])]
+        work = [root]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         while work:
-            node, cursor = work[-1]
-            advanced = False
-            end = indptr[node + 1]
-            while cursor < end:
-                child = succs[cursor]
-                cursor += 1
-                if not avoiding[child]:
-                    continue
-                if index[child] == UNSEEN:
-                    work[-1] = (node, cursor)
+            node = work[-1]
+            t = cursor[node]
+            end = ptr[node + 1]
+            while t < end:
+                child = nxt[t]
+                t += 1
+                seen = index[child]
+                if seen == UNSEEN:
+                    cursor[node] = t
                     index[child] = low[child] = counter
                     counter += 1
                     stack.append(child)
-                    on_stack[child] = True
-                    work.append((child, indptr[child]))
-                    advanced = True
+                    work.append(child)
                     break
-                if on_stack[child] and index[child] < low[node]:
-                    low[node] = index[child]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] != index[node]:
-                continue
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack[member] = False
-                component.append(member)
-                if member == node:
-                    break
-            component_set = set(component)
-            internal: list[_CsrInternal] = []
-            union = 0
-            for state in component:
-                for t in range(indptr[state], indptr[state + 1]):
-                    succ = succs[t]
-                    if succ in component_set:
-                        internal.append((state, labels[t], succ))
-                        union |= labels[t]
-            if not internal:
-                continue
-            if (full_mask & ~union).bit_count() > budget:
-                continue
-            if ssync and union >> act_shift != full_act:
-                continue
-            return component_set, internal
+                if seen < low[node]:
+                    low[node] = seen
+            else:
+                work.pop()
+                link = low[node]
+                if work and link < low[work[-1]]:
+                    low[work[-1]] = link
+                if link != index[node]:
+                    continue
+                component = []
+                while True:
+                    member = stack.pop()
+                    index[member] = tag
+                    component.append(member)
+                    if member == node:
+                        break
+                union = 0
+                linked = False
+                for member in component:
+                    for p in range(ptr[member], ptr[member + 1]):
+                        if index[nxt[p]] == tag:
+                            union |= pair_label[p]
+                            linked = True
+                tag += 1
+                if not linked:
+                    continue
+                if (full_mask & ~union).bit_count() > budget:
+                    continue
+                if ssync and union >> act_shift != full_act:
+                    continue
+                members = [arena.states[j] for j in component]
+                return set(members), _internal_transitions(csr, members)
     return None
+
+
+def _internal_transitions(
+    csr: _CsrGraph, component: list[int]
+) -> list[_CsrInternal]:
+    """Every full-CSR transition inside a component, members in order."""
+    component_set = set(component)
+    internal: list[_CsrInternal] = []
+    for state in component:
+        lo = int(csr.indptr[state])
+        hi = int(csr.indptr[state + 1])
+        for label, succ in zip(csr.labels[lo:hi], csr.succs[lo:hi]):
+            if int(succ) in component_set:
+                internal.append((state, int(label), int(succ)))
+    return internal
 
 
 def _extract_certificate_csr(

@@ -135,9 +135,9 @@ class PackedKernel(CompiledTables):
         all-non-adjacent-edges mask, so the padding duplicates a real
         transition and stays harmless for reachability and label unions.
         Returns ``(moves_pad, mcount)``: the int64 ``(len, width)`` table
-        and each row's unpadded length (the valid prefix, for CSR
-        extraction). Raises :class:`~repro.errors.VerificationError`
-        when NumPy — an optional dependency — is absent.
+        and each row's unpadded length (the valid prefix). Raises
+        :class:`~repro.errors.VerificationError` when NumPy — an optional
+        dependency — is absent.
         """
         from repro.verification.batch import require_numpy
 

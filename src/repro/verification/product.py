@@ -274,8 +274,9 @@ class ProductSystem:
             if self.backend == "vector":
                 if packed_seeds is None:
                     packed_seeds = kernel.initial_states()
-                states, indptr, labels, succs, _occ, _seed_idx = (
-                    batch_solver.reachable_csr(kernel, packed_seeds)
+                states, indptr, labels, succs = (
+                    array.tolist()
+                    for array in batch_solver.reachable_csr(kernel, packed_seeds)[:4]
                 )
                 packed_graph = {
                     states[i]: [

@@ -18,11 +18,17 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
 * **Portability** — a solver campaign checkpointed under ``packed``
   resumes under ``vector`` into a byte-identical report.
 * **Sparse frontier and rotation reduction** — ``reachable_csr`` builds
-  the scalar kernel's CSR field for field (PEF_3+ up to n=8, FSYNC and
-  SSYNC, ill-initiated starts, a dense-eligible instance) and raises the
-  same ``max_states`` error; ring rotation is a graph automorphism of
-  every rotation-closed instance; and checking target 0 alone yields the
-  verdict and certificate of a full all-target scan.
+  the scalar kernel's CSR field for field as int64 arrays (PEF_3+ up to
+  n=8, FSYNC and SSYNC, ill-initiated starts, a dense-eligible instance)
+  and raises the same ``max_states`` error; ring rotation is a graph
+  automorphism of every rotation-closed instance; and checking target 0
+  alone yields the verdict and certificate of a full all-target scan.
+* **Solve phase** — the NumPy arena, live-arena and rotation helpers
+  equal their plain-Python twins field for field, an EXPLORES verdict
+  converts no full-graph array to a list, and the lean Tarjan
+  over the deduplicated arena returns exactly the ``(component,
+  internal)`` of a reference copy of the full-CSR Tarjan it replaced,
+  for every target on both backends.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from scenario_testlib import make_tiny_scenario
 from repro.cli import main as cli_main
 from repro.errors import VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
-from repro.robots.algorithms import PEF1, PEF2, PEF3Plus
+from repro.robots.algorithms import PEF1, PEF2, PEF3Plus, get_algorithm
 from repro.scenarios import (
     CampaignRunner,
     ResultStore,
@@ -49,6 +55,7 @@ from repro.verification import batch, batch_solver, game
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import validate_certificate
 from repro.verification.game import (
+    _arena,
     _avoid_reachable_csr,
     _csr_from_packed,
     _CsrGraph,
@@ -56,6 +63,7 @@ from repro.verification.game import (
     _rotation_closed,
     _winning_scc_csr,
     default_chirality_vectors,
+    PROPERTIES,
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
@@ -241,6 +249,19 @@ _SPARSE_CASES = [
 ]
 
 
+def _assert_csr_fields(sparse: tuple, reference: _CsrGraph) -> None:
+    """``reachable_csr``'s output equals a list-built CSR, value for value.
+
+    The five per-state/per-transition fields must be int64 arrays; the
+    seed indices a list.
+    """
+    *arrays, seeds = sparse
+    for field, array in zip(("states", "indptr", "labels", "succs", "occ"), arrays):
+        assert array.dtype.name == "int64", field
+        assert array.tolist() == getattr(reference, field), field
+    assert seeds == reference.seeds
+
+
 @requires_numpy
 class TestSparseFrontier:
     """The NumPy frontier builds the scalar kernel's CSR, field for field."""
@@ -248,9 +269,7 @@ class TestSparseFrontier:
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_matches_scalar_csr(self, case) -> None:
         kernel, seeds, reference = _scalar_csr(*case)
-        sparse = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
-        for field in ("states", "indptr", "labels", "succs", "occ", "seeds"):
-            assert getattr(sparse, field) == getattr(reference, field), field
+        _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
 
     @pytest.mark.parametrize("bits,scheduler", [(7, "fsync"), (91, "ssync")])
     def test_matches_scalar_csr_on_dense_eligible_instance(
@@ -265,14 +284,14 @@ class TestSparseFrontier:
         occupied: dict = {}
         graph = kernel.reachable(seeds, occupied_out=occupied)
         reference = _csr_from_packed(graph, occupied, seeds)
-        assert _CsrGraph(*batch_solver.reachable_csr(kernel, seeds)) == reference
+        _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
 
     def test_no_seeds_give_the_empty_csr(self) -> None:
         kernel, _seeds = _pef3_instance(5, "fsync", 0, False)
         assert kernel.reachable([]) == {}
-        assert _CsrGraph(
-            *batch_solver.reachable_csr(kernel, [])
-        ) == _csr_from_packed({}, {}, [])
+        _assert_csr_fields(
+            batch_solver.reachable_csr(kernel, []), _csr_from_packed({}, {}, [])
+        )
 
     def test_refuses_labels_beyond_int64(self) -> None:
         # 70 edge bits plus one activation bit do not fit an int64 label.
@@ -341,9 +360,209 @@ class TestSparseFrontier:
         assert (original[1] == image[1]).all()
 
 
+@requires_numpy
+class TestVectorSolvePhase:
+    """The vector backend's NumPy solve helpers equal the Python ones,
+    and an EXPLORES verdict never turns the graph into lists."""
+
+    def test_explores_without_converting_the_graph(self, monkeypatch) -> None:
+        def refuse(csr):
+            raise AssertionError("full CSR converted to lists")
+
+        monkeypatch.setattr(_CsrGraph, "as_lists", refuse)
+        for prop in PROPERTIES:
+            verdict = verify_exploration(
+                PEF3Plus(), RingTopology(6), 3, backend="vector", prop=prop
+            )
+            assert verdict.explorable
+
+    @pytest.mark.parametrize("case", _SPARSE_CASES)
+    def test_numpy_helpers_match_python(self, case) -> None:
+        kernel, seeds, reference = _scalar_csr(*case)
+        sparse = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
+        assert sparse.on_numpy and not reference.on_numpy
+        assert _rotation_closed(kernel, sparse.states) == _rotation_closed(
+            kernel, reference.states
+        )
+        for target in range(kernel.n):
+            bit = 1 << target
+            live = _avoid_reachable_csr(sparse, bit)
+            live_reference = _avoid_reachable_csr(reference, bit)
+            assert live.tolist() == live_reference
+            masks = [
+                ((sparse.occ & bit) == 0, [not occ & bit for occ in reference.occ]),
+                (live, live_reference),
+            ]
+            for mask, mask_reference in masks:
+                assert _arena(sparse, mask) == _arena(reference, mask_reference)
+
+
+def _reference_winning_scc_csr(kernel, csr, target, allowed=None):
+    """The full-CSR Tarjan that the deduplicated-arena solve replaced.
+
+    A verbatim copy kept as an independent oracle: it walks every
+    transition of the list-built CSR (twice — DFS, then the component's
+    internal scan) with an explicit on-stack flag.
+    """
+    budget = 1 if kernel.topology.is_ring else 0
+    full_mask = kernel.full_mask
+    ssync = kernel.scheduler == "ssync"
+    act_shift = kernel.act_shift
+    full_act = kernel.full_act
+    target_bit = 1 << target
+    count = len(csr.states)
+    indptr = csr.indptr
+    succs = csr.succs
+    labels = csr.labels
+    occ = csr.occ
+    if allowed is not None:
+        avoiding = allowed
+    else:
+        avoiding = [not occ[i] & target_bit for i in range(count)]
+    if not any(avoiding):
+        return None
+
+    UNSEEN = -1
+    index = [UNSEEN] * count
+    low = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    counter = 0
+    for root in range(count):
+        if not avoiding[root] or index[root] != UNSEEN:
+            continue
+        work = [(root, indptr[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            node, cursor = work[-1]
+            advanced = False
+            end = indptr[node + 1]
+            while cursor < end:
+                child = succs[cursor]
+                cursor += 1
+                if not avoiding[child]:
+                    continue
+                if index[child] == UNSEEN:
+                    work[-1] = (node, cursor)
+                    index[child] = low[child] = counter
+                    counter += 1
+                    stack.append(child)
+                    on_stack[child] = True
+                    work.append((child, indptr[child]))
+                    advanced = True
+                    break
+                if on_stack[child] and index[child] < low[node]:
+                    low[node] = index[child]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
+            if low[node] != index[node]:
+                continue
+            component = []
+            while True:
+                member = stack.pop()
+                on_stack[member] = False
+                component.append(member)
+                if member == node:
+                    break
+            component_set = set(component)
+            internal = []
+            union = 0
+            for state in component:
+                for t in range(indptr[state], indptr[state + 1]):
+                    succ = succs[t]
+                    if succ in component_set:
+                        internal.append((state, labels[t], succ))
+                        union |= labels[t]
+            if not internal:
+                continue
+            if (full_mask & ~union).bit_count() > budget:
+                continue
+            if ssync and union >> act_shift != full_act:
+                continue
+            return component_set, internal
+    return None
+
+
+def _algorithm(name: str):
+    """A registered algorithm, or ``two:<bits>`` for a two-robot table."""
+    if name.startswith("two:"):
+        return family_maker("two")(int(name[4:]))
+    return get_algorithm(name)
+
+
+class TestLeanTarjan:
+    """The deduplicated-arena Tarjan agrees with the full-CSR oracle.
+
+    Every target of every chirality vector, with no rotation reduction:
+    the packed backend's list CSR and (with NumPy) the vector backend's
+    array CSR must both yield the oracle's exact ``(component, internal)``
+    — the winner and the order of its transitions, which the certificate
+    depends on.
+    """
+
+    @pytest.mark.parametrize(
+        "name,n,k,scheduler,prop,towers",
+        [("pef3+", n, 3, "fsync", "perpetual", False) for n in (4, 5, 6, 7)]
+        + [("pef3+", n, 3, "ssync", "perpetual", False) for n in (4, 5)]
+        + [
+            ("pef3+", 5, 3, "fsync", "perpetual", True),  # not rotation-closed
+            ("pef3+", 4, 3, "ssync", "perpetual", True),
+            ("pef3+", 5, 3, "fsync", "live", False),
+            ("pef3+", 4, 3, "ssync", "live", False),  # trapped
+            ("pef3+-no-turn", 5, 3, "fsync", "perpetual", False),
+            ("pef3+-no-turn", 6, 3, "fsync", "perpetual", False),
+            ("pef3+-always-turn", 5, 3, "fsync", "perpetual", False),
+            ("pef3+-always-turn", 6, 3, "fsync", "perpetual", False),
+            ("pef3+-turn-when-stationary", 5, 3, "fsync", "perpetual", False),
+            ("two:7", 4, 2, "fsync", "perpetual", False),
+            ("two:7", 4, 2, "fsync", "perpetual", True),
+            ("two:91", 4, 2, "ssync", "perpetual", False),
+            ("two:123", 4, 2, "fsync", "live", False),
+            ("two:255", 4, 2, "ssync", "live", False),
+        ],
+    )
+    def test_matches_reference_tarjan(
+        self, name, n, k, scheduler, prop, towers
+    ) -> None:
+        algorithm = _algorithm(name)
+        topology = RingTopology(n)
+        placements = arbitrary_placements(topology, k) if towers else None
+        for vector in default_chirality_vectors(k):
+            kernel = PackedKernel(topology, algorithm, vector, scheduler=scheduler)
+            seeds = kernel.initial_states(placements)
+            occupied: dict = {}
+            graph = kernel.reachable(seeds, occupied_out=occupied)
+            packed = _csr_from_packed(graph, occupied, seeds)
+            if HAVE_NUMPY:
+                sparse = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
+            for target in topology.nodes:
+                allowed = sparse_allowed = None
+                if prop == "live":
+                    allowed = _avoid_reachable_csr(packed, 1 << target)
+                expected = _reference_winning_scc_csr(
+                    kernel, packed, target, allowed
+                )
+                assert _winning_scc_csr(kernel, packed, target, allowed) == expected
+                if HAVE_NUMPY:
+                    if prop == "live":
+                        sparse_allowed = _avoid_reachable_csr(sparse, 1 << target)
+                    assert _winning_scc_csr(
+                        kernel, sparse, target, sparse_allowed
+                    ) == expected
+
+
 def _full_target_scan(algorithm, topology, k, scheduler, prop, placements):
     """Reference verdict: every target of every vector, no rotation
-    reduction — the solve loop as it ran before targets were reduced."""
+    reduction, solved by the reference Tarjan — the solve loop as it ran
+    before targets were reduced and the arena deduplicated."""
     for vector in default_chirality_vectors(k):
         kernel = PackedKernel(topology, algorithm, vector, scheduler=scheduler)
         seeds = kernel.initial_states(placements)
@@ -356,7 +575,7 @@ def _full_target_scan(algorithm, topology, k, scheduler, prop, placements):
                 allowed = _avoid_reachable_csr(csr, 1 << target)
                 if not any(allowed):
                     continue
-            win = _winning_scc_csr(kernel, csr, target, allowed)
+            win = _reference_winning_scc_csr(kernel, csr, target, allowed)
             if win is not None:
                 return _extract_certificate_csr(
                     kernel, vector, csr, target, *win, allowed
