@@ -22,14 +22,18 @@ solved in lockstep:
 * **frontier** — reachability is breadth-first over boolean ``(B, P)``
   bitmaps: each level scatter-marks all successors of the whole frontier
   of the whole batch at once;
-* **scc** — per target node, the avoiding arena's transitive closure is
-  computed by a bit-parallel Floyd–Warshall over uint64 bit-row words
-  (``P`` vector steps instead of a per-state Tarjan), mutual
-  reachability partitions into SCCs, and the winning criterion — an SCC
-  with an internal transition whose label union misses at most *budget*
-  edges and, under SSYNC, activates every robot — is a masked OR-reduce
-  plus popcount per component. Tables proven trapped at a target drop
-  out of the remaining targets, exactly like the scalar early exit.
+* **scc** — per target node, the ``L`` states avoiding it get local ids
+  ``0..L-1`` (:meth:`DenseSpace.target_view`), and the whole pass runs
+  on ``⌈L/64⌉``-word bit-rows rather than ``⌈P/64⌉`` — one word up to
+  n=5 for two memoryless robots. The arena's transitive closure is a
+  bit-parallel Floyd–Warshall (``L`` vector steps instead of a per-state
+  Tarjan); mutual reachability marks the states on a cycle and, per
+  transition, whether it stays inside its SCC; and the winning criterion
+  — an SCC with an internal transition whose label union misses at most
+  *budget* edges and, under SSYNC, activates every robot — is one
+  OR-reduce over the mutual-reachability matrix plus a popcount. Tables
+  proven trapped at a target drop out of the remaining targets, exactly
+  like the scalar early exit.
 
 The dense tensors stop paying off past a few thousand states
 (:func:`dense_eligible`), and the paper's own positive algorithm leaves
@@ -86,7 +90,10 @@ MAX_DENSE_CELLS = 1 << 21
 #: overhead.
 BATCH_CELL_TARGET = 1 << 18
 
-#: Cap on the (U, P, P) mutual-reachability tensor per sub-batch.
+#: Cap on ``U · P²`` per sub-batch, for ``P`` dense states. It bounds the
+#: SCC pass's ``(U, L, L)`` tensors over a target's ``L ≤ P`` avoiding
+#: states; bounding by ``L²`` instead grows the sub-batches and peak RSS
+#: (+3.4 MB on a 16,384-table two-robot n=5 sweep) for no measured speedup.
 BATCH_PAIR_TARGET = 1 << 20
 
 #: Bits per uint64 word of a reachability bit-row.
@@ -98,6 +105,11 @@ _INT64_BOUND = 1 << 62
 
 _space_cache: dict = {}
 _frontier_cache: dict = {}
+
+
+def _word_count(count: int) -> int:
+    """uint64 words per bit-row over ``count`` ids."""
+    return (count + _BITS - 1) // _BITS
 
 
 def _branch_bound(kernel: PackedKernel) -> int:
@@ -216,36 +228,31 @@ class DenseSpace:
         self.pop = np.array(
             [bin(x).count("1") for x in range(1 << self.m)], dtype=np.int64
         )
-        # State-index → bit-row word/bit, for the Warshall closure.
-        self.words = (space + _BITS - 1) // _BITS
+        # State-index → bit-row word/bit, for the frontier's adjacency.
+        self.words = _word_count(space)
         self.word_of = np.arange(space, dtype=np.int64) // _BITS
-        self.bit_of = (np.arange(space) % _BITS).astype(np.uint64)
         self.bitval = np.array(
             [1 << (s % _BITS) for s in range(space)], dtype=np.uint64
         )
-        self.eye = np.eye(space, dtype=bool)
         self._target_cache: dict = {}
 
     def target_view(self, target: int) -> tuple:
-        """Cached per-target geometry of the avoiding arena.
+        """Cached arena-local geometry of one target's avoiding states.
 
-        Returns ``(avoid, avoid_mask, sel, labels_sel)``: the boolean
-        does-not-occupy-``target`` state mask, the same mask packed into
-        bit-row words, the avoiding state indices and the label rows
-        restricted to them. Everything downstream of the arena — Warshall
-        vias, internal-transition rows, candidate SCC roots — only ever
-        ranges over these states, a batch-uniform restriction.
+        Returns ``(sel, local, labels_sel)``. ``sel`` holds the ``L``
+        states that do not occupy ``target``, ascending; state ``sel[i]``
+        has local id ``i``. ``local`` maps every state to its local id,
+        or to ``L`` when it occupies ``target``. ``labels_sel`` are the
+        label rows of ``sel``. The whole SCC pass runs over these ``L``
+        local ids, never over the full space.
         """
         cached = self._target_cache.get(target)
         if cached is None:
             np = require_numpy()
-            avoid = ((self.occ >> target) & 1) == 0
-            sel = np.nonzero(avoid)[0]
-            avoid_mask = np.zeros(self.words, dtype=np.uint64)
-            for s in sel.tolist():
-                avoid_mask[s // _BITS] |= np.uint64(1 << (s % _BITS))
-            eye_sel = np.eye(sel.size, dtype=np.uint8)
-            cached = (avoid, avoid_mask, sel, self.labels[sel], eye_sel)
+            sel = np.flatnonzero(((self.occ >> target) & 1) == 0)
+            local = np.full(self.space, sel.size, dtype=np.intp)
+            local[sel] = np.arange(sel.size)
+            cached = (sel, local, self.labels[sel])
             self._target_cache[target] = cached
         return cached
 
@@ -321,6 +328,28 @@ def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
     return bits.astype(bool) if as_bool else bits.astype(np.uint8)
 
 
+def _pack(flags: "object", words: int) -> "object":
+    """0/1 flags ``(..., count)`` → bit-rows ``(..., words)`` uint64.
+
+    The inverse of :func:`_unpack`; bits past ``count`` are zero.
+    """
+    np = require_numpy()
+    lead, count = flags.shape[:-1], flags.shape[-1]
+    if np.little_endian:
+        packed = np.packbits(flags, axis=-1, bitorder="little")
+        if packed.shape[-1] != words * 8:
+            padded = np.zeros(lead + (words * 8,), dtype=np.uint8)
+            padded[..., : packed.shape[-1]] = packed
+            packed = padded
+        return packed.view(np.uint64)
+    padded = np.zeros(lead + (words * _BITS,), dtype=np.uint64)
+    padded[..., :count] = flags
+    weights = np.uint64(1) << np.arange(_BITS, dtype=np.uint64)
+    return np.bitwise_or.reduce(
+        padded.reshape(lead + (words, _BITS)) * weights, axis=-1
+    )
+
+
 def _adjacency(sp: DenseSpace, succ: "object") -> "object":
     """Per-state successor bitmasks ``(B, P, words)`` of a batch."""
     np = require_numpy()
@@ -338,12 +367,12 @@ def _adjacency(sp: DenseSpace, succ: "object") -> "object":
 
 def _reachable(
     sp: DenseSpace, adj: "object", seeds: Sequence[int]
-) -> tuple:
+) -> "object":
     """Lockstep BFS over successor bitmasks.
 
     Each level ORs the adjacency rows of the whole frontier of the whole
-    batch — no per-state scatter. Returns ``(visited, vis_mask)``: the
-    boolean ``(B, P)`` bitmap and its packed ``(B, words)`` form.
+    batch — no per-state scatter. Returns the boolean ``(B, P)`` visited
+    bitmap.
     """
     np = require_numpy()
     batch = adj.shape[0]
@@ -362,130 +391,132 @@ def _reachable(
             break
         vis_mask |= nxt
         frontier = nxt
-    return _unpack(vis_mask, sp.space), vis_mask
+    return _unpack(vis_mask, sp.space)
+
+
+def _target_wins(
+    sp: DenseSpace,
+    succ: "object",
+    visited: "object",
+    seed_idx: "object",
+    target: int,
+    prop: str,
+) -> "object":
+    """Per-table flags ``(U,)``: does the adversary win by starving *target*?
+
+    The scalar winning criterion, on arena-local ids: an SCC of the
+    target-avoiding arena (live: restricted to the avoiding-from-round-0
+    region) with at least one internal transition, whose label union
+    misses at most *budget* edges and, under SSYNC, activates every
+    robot. Everything runs over the ``L`` avoiding states of
+    :meth:`DenseSpace.target_view`, in ``⌈L/64⌉``-word bit-rows:
+
+    * **adjacency** — one gather of ``succ[:, sel, :]`` through the
+      local-id table places every transition of an avoiding state in a
+      ``(U, L, L + 1)`` flag plane, column ``L`` catching successors that
+      occupy the target; packed into bit-rows, with the rows of states
+      outside the table's arena zeroed (the visited set is closed under
+      successors, so no column mask is needed);
+    * **closure** — bit-parallel Floyd–Warshall over the vias present in
+      some table's arena: bit ``v`` of ``reach[u, s]`` says "``v``
+      reachable from ``s`` via a non-empty arena path of table ``u``";
+    * **SCCs** — ``mutual = reach ∧ reachᵀ``. Its diagonal flags the
+      states on a cycle, i.e. those whose SCC has an internal
+      transition; a transition ``s → t`` is internal iff ``mutual[s,
+      t]`` (``t`` reaches ``s`` back), read through the same cells as
+      the adjacency;
+    * **unions** — per-state unions of internal labels are OR-reduced
+      over each state's mutual row, giving every state its component's
+      union in one step.
+    """
+    np = require_numpy()
+    budget = 1 if sp.topology.is_ring else 0
+    sel, local, labels_sel = sp.target_view(target)
+    count, size = succ.shape[0], sel.size
+    words = _word_count(size)
+    arena = visited[:, sel]
+    # Flat (U, L, L + 1) position of every transition of an avoiding
+    # state: row (table, source), column = the successor's local id.
+    cells = local[succ[:, sel]] + (
+        np.arange(count * size) * (size + 1)
+    ).reshape(count, size, 1)
+    flags = np.zeros((count, size, size + 1), dtype=np.uint8)
+    flags.reshape(-1)[cells] = 1
+    reach = _pack(flags[:, :, :size], words)
+    reach *= arena[:, :, None]
+    one = np.uint64(1)
+    vias = np.flatnonzero(arena.any(axis=0)).tolist()
+    if words == 1:
+        flat = reach[:, :, 0]
+        for via in vias:
+            flat |= ((flat >> np.uint64(via)) & one) * flat[:, via, None]
+    else:
+        for via in vias:
+            hot = (reach[:, :, via // _BITS] >> np.uint64(via % _BITS)) & one
+            reach |= hot[:, :, None] * reach[:, via, None, :]
+    if prop == "live":
+        # The live arena: states reachable from target-avoiding seeds
+        # through target-avoiding states (closure rows only hold arena
+        # states). Forward-closed within the arena, so it holds whole
+        # SCCs and reproduces the scalar allowed-set restriction exactly.
+        # A seed outside every seed's closure row is on no cycle, so it
+        # can never win and need not be a member.
+        seeds = np.flatnonzero(np.isin(sel, seed_idx))
+        rows = np.bitwise_or.reduce(
+            np.where(arena[:, seeds, None], reach[:, seeds, :], 0), axis=1
+        )
+        member = _unpack(rows, size)
+    else:
+        member = arena
+    forward = _unpack(reach, size, as_bool=False)
+    # Column L stays zero: a successor occupying the target is never
+    # internal.
+    mutual = np.zeros((count, size, size + 1), dtype=np.uint8)
+    np.bitwise_and(
+        forward, forward.transpose(0, 2, 1), out=mutual[:, :, :size]
+    )
+    cyclic = np.diagonal(mutual, axis1=1, axis2=2).astype(bool)
+    # Internal transitions need no membership mask: a component is
+    # either wholly in the member set or wholly out of it, and only
+    # member states on a cycle can win below.
+    internal = mutual.reshape(-1)[cells]
+    state_union = np.bitwise_or.reduce(internal * labels_sel[None], axis=2)
+    union = np.bitwise_or.reduce(
+        mutual[:, :, :size] * state_union[:, None, :], axis=2
+    )
+    ok = cyclic & member
+    ok &= sp.pop[(~union) & sp.full_mask] <= budget
+    if sp.scheduler == "ssync":
+        ok &= (union >> sp.act_shift) == sp.full_act
+    return ok.any(axis=1)
 
 
 def _solve(
     sp: DenseSpace,
     succ: "object",
-    adj_full: "object",
     visited: "object",
-    vis_mask: "object",
     seeds: Sequence[int],
     prop: str,
 ) -> "object":
     """Trapped flags ``(B,)`` for one expanded, explored table stack.
 
-    Implements exactly the scalar winning criterion per target node:
-    SCCs of the target-avoiding arena (live: restricted to the
-    avoiding-from-round-0 region), at least one internal transition,
-    label union missing at most *budget* edges, SSYNC activation union
-    covering every robot. Tables trapped at a target drop out of the
-    later targets, mirroring the scalar first-winning-target exit.
-
-    All reachability state lives in uint64 bit-rows: the arena is the
-    visited bitmask AND the target-avoiding mask, its adjacency is the
-    full-space successor bitmasks masked to the arena, and the
-    bit-parallel Floyd–Warshall only iterates vias over avoiding states
-    present in some table's arena.
+    Target by target (:func:`_target_wins`); tables trapped at a target
+    drop out of the later targets, mirroring the scalar
+    first-winning-target exit.
     """
     np = require_numpy()
     batch = succ.shape[0]
-    budget = 1 if sp.topology.is_ring else 0
-    ssync = sp.scheduler == "ssync"
     seed_idx = np.array(sorted(set(int(s) for s in seeds)), dtype=np.int64)
     trapped = np.zeros(batch, dtype=bool)
     undecided = np.arange(batch)
     for target in range(sp.n):
         if undecided.size == 0:
             break
-        avoid, avoid_mask, sel, labels_sel, eye_sel = sp.target_view(target)
-        count = undecided.size
-        if count == batch:
-            vis_u, mask_u, adj_u, succ_u = visited, vis_mask, adj_full, succ
+        if undecided.size == batch:
+            succ_u, vis_u = succ, visited
         else:
-            vis_u = visited[undecided]
-            mask_u = vis_mask[undecided]
-            adj_u = adj_full[undecided]
-            succ_u = succ[undecided]
-        arena = vis_u & avoid[None, :]
-        arena_mask = mask_u & avoid_mask[None, :]
-        # Arena adjacency bit-rows: successor masks clipped to the arena,
-        # rows of non-arena states zeroed; then bit-parallel
-        # Floyd–Warshall — after the loop, bit v of reach[u, s] says
-        # "v reachable from s via a non-empty arena path of table u".
-        reach = np.where(
-            arena[:, :, None],
-            adj_u & arena_mask[:, None, :],
-            np.uint64(0),
-        )
-        vias = sel[arena.any(axis=0)[sel]].tolist()
-        if sp.words == 1:
-            flat = reach[:, :, 0]
-            for via in vias:
-                hot = (flat >> np.uint64(via)) & np.uint64(1)
-                flat |= np.where(hot, flat[:, via][:, None], np.uint64(0))
-        else:
-            for via in vias:
-                has = reach[:, :, via // _BITS] >> np.uint64(via % _BITS)
-                reach |= np.where(
-                    (has & np.uint64(1)).astype(bool)[:, :, None],
-                    reach[:, via, :][:, None, :],
-                    np.uint64(0),
-                )
-        if prop == "live":
-            # The live arena: states reachable from target-avoiding seeds
-            # through target-avoiding states. Forward-closed within the
-            # arena, so SCC membership filtering reproduces the scalar
-            # allowed-set restriction exactly.
-            seed_ok = arena[:, seed_idx]
-            rows = np.bitwise_or.reduce(
-                np.where(seed_ok[:, :, None], reach[:, seed_idx, :], 0),
-                axis=1,
-            )
-            member = _unpack(rows, sp.space)
-            member[:, seed_idx] |= seed_ok
-            member &= arena
-        else:
-            member = arena
-        # SCCs over the avoiding states only: mutual reachability among
-        # sel rows/columns, component id = position of the first mutual
-        # partner (scattered back to full-space ids so successor lookups
-        # work; non-avoiding states get -1, masked by membership).
-        forward = _unpack(reach[:, sel, :], sp.space, as_bool=False)[:, :, sel]
-        mutual = forward & forward.transpose(0, 2, 1)
-        mutual |= eye_sel
-        csrc = np.argmax(mutual, axis=2).astype(np.int16)
-        comp = np.full((count, sp.space), -1, dtype=np.int16)
-        comp[:, sel] = csrc
-        # Internal transitions, rows restricted to the avoiding states:
-        # both endpoints in the member set and in the same component.
-        # Sentinel trick: non-member sources get comp -2 and non-member
-        # successors comp -1, so one equality test covers membership of
-        # both endpoints and the same-component condition at once.
-        sub = succ_u[:, sel]
-        uidx = np.arange(count)[:, None, None]
-        msrc = member[:, sel]
-        mcomp = np.where(member, comp, np.int16(-1))
-        mcsrc = np.where(msrc, csrc, np.int16(-2))
-        internal = mcsrc[:, :, None] == mcomp[uidx, sub]
-        state_union = np.bitwise_or.reduce(
-            np.where(internal, labels_sel[None], 0), axis=2
-        )
-        has_internal = internal.any(axis=2)
-        win = np.zeros(count, dtype=bool)
-        for root in range(sel.size):
-            members = (csrc == root) & msrc
-            if not members.any():
-                continue
-            union = np.bitwise_or.reduce(
-                np.where(members, state_union, 0), axis=1
-            )
-            ok = (members & has_internal).any(axis=1)
-            ok &= sp.pop[(~union) & sp.full_mask] <= budget
-            if ssync:
-                ok &= (union >> sp.act_shift) == sp.full_act
-            win |= ok
+            succ_u, vis_u = succ[undecided], visited[undecided]
+        win = _target_wins(sp, succ_u, vis_u, seed_idx, target, prop)
         trapped[undecided[win]] = True
         undecided = undecided[~win]
     return trapped
@@ -542,8 +573,7 @@ def solve_tables(
     for start in range(0, len(tables), step):
         mark = time.perf_counter()
         succ = _expand(sp, trans[start : start + step], dirs[start : start + step])
-        adj_full = _adjacency(sp, succ)
-        visited, vis_mask = _reachable(sp, adj_full, seed_list)
+        visited = _reachable(sp, _adjacency(sp, succ), seed_list)
         counts = visited.sum(axis=1)
         if timings is not None:
             timings["frontier"] = timings.get("frontier", 0.0) + (
@@ -556,7 +586,7 @@ def solve_tables(
                 f"table {start + index} on {sp.topology!r}"
             )
         mark = time.perf_counter()
-        hits = _solve(sp, succ, adj_full, visited, vis_mask, seed_list, prop)
+        hits = _solve(sp, succ, visited, seed_list, prop)
         if timings is not None:
             timings["scc"] = timings.get("scc", 0.0) + (
                 time.perf_counter() - mark

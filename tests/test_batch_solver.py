@@ -29,11 +29,19 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   over the deduplicated arena returns exactly the ``(component,
   internal)`` of a reference copy of the full-CSR Tarjan it replaced,
   for every target on both backends.
+* **Dense SCC pass** — the arena-local pass returns, target by target
+  and with no early drop, exactly the win vectors of a reference copy
+  of the full-space pass it replaced: on sampled tables (one-, two- and
+  three-word arenas, FSYNC/SSYNC, perpetual/live, well/arbitrary
+  starts) and on random successor tensors with sparse labels, where
+  both winning and losing targets occur.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import random
 from pathlib import Path
 
 import pytest
@@ -67,7 +75,14 @@ from repro.verification.game import (
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
-from repro.verification.sweeps import family_maker, family_space, sweep_chunk
+from repro.verification.sweeps import (
+    family_k,
+    family_maker,
+    family_plan,
+    family_space,
+    start_placements,
+    sweep_chunk,
+)
 
 HAVE_NUMPY = batch.have_numpy()
 requires_numpy = pytest.mark.skipif(
@@ -213,6 +228,322 @@ class TestDenseEligibility:
         a = PackedKernel(RingTopology(4), maker(3), vector)
         b = PackedKernel(RingTopology(4), maker(77), vector)
         assert batch_solver.dense_space(a) is batch_solver.dense_space(b)
+
+
+def _reference_target_view(sp, target: int) -> tuple:
+    """``DenseSpace.target_view`` as it was before the arena-local pass.
+
+    A verbatim copy of the method body (``self`` → ``sp``): the
+    full-space avoid flags and bit-row mask the reference pass needs.
+    """
+    np = batch.require_numpy()
+    avoid = ((sp.occ >> target) & 1) == 0
+    sel = np.nonzero(avoid)[0]
+    avoid_mask = np.zeros(sp.words, dtype=np.uint64)
+    for s in sel.tolist():
+        avoid_mask[s // 64] |= np.uint64(1 << (s % 64))
+    eye_sel = np.eye(sel.size, dtype=np.uint8)
+    return (avoid, avoid_mask, sel, sp.labels[sel], eye_sel)
+
+
+class _ReferenceSpace:
+    """A dense space as the reference pass sees it.
+
+    ``target_view`` is the old one. With ``target`` set, the space
+    passes for a one-node ring whose node is ``target``: the reference
+    loops over ``range(sp.n)``, so its trapped flags are then that
+    target's win vector, with no early drop.
+    """
+
+    def __init__(self, sp, target=None) -> None:
+        self._sp = sp
+        self._target = target
+        self.n = sp.n if target is None else 1
+
+    def __getattr__(self, name: str):
+        return getattr(self._sp, name)
+
+    def target_view(self, target: int) -> tuple:
+        if self._target is not None:
+            target = self._target
+        return _reference_target_view(self._sp, target)
+
+
+def _reference_solve(sp, succ, adj_full, visited, vis_mask, seeds, prop):
+    """The full-space winning-SCC pass the arena-local one replaced.
+
+    A verbatim copy kept as an independent oracle: its closure spans all
+    ``P`` product states in ``⌈P/64⌉`` words, SCC ids come from
+    ``argmax`` over the mutual matrix, internal transitions from
+    component-id gathers, and the component unions from a per-root loop.
+    """
+    _BITS = 64
+    _unpack = batch_solver._unpack
+    np = batch.require_numpy()
+    batch_size = succ.shape[0]
+    budget = 1 if sp.topology.is_ring else 0
+    ssync = sp.scheduler == "ssync"
+    seed_idx = np.array(sorted(set(int(s) for s in seeds)), dtype=np.int64)
+    trapped = np.zeros(batch_size, dtype=bool)
+    undecided = np.arange(batch_size)
+    for target in range(sp.n):
+        if undecided.size == 0:
+            break
+        avoid, avoid_mask, sel, labels_sel, eye_sel = sp.target_view(target)
+        count = undecided.size
+        if count == batch_size:
+            vis_u, mask_u, adj_u, succ_u = visited, vis_mask, adj_full, succ
+        else:
+            vis_u = visited[undecided]
+            mask_u = vis_mask[undecided]
+            adj_u = adj_full[undecided]
+            succ_u = succ[undecided]
+        arena = vis_u & avoid[None, :]
+        arena_mask = mask_u & avoid_mask[None, :]
+        reach = np.where(
+            arena[:, :, None],
+            adj_u & arena_mask[:, None, :],
+            np.uint64(0),
+        )
+        vias = sel[arena.any(axis=0)[sel]].tolist()
+        if sp.words == 1:
+            flat = reach[:, :, 0]
+            for via in vias:
+                hot = (flat >> np.uint64(via)) & np.uint64(1)
+                flat |= np.where(hot, flat[:, via][:, None], np.uint64(0))
+        else:
+            for via in vias:
+                has = reach[:, :, via // _BITS] >> np.uint64(via % _BITS)
+                reach |= np.where(
+                    (has & np.uint64(1)).astype(bool)[:, :, None],
+                    reach[:, via, :][:, None, :],
+                    np.uint64(0),
+                )
+        if prop == "live":
+            seed_ok = arena[:, seed_idx]
+            rows = np.bitwise_or.reduce(
+                np.where(seed_ok[:, :, None], reach[:, seed_idx, :], 0),
+                axis=1,
+            )
+            member = _unpack(rows, sp.space)
+            member[:, seed_idx] |= seed_ok
+            member &= arena
+        else:
+            member = arena
+        forward = _unpack(reach[:, sel, :], sp.space, as_bool=False)[:, :, sel]
+        mutual = forward & forward.transpose(0, 2, 1)
+        mutual |= eye_sel
+        csrc = np.argmax(mutual, axis=2).astype(np.int16)
+        comp = np.full((count, sp.space), -1, dtype=np.int16)
+        comp[:, sel] = csrc
+        sub = succ_u[:, sel]
+        uidx = np.arange(count)[:, None, None]
+        msrc = member[:, sel]
+        mcomp = np.where(member, comp, np.int16(-1))
+        mcsrc = np.where(msrc, csrc, np.int16(-2))
+        internal = mcsrc[:, :, None] == mcomp[uidx, sub]
+        state_union = np.bitwise_or.reduce(
+            np.where(internal, labels_sel[None], 0), axis=2
+        )
+        has_internal = internal.any(axis=2)
+        win = np.zeros(count, dtype=bool)
+        for root in range(sel.size):
+            members = (csrc == root) & msrc
+            if not members.any():
+                continue
+            union = np.bitwise_or.reduce(
+                np.where(members, state_union, 0), axis=1
+            )
+            ok = (members & has_internal).any(axis=1)
+            ok &= sp.pop[(~union) & sp.full_mask] <= budget
+            if ssync:
+                ok &= (union >> sp.act_shift) == sp.full_act
+            win |= ok
+        trapped[undecided[win]] = True
+        undecided = undecided[~win]
+    return trapped
+
+
+def _dense_batch(family, n, scheduler, starts, count, rng_seed):
+    """``(sp, succ, visited, seeds)`` for a seeded sample of a family."""
+    np = batch.require_numpy()
+    draw = random.Random(rng_seed)
+    space = family_space(family)
+    maker = family_maker(family)
+    tables = [
+        maker(draw.randrange(space)).packed_tables() for _ in range(count)
+    ]
+    topology = RingTopology(n)
+    kernel = PackedKernel(
+        topology, maker(0), family_plan(family)[0][0], scheduler=scheduler
+    )
+    seeds = kernel.initial_states(
+        start_placements(starts, topology, family_k(family))
+    )
+    sp = batch_solver.dense_space(kernel)
+    trans = np.array([t for _s, t, _d in tables], dtype=np.int64)
+    dirs = np.array([d for _s, _t, d in tables], dtype=np.int64)
+    succ = batch_solver._expand(sp, trans, dirs)
+    visited = batch_solver._reachable(
+        sp, batch_solver._adjacency(sp, succ), seeds
+    )
+    return sp, succ, visited, seeds
+
+
+# (family, n, scheduler, prop, starts, tables): single- and multi-word
+# arenas — L = 4 (single n=3), 36 / 64 / 100 (two n=4/5/6: 1, 1, 2
+# words) and 144 (two-m2 n=4: 3 words).
+_ARENA_CASES = [
+    ("single", 3, "fsync", "perpetual", "well", 64),
+    ("single", 3, "ssync", "live", "arbitrary", 64),
+    ("two", 4, "fsync", "perpetual", "arbitrary", 48),
+    ("two", 4, "ssync", "live", "well", 48),
+    ("two", 4, "fsync", "live", "arbitrary", 48),
+    ("two", 5, "fsync", "perpetual", "well", 32),
+    ("two", 5, "ssync", "perpetual", "arbitrary", 24),
+    ("two", 5, "fsync", "live", "well", 32),
+    ("two", 5, "ssync", "live", "arbitrary", 24),
+    ("two", 6, "fsync", "live", "well", 16),
+    ("two", 6, "ssync", "perpetual", "arbitrary", 12),
+    ("two-m2", 4, "fsync", "perpetual", "well", 12),
+    ("two-m2", 4, "ssync", "live", "arbitrary", 8),
+]
+
+
+@requires_numpy
+class TestArenaLocalScc:
+    """The arena-local SCC pass equals the full-space one it replaced.
+
+    Per target, with no early drop, the win vectors of
+    ``batch_solver._target_wins`` must be exactly those of a verbatim
+    copy of the old full-space pass; and ``_solve`` with its early drop
+    must trap exactly the tables the old one trapped.
+    """
+
+    @pytest.mark.parametrize(
+        "family,n,scheduler,prop,starts,count", _ARENA_CASES
+    )
+    def test_per_target_wins_match_reference(
+        self, family, n, scheduler, prop, starts, count
+    ) -> None:
+        np = batch.require_numpy()
+        sp, succ, visited, seeds = _dense_batch(
+            family, n, scheduler, starts, count, rng_seed=n * 31 + count
+        )
+        adj_full = batch_solver._adjacency(sp, succ)
+        vis_mask = batch_solver._pack(visited, sp.words)
+        seed_idx = np.array(sorted(set(seeds)), dtype=np.int64)
+        wins = []
+        for target in range(n):
+            expected = _reference_solve(
+                _ReferenceSpace(sp, target), succ, adj_full, visited, vis_mask,
+                seeds, prop,
+            )
+            got = batch_solver._target_wins(
+                sp, succ, visited, seed_idx, target, prop
+            )
+            assert got.dtype == bool and got.shape == (count,)
+            assert got.tolist() == expected.tolist(), target
+            wins.append(got)
+        trapped = batch_solver._solve(sp, succ, visited, seeds, prop)
+        assert trapped.tolist() == _reference_solve(
+            _ReferenceSpace(sp), succ, adj_full, visited, vis_mask, seeds, prop
+        ).tolist()
+        wins = np.stack(wins)
+        assert wins.any(), "no target wins: the case is vacuous"
+        if prop == "live":
+            # Some (table, target) pairs lose, so the parity compares
+            # both outcomes, not all-True vectors.
+            assert not wins.all()
+
+    @pytest.mark.parametrize(
+        "family,n,scheduler,prop",
+        [
+            ("single", 3, "fsync", "live"),
+            ("two", 4, "fsync", "perpetual"),
+            ("two", 5, "ssync", "live"),
+            ("two", 5, "fsync", "perpetual"),
+            ("two", 6, "fsync", "live"),
+            ("two-m2", 4, "ssync", "perpetual"),
+        ],
+    )
+    def test_random_graphs_match_reference(
+        self, family, n, scheduler, prop
+    ) -> None:
+        # Every sampled table is trapped at every target under
+        # "perpetual", so real tables never exercise a losing SCC. Random
+        # successor tensors over the same geometry, with sparse random
+        # labels, do: small SCCs whose own labels miss edges, unions only
+        # their component covers, acyclic arena states.
+        np = batch.require_numpy()
+        rng = np.random.default_rng(n * 7 + len(family))
+        sp = copy.copy(_dense_batch(family, n, scheduler, "well", 1, 0)[0])
+        sp._target_cache = {}
+        count, space, branch = 48, sp.space, sp.branch
+        edges = rng.random((space, branch, sp.m)) < 0.3 / branch
+        labels = edges @ (1 << np.arange(sp.m))
+        if scheduler == "ssync":
+            # Mostly robot 0 alone, so some unions miss an activation.
+            acts = np.where(
+                rng.random((space, branch)) < 0.97,
+                1,
+                rng.integers(1, sp.full_act + 1, (space, branch)),
+            )
+            labels |= acts << sp.act_shift
+        sp.labels = labels.astype(sp.labels.dtype)
+        # One to three nearby successors per state, mostly forward.
+        offsets = rng.integers(-1, 9, (count, space, 3))
+        near = (np.arange(space)[:, None] + offsets) % space
+        fan = rng.integers(1, 4, (count, space, 1))
+        pick = rng.integers(0, 3, (count, space, branch)) % fan
+        succ = np.take_along_axis(near, pick, axis=2)
+        seeds = sorted(set(rng.integers(0, space, 4).tolist()))
+        adj_full = batch_solver._adjacency(sp, succ)
+        visited = batch_solver._reachable(sp, adj_full, seeds)
+        vis_mask = batch_solver._pack(visited, sp.words)
+        seed_idx = np.array(seeds, dtype=np.int64)
+        wins = []
+        for target in range(n):
+            expected = _reference_solve(
+                _ReferenceSpace(sp, target), succ, adj_full, visited,
+                vis_mask, seeds, prop,
+            )
+            got = batch_solver._target_wins(
+                sp, succ, visited, seed_idx, target, prop
+            )
+            assert got.tolist() == expected.tolist(), target
+            wins.append(got)
+        wins = np.stack(wins)
+        assert wins.any() and not wins.all()
+
+    @pytest.mark.parametrize(
+        "family,n,words", [("two", 5, 1), ("two", 6, 2), ("two-m2", 4, 3)]
+    )
+    def test_arena_word_counts(self, family, n, words) -> None:
+        # The pass's bit-rows span a target's L avoiding states, not the
+        # whole space: two memoryless robots need one word at n=5 (P=100
+        # would need two), two at n=6 (not three), memory-2 tables three
+        # at n=4 (not four).
+        np = batch.require_numpy()
+        sp = _dense_batch(family, n, "fsync", "well", 1, rng_seed=0)[0]
+        assert sp.words == words + 1
+        for target in range(n):
+            sel, local, labels_sel = sp.target_view(target)
+            size = sel.size
+            assert batch_solver._word_count(size) == words
+            assert labels_sel.shape[0] == size
+            # Avoiding states get the ids 0..L-1 in order; the others
+            # all map to the sentinel L.
+            assert local[sel].tolist() == list(range(size))
+            occupied = ((sp.occ >> target) & 1) == 1
+            assert (local[occupied] == size).all()
+
+    def test_pack_inverts_unpack(self) -> None:
+        np = batch.require_numpy()
+        flags = np.random.default_rng(3).random((4, 7, 130)) < 0.3
+        rows = batch_solver._pack(flags, 3)
+        assert rows.shape == (4, 7, 3) and rows.dtype == np.uint64
+        assert (batch_solver._unpack(rows, 130) == flags).all()
 
 
 def _pef3_instance(n: int, scheduler: str, vector: int, towers: bool) -> tuple:
