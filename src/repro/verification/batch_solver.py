@@ -11,9 +11,13 @@ decoding — positions, multiplicity bits, adversary move sets, port masks
 ``transitions[view]`` does. So the *geometry* of the space is compiled
 once per ``(topology, chirality vector, S, scheduler)``
 (:class:`DenseSpace`, process-cached) and a whole chunk of tables is
-solved in lockstep:
+solved in lockstep. The chunk arrives as one ``(B, S·8)`` int64 stack —
+a sweep decodes its bit patterns straight into it with shifts and masks
+(:func:`decode_tables`), building no per-table object — and a table
+state's direction bit is its low bit, so no direction table comes with
+it:
 
-* **expand** — one folded gather per robot turns a ``(B, S·8)`` stack of
+* **expand** — one folded gather per robot turns the stack of
   Look–Compute tables into the full dense successor tensor
   ``succ[b, p, j]`` over every state ``p`` and adversary move ``j``
   (FSYNC edge masks; SSYNC edge×activation moves packed above
@@ -273,16 +277,17 @@ def dense_space(kernel: PackedKernel) -> DenseSpace:
     return cached
 
 
-def _expand(sp: DenseSpace, trans: "object", dirs: "object") -> "object":
+def _expand(sp: DenseSpace, trans: "object") -> "object":
     """The dense successor tensor ``(B, space, branch)`` of a table stack.
 
-    ``trans``/``dirs`` are ``(B, S·8)`` / ``(B, S)`` int stacks. Per
-    robot one gather folds Look–Compute and direction into
-    ``new_state·2 + dir_bit``; the landing slot is then a select between
-    the two precompiled per-direction slot tables plus the new state.
+    ``trans`` is a ``(B, S·8)`` int stack. Per robot one gather folds
+    Look–Compute and direction into ``new_state·2 + dir_bit`` (a table
+    state's direction bit is its low bit); the landing slot is then a
+    select between the two precompiled per-direction slot tables plus the
+    new state.
     """
     np = require_numpy()
-    td = (trans * 2 + np.take_along_axis(dirs, trans, axis=1)).astype(np.int16)
+    td = (trans * 2 + (trans & 1)).astype(np.int16)
     slots = []
     for view, slot0, slot1, _idle in sp.robots:
         t = td[:, view]
@@ -533,9 +538,28 @@ def _sub_batch(sp: DenseSpace) -> int:
     return max(64, limit)
 
 
+def decode_tables(
+    patterns: Sequence[int], width: int, digits: Sequence[int]
+) -> "object":
+    """Decode table bit patterns into a ``(B, len(digits))`` int64 stack.
+
+    Entry ``i`` of every table is digit ``digits[i]`` of its pattern, a
+    digit being ``width`` bits wide (``width=1`` for memoryless tables,
+    ``2`` for memory-2 tables, whose patterns fill a uint64). The shifts
+    stay uint64 throughout: NumPy refuses mixed uint64/int64 operands.
+    Patterns must already lie in their family's domain — the caller
+    range-checks them.
+    """
+    np = require_numpy()
+    packed = np.array(patterns, dtype=np.uint64).reshape(-1, 1)
+    shifts = np.array(digits, dtype=np.uint64) * np.uint64(width)
+    mask = np.uint64((1 << width) - 1)
+    return ((packed >> shifts) & mask).astype(np.int64)
+
+
 def solve_tables(
     kernel: PackedKernel,
-    tables: Sequence[tuple],
+    tables: "object",
     seeds: Sequence[int],
     prop: str,
     max_states: int = 2_000_000,
@@ -544,10 +568,14 @@ def solve_tables(
     """Solve a whole stack of tables under one chirality vector.
 
     ``kernel`` supplies the geometry (any member of the family works —
-    the dense space is table-independent); ``tables`` is a list of
-    ``(state_count, transitions, dir_bits)`` triples as produced by
-    :meth:`TableAlgorithm.packed_tables`. Returns per-table
-    ``(trapped, states_explored)`` lists matching the scalar
+    the dense space is table-independent); ``tables`` is a ``(B, S·8)``
+    int stack of Look–Compute tables, row ``b`` laid out like
+    :meth:`TableAlgorithm.packed_tables`' ``transitions``
+    (:func:`decode_tables` builds it from bit patterns). A table state's
+    direction bit is its low bit, so no ``dir_bits`` are passed. Raises
+    :class:`VerificationError` on a stack of the wrong width or an entry
+    outside ``0..S-1``. Returns per-table ``(trapped, states_explored)``
+    lists matching the scalar
     :func:`~repro.verification.game.verify_exploration` tallies
     bit-for-bit. ``timings`` (optional dict) accumulates
     ``compile`` / ``frontier`` / ``scc`` phase seconds.
@@ -555,13 +583,16 @@ def solve_tables(
     np = require_numpy()
     sp = dense_space(kernel)
     mark = time.perf_counter()
-    for state_count, _trans, _dirs in tables:
-        if state_count != sp.S:
-            raise VerificationError(
-                f"table state count {state_count} != family state count {sp.S}"
-            )
-    trans = np.array([t for _s, t, _d in tables], dtype=np.int64)
-    dirs = np.array([d for _s, _t, d in tables], dtype=np.int64)
+    trans = np.asarray(tables, dtype=np.int64)
+    if trans.ndim != 2 or trans.shape[1] != sp.S * 8:
+        raise VerificationError(
+            f"table stack of shape {trans.shape} is not (B, {sp.S * 8}) for "
+            f"family state count {sp.S}"
+        )
+    if trans.size and (trans.min() < 0 or trans.max() >= sp.S):
+        raise VerificationError(
+            f"table stack holds entries outside 0..{sp.S - 1}"
+        )
     seed_list = [int(s) for s in seeds]
     if timings is not None:
         timings["compile"] = timings.get("compile", 0.0) + (
@@ -570,9 +601,9 @@ def solve_tables(
     trapped: list[bool] = []
     explored: list[int] = []
     step = _sub_batch(sp)
-    for start in range(0, len(tables), step):
+    for start in range(0, len(trans), step):
         mark = time.perf_counter()
-        succ = _expand(sp, trans[start : start + step], dirs[start : start + step])
+        succ = _expand(sp, trans[start : start + step])
         visited = _reachable(sp, _adjacency(sp, succ), seed_list)
         counts = visited.sum(axis=1)
         if timings is not None:
@@ -886,6 +917,7 @@ __all__ = [
     "DenseSpace",
     "arena_csr",
     "avoid_reachable",
+    "decode_tables",
     "dense_eligible",
     "dense_space",
     "have_numpy",

@@ -12,10 +12,13 @@ verification backend (``vector``, ``packed``, ``object`` — ``auto``
 resolves by NumPy availability). ``jobs=None`` uses every available
 core.
 
-Workers rebuild their :class:`~repro.robots.algorithms.tables
-.TableAlgorithm` from the bit pattern (a chunk pickles as a tuple of
-ints), verify with the requested backend, and apply the same
-chirality-fallback plan as the serial path: cheap vectors first, the
+A chunk pickles as a tuple of bit patterns. On the ``packed`` and
+``object`` backends (and for instances too large for the dense solver)
+workers rebuild each :class:`~repro.robots.algorithms.tables
+.TableAlgorithm` from its pattern and verify it alone; on ``vector``
+they decode the whole chunk straight into one NumPy table stack and
+solve it in lockstep, building table objects only for explorers' names.
+Both apply the same chirality-fallback plan: cheap vectors first, the
 expensive mixed vectors only for tables that survive.
 
 The public entry points remain in :mod:`repro.verification.enumeration`;
@@ -28,13 +31,14 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro import telemetry
 from repro.errors import VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
 from repro.robots.algorithms.base import Algorithm
 from repro.robots.algorithms.tables import (
+    TableAlgorithm,
     memory2_table_from_bits,
     memoryless_single_robot_table_from_bits,
     memoryless_table_from_bits,
@@ -77,31 +81,57 @@ class SweepResult:
         )
 
 
-#: Table family name → (k, table constructor, chirality fallback plan).
-#: The plan is a sequence of chirality-vector lists tried in order; a
-#: table counts as trapped as soon as any stage returns non-explorable.
 _TWO_ROBOT_PLAN = (
     ((Chirality.AGREE, Chirality.AGREE),),
     ((Chirality.AGREE, Chirality.DISAGREE),),
 )
-_FAMILIES: dict[str, tuple[int, object, tuple, int]] = {
-    "single": (
-        1,
-        memoryless_single_robot_table_from_bits,
-        (((Chirality.AGREE,),),),
-        1 << 8,
+
+
+class _Family(NamedTuple):
+    """One table family: its robots, constructor, plan and pattern code.
+
+    ``plan`` is a sequence of chirality-vector lists tried in order; a
+    table counts as trapped as soon as any stage returns non-explorable.
+    ``space`` is the bit-pattern domain ``0..space-1``. Table entry ``i``
+    is ``width``-bit digit ``digits[i]`` of the pattern — the bijection
+    ``maker`` implements, restated for
+    :func:`~repro.verification.batch_solver.decode_tables`.
+    """
+
+    k: int
+    maker: Callable[[int], TableAlgorithm]
+    plan: tuple
+    space: int
+    width: int
+    digits: tuple[int, ...]
+
+
+_FAMILIES: dict[str, _Family] = {
+    # Multiplicity detection never fires with k = 1: the others-present
+    # entries mirror the others-clear ones (view bit 0 is dropped).
+    "single": _Family(
+        k=1,
+        maker=memoryless_single_robot_table_from_bits,
+        plan=(((Chirality.AGREE,),),),
+        space=1 << 8,
+        width=1,
+        digits=tuple(i >> 1 for i in range(16)),
     ),
-    "two": (
-        2,
-        memoryless_table_from_bits,
-        _TWO_ROBOT_PLAN,
-        1 << 16,
+    "two": _Family(
+        k=2,
+        maker=memoryless_table_from_bits,
+        plan=_TWO_ROBOT_PLAN,
+        space=1 << 16,
+        width=1,
+        digits=tuple(range(16)),
     ),
-    "two-m2": (
-        2,
-        memory2_table_from_bits,
-        _TWO_ROBOT_PLAN,
-        table_space_size(2),
+    "two-m2": _Family(
+        k=2,
+        maker=memory2_table_from_bits,
+        plan=_TWO_ROBOT_PLAN,
+        space=table_space_size(2),
+        width=2,
+        digits=tuple(range(32)),
     ),
 }
 
@@ -120,25 +150,25 @@ _ChunkOutcome = tuple[int, int, list[str], int]
 def family_k(family: str) -> int:
     """Robot count of a table family."""
     _check_family(family)
-    return _FAMILIES[family][0]
+    return _FAMILIES[family].k
 
 
 def family_plan(family: str) -> tuple:
     """The chirality fallback plan of a table family (for extra tables)."""
     _check_family(family)
-    return _FAMILIES[family][2]
+    return _FAMILIES[family].plan
 
 
 def family_maker(family: str):
     """The bits → :class:`TableAlgorithm` constructor of a table family."""
     _check_family(family)
-    return _FAMILIES[family][1]
+    return _FAMILIES[family].maker
 
 
 def family_space(family: str) -> int:
     """Number of distinct tables in a family (its bit-pattern domain)."""
     _check_family(family)
-    return _FAMILIES[family][3]
+    return _FAMILIES[family].space
 
 
 def _check_family(family: str) -> None:
@@ -241,7 +271,8 @@ def sweep_chunk(
         )
         if outcome is not None:
             return outcome
-    k, maker, plan, _space = _FAMILIES[family]
+    fam = _FAMILIES[family]
+    k, maker, plan = fam.k, fam.maker, fam.plan
     # Phase accounting when telemetry is armed (one boolean otherwise).
     # Setup — placement expansion and table construction inputs — is the
     # "compile" phase; the verification loop is "simulate" (the solver
@@ -280,6 +311,24 @@ def sweep_chunk(
     return total, trapped, explorers, states
 
 
+def family_tables(family: str, patterns: Sequence[int]) -> "object":
+    """The ``(B, S·8)`` int64 Look–Compute stack of a family's patterns.
+
+    Row ``b`` equals ``family_maker(family)(patterns[b]).packed_tables()[1]``,
+    decoded with shifts and masks
+    (:func:`~repro.verification.batch_solver.decode_tables`) instead of
+    one :class:`TableAlgorithm` per pattern. A pattern outside the
+    family's domain raises the constructor's own :class:`AlgorithmError`.
+    """
+    _check_family(family)
+    fam = _FAMILIES[family]
+    if patterns:
+        for bits in (min(patterns), max(patterns)):
+            if not 0 <= bits < fam.space:
+                fam.maker(bits)
+    return batch_solver.decode_tables(patterns, fam.width, fam.digits)
+
+
 def _sweep_chunk_vector(
     family: str,
     n: int,
@@ -290,72 +339,58 @@ def _sweep_chunk_vector(
 ) -> Optional[_ChunkOutcome]:
     """Solve a whole chunk of tables in NumPy lockstep.
 
-    The vector backend's fast path: every table of the chunk marches
-    through the chirality fallback plan together
-    (:func:`repro.verification.batch_solver.solve_tables`), tables drop
-    out of later stages the moment a stage traps them, and the tallies —
-    totals, explorer names in input order, states explored — are
-    bit-identical to the per-table loop. Returns ``None`` when the
-    product space is not dense-eligible; the caller then falls back to
-    the per-table path.
+    The vector backend's fast path: the chunk's bit patterns are decoded
+    straight into one table stack (:func:`family_tables`), and every
+    table marches through the chirality fallback plan together
+    (:func:`repro.verification.batch_solver.solve_tables`); tables drop
+    out of later stages the moment a stage traps them. The dense space
+    is table-independent, so one fixed family member supplies every
+    stage's kernel, and :class:`TableAlgorithm` objects are built only
+    for the explorers' names. The tallies — totals, explorer names in
+    input order, states explored — are bit-identical to the per-table
+    loop. Returns ``None`` when the product space is not dense-eligible;
+    the caller then falls back to the per-table path.
     """
     if not bits_chunk:
         return None
-    k, maker, plan, _space = _FAMILIES[family]
+    fam = _FAMILIES[family]
     topology = RingTopology(n)
     mark = time.perf_counter()
-    algorithms = [maker(bits) for bits in bits_chunk]
-    probe = PackedKernel(
-        topology, algorithms[0], plan[0][0], scheduler=scheduler
-    )
+    member = fam.maker(0)
+    probe = PackedKernel(topology, member, fam.plan[0][0], scheduler=scheduler)
     if not batch_solver.dense_eligible(probe):
         return None
     traced = telemetry.armed()
-    placements = start_placements(starts, topology, k)
-    tables = [algorithm.packed_tables() for algorithm in algorithms]
+    placements = start_placements(starts, topology, fam.k)
+    tables = family_tables(family, bits_chunk)
     timings: dict = {"compile": time.perf_counter() - mark}
     faults.fault_point("sweep-entry")
-    midpoint = len(bits_chunk) // 2
-    trapped_flags = [False] * len(bits_chunk)
-    states = [0] * len(bits_chunk)
-    pending = list(range(len(bits_chunk)))
+    total = len(bits_chunk)
+    midpoint = total // 2
+    states = 0
+    pending = list(range(total))
     fired_mid = False
-    for vectors in plan:
+    for vectors in fam.plan:
         for vector in vectors:
             if not pending:
                 break
-            kernel = PackedKernel(
-                topology, algorithms[pending[0]], vector, scheduler=scheduler
-            )
+            kernel = PackedKernel(topology, member, vector, scheduler=scheduler)
             seeds = kernel.initial_states(placements)
             hit, reached = batch_solver.solve_tables(
-                kernel,
-                [tables[i] for i in pending],
-                seeds,
-                prop,
-                timings=timings,
+                kernel, tables[pending], seeds, prop, timings=timings
             )
-            still: list[int] = []
-            for index, trap, explored in zip(pending, hit, reached):
-                states[index] += explored
-                if trap:
-                    trapped_flags[index] = True
-                else:
-                    still.append(index)
-            pending = still
+            states += sum(reached)
+            pending = [index for index, trap in zip(pending, hit) if not trap]
             # The chunk is atomic either way, so mid-chunk means
             # "between lockstep solves" here rather than between tables.
             if not fired_mid and midpoint:
                 fired_mid = True
                 faults.fault_point("sweep-mid")
-    total = len(bits_chunk)
-    explorers = [
-        algorithms[i].name for i in range(total) if not trapped_flags[i]
-    ]
+    explorers = [fam.maker(bits_chunk[i]).name for i in pending]
     if traced:
         for name in ("compile", "frontier", "scc"):
             telemetry.phase(name, timings.get(name, 0.0), tables=total)
-    return total, sum(trapped_flags), explorers, sum(states)
+    return total, total - len(pending), explorers, states
 
 
 def _sweep_chunk(
@@ -470,6 +505,7 @@ __all__ = [
     "family_maker",
     "family_plan",
     "family_space",
+    "family_tables",
     "resolve_jobs",
     "run_table_sweep",
     "start_placements",

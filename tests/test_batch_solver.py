@@ -9,6 +9,12 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   ``packed`` and ``object``; ``verify_exploration`` additionally emits
   bit-identical trap certificates under ``vector`` and ``packed`` (the
   shared canonical-CSR solve phase), all replay-validated.
+* **Table stacks** — the shift-and-mask decoder builds, for every
+  family, exactly the tables ``maker(bits).packed_tables()`` builds
+  (memory-2 patterns above 2^63 included), out-of-domain patterns raise
+  the constructor's own error, ``solve_tables`` rejects a malformed
+  stack, and explorers found on the lockstep path (two robots on the
+  3-ring) are named, ordered and counted as under ``packed``.
 * **Registry** — ``auto`` resolves vector → packed by NumPy
   availability on the solver path too, the CLI rejects an explicit
   ``--backend vector`` without NumPy with a usage error (exit 2), and
@@ -50,7 +56,7 @@ from hypothesis import strategies as st
 
 from scenario_testlib import make_tiny_scenario
 from repro.cli import main as cli_main
-from repro.errors import VerificationError
+from repro.errors import AlgorithmError, VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
 from repro.robots.algorithms import PEF1, PEF2, PEF3Plus, get_algorithm
 from repro.scenarios import (
@@ -80,6 +86,7 @@ from repro.verification.sweeps import (
     family_maker,
     family_plan,
     family_space,
+    family_tables,
     start_placements,
     sweep_chunk,
 )
@@ -139,6 +146,38 @@ class TestSolverDifferential:
 
     def test_empty_chunk(self) -> None:
         assert sweep_chunk("two", 4, (), backend="vector") == (0, 0, [], 0)
+
+    @pytest.mark.parametrize(
+        "prop,names",
+        [
+            ("perpetual", ["memoryless:ed06", "memoryless:45ae"]),
+            (
+                "live",
+                ["memoryless:ed04", "memoryless:ed06", "memoryless:45ae"],
+            ),
+        ],
+    )
+    def test_explorer_bookkeeping_matches_packed(self, prop, names) -> None:
+        # Two robots explore the 3-ring, so the lockstep path has
+        # survivors of both chirality stages to name; 0x45ae sits after
+        # 0xed06's block, so the names must come back in input order.
+        chunk = tuple(range(0xECF8, 0xED08)) + (0x45AE, 0x0003)
+        vector = sweep_chunk("two", 3, chunk, backend="vector", prop=prop)
+        assert vector == sweep_chunk(
+            "two", 3, chunk, backend="packed", prop=prop
+        )
+        assert vector[2] == names
+
+    def test_memory2_top_bit_patterns_match_packed(self) -> None:
+        # Memory-2 patterns fill all 64 bits: the decoder's uint64
+        # shifts must read the top digit the constructor reads.
+        draw = random.Random(63)
+        chunk = (2**64 - 1, 2**63) + tuple(
+            draw.randrange(2**63, 2**64) for _ in range(14)
+        )
+        assert sweep_chunk(
+            "two-m2", 4, chunk, backend="vector"
+        ) == sweep_chunk("two-m2", 4, chunk, backend="packed")
 
     @given(
         family=st.sampled_from(["single", "two", "two-m2"]),
@@ -228,6 +267,62 @@ class TestDenseEligibility:
         a = PackedKernel(RingTopology(4), maker(3), vector)
         b = PackedKernel(RingTopology(4), maker(77), vector)
         assert batch_solver.dense_space(a) is batch_solver.dense_space(b)
+
+
+@requires_numpy
+class TestTableStacks:
+    """Bit patterns decode to exactly the tables their constructors build."""
+
+    @pytest.mark.parametrize("family", ["single", "two", "two-m2"])
+    def test_decoder_matches_constructor(self, family: str) -> None:
+        space = family_space(family)
+        draw = random.Random(space % 1000)
+        patterns = [0, space - 1] + [draw.randrange(space) for _ in range(200)]
+        if family == "two-m2":
+            patterns += [2**63, 2**63 + 1, 2**64 - 1] + [
+                draw.randrange(2**63, 2**64) for _ in range(50)
+            ]
+        stack = family_tables(family, patterns)
+        maker = family_maker(family)
+        assert stack.dtype.name == "int64"
+        assert stack.tolist() == [
+            list(maker(bits).packed_tables()[1]) for bits in patterns
+        ]
+
+    @pytest.mark.parametrize("family", ["single", "two", "two-m2"])
+    def test_out_of_domain_patterns_raise_constructor_error(
+        self, family: str
+    ) -> None:
+        space = family_space(family)
+        for bad in (-1, space):
+            with pytest.raises(AlgorithmError) as caught:
+                family_tables(family, [0, bad])
+            with pytest.raises(AlgorithmError) as expected:
+                family_maker(family)(bad)
+            assert str(caught.value) == str(expected.value)
+
+    def test_solve_tables_rejects_malformed_stacks(self) -> None:
+        kernel = PackedKernel(
+            RingTopology(4), family_maker("two")(0), family_plan("two")[0][0]
+        )
+        seeds = kernel.initial_states()
+        stack = family_tables("two", [1, 2, 3])
+        hit, _reached = batch_solver.solve_tables(
+            kernel, stack, seeds, "perpetual"
+        )
+        assert len(hit) == 3
+        with pytest.raises(VerificationError, match="not \\(B, 16\\)"):
+            batch_solver.solve_tables(
+                kernel, family_tables("two-m2", [5]), seeds, "perpetual"
+            )
+        with pytest.raises(VerificationError, match="not \\(B, 16\\)"):
+            batch_solver.solve_tables(kernel, stack[0], seeds, "perpetual")
+        stack[1, 7] = 2
+        with pytest.raises(VerificationError, match="outside 0..1"):
+            batch_solver.solve_tables(kernel, stack, seeds, "perpetual")
+        stack[1, 7] = -1
+        with pytest.raises(VerificationError, match="outside 0..1"):
+            batch_solver.solve_tables(kernel, stack, seeds, "perpetual")
 
 
 def _reference_target_view(sp, target: int) -> tuple:
@@ -366,24 +461,23 @@ def _reference_solve(sp, succ, adj_full, visited, vis_mask, seeds, prop):
 
 def _dense_batch(family, n, scheduler, starts, count, rng_seed):
     """``(sp, succ, visited, seeds)`` for a seeded sample of a family."""
-    np = batch.require_numpy()
     draw = random.Random(rng_seed)
     space = family_space(family)
-    maker = family_maker(family)
-    tables = [
-        maker(draw.randrange(space)).packed_tables() for _ in range(count)
-    ]
+    trans = family_tables(
+        family, [draw.randrange(space) for _ in range(count)]
+    )
     topology = RingTopology(n)
     kernel = PackedKernel(
-        topology, maker(0), family_plan(family)[0][0], scheduler=scheduler
+        topology,
+        family_maker(family)(0),
+        family_plan(family)[0][0],
+        scheduler=scheduler,
     )
     seeds = kernel.initial_states(
         start_placements(starts, topology, family_k(family))
     )
     sp = batch_solver.dense_space(kernel)
-    trans = np.array([t for _s, t, _d in tables], dtype=np.int64)
-    dirs = np.array([d for _s, _t, d in tables], dtype=np.int64)
-    succ = batch_solver._expand(sp, trans, dirs)
+    succ = batch_solver._expand(sp, trans)
     visited = batch_solver._reachable(
         sp, batch_solver._adjacency(sp, succ), seeds
     )
