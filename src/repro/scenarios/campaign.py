@@ -42,18 +42,18 @@ order never is.
 
 from __future__ import annotations
 
+import importlib
 import json
-import multiprocessing
 import os
 import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import Connection, wait as connection_wait
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
+from repro._lazy import lazy_exports
 from repro.errors import (
     CampaignDegradedError,
     CampaignIncompleteError,
@@ -68,7 +68,6 @@ from repro import telemetry
 from repro.scenarios import faults
 from repro.scenarios.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
-from repro.scenarios.simulate import simulate_chunk
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import (
     RecoveryReport,
@@ -82,7 +81,25 @@ from repro.verification.backends import (
     resolve_simulation_backend,
     resolve_solver_backend,
 )
-from repro.verification.sweeps import resolve_jobs, sweep_chunk
+from repro.verification.families import resolve_jobs
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
+
+# Reading a store never pays for the solver, the simulator or
+# multiprocessing: the chunk runners are imported when chunks are
+# pending (see :meth:`CampaignRunner._run`), and stay reachable as
+# ``repro.scenarios.campaign.sweep_chunk``/``simulate_chunk``, resolved
+# on first access.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "simulate_chunk": "repro.scenarios.simulate",
+        "sweep_chunk": "repro.verification.sweeps",
+    },
+)
 
 CAMPAIGN_REPORT_VERSION = 1
 
@@ -266,6 +283,8 @@ def _campaign_chunk(payload: _Payload) -> tuple[int, tuple]:
     index, spec_data, chunk, backend, validate = payload
     spec = ScenarioSpec.from_dict(spec_data)
     if spec.dynamics == "highly-dynamic":
+        from repro.verification.sweeps import sweep_chunk
+
         return index, sweep_chunk(
             spec.robots.family,
             spec.n,
@@ -276,6 +295,8 @@ def _campaign_chunk(payload: _Payload) -> tuple[int, tuple]:
             spec.prop,
             spec.scheduler,
         )
+    from repro.scenarios.simulate import simulate_chunk
+
     return index, simulate_chunk(spec, chunk, backend)
 
 
@@ -336,7 +357,7 @@ def _worker_main(
     conn.close()
 
 
-def _kill_process(process: multiprocessing.process.BaseProcess) -> None:
+def _kill_process(process: BaseProcess) -> None:
     """Terminate a worker, escalating to SIGKILL if it lingers."""
     if not process.is_alive():
         process.join()
@@ -354,7 +375,7 @@ class _Slot:
 
     payload: _Payload
     attempt: int
-    process: multiprocessing.process.BaseProcess
+    process: BaseProcess
     deadline: Optional[float]
 
 
@@ -613,6 +634,13 @@ class CampaignRunner:
                 import_backend(backend)
             except VerificationError as exc:
                 raise ScenarioError(str(exc)) from exc
+            # The chunk runner's stack too, before any worker forks:
+            # every worker inherits it instead of importing it again.
+            importlib.import_module(
+                "repro.verification.sweeps"
+                if spec.dynamics == "highly-dynamic"
+                else "repro.scenarios.simulate"
+            )
         if telemetry.armed():
             telemetry.counter("store.cache_hit", cached)
             telemetry.counter("store.cache_miss", len(pending))
@@ -846,6 +874,9 @@ class CampaignRunner:
         enforced by the same ``wait()`` loop: an overdue worker is
         killed and its chunk retried like a crash.
         """
+        import multiprocessing
+        from multiprocessing.connection import wait as connection_wait
+
         policy = self.policy
         seed = plan.seed if plan is not None else 0
         ctx = multiprocessing.get_context()

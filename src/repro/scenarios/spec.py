@@ -13,10 +13,11 @@ and nothing that doesn't:
   and the campaign executes by *simulation*
   (:mod:`repro.scenarios.simulate`) instead of by exact game solving;
 * a **scheduler** — ``"fsync"`` or ``"ssync"``
-  (:data:`repro.sim.SCHEDULERS`); the exact solver executes both: under
-  SSYNC the adversary additionally activates a non-empty robot subset
-  each round, and a winning SCC must activate every robot (fairness);
-* a **robot class** — a table family (:data:`repro.verification.sweeps
+  (:data:`repro.verification.families.SCHEDULERS`); the exact solver
+  executes both: under SSYNC the adversary additionally activates a
+  non-empty robot subset each round, and a winning SCC must activate
+  every robot (fairness);
+* a **robot class** — a table family (:data:`repro.verification.families
   .TABLE_FAMILIES`: memoryless single/two-robot, memory-2 two-robot),
   either exhausted or sampled with a seeded RNG;
 * a **start policy** — the paper's well-initiated towerless starts or the
@@ -50,14 +51,14 @@ from repro.scenarios.dynamics import (
     params_dict,
     validate_dynamics,
 )
-from repro.sim import SCHEDULERS
-from repro.verification.enumeration import sample_table_patterns
-from repro.verification.game import PROPERTIES
-from repro.verification.sweeps import (
+from repro.verification.families import (
+    PROPERTIES,
+    SCHEDULERS,
     START_POLICIES,
     TABLE_FAMILIES,
     family_k,
     family_space,
+    sample_table_patterns,
 )
 
 SCENARIO_FORMAT_VERSION = 1

@@ -6,14 +6,8 @@ towers, and traces matching the vocabulary of the proofs.
 """
 
 from repro.sim.config import Configuration, Observation
-
-SCHEDULERS = ("fsync", "ssync")
-"""Execution scheduler names: fully synchronous (every robot activated
-every round, :func:`run_fsync`) and semi-synchronous (adversarial fair
-activation subsets, :func:`run_ssync`). Scenario specs
-(:mod:`repro.scenarios`) name their scheduler with one of these."""
-
 from repro.sim.trace import ExecutionTrace, RoundRecord
+from repro.verification.families import SCHEDULERS
 from repro.sim.engine import RunResult, run_fsync
 from repro.sim.observers import (
     EdgeRecorder,

@@ -74,9 +74,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import subprocess
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,10 +99,13 @@ _PERCENTILES = (("p50_s", 0.50), ("p90_s", 0.90), ("p99_s", 0.99))
 
 def new_trace_id() -> str:
     """A fresh trace id (one per campaign run)."""
-    return "tr-" + uuid.uuid4().hex[:12]
+    return "tr-" + _new_span_id()
 
 
 def _new_span_id() -> str:
+    # Imported here: a process that never traces never loads uuid.
+    import uuid
+
     return uuid.uuid4().hex[:12]
 
 
@@ -548,6 +549,8 @@ def render_summary(summary: Mapping[str, Any]) -> str:
 # ----------------------------------------------------------------------
 def git_metadata() -> dict[str, str]:
     """Best-effort git commit/branch of the working tree (for stamping)."""
+    import subprocess
+
     meta = {}
     for key, args in (
         ("commit", ("rev-parse", "--short", "HEAD")),

@@ -43,7 +43,10 @@ This subpackage decides it, through three mutually-checking layers:
 * :mod:`repro.verification.enumeration` — exhaustive sweeps over whole
   algorithm classes (e.g. all 256 memoryless single-robot algorithms);
 * :mod:`repro.verification.sweeps` — the parallel sweep engine: shards a
-  table class across a process pool with deterministic chunk merging.
+  table class across a process pool with deterministic chunk merging;
+* :mod:`repro.verification.families` — the table families and run
+  vocabularies as plain data (stdlib-only), which scenario specs
+  validate against without loading any of the above.
 """
 
 from repro._lazy import lazy_exports
@@ -61,25 +64,25 @@ _EXPORTS = {
     "TrapCertificate": "repro.verification.certificates",
     "certificate_schedule": "repro.verification.certificates",
     "validate_certificate": "repro.verification.certificates",
-    "PROPERTIES": "repro.verification.game",
     "ExplorationVerdict": "repro.verification.game",
     "check_property": "repro.verification.game",
     "synthesize_trap": "repro.verification.game",
     "verify_exploration": "repro.verification.game",
     "CompiledTables": "repro.verification.compiled",
+    "PROPERTIES": "repro.verification.families",
+    "START_POLICIES": "repro.verification.families",
+    "TABLE_FAMILIES": "repro.verification.families",
+    "available_cpus": "repro.verification.families",
+    "sample_table_patterns": "repro.verification.families",
     "PackedKernel": "repro.verification.kernel",
     "check_scheduler": "repro.verification.kernel",
     "BACKENDS": "repro.verification.product",
     "ProductSystem": "repro.verification.product",
     "SysState": "repro.verification.product",
     "SweepResult": "repro.verification.enumeration",
-    "sample_table_patterns": "repro.verification.enumeration",
     "sweep_single_robot_memoryless": "repro.verification.enumeration",
     "sweep_two_robot_memory2": "repro.verification.enumeration",
     "sweep_two_robot_memoryless": "repro.verification.enumeration",
-    "START_POLICIES": "repro.verification.sweeps",
-    "TABLE_FAMILIES": "repro.verification.sweeps",
-    "available_cpus": "repro.verification.sweeps",
     "run_table_sweep": "repro.verification.sweeps",
     "sweep_chunk": "repro.verification.sweeps",
 }

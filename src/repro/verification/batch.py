@@ -61,12 +61,14 @@ import functools
 import importlib.util
 import time
 from importlib.machinery import PathFinder
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import VerificationError
-from repro.graph.topology import Topology
 from repro.types import Chirality, NodeId
-from repro.verification.compiled import CompiledTables, _node_tables
+
+if TYPE_CHECKING:
+    from repro.graph.topology import Topology
+    from repro.verification.compiled import CompiledTables
 
 #: Compact the row arrays once the finished fraction reaches this.
 COMPACT_THRESHOLD = 0.5
@@ -159,6 +161,8 @@ def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
     key = (topology, chirality)
     cached = _np_node_cache.get(key)
     if cached is None:
+        from repro.verification.compiled import _node_tables
+
         np = require_numpy()
         left, right, move_masks, move_dests = _node_tables(topology, chirality)
         cached = (

@@ -60,9 +60,9 @@ from repro.graph.topology import (
 from repro.robots.algorithms.base import Algorithm
 from repro.robots.algorithms.tables import TableAlgorithm
 from repro.robots.view import ALL_VIEWS
-from repro.sim import SCHEDULERS
 from repro.sim.engine import local_ports
 from repro.types import Chirality, Direction, EdgeId, NodeId, RobotId
+from repro.verification.families import SCHEDULERS
 
 PackedState = int
 """A product state packed into one integer (see module docstring)."""

@@ -33,48 +33,18 @@ quantified claim, something no sampling of schedules could give.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Optional
 
 from repro.errors import VerificationError
 from repro.graph.topology import RingTopology
 from repro.robots.algorithms.tables import TableAlgorithm, table_space_size
+from repro.verification.families import sample_table_patterns
 from repro.verification.sweeps import (
     SweepResult,
     check_algorithm_class,
     family_plan,
     run_table_sweep,
 )
-
-
-def sample_table_patterns(space: int, sample: int, seed: int) -> list[int]:
-    """``sample`` distinct table patterns drawn uniformly from ``0..space-1``.
-
-    Deterministic for a fixed ``(space, sample, seed)`` triple — the same
-    draw on every machine, worker count and Python ≥ 3.11 build — which is
-    what lets sampled campaigns checkpoint and resume. Works on spaces far
-    past enumeration (``random.sample`` indexes the range lazily), e.g.
-    the ``2**64`` memory-2 two-robot class.
-    """
-    if not 1 <= sample <= space:
-        raise VerificationError(
-            f"sample must be in 1..{space}, got {sample}"
-        )
-    rng = random.Random(seed)
-    if space <= (1 << 63) - 1:
-        # The historical draw (kept bit-for-bit for existing artifacts).
-        return rng.sample(range(space), sample)
-    # ``random.sample`` needs len(population) to fit a C ssize_t; past
-    # that, rejection-sample distinct values. At sane sample sizes the
-    # collision probability is ~sample²/space, so retries are vanishing.
-    seen: set[int] = set()
-    draws: list[int] = []
-    while len(draws) < sample:
-        value = rng.randrange(space)
-        if value not in seen:
-            seen.add(value)
-            draws.append(value)
-    return draws
 
 
 def _sweep_description(base: str, scheduler: str) -> str:

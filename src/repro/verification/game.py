@@ -88,6 +88,7 @@ from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification import batch_solver
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import TrapCertificate, validate_certificate
+from repro.verification.families import PROPERTIES
 from repro.verification.kernel import (
     PackedKernel,
     PackedState,
@@ -99,18 +100,6 @@ from repro.verification.product import ProductSystem, SysState
 _InternalTransition = tuple[SysState, object, SysState]
 #: A CSR-internal transition: (state index, label, successor index).
 _CsrInternal = tuple[int, int, int]
-
-PROPERTIES = ("perpetual", "live")
-"""Checkable exploration properties.
-
-``"perpetual"`` is the paper's specification: every node is visited
-infinitely often; the adversary wins iff some node is visited only
-finitely often. ``"live"`` is the weaker one-shot specification of
-Di Luna et al.'s live exploration: every node is visited at least once;
-the adversary wins iff it can keep some node unvisited *from round 0*.
-Every live trap is a perpetual trap (zero visits are finitely many), so
-per-class trap tallies satisfy ``trapped_live <= trapped_perpetual``.
-"""
 
 
 def check_property(prop: str) -> str:

@@ -28,7 +28,6 @@ this module is the engine underneath them.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -42,12 +41,21 @@ from repro.robots.algorithms.tables import (
     memory2_table_from_bits,
     memoryless_single_robot_table_from_bits,
     memoryless_table_from_bits,
-    table_space_size,
 )
 from repro.scenarios import faults
 from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
 from repro.verification.backends import import_backend, resolve_solver_backend
+from repro.verification.families import (
+    FAMILIES,
+    START_POLICIES,
+    TABLE_FAMILIES,
+    available_cpus,
+    check_family,
+    family_k,
+    family_space,
+    resolve_jobs,
+)
 from repro.verification.game import check_property, verify_exploration
 from repro.verification.kernel import PackedKernel
 from repro.verification.product import check_scheduler
@@ -81,27 +89,20 @@ class SweepResult:
         )
 
 
-_TWO_ROBOT_PLAN = (
-    ((Chirality.AGREE, Chirality.AGREE),),
-    ((Chirality.AGREE, Chirality.DISAGREE),),
-)
-
-
 class _Family(NamedTuple):
-    """One table family: its robots, constructor, plan and pattern code.
+    """One table family: its robots, plan, constructor and pattern code.
 
-    ``plan`` is a sequence of chirality-vector lists tried in order; a
-    table counts as trapped as soon as any stage returns non-explorable.
-    ``space`` is the bit-pattern domain ``0..space-1``. Table entry ``i``
-    is ``width``-bit digit ``digits[i]`` of the pattern — the bijection
-    ``maker`` implements, restated for
+    ``k``, ``space`` and ``plan`` are the family's data entry, unpacked
+    from :data:`repro.verification.families.FAMILIES` (the one source).
+    Table entry ``i`` is ``width``-bit digit ``digits[i]`` of the pattern
+    — the bijection ``maker`` implements, restated for
     :func:`~repro.verification.batch_solver.decode_tables`.
     """
 
     k: int
-    maker: Callable[[int], TableAlgorithm]
-    plan: tuple
     space: int
+    plan: tuple
+    maker: Callable[[int], TableAlgorithm]
     width: int
     digits: tuple[int, ...]
 
@@ -110,72 +111,38 @@ _FAMILIES: dict[str, _Family] = {
     # Multiplicity detection never fires with k = 1: the others-present
     # entries mirror the others-clear ones (view bit 0 is dropped).
     "single": _Family(
-        k=1,
+        *FAMILIES["single"],
         maker=memoryless_single_robot_table_from_bits,
-        plan=(((Chirality.AGREE,),),),
-        space=1 << 8,
         width=1,
         digits=tuple(i >> 1 for i in range(16)),
     ),
     "two": _Family(
-        k=2,
+        *FAMILIES["two"],
         maker=memoryless_table_from_bits,
-        plan=_TWO_ROBOT_PLAN,
-        space=1 << 16,
         width=1,
         digits=tuple(range(16)),
     ),
     "two-m2": _Family(
-        k=2,
+        *FAMILIES["two-m2"],
         maker=memory2_table_from_bits,
-        plan=_TWO_ROBOT_PLAN,
-        space=table_space_size(2),
         width=2,
         digits=tuple(range(32)),
     ),
 }
 
-TABLE_FAMILIES = tuple(sorted(_FAMILIES))
-"""Registered table-family names (the robot-class axis of a scenario)."""
-
-START_POLICIES = ("well", "arbitrary")
-"""Initial-placement policies: the paper's well-initiated towerless starts
-vs the self-stabilizing quantifier over every placement, towers included
-(Bournat–Datta–Dubois 2017)."""
-
 _ChunkOutcome = tuple[int, int, list[str], int]
 """(total, trapped, explorer names in input order, states explored)."""
 
 
-def family_k(family: str) -> int:
-    """Robot count of a table family."""
-    _check_family(family)
-    return _FAMILIES[family].k
-
-
 def family_plan(family: str) -> tuple:
     """The chirality fallback plan of a table family (for extra tables)."""
-    _check_family(family)
-    return _FAMILIES[family].plan
+    return check_family(family).plan
 
 
 def family_maker(family: str):
     """The bits → :class:`TableAlgorithm` constructor of a table family."""
-    _check_family(family)
+    check_family(family)
     return _FAMILIES[family].maker
-
-
-def family_space(family: str) -> int:
-    """Number of distinct tables in a family (its bit-pattern domain)."""
-    _check_family(family)
-    return _FAMILIES[family].space
-
-
-def _check_family(family: str) -> None:
-    if family not in _FAMILIES:
-        raise VerificationError(
-            f"unknown table family {family!r}; choose from {sorted(_FAMILIES)}"
-        )
 
 
 def check_start_policy(starts: str) -> str:
@@ -260,7 +227,7 @@ def sweep_chunk(
     chunk can be re-run anywhere (another worker, another process, another
     machine) and tally identically.
     """
-    _check_family(family)
+    check_family(family)
     backend = resolve_solver_backend(backend)
     if backend == "vector" and not validate:
         # Whole-chunk dense solve; None means the space is not dense-
@@ -320,7 +287,7 @@ def family_tables(family: str, patterns: Sequence[int]) -> "object":
     one :class:`TableAlgorithm` per pattern. A pattern outside the
     family's domain raises the constructor's own :class:`AlgorithmError`.
     """
-    _check_family(family)
+    check_family(family)
     fam = _FAMILIES[family]
     if patterns:
         for bits in (min(patterns), max(patterns)):
@@ -407,36 +374,6 @@ def _sweep_chunk(
     )
 
 
-def available_cpus() -> int:
-    """CPUs actually available to this process.
-
-    Respects CPU affinity and cgroup-style restrictions where the
-    platform exposes them (``os.process_cpu_count`` on Python ≥ 3.13,
-    ``os.sched_getaffinity`` elsewhere on Linux), falling back to the
-    raw ``os.cpu_count``. Sizing pools by the raw count oversubscribes
-    pinned/containerized runs.
-    """
-    process_cpu_count = getattr(os, "process_cpu_count", None)
-    if process_cpu_count is not None:
-        return process_cpu_count() or 1
-    sched_getaffinity = getattr(os, "sched_getaffinity", None)
-    if sched_getaffinity is not None:
-        try:
-            return len(sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platform
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a jobs request (``None`` → all *available* cores; floor 1)."""
-    if jobs is None:
-        return available_cpus()
-    if jobs < 1:
-        raise VerificationError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _chunked(patterns: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
     """Split into contiguous chunks (~4 per worker for load balance).
 
@@ -469,7 +406,7 @@ def run_table_sweep(
     policy, the exploration property and the execution scheduler for
     every member.
     """
-    _check_family(family)
+    check_family(family)
     backend = resolve_solver_backend(backend)
     check_start_policy(starts)
     check_property(prop)

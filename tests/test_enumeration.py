@@ -11,8 +11,10 @@ import os
 
 import pytest
 
-from repro.errors import VerificationError
+from repro.errors import AlgorithmError, VerificationError
 from repro.robots.algorithms.tables import TableAlgorithm, table_space_size
+from repro.scenarios import get_scenario
+from repro.verification import families
 from repro.verification.enumeration import (
     sample_table_patterns,
     sweep_single_robot_memoryless,
@@ -100,11 +102,68 @@ class TestSampleTablePatterns:
         assert draws == sample_table_patterns(space, 50, 42)
         assert draws != sample_table_patterns(space, 50, 43)
 
+    def test_huge_space_golden(self) -> None:
+        # The rejection-sampling branch every ``two-m2`` campaign's chunk
+        # stream comes from: pinned so a change to it cannot orphan
+        # stored memory-2 results.
+        golden = [
+            4339850051629039654,
+            12818211513940201505,
+            13086968895240067536,
+            11298239883250495090,
+            385423630545725364,
+        ]
+        assert sample_table_patterns(1 << 64, 5, 20170605) == golden
+        spec = get_scenario("m2-two-n4")
+        assert spec.robots.family == "two-m2"
+        assert list(spec.chunks()[0][:5]) == golden
+
     def test_bounds_validated(self) -> None:
         with pytest.raises(VerificationError):
             sample_table_patterns(16, 0, 1)
         with pytest.raises(VerificationError):
             sample_table_patterns(16, 17, 1)
+
+
+class TestOneSourceOfFamilyData:
+    """The family module is the one source; the solver re-exports it."""
+
+    def test_vocabularies_are_the_family_modules_objects(self) -> None:
+        import repro.sim
+        import repro.verification
+        from repro.verification import game, sweeps
+
+        assert game.PROPERTIES is families.PROPERTIES
+        assert repro.sim.SCHEDULERS is families.SCHEDULERS
+        assert sweeps.START_POLICIES is families.START_POLICIES
+        assert sweeps.TABLE_FAMILIES is families.TABLE_FAMILIES
+        assert sweeps.available_cpus is families.available_cpus
+        assert sweeps.resolve_jobs is families.resolve_jobs
+        assert sample_table_patterns is families.sample_table_patterns
+        for name in ("PROPERTIES", "START_POLICIES", "TABLE_FAMILIES",
+                     "available_cpus", "sample_table_patterns"):
+            assert getattr(repro.verification, name) is getattr(families, name)
+
+    def test_sweep_families_agree_with_the_data(self) -> None:
+        from repro.verification import sweeps
+
+        assert set(sweeps._FAMILIES) == set(families.FAMILIES)
+        assert families.TABLE_FAMILIES == tuple(sorted(families.FAMILIES))
+        for name, data in families.FAMILIES.items():
+            engine = sweeps._FAMILIES[name]
+            assert (engine.k, engine.space, engine.plan) == tuple(data)
+            assert sweeps.family_plan(name) is data.plan
+            assert families.family_k(name) == data.k
+            assert families.family_space(name) == data.space
+            # The data's domain is the constructor's domain.
+            engine.maker(data.space - 1)
+            with pytest.raises(AlgorithmError):
+                engine.maker(data.space)
+        assert families.family_space("two-m2") == table_space_size(2)
+
+    def test_unknown_family(self) -> None:
+        with pytest.raises(VerificationError, match="unknown table family"):
+            families.family_space("three")
 
 
 class TestJobsResolution:

@@ -1,11 +1,14 @@
-"""Import on demand: read-only verbs stay NumPy-free, exports resolve lazily.
+"""Import on demand: read-only verbs stay solver-free, exports resolve lazily.
 
-NumPy is loaded the first time a ``vector`` computation needs it (in the
-parent, before any worker forks), never at module load; the package
-``__init__``s resolve their public names on first access. These tests
-pin both halves of that contract, and the no-NumPy contract it must not
-weaken: an explicit ``--backend vector`` without NumPy stays a usage
-error even when every chunk is cached.
+A listing, a status, a report or a cache-hit ``campaign run`` loads only
+the spec, registry, store and report code: never the solver, the
+simulator, ``multiprocessing`` or NumPy. NumPy and the chunk runner are
+loaded the first time chunks are pending (in the parent, before any
+worker forks), never at module load; the package ``__init__``s resolve
+their public names on first access. These tests pin both halves of that
+contract, and the no-NumPy contract it must not weaken: an explicit
+``--backend vector`` without NumPy stays a usage error even when every
+chunk is cached.
 """
 
 from __future__ import annotations
@@ -28,20 +31,39 @@ from repro.verification.backends import resolve_solver_backend
 SRC = Path(repro.__file__).resolve().parent.parent
 
 # Runs each argv (one JSON list per command-line argument) through
-# repro.cli.main in one process; prints, per verb, its exit code and
-# whether NumPy was imported by then.
+# repro.cli.main in one process; prints, per verb, its exit code and the
+# modules loaded by then.
 PROBE = """
 import json, sys
 from repro.cli import main
 seen = []
 for argv in sys.argv[1:]:
     code = main(json.loads(argv))
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, sorted(sys.modules)])
 print(json.dumps(seen))
 """
 
 SOLVER_FAMILY = "thm51-single-n3"
 SIMULATION_FAMILY = "bernoulli-two-n4"
+
+# What reading a store must never load: the solver and simulation
+# stack, and the executor's process machinery.
+FORBIDDEN = frozenset(
+    {
+        "repro.verification.game",
+        "repro.verification.sweeps",
+        "repro.verification.enumeration",
+        "repro.verification.batch_solver",
+        "repro.verification.kernel",
+        "repro.verification.compiled",
+        "repro.verification.product",
+        "repro.verification.certificates",
+        "repro.scenarios.simulate",
+        "repro.sim.engine",
+        "multiprocessing",
+        "numpy",
+    }
+)
 
 requires_numpy = pytest.mark.skipif(
     not batch.have_numpy(), reason="numpy not installed"
@@ -56,10 +78,12 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def run_probe(*commands: list[str]) -> list[list]:
+def run_probe(*commands: list[str]) -> list[tuple[int, set[str]]]:
+    """``(exit code, modules loaded by then)`` per command, in one process."""
     result = run_python("-c", PROBE, *(json.dumps(argv) for argv in commands))
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
+    seen = json.loads(result.stdout.splitlines()[-1])
+    return [(code, set(modules)) for code, modules in seen]
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +97,15 @@ def cached_store(tmp_path_factory) -> Path:
 
 
 class TestReadOnlyVerbsStayNumpyFree:
+    """No NumPy, and no other module of :data:`FORBIDDEN`, either."""
+
     def test_import_cli(self) -> None:
         result = run_python(
-            "-c", "import repro.cli, sys; assert 'numpy' not in sys.modules"
+            "-c",
+            "import repro.cli, sys, json; print(json.dumps(sorted(sys.modules)))",
         )
         assert result.returncode == 0, result.stderr
+        assert not FORBIDDEN & set(json.loads(result.stdout))
 
     def test_listing_status_report_and_cache_hit_run(
         self, cached_store: Path
@@ -90,7 +118,33 @@ class TestReadOnlyVerbsStayNumpyFree:
                 ["campaign", "report", name, *store],
                 ["campaign", "run", name, *store],
             ]
-        assert run_probe(*commands) == [[0, False]] * len(commands)
+        for argv, (code, modules) in zip(commands, run_probe(*commands)):
+            assert code == 0, argv
+            assert not FORBIDDEN & modules, argv
+
+
+class TestPendingChunksLoadTheRunnerInTheParent:
+    """The chunk runner's stack is imported before the workers fork.
+
+    Otherwise every forked worker imports the solver or simulator again,
+    once per chunk attempt.
+    """
+
+    @pytest.mark.parametrize(
+        ("name", "runner"),
+        [
+            (SOLVER_FAMILY, "repro.verification.sweeps"),
+            (SIMULATION_FAMILY, "repro.scenarios.simulate"),
+        ],
+    )
+    def test_fresh_supervised_run(
+        self, tmp_path: Path, name: str, runner: str
+    ) -> None:
+        argv = ["campaign", "run", name, "--store", str(tmp_path),
+                "--backend", "packed", "--jobs", "2"]
+        [(code, modules)] = run_probe(argv)
+        assert code == 0
+        assert runner in modules
 
 
 @requires_numpy
@@ -98,11 +152,13 @@ class TestVectorWorkLoadsNumpyInTheParent:
     def test_fresh_vector_campaign(self, tmp_path: Path) -> None:
         argv = ["campaign", "run", SOLVER_FAMILY, "--store", str(tmp_path),
                 "--backend", "vector", "--jobs", "2"]
-        assert run_probe(argv) == [[0, True]]
+        [(code, modules)] = run_probe(argv)
+        assert code == 0 and "numpy" in modules
 
     def test_pooled_sweep(self) -> None:
         argv = ["sweep", "--robots", "1", "--n", "3", "--jobs", "2"]
-        assert run_probe(argv) == [[0, True]]
+        [(code, modules)] = run_probe(argv)
+        assert code == 0 and "numpy" in modules
 
 
 class TestNoNumpyContract:
@@ -159,7 +215,13 @@ assert not hasattr(package, "no_such_export")
 
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.verification", "repro.scenarios", "repro.experiments"],
+    [
+        "repro",
+        "repro.graph",
+        "repro.verification",
+        "repro.scenarios",
+        "repro.experiments",
+    ],
 )
 def test_lazy_exports_resolve_list_and_star_import(package: str) -> None:
     result = run_python("-c", EXPORTS_PROBE, package)
