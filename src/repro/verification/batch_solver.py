@@ -17,27 +17,37 @@ a sweep decodes its bit patterns straight into it with shifts and masks
 state's direction bit is its low bit, so no direction table comes with
 it:
 
-* **expand** — one folded gather per robot turns the stack of
+* **expand** — per robot one gather of the table stack and one select
+  between two precompiled weighted landing shares turn the stack of
   Look–Compute tables into the full dense successor tensor
-  ``succ[b, p, j]`` over every state ``p`` and adversary move ``j``
-  (FSYNC edge masks; SSYNC edge×activation moves packed above
-  ``act_shift``, mirroring ``PackedKernel._reachable_ssync``'s
-  mask-major / activation-minor order);
-* **frontier** — reachability is breadth-first over boolean ``(B, P)``
-  bitmaps: each level scatter-marks all successors of the whole frontier
-  of the whole batch at once;
+  ``succ[b, p, j]`` over every state ``p`` and adversary move ``j`` —
+  a successor is the sum of its robots' shares (FSYNC edge masks; SSYNC
+  edge×activation moves packed above ``act_shift``, mirroring
+  ``PackedKernel._reachable_ssync``'s mask-major / activation-minor
+  order, idle robots contributing their precompiled idle share);
+* **frontier** — reachability is breadth-first over word-major
+  ``(B, words, P)`` successor bit-rows (one word: an OR-reduce of the
+  successors' bits; more: one scatter into a flag plane plus
+  ``packbits``): each level ORs the rows of the whole frontier of the
+  whole batch along the contiguous state axis;
 * **scc** — per target node, the ``L`` states avoiding it get local ids
-  ``0..L-1`` (:meth:`DenseSpace.target_view`), and the whole pass runs
-  on ``⌈L/64⌉``-word bit-rows rather than ``⌈P/64⌉`` — one word up to
-  n=5 for two memoryless robots. The arena's transitive closure is a
-  bit-parallel Floyd–Warshall (``L`` vector steps instead of a per-state
-  Tarjan); mutual reachability marks the states on a cycle and, per
-  transition, whether it stays inside its SCC; and the winning criterion
-  — an SCC with an internal transition whose label union misses at most
+  ``0..L-1`` (:meth:`DenseSpace.target_view`). Under ``perpetual`` a
+  self-loop step runs first: an arena state whose own self-loop labels
+  already miss at most *budget* edges and, under SSYNC, activate every
+  robot lies on a cycle whose component contains those labels, so its
+  table is trapped without a closure — most sampled tables are decided
+  here. The rest (and every ``live`` table, whose arena membership
+  needs the closure rows) take the closure pass on ``⌈L/64⌉``-word
+  bit-rows rather than ``⌈P/64⌉`` — one word up to n=5 for two
+  memoryless robots. The arena's transitive closure is a bit-parallel
+  Floyd–Warshall (``L`` vector steps instead of a per-state Tarjan);
+  mutual reachability marks the states on a cycle and, per transition,
+  whether it stays inside its SCC; and the winning criterion — an SCC
+  with an internal transition whose label union misses at most
   *budget* edges and, under SSYNC, activates every robot — is one
-  OR-reduce over the mutual-reachability matrix plus a popcount. Tables
-  proven trapped at a target drop out of the remaining targets, exactly
-  like the scalar early exit.
+  OR-reduce over the mutual-reachability matrix plus a popcount.
+  Tables proven trapped at a target drop out of the remaining targets,
+  exactly like the scalar early exit.
 
 The dense tensors stop paying off past a few thousand states
 (:func:`dense_eligible`), and the paper's own positive algorithm leaves
@@ -181,12 +191,17 @@ class DenseSpace:
         self.mcount = mcount
         self.max_moves = moves_pad.shape[1]
 
-        # Per robot: the full view row (state row + multiplicity + left/
-        # right occupancy bits per move) and the landing slot for either
-        # direction bit of the computed state — all table-independent.
-        # int16 throughout: every value is a state/slot/row index below
-        # 2^15 (the dense caps guarantee it), and the expansion tensors
-        # are memory-bound.
+        # Per robot ``(view, moved0, flip, step, idle)``, all
+        # table-independent: the full view row (state row + multiplicity
+        # + left/right occupancy bits per move), and the parts of the
+        # robot's weighted share ``slot · base^i`` of a successor. A
+        # computed state ``t`` lands on slot ``landing(t & 1) · S + t``,
+        # so the share is ``moved[t & 1] + (t >> 1) · step`` with
+        # ``moved[d] = (landing(d) · S + d) · base^i``, ``flip = moved1 -
+        # moved0`` and ``step = 2 · base^i``; ``idle`` is the share of a
+        # robot SSYNC leaves inactive. int16 throughout: every value is a
+        # state/slot/row index below 2^15 (the dense caps guarantee it),
+        # and the expansion tensors are memory-bound.
         self.robots = []
         for i in range(k):
             left, right, mm, md = kernel._robot_tables[i]
@@ -194,21 +209,26 @@ class DenseSpace:
             right = np.asarray(right, dtype=np.int64)[pos[i]]
             mm = np.asarray(mm, dtype=np.int64)
             md = np.asarray(md, dtype=np.int64)
+            weight = self.base**i
             view = (slots[i] % S) * 8 + ((tow >> pos[i]) & 1)
             view = (
                 view[:, None]
                 + 4 * ((moves_pad & left[:, None]) != 0)
                 + 2 * ((moves_pad & right[:, None]) != 0)
             ).astype(np.int16)
-            slot_for_dir = []
+            moved = []
             for dir_bit in (0, 1):
                 pointer = pos[i] * 2 + dir_bit
-                moved = (moves_pad & mm[pointer][:, None]) != 0
-                landing = np.where(moved, md[pointer][:, None], pos[i][:, None])
-                slot_for_dir.append((landing * S).astype(np.int16))
-            self.robots.append(
-                (view, slot_for_dir[0], slot_for_dir[1], slots[i].astype(np.int16))
-            )
+                hit = (moves_pad & mm[pointer][:, None]) != 0
+                landing = np.where(hit, md[pointer][:, None], pos[i][:, None])
+                moved.append((landing * S + dir_bit) * weight)
+            self.robots.append((
+                view,
+                moved[0].astype(np.int16),
+                (moved[1] - moved[0]).astype(np.int16),
+                2 * weight,
+                (slots[i] * weight).astype(np.int16)[:, None],
+            ))
 
         # Narrowest integer dtype that holds a full transition label —
         # the label-union reductions are the solve loop's biggest tensors.
@@ -232,9 +252,8 @@ class DenseSpace:
         self.pop = np.array(
             [bin(x).count("1") for x in range(1 << self.m)], dtype=np.int64
         )
-        # State-index → bit-row word/bit, for the frontier's adjacency.
+        # Bit-row width and per-state bit, for the frontier's adjacency.
         self.words = _word_count(space)
-        self.word_of = np.arange(space, dtype=np.int64) // _BITS
         self.bitval = np.array(
             [1 << (s % _BITS) for s in range(space)], dtype=np.uint64
         )
@@ -280,37 +299,44 @@ def dense_space(kernel: PackedKernel) -> DenseSpace:
 def _expand(sp: DenseSpace, trans: "object") -> "object":
     """The dense successor tensor ``(B, space, branch)`` of a table stack.
 
-    ``trans`` is a ``(B, S·8)`` int stack. Per robot one gather folds
-    Look–Compute and direction into ``new_state·2 + dir_bit`` (a table
-    state's direction bit is its low bit); the landing slot is then a
-    select between the two precompiled per-direction slot tables plus the
-    new state.
+    ``trans`` is a ``(B, S·8)`` int stack. Per robot one gather reads the
+    computed state ``t`` of every (state, move) cell, and one select picks
+    the robot's precompiled weighted share for direction bit ``t & 1`` —
+    arithmetically, ``moved0 + (t & 1)·(moved1 − moved0)``, about 3×
+    faster than ``np.where`` on these broadcast int16 operands;
+    ``(t >> 1)·2·base^i`` adds the rest of the state (zero when
+    ``S = 2``). A successor is the sum of the shares. Under SSYNC each
+    activation mask sums the active robots' shares and the idle shares
+    of the others straight into its column of the successor tensor.
     """
     np = require_numpy()
-    td = (trans * 2 + (trans & 1)).astype(np.int16)
-    slots = []
-    for view, slot0, slot1, _idle in sp.robots:
-        t = td[:, view]
-        slot = np.where((t & 1).astype(bool), slot1, slot0) + (t >> 1)
-        slots.append(slot)
+    steps = trans.astype(np.int16)
+    shares = []
+    for view, moved0, flip, step, _idle in sp.robots:
+        t = steps[:, view]
+        share = t & 1
+        share *= flip
+        share += moved0
+        t >>= 1
+        t *= step
+        share += t
+        shares.append(share)
     if sp.scheduler != "ssync":
-        succ = slots[sp.k - 1]
-        for i in range(sp.k - 2, -1, -1):
-            succ = succ * sp.base + slots[i]
+        succ = shares[0]
+        for share in shares[1:]:
+            succ += share
         return succ
-    parts = []
+    succ = np.empty(shares[0].shape + (sp.full_act,), dtype=np.int16)
     for act in range(1, sp.full_act + 1):
-        succ = None
-        for i in range(sp.k - 1, -1, -1):
-            part = (
-                slots[i]
-                if act >> i & 1
-                else sp.robots[i][3][None, :, None]
-            )
-            succ = part if succ is None else succ * sp.base + part
-        parts.append(np.broadcast_to(succ, slots[0].shape))
-    batch = slots[0].shape[0]
-    return np.stack(parts, axis=-1).reshape(batch, sp.space, -1)
+        parts = [
+            share if act >> i & 1 else sp.robots[i][4]
+            for i, share in enumerate(shares)
+        ]
+        column = succ[..., act - 1]
+        np.add(parts[0], parts[1] if sp.k > 1 else 0, out=column)
+        for part in parts[2:]:
+            column += part
+    return succ.reshape(shares[0].shape[0], sp.space, -1)
 
 
 def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
@@ -356,18 +382,23 @@ def _pack(flags: "object", words: int) -> "object":
 
 
 def _adjacency(sp: DenseSpace, succ: "object") -> "object":
-    """Per-state successor bitmasks ``(B, P, words)`` of a batch."""
+    """Per-state successor bitmasks ``(B, P, words)`` of a batch.
+
+    Stored word-major — a ``(B, P, words)`` view of a contiguous
+    ``(B, words, P)`` array — so :func:`_reachable` reduces along the
+    contiguous axis. One word: the successors' bit values OR-reduced per
+    state. More: one scatter into a ``(B, P, P)`` flag plane, then
+    :func:`_pack`.
+    """
     np = require_numpy()
-    tbits = sp.bitval[succ]
+    batch = succ.shape[0]
     if sp.words == 1:
-        return np.bitwise_or.reduce(tbits, axis=2)[:, :, None]
-    tword = sp.word_of[succ]
-    adj = np.empty(succ.shape[:2] + (sp.words,), dtype=np.uint64)
-    for w in range(sp.words):
-        adj[:, :, w] = np.bitwise_or.reduce(
-            np.where(tword == w, tbits, 0), axis=2
-        )
-    return adj
+        return np.bitwise_or.reduce(sp.bitval[succ], axis=2)[:, :, None]
+    flags = np.zeros((batch, sp.space, sp.space), dtype=np.uint8)
+    starts = np.arange(batch * sp.space).reshape(batch, sp.space, 1)
+    flags.reshape(-1)[starts * sp.space + succ] = 1
+    rows = _pack(flags, sp.words).transpose(0, 2, 1)
+    return np.ascontiguousarray(rows).transpose(0, 2, 1)
 
 
 def _reachable(
@@ -376,11 +407,13 @@ def _reachable(
     """Lockstep BFS over successor bitmasks.
 
     Each level ORs the adjacency rows of the whole frontier of the whole
-    batch — no per-state scatter. Returns the boolean ``(B, P)`` visited
-    bitmap.
+    batch — no per-state scatter — reducing each word over the states of
+    the word-major ``(B, words, P)`` rows. Returns the boolean ``(B, P)``
+    visited bitmap.
     """
     np = require_numpy()
     batch = adj.shape[0]
+    rows = adj.transpose(0, 2, 1)
     seed_mask = np.zeros(sp.words, dtype=np.uint64)
     for s in set(int(s) for s in seeds):
         seed_mask[s // _BITS] |= np.uint64(1 << (s % _BITS))
@@ -388,15 +421,23 @@ def _reachable(
     frontier = vis_mask
     while True:
         hot = _unpack(frontier, sp.space, as_bool=False)
-        nxt = np.bitwise_or.reduce(
-            np.where(hot[:, :, None], adj, 0), axis=1
-        )
+        nxt = np.bitwise_or.reduce(rows * hot[:, None, :], axis=2)
         nxt &= ~vis_mask
         if not nxt.any():
             break
         vis_mask |= nxt
         frontier = nxt
     return _unpack(vis_mask, sp.space)
+
+
+def _winning_union(sp: DenseSpace, union: "object") -> "object":
+    """Whether each label union misses at most *budget* edges and, under
+    SSYNC, activates every robot (an empty union never does)."""
+    budget = 1 if sp.topology.is_ring else 0
+    ok = sp.pop[(~union) & sp.full_mask] <= budget
+    if sp.scheduler == "ssync":
+        ok &= (union >> sp.act_shift) == sp.full_act
+    return ok
 
 
 def _target_wins(
@@ -414,14 +455,53 @@ def _target_wins(
     region) with at least one internal transition, whose label union
     misses at most *budget* edges and, under SSYNC, activates every
     robot. Everything runs over the ``L`` avoiding states of
-    :meth:`DenseSpace.target_view`, in ``⌈L/64⌉``-word bit-rows:
+    :meth:`DenseSpace.target_view` and their successors
+    ``succ[:, sel, :]``:
 
-    * **adjacency** — one gather of ``succ[:, sel, :]`` through the
-      local-id table places every transition of an avoiding state in a
-      ``(U, L, L + 1)`` flag plane, column ``L`` catching successors that
-      occupy the target; packed into bit-rows, with the rows of states
-      outside the table's arena zeroed (the visited set is closed under
-      successors, so no column mask is needed);
+    * **self-loops** (``perpetual`` only) — an arena state whose own
+      self-loop labels already form a winning union lies on a cycle, and
+      its component's union contains those labels, so the table wins
+      without any closure. Most tables are decided here;
+    * **closure** — the rest go through :func:`_closure_wins`, on the
+      successors' local ids. ``live`` membership needs the closure rows,
+      so every ``live`` table takes this full pass.
+    """
+    np = require_numpy()
+    sel, local, labels_sel = sp.target_view(target)
+    arena = visited[:, sel]
+    out = succ[:, sel]
+    if prop == "live":
+        return _closure_wins(
+            sp, local[out], arena, sel, labels_sel, seed_idx, prop
+        )
+    loops = out == sel.astype(out.dtype)[:, None]
+    union = np.bitwise_or.reduce(loops * labels_sel, axis=2)
+    wins = (_winning_union(sp, union) & arena).any(axis=1)
+    rest = np.flatnonzero(~wins)
+    if rest.size:
+        wins[rest] = _closure_wins(
+            sp, local[out[rest]], arena[rest], sel, labels_sel, seed_idx, prop
+        )
+    return wins
+
+
+def _closure_wins(
+    sp: DenseSpace,
+    loc: "object",
+    arena: "object",
+    sel: "object",
+    labels_sel: "object",
+    seed_idx: "object",
+    prop: str,
+) -> "object":
+    """:func:`_target_wins` by the full closure pass, in ``⌈L/64⌉``-word
+    bit-rows over the successor local ids ``loc`` ``(U, L, branch)``:
+
+    * **adjacency** — ``loc`` places every transition of an avoiding
+      state in a ``(U, L, L + 1)`` flag plane, column ``L`` catching
+      successors that occupy the target; packed into bit-rows, with the
+      rows of states outside the table's arena zeroed (the visited set
+      is closed under successors, so no column mask is needed);
     * **closure** — bit-parallel Floyd–Warshall over the vias present in
       some table's arena: bit ``v`` of ``reach[u, s]`` says "``v``
       reachable from ``s`` via a non-empty arena path of table ``u``";
@@ -435,16 +515,13 @@ def _target_wins(
       union in one step.
     """
     np = require_numpy()
-    budget = 1 if sp.topology.is_ring else 0
-    sel, local, labels_sel = sp.target_view(target)
-    count, size = succ.shape[0], sel.size
+    count, size = loc.shape[0], sel.size
     words = _word_count(size)
-    arena = visited[:, sel]
     # Flat (U, L, L + 1) position of every transition of an avoiding
     # state: row (table, source), column = the successor's local id.
-    cells = local[succ[:, sel]] + (
-        np.arange(count * size) * (size + 1)
-    ).reshape(count, size, 1)
+    cells = loc + (np.arange(count * size) * (size + 1)).reshape(
+        count, size, 1
+    )
     flags = np.zeros((count, size, size + 1), dtype=np.uint8)
     flags.reshape(-1)[cells] = 1
     reach = _pack(flags[:, :, :size], words)
@@ -489,10 +566,7 @@ def _target_wins(
     union = np.bitwise_or.reduce(
         mutual[:, :, :size] * state_union[:, None, :], axis=2
     )
-    ok = cyclic & member
-    ok &= sp.pop[(~union) & sp.full_mask] <= budget
-    if sp.scheduler == "ssync":
-        ok &= (union >> sp.act_shift) == sp.full_act
+    ok = cyclic & member & _winning_union(sp, union)
     return ok.any(axis=1)
 
 

@@ -39,8 +39,16 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   and with no early drop, exactly the win vectors of a reference copy
   of the full-space pass it replaced: on sampled tables (one-, two- and
   three-word arenas, FSYNC/SSYNC, perpetual/live, well/arbitrary
-  starts) and on random successor tensors with sparse labels, where
-  both winning and losing targets occur.
+  starts), on random successor tensors with sparse labels, where
+  both winning and losing targets occur, and on a hand-built batch
+  whose tables are decided by the self-loop step, by the closure only,
+  or lost (an SSYNC self-loop activating one robot falls through to
+  the closure). On sampled tables the self-loop step decides some
+  tables but not all.
+* **Dense expansion** — for every state the lockstep BFS visits, the
+  (label, successor) pairs of the dense successor tensor are exactly
+  ``PackedKernel.reachable``'s transitions, and the visited set is its
+  reached set (single n=3, two and memory-2 two n=4, FSYNC/SSYNC).
 """
 
 from __future__ import annotations
@@ -459,6 +467,19 @@ def _reference_solve(sp, succ, adj_full, visited, vis_mask, seeds, prop):
     return trapped
 
 
+def _closure_rows(monkeypatch) -> list:
+    """Spy on the closure fallback of ``_target_wins``: rows per call."""
+    calls = []
+    closure = batch_solver._closure_wins
+
+    def spy(sp, loc, *args):
+        calls.append(loc.shape[0])
+        return closure(sp, loc, *args)
+
+    monkeypatch.setattr(batch_solver, "_closure_wins", spy)
+    return calls
+
+
 def _dense_batch(family, n, scheduler, starts, count, rng_seed):
     """``(sp, succ, visited, seeds)`` for a seeded sample of a family."""
     draw = random.Random(rng_seed)
@@ -638,6 +659,152 @@ class TestArenaLocalScc:
         rows = batch_solver._pack(flags, 3)
         assert rows.shape == (4, 7, 3) and rows.dtype == np.uint64
         assert (batch_solver._unpack(rows, 130) == flags).all()
+
+    @pytest.mark.parametrize("prop", ["perpetual", "live"])
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    def test_self_loop_prefilter_matches_reference(
+        self, scheduler, prop, monkeypatch
+    ) -> None:
+        # One batch mixes the outcomes the self-loop step must tell apart,
+        # all seeded at arena state s: (a) s has a self-loop whose labels
+        # alone cover the ring — decided without the closure; (b) no
+        # self-loop, but the 2-cycle s ⇄ t covers it — decided by the
+        # closure only; (c) a 2-cycle missing two edges — lost, though
+        # state u, which s never reaches, has a covering self-loop; (d,
+        # SSYNC) a self-loop covering every edge but activating robot 0
+        # alone — it must fall through to the closure, and loses there.
+        # Every other transition leads to z, which occupies target 0.
+        np = batch.require_numpy()
+        sp = copy.copy(_dense_batch("two", 4, scheduler, "well", 1, 0)[0])
+        s, t, u = sp.target_view(0)[0][:3].tolist()
+        z = int(np.flatnonzero(sp.occ & 1)[0])
+        acts = sp.full_act << sp.act_shift if scheduler == "ssync" else 0
+        labels = np.zeros_like(sp.labels)
+        labels[s, 0] = labels[u, 0] = sp.full_mask | acts
+        labels[s, 1] = (sp.full_mask & ~0b11) | acts
+        labels[t, 0] = 0b11 | acts
+        labels[s, 2] = sp.full_mask | (1 << sp.act_shift)
+        sp.labels = labels
+        sp._target_cache = {}
+        kinds = 4 if scheduler == "ssync" else 3
+        succ = np.full((kinds, sp.space, sp.branch), z)
+        succ[0, s, 0] = s
+        succ[1, s, 1], succ[1, t, 0] = t, s
+        succ[2, s, 1], succ[2, t, 1], succ[2, u, 0] = t, s, u
+        if scheduler == "ssync":
+            succ[3, s, 2] = s
+        seeds = [s]
+        adj_full = batch_solver._adjacency(sp, succ)
+        visited = batch_solver._reachable(sp, adj_full, seeds)
+        vis_mask = batch_solver._pack(visited, sp.words)
+        seed_idx = np.array(seeds, dtype=np.int64)
+        for target in range(sp.n):
+            expected = _reference_solve(
+                _ReferenceSpace(sp, target), succ, adj_full, visited,
+                vis_mask, seeds, prop,
+            )
+            got = batch_solver._target_wins(
+                sp, succ, visited, seed_idx, target, prop
+            )
+            assert got.tolist() == expected.tolist(), target
+        assert batch_solver._solve(
+            sp, succ, visited, seeds, prop
+        ).tolist() == _reference_solve(
+            _ReferenceSpace(sp), succ, adj_full, visited, vis_mask, seeds, prop
+        ).tolist()
+        calls = _closure_rows(monkeypatch)
+        outcomes = []
+        for table in range(kinds):
+            calls.clear()
+            won = batch_solver._target_wins(
+                sp, succ[table : table + 1], visited[table : table + 1],
+                seed_idx, 0, prop,
+            )
+            outcomes.append((bool(won[0]), bool(calls)))
+        # (won at target 0, went through the closure): live membership
+        # needs the closure rows, so live never skips it.
+        closure = prop == "live"
+        assert outcomes == [(True, closure), (True, True), (False, True)] + [
+            (False, True)
+        ] * (kinds - 3)
+
+    @pytest.mark.parametrize(
+        "family,n,starts",
+        [
+            ("single", 3, "arbitrary"),
+            ("two", 4, "well"),
+            ("two", 4, "arbitrary"),
+        ],
+    )
+    def test_self_loop_step_decides_some_real_tables(
+        self, family, n, starts, monkeypatch
+    ) -> None:
+        # On sampled FSYNC tables the self-loop step decides most tables
+        # at target 0 but not all, so both branches run on real input.
+        np = batch.require_numpy()
+        count = 64
+        sp, succ, visited, seeds = _dense_batch(
+            family, n, "fsync", starts, count, rng_seed=n * 13
+        )
+        adj_full = batch_solver._adjacency(sp, succ)
+        vis_mask = batch_solver._pack(visited, sp.words)
+        expected = _reference_solve(
+            _ReferenceSpace(sp, 0), succ, adj_full, visited, vis_mask,
+            seeds, "perpetual",
+        )
+        calls = _closure_rows(monkeypatch)
+        got = batch_solver._target_wins(
+            sp, succ, visited, np.array(sorted(set(seeds))), 0, "perpetual"
+        )
+        assert got.tolist() == expected.tolist()
+        assert len(calls) == 1 and 0 < calls[0] < count, calls
+
+
+@requires_numpy
+class TestDenseExpansion:
+    """The dense successor tensor against the scalar kernel's graph.
+
+    For every state the lockstep BFS visits, the set of (label,
+    successor) pairs ``_expand`` gives it must be exactly the transition
+    list ``PackedKernel.reachable`` builds for that state, table by table
+    — and the visited set must be the kernel's reached set.
+    """
+
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    @pytest.mark.parametrize(
+        "family,n", [("single", 3), ("two", 4), ("two-m2", 4)]
+    )
+    def test_transitions_match_packed_kernel(
+        self, family, n, scheduler
+    ) -> None:
+        np = batch.require_numpy()
+        space = family_space(family)
+        draw = random.Random(space % 997 + n)
+        patterns = [0, space - 1] + [draw.randrange(space) for _ in range(6)]
+        topology = RingTopology(n)
+        maker = family_maker(family)
+        vector = family_plan(family)[0][0]
+        placements = start_placements("arbitrary", topology, family_k(family))
+        probe = PackedKernel(topology, maker(0), vector, scheduler=scheduler)
+        seeds = probe.initial_states(placements)
+        sp = batch_solver.dense_space(probe)
+        succ = batch_solver._expand(sp, family_tables(family, patterns))
+        assert succ.shape == (len(patterns), sp.space, sp.branch)
+        visited = batch_solver._reachable(
+            sp, batch_solver._adjacency(sp, succ), seeds
+        )
+        for table, bits in enumerate(patterns):
+            kernel = PackedKernel(
+                topology, maker(bits), vector, scheduler=scheduler
+            )
+            assert kernel.initial_states(placements) == seeds
+            graph = kernel.reachable(seeds)
+            assert np.flatnonzero(visited[table]).tolist() == sorted(graph)
+            for state, out in graph.items():
+                dense = zip(
+                    sp.labels[state].tolist(), succ[table, state].tolist()
+                )
+                assert set(dense) == set(out), (bits, state)
 
 
 def _pef3_instance(n: int, scheduler: str, vector: int, towers: bool) -> tuple:
