@@ -579,7 +579,11 @@ class CompiledTables:
     def _encode_placement(
         self, placement: Sequence[NodeId], initial_index: int
     ) -> PackedState:
-        """Pack a placement with every robot in the initial state."""
+        """Pack a placement with every robot in the initial state.
+
+        Raises :class:`~repro.errors.TopologyError` for a node off the
+        footprint, as the engine does.
+        """
         if len(placement) != self.k:
             raise VerificationError(
                 f"placement {tuple(placement)} has arity {len(placement)}, "
@@ -587,6 +591,7 @@ class CompiledTables:
             )
         packed = 0
         for position in reversed(tuple(placement)):
+            self.topology.check_node(position)
             packed = packed * self._base + position * self.state_count + initial_index
         return packed
 

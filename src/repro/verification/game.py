@@ -55,8 +55,12 @@ scanned. ``PEF_3+``'s reachable sets are rotation-closed (n checks of the
 SCC search become one); ill-initiated FSYNC seeds, for example, need not
 be.
 
-**Solve phase.** The packed and vector backends share one pipeline over
-the reachable graph's canonical CSR form. Per target, the avoiding arena
+**Solve phase.** All three backends share one pipeline over the
+reachable graph's canonical CSR form; they differ only in how they build
+that graph. The object backend steps the engine
+(``ProductSystem.reachable``) and packs each state and label with the
+kernel's encoding, the packed backend runs the scalar integer kernel and
+the vector backend a NumPy frontier. Per target, the avoiding arena
 is first reduced to a *deduplicated* successor CSR — one entry per
 distinct (state, successor) pair, its label the OR of every transition
 between them — and one iterative Tarjan walks that, stopping at the
@@ -65,7 +69,8 @@ listed, from the full CSR, for the certificate. The vector backend keeps
 the CSR as int64 NumPy arrays throughout: rotation closure, the live
 arena and the deduplication run in NumPy, and Python lists are built
 only for the arena Tarjan walks and, once a trap is found, for the
-certificate.
+certificate. Verdicts, counts and certificates are bit-identical across
+the three backends.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
 (prefix + cycle lasso; under SSYNC with per-step activation sets), which
@@ -79,12 +84,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
 from repro.robots.algorithms.base import Algorithm
-from repro.types import Chirality, EdgeId, NodeId, RobotId
+from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import TrapCertificate, validate_certificate
@@ -95,9 +100,8 @@ from repro.verification.kernel import (
     PackedTransition,
     check_scheduler,
 )
-from repro.verification.product import ProductSystem, SysState
+from repro.verification.product import ProductSystem, SysState, Transition
 
-_InternalTransition = tuple[SysState, object, SysState]
 #: A CSR-internal transition: (state index, label, successor index).
 _CsrInternal = tuple[int, int, int]
 
@@ -196,19 +200,21 @@ def verify_exploration(
     states, so the exhibited lasso never visits the starved node at all —
     its certificate passes the same replay validation.
 
-    ``backend`` picks the exploration substrate: ``"packed"`` (default)
-    runs entirely on the integer kernel — same verdict, same state and
-    transition counts, ~an order of magnitude faster; ``"vector"``
-    builds the reachable graph with a NumPy frontier
+    ``backend`` picks how the reachable graph is built; the solve phase
+    after it is shared. ``"packed"`` (default) runs the integer kernel;
+    ``"vector"`` builds the graph with a NumPy frontier
     (:func:`repro.verification.batch_solver.reachable_csr`, any instance
-    size), keeps it in NumPy arrays through the solve and produces
-    verdicts *and* certificates bit-identical to ``"packed"`` (both
-    solve the same canonical CSR graph); ``"auto"``
-    resolves to ``"vector"`` when NumPy is importable and ``"packed"``
-    otherwise; ``"object"`` is the original engine-driven path, kept as
-    the semantics oracle. Certificates from the object backend satisfy the
-    same replay validation, though the particular lasso exhibited may
-    differ.
+    size) and keeps it in NumPy arrays through the solve; ``"object"``
+    steps the simulator engine per transition, ~an order of magnitude
+    slower, and is kept as the semantics oracle; ``"auto"`` resolves to
+    ``"vector"`` when NumPy is importable and ``"packed"`` otherwise.
+    All three reduce the graph to the same canonical CSR form, so
+    verdicts, state and transition counts *and* certificates are
+    bit-identical across backends.
+
+    Perpetual exploration on a ring whose reachable state set is closed
+    under rotation checks target 0 only — the rotation-reduced targets
+    of the module docstring.
 
     ``scheduler`` picks the execution model the game is played under:
     ``"fsync"`` (default, the paper's setting) or ``"ssync"``, where the
@@ -230,111 +236,29 @@ def verify_exploration(
                 raise VerificationError(
                     f"chirality vector {vector} has length {len(vector)}, want {k}"
                 )
-    if backend in ("packed", "vector"):
-        return _verify_csr(
-            algorithm, topology, k, vectors, max_states, validate, placements,
-            certificates, prop, scheduler, backend,
-        )
     total_states = 0
     total_transitions = 0
     for vector in vectors:
-        system = ProductSystem(
-            topology, algorithm, vector, max_states=max_states,
-            backend="object", scheduler=scheduler,
-        )
-        seeds = system.initial_states(placements)
-        graph = system.reachable(seeds)
-        total_states += len(graph)
-        total_transitions += sum(len(out) for out in graph.values())
-        for target in topology.nodes:
-            if prop == "live":
-                allowed = _avoid_reachable(graph, seeds, target)
-                if not allowed:
-                    continue
-            else:
-                allowed = None
-            win = _winning_scc(topology, graph, target, allowed, scheduler, k)
-            if win is None:
-                continue
-            scc_states, internal = win
-            if not certificates:
-                certificate = None
-            else:
-                certificate = _extract_certificate(
-                    topology, algorithm, vector, graph, seeds, target,
-                    scc_states, internal, allowed, scheduler,
-                )
-                if validate:
-                    validate_certificate(certificate, algorithm)
-            return ExplorationVerdict(
-                algorithm_name=algorithm.name,
-                topology=topology,
-                k=k,
-                explorable=False,
-                certificate=certificate,
-                states_explored=total_states,
-                transitions_explored=total_transitions,
-                chirality_vectors=vectors,
+        if backend == "object":
+            system = ProductSystem(
+                topology, algorithm, vector, max_states=max_states,
+                backend="object", scheduler=scheduler,
+            )
+            kernel = system.kernel()
+            seeds = system.initial_states(placements)
+            csr = _csr_from_object(kernel, system.reachable(seeds), seeds)
+        else:
+            kernel = PackedKernel(
+                topology, algorithm, vector, max_states=max_states,
                 scheduler=scheduler,
             )
-    return ExplorationVerdict(
-        algorithm_name=algorithm.name,
-        topology=topology,
-        k=k,
-        explorable=True,
-        certificate=None,
-        states_explored=total_states,
-        transitions_explored=total_transitions,
-        chirality_vectors=vectors,
-        scheduler=scheduler,
-    )
-
-
-def _verify_csr(
-    algorithm: Algorithm,
-    topology: Topology,
-    k: int,
-    vectors: tuple[tuple[Chirality, ...], ...],
-    max_states: int,
-    validate: bool,
-    placements: Optional[Sequence[Sequence[NodeId]]],
-    certificates: bool,
-    prop: str,
-    scheduler: str,
-    backend: str,
-) -> ExplorationVerdict:
-    """The packed/vector body of :func:`verify_exploration`.
-
-    Both backends reduce the reachable graph to one *canonical CSR*
-    form — states ascending, per-state transitions in kernel move order
-    — and share the solve phase below (live arena, deduplicated-arena
-    Tarjan, lasso extraction). The packed path builds the CSR as Python
-    lists from ``PackedKernel.reachable`` and solves it in plain Python;
-    the vector path builds the identical values as int64 arrays with a
-    NumPy frontier (:func:`repro.verification.batch_solver.reachable_csr`)
-    and runs the graph-sized steps in NumPy, converting to lists only
-    the arena its Tarjan walks and, on a trap, the graph the certificate
-    walks. Verdicts, counts *and certificates* agree bit-for-bit across
-    the two.
-
-    Perpetual exploration on a ring whose reachable state set is closed
-    under rotation checks target 0 only — the rotation-reduced targets
-    of the module docstring.
-    """
-    total_states = 0
-    total_transitions = 0
-    for vector in vectors:
-        kernel = PackedKernel(
-            topology, algorithm, vector, max_states=max_states,
-            scheduler=scheduler,
-        )
-        seeds = kernel.initial_states(placements)
-        if backend == "vector":
-            csr = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
-        else:
-            occupied: dict[PackedState, int] = {}
-            graph = kernel.reachable(seeds, occupied_out=occupied)
-            csr = _csr_from_packed(graph, occupied, seeds)
+            packed_seeds = kernel.initial_states(placements)
+            if backend == "vector":
+                csr = _CsrGraph(*batch_solver.reachable_csr(kernel, packed_seeds))
+            else:
+                occupied: dict[PackedState, int] = {}
+                graph = kernel.reachable(packed_seeds, occupied_out=occupied)
+                csr = _csr_from_packed(graph, occupied, packed_seeds)
         total_states += len(csr.states)
         total_transitions += len(csr.labels)
         targets = topology.nodes
@@ -416,27 +340,6 @@ def synthesize_trap(
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
-def _avoid_reachable(
-    graph: dict[SysState, list[tuple[frozenset[EdgeId], SysState]]],
-    seeds: Sequence[SysState],
-    target: NodeId,
-) -> set[SysState]:
-    """States reachable from target-avoiding seeds via target-avoiding states.
-
-    This is the live-exploration arena: any play confined to it keeps the
-    target unvisited from round 0 onwards.
-    """
-    allowed = {seed for seed in seeds if target not in seed[0]}
-    stack = list(allowed)
-    while stack:
-        state = stack.pop()
-        for _label, succ in graph[state]:
-            if succ not in allowed and target not in succ[0]:
-                allowed.add(succ)
-                stack.append(succ)
-    return allowed
-
-
 @dataclass
 class _CsrGraph:
     """The canonical CSR form of a reachable packed graph.
@@ -446,11 +349,11 @@ class _CsrGraph:
     label ``labels[t]`` and successor *index* ``succs[t]``, in the
     kernel's per-state move order. ``occ`` is the occupied-node bitmask
     per state index and ``seeds`` the seed indices in first-occurrence
-    order. Both solver backends normalize to this exact shape, which is
-    what makes their certificates bit-identical. The packed backend
-    holds the five per-state/per-transition fields as Python lists, the
-    vector backend as int64 arrays (``seeds`` is a list either way); the
-    solve helpers pick their plain-Python or NumPy form by
+    order. All three solver backends normalize to this exact shape, which
+    is what makes their certificates bit-identical. The object and packed
+    backends hold the five per-state/per-transition fields as Python
+    lists, the vector backend as int64 arrays (``seeds`` is a list either
+    way); the solve helpers pick their plain-Python or NumPy form by
     :attr:`on_numpy`, and only a certificate asks for :meth:`as_lists`.
     """
 
@@ -532,6 +435,35 @@ def _csr_from_packed(
     )
 
 
+def _csr_from_object(
+    kernel: PackedKernel,
+    graph: dict[SysState, list[Transition]],
+    seeds: Sequence[SysState],
+) -> _CsrGraph:
+    """Canonicalize an object-backend graph into the same CSR arrays.
+
+    Each state is packed with the kernel's encoding and each label
+    becomes its bitmask (under SSYNC the activated robots sit at
+    ``act_shift``), so the engine-stepped graph enters the solve phase in
+    exactly the form the packed kernel builds.
+    """
+    code = {state: kernel.encode(state) for state in graph}
+    ssync = kernel.scheduler == "ssync"
+    packed: dict[PackedState, list[PackedTransition]] = {}
+    for state, out in graph.items():
+        transitions = packed[code[state]] = []
+        for label, succ in out:
+            if ssync:
+                present, active = label
+                act = sum(1 << robot for robot in active)
+                mask = kernel.edges_to_mask(present) | act << kernel.act_shift
+            else:
+                mask = kernel.edges_to_mask(label)
+            transitions.append((mask, code[succ]))
+    occupied = {state: kernel.occupied_mask(state) for state in packed}
+    return _csr_from_packed(packed, occupied, [code[seed] for seed in seeds])
+
+
 def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
     """Whether a packed state set is closed under ring rotation.
 
@@ -562,9 +494,11 @@ def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
 
 
 def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> Sequence[bool]:
-    """CSR twin of :func:`_avoid_reachable`: membership flags per index.
+    """States reachable from target-avoiding seeds via target-avoiding states.
 
-    A list of bools on the packed backend; on the vector backend a
+    This is the live-exploration arena: any play confined to it keeps the
+    target unvisited from round 0 onwards. Returns membership flags per
+    state index: a list of bools on list CSRs, on the vector backend a
     boolean array from a level-synchronous NumPy BFS.
     """
     if csr.on_numpy:
@@ -588,122 +522,6 @@ def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> Sequence[bool]:
                 allowed[succ] = True
                 stack.append(succ)
     return allowed
-
-
-def _winning_scc(
-    topology: Topology,
-    graph: dict[SysState, list[tuple]],
-    target: NodeId,
-    allowed: Optional[set[SysState]],
-    scheduler: str,
-    k: int,
-) -> Optional[tuple[set[SysState], list[_InternalTransition]]]:
-    """Find an SCC of the target-avoiding subgraph within recurrence budget.
-
-    ``allowed`` (live property) further restricts the arena to the states
-    reachable while avoiding the target from round 0. Under SSYNC a
-    winning SCC must also activate every robot across its internal
-    transitions — otherwise no fair play can stay inside it forever.
-    ``scheduler`` and ``k`` are deliberately required: defaulting either
-    would let a caller disarm the fairness check silently (an empty
-    ``all_robots`` rejects every SCC — a false EXPLORES).
-    """
-    budget = 1 if topology.is_ring else 0
-    ssync = scheduler == "ssync"
-    all_robots: frozenset[RobotId] = frozenset(range(k))
-    if allowed is not None:
-        avoiding = allowed
-    else:
-        avoiding = {state for state in graph if target not in state[0]}
-    if not avoiding:
-        return None
-
-    successor_cache: dict[SysState, tuple[SysState, ...]] = {}
-
-    def successors(state: SysState) -> tuple[SysState, ...]:
-        cached = successor_cache.get(state)
-        if cached is None:
-            cached = tuple(
-                {succ for _label, succ in graph[state] if succ in avoiding}
-            )
-            successor_cache[state] = cached
-        return cached
-
-    for component in _tarjan_sccs(avoiding, successors):
-        component_set = set(component)
-        internal: list[_InternalTransition] = []
-        union: set[EdgeId] = set()
-        act_union: set[RobotId] = set()
-        for state in component:
-            for label, succ in graph[state]:
-                if succ in component_set:
-                    internal.append((state, label, succ))
-                    if ssync:
-                        union.update(label[0])
-                        act_union.update(label[1])
-                    else:
-                        union.update(label)
-        if not internal:
-            continue
-        missing = topology.all_edges - union
-        if len(missing) > budget:
-            continue
-        if ssync and act_union != all_robots:
-            continue
-        return component_set, internal
-    return None
-
-
-def _tarjan_sccs(
-    nodes: Iterable[SysState],
-    successors,
-) -> Iterable[list[SysState]]:
-    """Iterative Tarjan strongly-connected components."""
-    index: dict[SysState, int] = {}
-    low: dict[SysState, int] = {}
-    on_stack: set[SysState] = set()
-    stack: list[SysState] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[SysState, Iterable]] = [(root, iter(successors(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, child_iter = work[-1]
-            advanced = False
-            for child in child_iter:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors(child))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    if index[child] < low[node]:
-                        low[node] = index[child]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                yield component
 
 
 def _arena(csr: _CsrGraph, avoiding: Sequence[bool]) -> _Arena:
@@ -751,7 +569,7 @@ def _winning_scc_csr(
     target: NodeId,
     allowed: Optional[Sequence[bool]] = None,
 ) -> Optional[tuple[set[int], list[_CsrInternal]]]:
-    """CSR twin of :func:`_winning_scc`, shared by packed and vector.
+    """Find an SCC of the target-avoiding subgraph within recurrence budget.
 
     The target-avoiding arena (``allowed``, for the live property) is
     first reduced to its deduplicated successor CSR (:class:`_Arena`).
@@ -760,7 +578,7 @@ def _winning_scc_csr(
     SSYNC the same OR accumulates the activation bits, making the
     fairness check one shift and compare. Tarjan runs iteratively with
     roots in ascending state order and successors in kernel move order —
-    fully deterministic, so both backends emit the same SCC first. A
+    fully deterministic, so every backend emits the same SCC first. A
     visited node that already belongs to a component carries an index
     above every low-link (it stands in for an on-stack flag), and that
     index doubles as the component's membership tag. Only the winner's
@@ -873,7 +691,7 @@ def _extract_certificate_csr(
     internal: list[_CsrInternal],
     restrict: Optional[list[bool]] = None,
 ) -> TrapCertificate:
-    """CSR twin of :func:`_extract_certificate`, shared by packed/vector.
+    """Build the lasso certificate for a winning SCC.
 
     The lasso (BFS prefix into the SCC, greedy cover of the recurrent
     edge union, connecting internal walks) is built entirely on flat
@@ -1006,158 +824,6 @@ def _extract_certificate_csr(
         cycle=tuple(kernel.move_edges(mask) for mask in cycle_masks),
         starved_node=target,
         eventually_missing=kernel.mask_to_edges(missing_mask),
-        prefix_activations=prefix_activations,
-        cycle_activations=cycle_activations,
-    )
-
-
-def _extract_certificate(
-    topology: Topology,
-    algorithm: Algorithm,
-    chiralities: tuple[Chirality, ...],
-    graph: dict[SysState, list[tuple]],
-    seeds: Sequence[SysState],
-    target: NodeId,
-    scc_states: set[SysState],
-    internal: list[_InternalTransition],
-    restrict: Optional[set[SysState]] = None,
-    scheduler: str = "fsync",
-) -> TrapCertificate:
-    """Build the lasso certificate for a winning SCC.
-
-    Under SSYNC each label is a ``(present-edges, activated-robots)``
-    pair; the greedy cover then runs over the disjoint union of both
-    parts, so the exhibited cycle both realizes the SCC's recurrent edge
-    set and activates every robot of its activation union (fairness).
-    """
-    ssync = scheduler == "ssync"
-
-    def cover_set(label) -> frozenset:
-        if ssync:
-            present, active = label
-            return present | {("act", robot) for robot in active}
-        return label
-    # --- prefix: BFS from the seeds into the SCC (within ``restrict``,
-    # the target-avoiding arena, when the property demands it) -----------
-    parent: dict[SysState, Optional[tuple[SysState, frozenset[EdgeId]]]] = {}
-    queue: deque[SysState] = deque()
-    entry: Optional[SysState] = None
-    for seed in seeds:
-        if seed in parent or (restrict is not None and seed not in restrict):
-            continue
-        parent[seed] = None
-        queue.append(seed)
-        if seed in scc_states:
-            entry = seed
-            break
-    while queue and entry is None:
-        state = queue.popleft()
-        for label, succ in graph[state]:
-            if succ in parent:
-                continue
-            if restrict is not None and succ not in restrict:
-                continue
-            parent[succ] = (state, label)
-            if succ in scc_states:
-                entry = succ
-                break
-            queue.append(succ)
-    if entry is None:  # pragma: no cover - SCC is reachable by construction
-        raise VerificationError("winning SCC unreachable from seeds")
-
-    prefix: list = []
-    cursor = entry
-    while parent[cursor] is not None:
-        prev, label = parent[cursor]  # type: ignore[misc]
-        prefix.append(label)
-        cursor = prev
-    prefix.reverse()
-    seed_state = cursor
-
-    # --- cycle: closed walk covering the SCC's recurrent edge union
-    # (and, under SSYNC, its activation union) ---------------------------
-    union: set = set()
-    for _state, label, _succ in internal:
-        union.update(cover_set(label))
-    remaining = set(union)
-    cover: list[_InternalTransition] = []
-    pool = list(internal)
-    while remaining:
-        best = max(pool, key=lambda tr: len(cover_set(tr[1]) & remaining))
-        gain = cover_set(best[1]) & remaining
-        if not gain:  # pragma: no cover - remaining ⊆ union by construction
-            raise VerificationError("cover construction stalled")
-        cover.append(best)
-        remaining -= gain
-    if not cover:
-        cover = [internal[0]]
-
-    adjacency: dict[SysState, list[tuple]] = {}
-    for state, label, succ in internal:
-        adjacency.setdefault(state, []).append((label, succ))
-
-    def internal_path(src: SysState, dst: SysState) -> list:
-        """Labels of a shortest internal walk src → dst within the SCC."""
-        if src == dst:
-            return []
-        back: dict[SysState, tuple] = {}
-        bfs: deque[SysState] = deque([src])
-        seen = {src}
-        while bfs:
-            node = bfs.popleft()
-            for label, succ in adjacency.get(node, ()):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                back[succ] = (node, label)
-                if succ == dst:
-                    bfs.clear()
-                    break
-                bfs.append(succ)
-        if dst not in back:  # pragma: no cover - SCC is strongly connected
-            raise VerificationError("SCC internal path missing")
-        labels: list = []
-        node = dst
-        while node != src:
-            prev, label = back[node]
-            labels.append(label)
-            node = prev
-        labels.reverse()
-        return labels
-
-    cycle: list = []
-    cursor = entry
-    for state, label, succ in cover:
-        cycle.extend(internal_path(cursor, state))
-        cycle.append(label)
-        cursor = succ
-    cycle.extend(internal_path(cursor, entry))
-
-    if ssync:
-        prefix_edges = tuple(label[0] for label in prefix)
-        cycle_edges = tuple(label[0] for label in cycle)
-        prefix_activations = tuple(label[1] for label in prefix)
-        cycle_activations = tuple(label[1] for label in cycle)
-    else:
-        prefix_edges = tuple(prefix)
-        cycle_edges = tuple(cycle)
-        prefix_activations = None
-        cycle_activations = None
-
-    realized_union: set[EdgeId] = set()
-    for step in cycle_edges:
-        realized_union.update(step)
-    missing = topology.all_edges - realized_union
-
-    return TrapCertificate(
-        algorithm_name=algorithm.name,
-        topology=topology,
-        chiralities=chiralities,
-        seed_positions=seed_state[0],
-        prefix=prefix_edges,
-        cycle=cycle_edges,
-        starved_node=target,
-        eventually_missing=frozenset(missing),
         prefix_activations=prefix_activations,
         cycle_activations=cycle_activations,
     )

@@ -8,12 +8,16 @@ is computed by :func:`repro.sim.engine.step_fsync` (respectively
 :func:`repro.sim.semi_sync.step_ssync`), the same functions the
 simulators run, so solver and simulator can never disagree on semantics.
 
-Two interchangeable backends compute :meth:`ProductSystem.reachable`: the
+Interchangeable backends compute :meth:`ProductSystem.reachable`: the
 ``object`` path steps ``step_fsync`` per transition (the semantics
 oracle), while the default ``packed`` path runs the allocation-free
-integer kernel of :mod:`repro.verification.kernel` and decodes its graph.
-Both yield the identical labeled transition graph; differential tests
-hold them together.
+integer kernel of :mod:`repro.verification.kernel` (``vector``, its
+NumPy frontier) and decodes its graph. All yield the identical labeled
+transition graph; differential tests hold them together. The game
+solver builds only the object backend's graph here: it packs it with the
+kernel's encoding (:meth:`ProductSystem.kernel`) into the canonical CSR
+form the packed and vector backends build directly, and all three share
+one solve phase (:mod:`repro.verification.game`).
 
 Adversary-move reduction (soundness argument): only edges adjacent to an
 *occupied* node can influence any robot's view or movement. Presenting a

@@ -7,7 +7,8 @@ Three contracts:
   random schedules × tables × schedulers × properties, it tallies
   byte-identically to the scalar packed runner and the object engine
   oracle (including the ``rounds`` work proxy, which the kernel
-  reproduces via post-hoc first-failure accounting).
+  reproduces via post-hoc first-failure accounting). Without NumPy the
+  same tests compare packed against object.
 * **Registry** — one source of backend names shared by the CLI, the
   chunk runners and the campaign runner; on both the simulation and the
   exact-solver path ``auto`` resolves vector → packed by NumPy
@@ -194,22 +195,78 @@ class TestCampaignSolverPath:
             CampaignRunner(ResultStore(tmp_path / "s"), backend="simd")
 
 
-@requires_numpy
+def _assert_backends_agree(spec, chunk) -> None:
+    """Every available simulation backend tallies ``chunk`` identically.
+
+    Without NumPy that is packed == object, so the no-NumPy run keeps
+    the engine-oracle differential.
+    """
+    backends = [b for b in SIMULATION_BACKENDS if b != "vector" or HAVE_NUMPY]
+    tallies = [simulate_chunk(spec, chunk, backend=b) for b in backends]
+    assert all(tally == tallies[0] for tally in tallies[1:]), backends
+
+
+@given(
+    family=st.sampled_from(["bernoulli", "markov"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bits=st.lists(
+        st.integers(min_value=0, max_value=2**16 - 1),
+        min_size=1,
+        max_size=4,
+    ),
+    scheduler=st.sampled_from(["fsync", "ssync"]),
+    prop=st.sampled_from(["perpetual", "live"]),
+)
+@settings(max_examples=25, deadline=None)
+def _random_chunks_agree(
+    family: str, seed: int, bits: list[int], scheduler: str, prop: str
+) -> None:
+    """Hypothesis-drawn schedules × tables × schedulers × properties."""
+    params = (
+        {"p": 0.7}
+        if family == "bernoulli"
+        else {"p_off": 0.3, "p_on": 0.6}
+    )
+    spec = dyn_spec(
+        dynamics=family,
+        dynamics_params=params,
+        dynamics_seed=seed,
+        scheduler=scheduler,
+        prop=prop,
+        horizon=20,
+    )
+    _assert_backends_agree(spec, bits)
+
+
 class TestVectorDifferential:
-    """vector == packed == object on every tally, everywhere."""
+    """vector == packed == object on every tally, everywhere (packed ==
+    object when NumPy is absent): every backend is an execution detail,
+    the invariant that makes campaign records and reports
+    backend-portable."""
 
     @pytest.mark.parametrize("name", _simulation_family_names())
     def test_registered_families_first_chunk_identical(self, name: str) -> None:
+        # Every registered simulation family (both schedulers, both
+        # properties, n up to 6, memory-2 included), first chunk.
         spec = get_scenario(name)
-        chunk = spec.chunks()[0]
-        vector = simulate_chunk(spec, chunk, backend="vector")
-        assert vector == simulate_chunk(spec, chunk, backend="packed")
-        assert vector == simulate_chunk(spec, chunk, backend="object")
+        _assert_backends_agree(spec, spec.chunks()[0])
 
+    def test_registry_spans_both_schedulers(self) -> None:
+        # Guard for the parametrization above: losing a scheduler from
+        # the registered simulation families would silently weaken it.
+        specs = [
+            s for s in iter_scenarios() if s.dynamics != "highly-dynamic"
+        ]
+        assert {s.scheduler for s in specs} == {"fsync", "ssync"}
+        assert any(s.n >= 6 for s in specs)
+        assert any(s.robots.family == "two-m2" for s in specs)
+
+    @requires_numpy
     def test_empty_chunk(self) -> None:
         spec = dyn_spec()
         assert simulate_chunk(spec, [], backend="vector") == (0, 0, [], 0)
 
+    @requires_numpy
     def test_batch_tables_cached_per_instance(self) -> None:
         tables = CompiledTables(
             RingTopology(4),
@@ -218,6 +275,7 @@ class TestVectorDifferential:
         )
         assert tables.batch_tables() is tables.batch_tables()
 
+    @requires_numpy
     def test_mixed_state_counts_rejected(self) -> None:
         topology = RingTopology(4)
         vectors = [(Chirality.AGREE, Chirality.AGREE)]
@@ -231,37 +289,8 @@ class TestVectorDifferential:
                 topology, mixed, vectors, placements, (7, 7), False, "perpetual"
             )
 
-    @given(
-        family=st.sampled_from(["bernoulli", "markov"]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        bits=st.lists(
-            st.integers(min_value=0, max_value=2**16 - 1),
-            min_size=1,
-            max_size=4,
-        ),
-        scheduler=st.sampled_from(["fsync", "ssync"]),
-        prop=st.sampled_from(["perpetual", "live"]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random_schedules_and_tables_agree(
-        self, family: str, seed: int, bits: list[int], scheduler: str, prop: str
-    ) -> None:
-        params = (
-            {"p": 0.7}
-            if family == "bernoulli"
-            else {"p_off": 0.3, "p_on": 0.6}
-        )
-        spec = dyn_spec(
-            dynamics=family,
-            dynamics_params=params,
-            dynamics_seed=seed,
-            scheduler=scheduler,
-            prop=prop,
-            horizon=20,
-        )
-        assert simulate_chunk(spec, bits, backend="vector") == simulate_chunk(
-            spec, bits, backend="packed"
-        )
+    def test_random_schedules_and_tables_agree(self) -> None:
+        _random_chunks_agree()
 
 
 @requires_numpy

@@ -7,8 +7,8 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   Hypothesis-drawn random tables × schedulers × properties × start
   policies, ``sweep_chunk`` tallies byte-identically under ``vector``,
   ``packed`` and ``object``; ``verify_exploration`` additionally emits
-  bit-identical trap certificates under ``vector`` and ``packed`` (the
-  shared canonical-CSR solve phase), all replay-validated.
+  bit-identical trap certificates and counts under all three (the shared
+  canonical-CSR solve phase), all replay-validated.
 * **Table stacks** — the shift-and-mask decoder builds, for every
   family, exactly the tables ``maker(bits).packed_tables()`` builds
   (memory-2 patterns above 2^63 included), out-of-domain patterns raise
@@ -26,8 +26,10 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
 * **Sparse frontier and rotation reduction** — ``reachable_csr`` builds
   the scalar kernel's CSR field for field as int64 arrays (PEF_3+ up to
   n=8, FSYNC and SSYNC, ill-initiated starts, a dense-eligible instance)
-  and raises the same ``max_states`` error; ring rotation is a graph
-  automorphism of every rotation-closed instance; and checking target 0
+  and raises the same ``max_states`` error; so does the object backend's
+  engine-stepped graph once packed (rings and chains, k=1..3, FSYNC and
+  SSYNC, tower placements), as lists and without NumPy; ring rotation is
+  a graph automorphism of every rotation-closed instance; and checking target 0
   alone yields the verdict and certificate of a full all-target scan.
 * **Solve phase** — the NumPy arena, live-arena and rotation helpers
   equal their plain-Python twins field for field, an EXPLORES verdict
@@ -65,7 +67,12 @@ from hypothesis import strategies as st
 from scenario_testlib import make_tiny_scenario
 from repro.cli import main as cli_main
 from repro.errors import AlgorithmError, VerificationError
-from repro.graph.topology import RingTopology, arbitrary_placements
+from repro.graph.topology import (
+    ChainTopology,
+    RingTopology,
+    Topology,
+    arbitrary_placements,
+)
 from repro.robots.algorithms import PEF1, PEF2, PEF3Plus, get_algorithm
 from repro.scenarios import (
     CampaignRunner,
@@ -79,6 +86,7 @@ from repro.verification.certificates import validate_certificate
 from repro.verification.game import (
     _arena,
     _avoid_reachable_csr,
+    _csr_from_object,
     _csr_from_packed,
     _CsrGraph,
     _extract_certificate_csr,
@@ -89,6 +97,7 @@ from repro.verification.game import (
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
+from repro.verification.product import ProductSystem
 from repro.verification.sweeps import (
     family_k,
     family_maker,
@@ -240,10 +249,12 @@ class TestCertificateEquality:
             algorithm, topology, backend="object", **kwargs
         )
         assert vec.explorable == packed.explorable == obj.explorable
-        assert vec.certificate == packed.certificate
-        assert (vec.states_explored, vec.transitions_explored) == (
-            packed.states_explored, packed.transitions_explored
-        )
+        assert vec.certificate == packed.certificate == obj.certificate
+        counts = {
+            (verdict.states_explored, verdict.transitions_explored)
+            for verdict in (vec, packed, obj)
+        }
+        assert len(counts) == 1
         if vec.certificate is not None:
             validate_certificate(vec.certificate, algorithm)
 
@@ -841,12 +852,20 @@ _SPARSE_CASES = [
 ]
 
 
-def _assert_csr_fields(sparse: tuple, reference: _CsrGraph) -> None:
-    """``reachable_csr``'s output equals a list-built CSR, value for value.
+def _assert_csr_fields(sparse, reference: _CsrGraph) -> None:
+    """A CSR built another way equals a list-built one, value for value.
 
-    The five per-state/per-transition fields must be int64 arrays; the
-    seed indices a list.
+    ``reachable_csr``'s tuple must hold its five per-state/per-transition
+    fields as int64 arrays; a :class:`_CsrGraph` canonicalized from the
+    object backend's graph must hold every field as a list. The seed
+    indices are a list either way.
     """
+    if isinstance(sparse, _CsrGraph):
+        for field in ("states", "indptr", "labels", "succs", "occ", "seeds"):
+            value = getattr(sparse, field)
+            assert isinstance(value, list), field
+            assert value == getattr(reference, field), field
+        return
     *arrays, seeds = sparse
     for field, array in zip(("states", "indptr", "labels", "succs", "occ"), arrays):
         assert array.dtype.name == "int64", field
@@ -854,15 +873,54 @@ def _assert_csr_fields(sparse: tuple, reference: _CsrGraph) -> None:
     assert seeds == reference.seeds
 
 
-@requires_numpy
-class TestSparseFrontier:
-    """The NumPy frontier builds the scalar kernel's CSR, field for field."""
+# (topology, algorithm, k, scheduler, tower placements): small instances
+# whose object graph, stepped by the engine, stays cheap to build.
+_OBJECT_CASES = [
+    (RingTopology(4), "pef1", 1, "fsync", False),
+    (RingTopology(5), "single:27", 1, "ssync", True),
+    (ChainTopology(4), "single:180", 1, "fsync", True),
+    (RingTopology(4), "two:91", 2, "ssync", False),
+    (RingTopology(4), "two:7", 2, "fsync", True),
+    (ChainTopology(4), "pef2", 2, "fsync", False),
+    (ChainTopology(4), "two:123", 2, "ssync", True),
+    (RingTopology(4), "pef3+", 3, "fsync", True),
+]
 
+
+class TestSparseFrontier:
+    """The NumPy frontier, and the object backend's graph once packed,
+    build the scalar kernel's CSR, field for field."""
+
+    @requires_numpy
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_matches_scalar_csr(self, case) -> None:
         kernel, seeds, reference = _scalar_csr(*case)
         _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
 
+    @pytest.mark.parametrize(
+        "topology,name,k,scheduler,towers", _OBJECT_CASES,
+        ids=lambda value: repr(value) if isinstance(value, Topology) else None,
+    )
+    def test_object_graph_packs_to_scalar_csr(
+        self, topology, name, k, scheduler, towers
+    ) -> None:
+        placements = arbitrary_placements(topology, k) if towers else None
+        for vector in default_chirality_vectors(k):
+            system = ProductSystem(
+                topology, _algorithm(name), vector, backend="object",
+                scheduler=scheduler,
+            )
+            kernel = system.kernel()
+            seeds = system.initial_states(placements)
+            packed_seeds = kernel.initial_states(placements)
+            occupied: dict = {}
+            graph = kernel.reachable(packed_seeds, occupied_out=occupied)
+            _assert_csr_fields(
+                _csr_from_object(kernel, system.reachable(seeds), seeds),
+                _csr_from_packed(graph, occupied, packed_seeds),
+            )
+
+    @requires_numpy
     @pytest.mark.parametrize("bits,scheduler", [(7, "fsync"), (91, "ssync")])
     def test_matches_scalar_csr_on_dense_eligible_instance(
         self, bits: int, scheduler: str
@@ -878,6 +936,7 @@ class TestSparseFrontier:
         reference = _csr_from_packed(graph, occupied, seeds)
         _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
 
+    @requires_numpy
     def test_no_seeds_give_the_empty_csr(self) -> None:
         kernel, _seeds = _pef3_instance(5, "fsync", 0, False)
         assert kernel.reachable([]) == {}
@@ -885,6 +944,7 @@ class TestSparseFrontier:
             batch_solver.reachable_csr(kernel, []), _csr_from_packed({}, {}, [])
         )
 
+    @requires_numpy
     def test_refuses_labels_beyond_int64(self) -> None:
         # 70 edge bits plus one activation bit do not fit an int64 label.
         kernel = PackedKernel(
@@ -893,6 +953,7 @@ class TestSparseFrontier:
         with pytest.raises(VerificationError, match="overflow int64"):
             batch_solver.reachable_csr(kernel, kernel.initial_states())
 
+    @requires_numpy
     @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
     def test_same_max_states_error(self, scheduler: str) -> None:
         kernel, seeds = _pef3_instance(4, scheduler, 1, False)
@@ -907,6 +968,7 @@ class TestSparseFrontier:
         assert str(sparse.value) == str(scalar.value)
         assert f"exceeds {reached - 1} states" in str(sparse.value)
 
+    @requires_numpy
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_ring_rotation_is_a_graph_automorphism(self, case) -> None:
         # Node v -> v+1, edge e -> e+1: on a rotation-closed state set,
@@ -1084,9 +1146,10 @@ def _reference_winning_scc_csr(kernel, csr, target, allowed=None):
 
 
 def _algorithm(name: str):
-    """A registered algorithm, or ``two:<bits>`` for a two-robot table."""
-    if name.startswith("two:"):
-        return family_maker("two")(int(name[4:]))
+    """A registered algorithm, or ``<family>:<bits>`` for a family table."""
+    family, _, bits = name.partition(":")
+    if bits:
+        return family_maker(family)(int(bits))
     return get_algorithm(name)
 
 

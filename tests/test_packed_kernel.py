@@ -12,14 +12,16 @@ close the triangle in both directions:
   object backend's graph *exactly* (same states, same per-state transition
   order);
 * verdicts — ``verify_exploration`` agrees across backends (explorability,
-  state and transition counts) and packed certificates replay-validate;
+  state and transition counts, the trap certificate itself) and packed
+  certificates replay-validate;
 * sweeps — ``sweep_*_memoryless`` results are identical for every
   (backend, jobs) combination;
 * schedulers — the SSYNC twins of all of the above: packed SSYNC graphs
-  decode identically to the object backend's, SSYNC verdicts agree across
-  backends, SSYNC trap certificates replay through ``run_ssync``, and
-  with one robot the SSYNC game tallies exactly like FSYNC on all 256
-  canonical single-robot tables (all 8 views, both directions).
+  decode identically to the object backend's, SSYNC verdicts and
+  certificates agree across backends, SSYNC trap certificates replay
+  through ``run_ssync``, and with one robot the SSYNC game tallies
+  exactly like FSYNC on all 256 canonical single-robot tables (all 8
+  views, both directions).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 
 import pytest
 
-from repro.errors import VerificationError
+from repro.errors import TopologyError, VerificationError
 from repro.graph.schedules import BernoulliSchedule
 from repro.graph.topology import ChainTopology, RingTopology
 from repro.robots.algorithms import PEF1, PEF2, PEF3Plus, KeepDirection
@@ -42,6 +44,7 @@ from repro.verification.enumeration import (
     sweep_single_robot_memoryless,
     sweep_two_robot_memoryless,
 )
+from repro.verification.backends import SOLVER_BACKENDS, vector_available
 from repro.verification.compiled import CompiledTables
 from repro.verification.game import verify_exploration
 from repro.verification.kernel import PackedKernel
@@ -259,6 +262,17 @@ class TestKernelEncoding:
         with pytest.raises(VerificationError):
             verify_exploration(PEF1(), RingTopology(3), k=1, backend="simd")
 
+    @pytest.mark.parametrize("placement", [(5,), (-1,)])
+    def test_off_footprint_placement_rejected(self, placement) -> None:
+        for backend in SOLVER_BACKENDS:
+            if backend == "vector" and not vector_available():
+                continue
+            with pytest.raises(TopologyError):
+                verify_exploration(
+                    PEF1(), RingTopology(3), k=1, placements=[placement],
+                    backend=backend,
+                )
+
 
 class TestVerdictAgreement:
     @pytest.mark.parametrize(
@@ -278,6 +292,7 @@ class TestVerdictAgreement:
         object_verdict = verify_exploration(algorithm, ring, k=k, backend="object")
         packed_verdict = verify_exploration(algorithm, ring, k=k, backend="packed")
         assert object_verdict.explorable == packed_verdict.explorable
+        assert object_verdict.certificate == packed_verdict.certificate
         assert object_verdict.states_explored == packed_verdict.states_explored
         assert (
             object_verdict.transitions_explored
@@ -303,6 +318,7 @@ class TestVerdictAgreement:
             algorithm, ring, k=k, backend="packed", validate=False
         )
         assert object_verdict.explorable == packed_verdict.explorable
+        assert object_verdict.certificate == packed_verdict.certificate
         assert object_verdict.states_explored == packed_verdict.states_explored
 
     def test_certificates_disabled_still_reports_verdict(self) -> None:
@@ -367,6 +383,7 @@ class TestSsyncScheduler:
             validate=False,
         )
         assert object_verdict.explorable == packed_verdict.explorable
+        assert object_verdict.certificate == packed_verdict.certificate
         assert object_verdict.states_explored == packed_verdict.states_explored
         assert (
             object_verdict.transitions_explored

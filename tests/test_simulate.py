@@ -9,23 +9,22 @@ Covers the two halves of the simulation execution path:
   check's semantics (live vs perpetual, FSYNC vs SSYNC), the
   non-rotation-reduced placement quantifier, the determinism
   contract (same tally for any chunk split — the invariant campaign
-  resume and jobs-independence rest on), and the backend contract:
-  the packed compiled-tables runner and the object engine oracle tally
-  every chunk byte-identically, on every registered simulation family
-  and on Hypothesis-drawn random schedules and tables.
+  resume and jobs-independence rest on). The backend contract (every
+  available backend tallies every chunk byte-identically) lives in
+  ``test_batch.py::TestVectorDifferential``; ``TestBackendAgreement``
+  below keeps its former test names pointing there.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scenario_testlib import make_tiny_dynamics_scenario as dyn_spec
+from test_batch import TestVectorDifferential as _Differential
 from repro.errors import ScenarioError
 from repro.graph import schedules
 from repro.graph.topology import RingTopology
-from repro.scenarios import RobotClassSpec, iter_scenarios
+from repro.scenarios import RobotClassSpec
 from repro.scenarios.dynamics import (
     RANDOMIZED_FAMILIES,
     SCHEDULE_PARAMS,
@@ -265,67 +264,18 @@ class TestScheduleMasks:
             schedule_masks(schedule, -1)
 
 
-def _simulation_family_names() -> list[str]:
-    return [
-        spec.name
-        for spec in iter_scenarios()
-        if spec.dynamics != "highly-dynamic"
-    ]
-
-
 class TestBackendAgreement:
-    """The packed runner is an execution detail: on any chunk it must
-    tally byte-identically to the object engine oracle — the invariant
-    that makes campaign records and reports backend-portable."""
+    """The packed == object differential, folded into
+    ``test_batch.py::TestVectorDifferential`` (which compares every
+    available backend, so it runs without NumPy too). These names run
+    that class's tests, kept so every test id stays stable."""
 
-    @pytest.mark.parametrize("name", _simulation_family_names())
-    def test_registered_families_first_chunk_identical(self, name: str) -> None:
-        # Every registered simulation family (both schedulers, both
-        # properties, n up to 6, memory-2 included), first chunk.
-        spec = next(s for s in iter_scenarios() if s.name == name)
-        chunk = spec.chunks()[0]
-        packed = simulate_chunk(spec, chunk, backend="packed")
-        obj = simulate_chunk(spec, chunk, backend="object")
-        assert packed == obj
-
-    def test_registry_spans_both_schedulers(self) -> None:
-        # Guard for the parametrization above: losing a scheduler from
-        # the registered simulation families would silently weaken it.
-        specs = [
-            s for s in iter_scenarios() if s.dynamics != "highly-dynamic"
-        ]
-        assert {s.scheduler for s in specs} == {"fsync", "ssync"}
-        assert any(s.n >= 6 for s in specs)
-        assert any(s.robots.family == "two-m2" for s in specs)
-
-    @given(
-        family=st.sampled_from(["bernoulli", "markov"]),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        bits=st.lists(
-            st.integers(min_value=0, max_value=2**16 - 1),
-            min_size=1,
-            max_size=3,
-        ),
-        scheduler=st.sampled_from(["fsync", "ssync"]),
-        prop=st.sampled_from(["perpetual", "live"]),
+    test_registered_families_first_chunk_identical = (
+        _Differential.test_registered_families_first_chunk_identical
     )
-    @settings(max_examples=25, deadline=None)
-    def test_random_schedules_and_tables_agree(
-        self, family: str, seed: int, bits: list[int], scheduler: str, prop: str
-    ) -> None:
-        params = (
-            {"p": 0.7}
-            if family == "bernoulli"
-            else {"p_off": 0.3, "p_on": 0.6}
-        )
-        spec = dyn_spec(
-            dynamics=family,
-            dynamics_params=params,
-            dynamics_seed=seed,
-            scheduler=scheduler,
-            prop=prop,
-            horizon=20,
-        )
-        assert simulate_chunk(spec, bits, backend="packed") == simulate_chunk(
-            spec, bits, backend="object"
-        )
+    test_registry_spans_both_schedulers = (
+        _Differential.test_registry_spans_both_schedulers
+    )
+    test_random_schedules_and_tables_agree = (
+        _Differential.test_random_schedules_and_tables_agree
+    )
