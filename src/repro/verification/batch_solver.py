@@ -53,17 +53,18 @@ The dense tensors stop paying off past a few thousand states
 (:func:`dense_eligible`), and the paper's own positive algorithm leaves
 that range early: ``PEF_3+`` at k=3 has ``base^k = 32768`` at n=8, 61%
 of it reachable. Single instances of any size take the **frontier**
-path instead — :func:`reachable_csr`, a level-synchronous int64 BFS over
-the *reached* states only. Per level it decodes the frontier's slots,
-gathers the valid adversary moves of every frontier state out of a
-padded move table (spanning only occupancies with popcount ``≤ k``),
-resolves all their successors at once, deduplicates against the visited
-set with ``np.unique``/``np.isin`` and keeps the level's transition
-rows; one final permutation yields the per-table CSR as
-int64 arrays — states ascending, per-state transitions in the scalar
-kernel's move order, the *same* canonical graph the packed backend
-builds from ``PackedKernel.reachable`` — so vector and packed verdicts
-and certificates are bit-identical by construction. It feeds the shared
+path instead — :func:`reachable_csr`, a level-synchronous BFS over the
+*reached* states only. Per level it decodes the frontier's slots and, in
+row slices of bounded size, gathers the valid adversary moves of every
+frontier state out of a move CSR (spanning only occupancies with
+popcount ``≤ k``), resolves all their successors at once, finds the new
+ones against the ascending visited array and keeps the slice's
+transitions narrow: labels as narrow as their bits, successors as int32
+discovery ids. One final scatter yields the per-table CSR — states
+ascending, per-state transitions in the scalar kernel's move order, the
+*same* canonical graph the packed backend builds from
+``PackedKernel.reachable`` — so vector and packed verdicts and
+certificates are bit-identical by construction. It feeds the shared
 solve phase in :mod:`repro.verification.game` (``verify`` and the
 certificate path of validated sweeps), which stays on the arrays: the
 NumPy kernels at the end of this module check rotation closure
@@ -117,6 +118,17 @@ _BITS = 64
 #: bits) for the int64 frontier.
 _INT64_BOUND = 1 << 62
 
+#: Offsets and indices below this bound are stored as int32.
+_INDEX_BOUND = 1 << 31
+
+#: Transitions per build slice: :func:`reachable_csr` expands each
+#: frontier level, and :func:`arena_csr` deduplicates an arena's pairs,
+#: at most this many transitions at a time (one longer row excepted), so
+#: their int64 temporaries stay bounded whatever the graph's size. No
+#: level of ``verify pef3+ --n 8 --k 3`` (152k transitions at most) is
+#: large enough to be sliced.
+_SLICE_TRANSITIONS = 1 << 18
+
 _space_cache: dict = {}
 _frontier_cache: dict = {}
 
@@ -124,6 +136,32 @@ _frontier_cache: dict = {}
 def _word_count(count: int) -> int:
     """uint64 words per bit-row over ``count`` ids."""
     return (count + _BITS - 1) // _BITS
+
+
+def _label_bits(kernel: PackedKernel) -> int:
+    """Bits of a full transition label: the edge bits, then (SSYNC) one
+    activation bit per robot."""
+    if kernel.scheduler == "ssync":
+        return kernel.act_shift + kernel.k
+    return kernel.m
+
+
+def _value_dtype(bits: int) -> "object":
+    """The narrowest signed integer dtype that holds every ``bits``-bit
+    value (``0 .. 2**bits - 1``) — labels and occupied-node masks."""
+    np = require_numpy()
+    for dtype in (np.int8, np.int16, np.int32):
+        if bits < np.iinfo(dtype).bits:
+            return dtype
+    return np.int64
+
+
+def _index_dtype(top: int) -> "object":
+    """int32 for indices and offsets up to ``top`` when they fit below
+    :data:`_INDEX_BOUND`, int64 otherwise (SSYNC at k=4 can pass 2^31
+    transitions)."""
+    np = require_numpy()
+    return np.int32 if top < _INDEX_BOUND else np.int64
 
 
 def _branch_bound(kernel: PackedKernel) -> int:
@@ -186,10 +224,7 @@ class DenseSpace:
             occ |= bit
         self.occ = occ
 
-        moves_pad, mcount = kernel.padded_moves(occ.tolist())
-        self.moves_pad = moves_pad
-        self.mcount = mcount
-        self.max_moves = moves_pad.shape[1]
+        moves_pad = kernel.padded_moves(occ.tolist())
 
         # Per robot ``(view, moved0, flip, step, idle)``, all
         # table-independent: the full view row (state row + multiplicity
@@ -232,11 +267,7 @@ class DenseSpace:
 
         # Narrowest integer dtype that holds a full transition label —
         # the label-union reductions are the solve loop's biggest tensors.
-        label_bits = self.act_shift + k if self.scheduler == "ssync" else self.m
-        label_dtype = (
-            np.int16 if label_bits < 15 else
-            np.int32 if label_bits < 31 else np.int64
-        )
+        label_dtype = _value_dtype(_label_bits(kernel))
         if self.scheduler == "ssync":
             acts = np.arange(1, self.full_act + 1, dtype=np.int64)
             self.labels = (
@@ -244,10 +275,8 @@ class DenseSpace:
                 .reshape(space, -1)
                 .astype(label_dtype)
             )
-            self.deg = mcount * self.full_act
         else:
             self.labels = moves_pad.astype(label_dtype)
-            self.deg = mcount
         self.branch = self.labels.shape[1]
         self.pop = np.array(
             [bin(x).count("1") for x in range(1 << self.m)], dtype=np.int64
@@ -757,26 +786,44 @@ def _csr_rows(indptr: "object", rows: "object") -> "object":
     return np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
 
 
+def _row_slices(deg: "object") -> "object":
+    """Cut rows with ``deg`` transitions each into consecutive ``(lo, hi)``
+    slices of at most :data:`_SLICE_TRANSITIONS` transitions (a longer
+    row gets a slice of its own)."""
+    np = require_numpy()
+    ends = np.cumsum(deg)
+    lo = 0
+    while lo < deg.size:
+        budget = ends[lo] - deg[lo] + _SLICE_TRANSITIONS
+        hi = max(lo + 1, int(np.searchsorted(ends, budget, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def _expand_frontier(
     kernel: PackedKernel, tables: tuple, steps: "object", frontier: "object"
-) -> tuple:
+) -> "object":
     """Every transition of a frontier of packed states, in kernel order.
 
     ``steps[view]`` is the Look–Compute table folded with the direction
-    bit of the computed state (``new_state · 2 + dir_bit``). Returns
-    ``(succ, labels, deg, occ)``: the flat successor and label arrays
-    (per state, moves in :meth:`PackedKernel.moves_for_occupied` order;
-    under SSYNC each move crossed with activation masks ``1..full_act``
-    ascending), the per-state transition count and the occupied-node
-    masks. Only valid moves are expanded — one flat row per (state,
-    move) pair, gathered out of the move CSR — and per robot three
-    gathers resolve view, computed state and landing node for all of
-    them at once.
+    bit of the computed state (``new_state · 2 + dir_bit``). Yields one
+    ``(deg, occ, succ, labels)`` record per row slice
+    (:func:`_row_slices`), slices in frontier order: the slice's
+    per-state transition counts and occupied-node masks, then its flat
+    successor and label arrays (per state, moves in
+    :meth:`PackedKernel.moves_for_occupied` order; under SSYNC each move
+    crossed with activation masks ``1..full_act`` ascending). The
+    frontier is decoded once; per slice only valid moves are expanded —
+    one flat row per (state, move) pair, gathered out of the move CSR —
+    and per robot three gathers resolve view, computed state and landing
+    node for all of them at once.
     """
     np = require_numpy()
     occ_keys, move_ptr, moves, robots = tables
     base, S = kernel._base, kernel.state_count
-    slots, pos = [], []
+    ssync = kernel.scheduler == "ssync"
+    acts = np.arange(1, kernel.full_act + 1, dtype=np.int64) << kernel.act_shift
+    slots, pos, views = [], [], []
     rest = frontier
     for _ in range(kernel.k):
         slot = rest % base
@@ -789,61 +836,81 @@ def _expand_frontier(
         bit = np.left_shift(1, p)
         towers |= occ & bit
         occ |= bit
+    for i in range(kernel.k):
+        views.append((slots[i] % S) * 8 + ((towers >> pos[i]) & 1))
     row = np.searchsorted(occ_keys, occ)
     count = move_ptr[row + 1] - move_ptr[row]
-    owner = np.repeat(np.arange(frontier.size), count)
-    move_at = _csr_rows(move_ptr, row)
-    labels = moves[move_at]
-    cell = move_at * kernel.n
-    active = []
-    for i, (view_bits, landing) in enumerate(robots):
-        here = cell + pos[i][owner]
-        own_view = (slots[i] % S) * 8 + ((towers >> pos[i]) & 1)
-        step = steps[own_view[owner] + view_bits[here]]
-        active.append(landing[2 * here + (step & 1)] * S + (step >> 1))
-    if kernel.scheduler != "ssync":
-        succ = active[-1]
-        for i in range(kernel.k - 2, -1, -1):
-            succ = succ * base + active[i]
-        return succ, labels, count, occ
-    parts = []
-    for act in range(1, kernel.full_act + 1):
-        succ = None
-        for i in range(kernel.k - 1, -1, -1):
-            part = active[i] if act >> i & 1 else slots[i][owner]
-            succ = part if succ is None else succ * base + part
-        parts.append(succ)
-    acts = np.arange(1, kernel.full_act + 1, dtype=np.int64) << kernel.act_shift
-    return (
-        np.stack(parts, axis=-1).reshape(-1),
-        (labels[:, None] | acts).reshape(-1),
-        count * kernel.full_act,
-        occ,
-    )
+    deg = count * kernel.full_act if ssync else count
+    for lo, hi in _row_slices(deg):
+        owner = np.repeat(np.arange(hi - lo), count[lo:hi])
+        move_at = _csr_rows(move_ptr, row[lo:hi])
+        labels = moves[move_at]
+        cell = move_at * kernel.n
+        active = []
+        for i, (view_bits, landing) in enumerate(robots):
+            here = cell + pos[i][lo:hi][owner]
+            step = steps[views[i][lo:hi][owner] + view_bits[here]]
+            here *= 2
+            here += step & 1
+            slot = landing[here]
+            slot *= S
+            step >>= 1
+            slot += step
+            active.append(slot)
+        del cell, here, step
+        if not ssync:
+            succ = active.pop()
+            while active:
+                succ *= base
+                succ += active.pop()
+            yield deg[lo:hi], occ[lo:hi], succ, labels
+            continue
+        parts = []
+        for act in range(1, kernel.full_act + 1):
+            succ = None
+            for i in range(kernel.k - 1, -1, -1):
+                part = active[i] if act >> i & 1 else slots[i][lo:hi][owner]
+                succ = part if succ is None else succ * base + part
+            parts.append(succ)
+        yield (
+            deg[lo:hi],
+            occ[lo:hi],
+            np.stack(parts, axis=-1).reshape(-1),
+            (labels[:, None] | acts).reshape(-1),
+        )
 
 
 def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     """One table's reachable graph in canonical CSR form, in NumPy.
 
-    A level-synchronous int64 frontier over the reached states only, so
-    it serves any instance whose packed states fit in int64 — no dense
-    ``base^k`` materialization. Each level expands the whole frontier at
-    once (:func:`_expand_frontier`), deduplicates the successors against
-    the visited set (``np.unique`` + ``np.isin``) and keeps its
-    transition rows; the levels are then permuted into ascending state
-    order without a second traversal.
+    A level-synchronous frontier over the reached states only, so it
+    serves any instance whose packed states fit in int64 — no dense
+    ``base^k`` materialization. Each level is expanded in row slices
+    (:func:`_expand_frontier`). Per slice, the successors not reached yet
+    are inserted into the ascending ``visited`` array and get the next
+    *discovery ids* (the order in which the frontiers list them), every
+    successor is mapped to its id, and the slice is kept in its narrow
+    form: labels, successor ids, counts, occupied masks. The packed int64
+    successors are dropped as soon as they are mapped. Once the frontier
+    is empty, ``visited`` is the canonical state order, and each kept
+    slice is scattered into its rows of the canonical CSR, ids renumbered
+    to canonical indices, and freed.
 
-    Returns ``(states, indptr, labels, succs, occ, seed_idx)``: five
-    int64 arrays — reached packed states ascending, per-state
-    transitions in the scalar kernel's move order (SSYNC mask-major /
-    activation-minor), occupied-node bitmask per state — and the seed
-    indices in first-occurrence order as a list. Value for value this is
-    the CSR the packed backend builds from ``PackedKernel.reachable``,
-    so the shared solve phase in :mod:`repro.verification.game` produces
-    bit-identical verdicts and certificates; it keeps the arrays and
-    converts to Python only what its Tarjan or a certificate walks.
-    Raises :class:`VerificationError` on the same ``max_states``
-    overflow the scalar path reports.
+    Returns ``(states, indptr, labels, succs, occ, seed_idx)``:
+    ``states`` the reached packed states ascending (int64); ``indptr``
+    and ``succs`` int32, or int64 when the transition or state count
+    does not fit (:func:`_index_dtype`); per-state transitions in the
+    scalar kernel's move order (SSYNC mask-major / activation-minor);
+    ``labels`` and the per-state occupied-node masks ``occ`` in the
+    narrowest dtype that holds their bits (:func:`_value_dtype`); and the
+    seed indices in first-occurrence order as a list. Value for value
+    this is the CSR the packed backend builds from
+    ``PackedKernel.reachable``, so the shared solve phase in
+    :mod:`repro.verification.game` produces bit-identical verdicts and
+    certificates; it keeps the arrays and converts to Python only what
+    its Tarjan walks and single rows a certificate reads. Raises
+    :class:`VerificationError` on the same ``max_states`` overflow the
+    scalar path reports.
     """
     np = require_numpy()
     if (
@@ -855,51 +922,86 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
             f"{kernel.topology!r} with k={kernel.k} overflow int64; "
             "use backend='packed'"
         )
+    label_type = _value_dtype(_label_bits(kernel))
+    occ_type = _value_dtype(kernel.n)
     tables = _frontier_tables(kernel)
     trans, dirs, _initial = kernel.batch_tables()
     steps = trans * 2 + dirs[trans]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
     if not seed_array.size:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros(1, dtype=np.int64), empty, empty, empty, []
+        return (
+            np.zeros(0, dtype=np.int64),
+            np.zeros(1, dtype=_index_dtype(0)),
+            np.zeros(0, dtype=label_type),
+            np.zeros(0, dtype=_index_dtype(0)),
+            np.zeros(0, dtype=occ_type),
+            [],
+        )
+    id_type = _index_dtype(kernel.max_states)
     visited = np.unique(seed_array)
+    ids = np.arange(visited.size, dtype=id_type)  # discovery id per state
     frontier = visited
-    levels = []
+    kept = []
     while frontier.size:
-        level = _expand_frontier(kernel, tables, steps, frontier)
-        levels.append((frontier,) + level)
-        fresh = np.unique(level[0])
-        fresh = fresh[~np.isin(fresh, visited, assume_unique=True)]
-        if fresh.size and visited.size + fresh.size > kernel.max_states:
-            raise VerificationError(
-                f"reachable state space exceeds {kernel.max_states} states "
-                f"for {kernel.algorithm.name!r} on {kernel.topology!r}"
-            )
-        visited = np.concatenate([visited, fresh])
-        visited.sort()
-        frontier = fresh
-    # Levels → canonical order: sort the reached states, then gather each
-    # state's contiguous transition run from its level's rows.
-    states, succ, labels, deg, occ = (
-        np.concatenate([level[part] for level in levels]) for part in range(5)
-    )
-    del levels
-    starts = np.cumsum(deg) - deg
-    order = np.argsort(states)
-    deg = deg[order]
-    indptr = np.zeros(deg.size + 1, dtype=np.int64)
+        fresh = []
+        for deg, occ, succ, labels in _expand_frontier(
+            kernel, tables, steps, frontier
+        ):
+            at = np.minimum(np.searchsorted(visited, succ), visited.size - 1)
+            miss = visited[at] != succ
+            succ_ids = ids[at]
+            if miss.any():
+                unseen = succ[miss]
+                new = np.unique(unseen)
+                if visited.size + new.size > kernel.max_states:
+                    raise VerificationError(
+                        f"reachable state space exceeds {kernel.max_states} "
+                        f"states for {kernel.algorithm.name!r} on "
+                        f"{kernel.topology!r}"
+                    )
+                succ_ids[miss] = np.searchsorted(new, unseen) + visited.size
+                reached = np.arange(
+                    visited.size, visited.size + new.size, dtype=id_type
+                )
+                at = np.searchsorted(visited, new)
+                visited = np.insert(visited, at, new)
+                ids = np.insert(ids, at, reached)
+                fresh.append(new)
+            kept.append((
+                deg.astype(id_type),
+                occ.astype(occ_type),
+                labels.astype(label_type),
+                succ_ids,
+            ))
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    # Discovery order → canonical order: ``ids[i]`` is the discovery id
+    # of the i-th smallest state, ``rank`` its inverse.
+    states = visited
+    rank = np.empty(states.size, dtype=id_type)
+    rank[ids] = np.arange(states.size, dtype=id_type)
+    deg = np.concatenate([part[0] for part in kept])[ids]
+    occ = np.concatenate([part[1] for part in kept])[ids]
+    total = int(deg.sum())
+    indptr = np.zeros(states.size + 1, dtype=_index_dtype(total))
     np.cumsum(deg, out=indptr[1:])
-    gather = np.repeat(starts[order] - indptr[:-1], deg) + np.arange(indptr[-1])
-    states = states[order]
+    del deg, ids
+    labels = np.empty(total, dtype=label_type)
+    succs = np.empty(total, dtype=_index_dtype(states.size))
+    first = 0
+    for i, (part_deg, _occ, part_labels, part_succ) in enumerate(kept):
+        kept[i] = None
+        rows = rank[first : first + part_deg.size]
+        first += part_deg.size
+        dest = _csr_rows(indptr, rows)
+        labels[dest] = part_labels
+        succs[dest] = rank[part_succ]
     seed_idx: list[int] = []
     seen: set[int] = set()
     for idx in np.searchsorted(states, seed_array).tolist():
         if idx not in seen:
             seen.add(idx)
             seed_idx.append(idx)
-    labels = labels[gather]
-    succs = np.searchsorted(states, succ[gather])
-    return states, indptr, labels, succs, occ[order], seed_idx
+    return states, indptr, labels, succs, occ, seed_idx
 
 
 # ----------------------------------------------------------------------
@@ -952,36 +1054,49 @@ def arena_csr(
     """The deduplicated successor CSR of an arena, as Python lists.
 
     The NumPy builder of :class:`repro.verification.game._Arena`:
-    ``avoiding`` flags the arena's states; their transitions to arena
-    states are keyed ``src · N + dst``, grouped by a stable sort (one
-    group per distinct pair), their labels OR-reduced per group
-    (``np.bitwise_or.reduceat``) and the groups put back in the order of
-    their first transition — per source, successors in first-occurrence
-    move order, exactly as the Python builder emits them. Only this
-    arena-sized result is converted to lists, for the Tarjan walk.
+    ``avoiding`` flags the arena's states, which get int32 node ids.
+    Their transitions to arena states are keyed ``src · size + dst``
+    (int64), grouped by a stable sort (one group per distinct pair),
+    their labels OR-reduced per group (``np.bitwise_or.reduceat``) and
+    the groups put back in the order of their first transition — per
+    source, successors in first-occurrence move order, exactly as the
+    Python builder emits them. A pair never spans two sources, so the
+    sources are processed in row slices (:func:`_row_slices`) and the
+    slices' pairs concatenated. Only this arena-sized result is
+    converted to lists, for the Tarjan walk.
     """
     np = require_numpy()
     states = np.flatnonzero(avoiding)
     size = states.size
-    node = np.full(avoiding.size, -1, dtype=np.int64)
-    node[states] = np.arange(size)
-    src = np.repeat(node, np.diff(indptr))
-    dst = node[succs]
-    keep = (src >= 0) & (dst >= 0)
-    key = src[keep] * size + dst[keep]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    head = np.flatnonzero(np.diff(key, prepend=-1))
-    pair_label = np.bitwise_or.reduceat(labels[keep][order], head)
-    emit = np.argsort(order[head])
-    key = key[head][emit]
+    node_type = _index_dtype(size)
+    node = np.full(avoiding.size, -1, dtype=node_type)
+    node[states] = np.arange(size, dtype=node_type)
+    deg = indptr[states + 1] - indptr[states]
+    counts, nxt, pair_labels = [], [], []
+    for lo, hi in _row_slices(deg):
+        at = _csr_rows(indptr, states[lo:hi])
+        dst = node[succs[at]]
+        keep = dst >= 0
+        src = np.repeat(np.arange(hi - lo, dtype=np.int64), deg[lo:hi])
+        key = src[keep] * size + dst[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        pair_label = np.bitwise_or.reduceat(labels[at[keep][order]], head)
+        emit = np.argsort(order[head])
+        key = key[head][emit]
+        counts.append(np.bincount(key // size, minlength=hi - lo))
+        nxt.append(key % size)
+        pair_labels.append(pair_label[emit])
+    if not size:
+        return [], [0], [], []
     ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // size, minlength=size), out=ptr[1:])
+    np.cumsum(np.concatenate(counts), out=ptr[1:])
     return (
         states.tolist(),
         ptr.tolist(),
-        (key % size).tolist(),
-        pair_label[emit].tolist(),
+        np.concatenate(nxt).tolist(),
+        np.concatenate(pair_labels).tolist(),
     )
 
 

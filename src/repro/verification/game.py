@@ -66,11 +66,13 @@ distinct (state, successor) pair, its label the OR of every transition
 between them — and one iterative Tarjan walks that, stopping at the
 first winning component; only the winner's internal transitions are
 listed, from the full CSR, for the certificate. The vector backend keeps
-the CSR as int64 NumPy arrays throughout: rotation closure, the live
-arena and the deduplication run in NumPy, and Python lists are built
-only for the arena Tarjan walks and, once a trap is found, for the
-certificate. Verdicts, counts and certificates are bit-identical across
-the three backends.
+the CSR as narrow NumPy arrays throughout — int32 offsets and successor
+indices (int64 past 2^31), labels and occupied masks in the narrowest
+dtype that holds their bits — and holds one chirality vector's graph at
+a time. Rotation closure, the live arena and the deduplication run in
+NumPy; Python lists are built only for the arena the Tarjan walks, and a
+certificate reads the rows it visits one at a time. Verdicts, counts and
+certificates are bit-identical across the three backends.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
 (prefix + cycle lasso; under SSYNC with per-step activation sets), which
@@ -239,26 +241,10 @@ def verify_exploration(
     total_states = 0
     total_transitions = 0
     for vector in vectors:
-        if backend == "object":
-            system = ProductSystem(
-                topology, algorithm, vector, max_states=max_states,
-                backend="object", scheduler=scheduler,
-            )
-            kernel = system.kernel()
-            seeds = system.initial_states(placements)
-            csr = _csr_from_object(kernel, system.reachable(seeds), seeds)
-        else:
-            kernel = PackedKernel(
-                topology, algorithm, vector, max_states=max_states,
-                scheduler=scheduler,
-            )
-            packed_seeds = kernel.initial_states(placements)
-            if backend == "vector":
-                csr = _CsrGraph(*batch_solver.reachable_csr(kernel, packed_seeds))
-            else:
-                occupied: dict[PackedState, int] = {}
-                graph = kernel.reachable(packed_seeds, occupied_out=occupied)
-                csr = _csr_from_packed(graph, occupied, packed_seeds)
+        kernel, csr = _build_csr(
+            backend, topology, algorithm, vector, max_states, placements,
+            scheduler,
+        )
         total_states += len(csr.states)
         total_transitions += len(csr.labels)
         targets = topology.nodes
@@ -282,8 +268,8 @@ def verify_exploration(
                 if allowed is not None and csr.on_numpy:
                     allowed = allowed.tolist()
                 certificate = _extract_certificate_csr(
-                    kernel, vector, csr.as_lists(), target, scc_states,
-                    internal, allowed,
+                    kernel, vector, csr, target, scc_states, internal,
+                    allowed,
                 )
                 if validate:
                     validate_certificate(certificate, algorithm)
@@ -298,6 +284,7 @@ def verify_exploration(
                 chirality_vectors=vectors,
                 scheduler=scheduler,
             )
+        csr = None  # one vector's graph alive at a time
     return ExplorationVerdict(
         algorithm_name=algorithm.name,
         topology=topology,
@@ -352,9 +339,13 @@ class _CsrGraph:
     order. All three solver backends normalize to this exact shape, which
     is what makes their certificates bit-identical. The object and packed
     backends hold the five per-state/per-transition fields as Python
-    lists, the vector backend as int64 arrays (``seeds`` is a list either
-    way); the solve helpers pick their plain-Python or NumPy form by
-    :attr:`on_numpy`, and only a certificate asks for :meth:`as_lists`.
+    lists, the vector backend as the narrow arrays of
+    :func:`~repro.verification.batch_solver.reachable_csr` (``states``
+    int64, ``indptr``/``succs`` int32 unless a count passes 2^31,
+    ``labels``/``occ`` as narrow as their bits; ``seeds`` is a list
+    either way). The solve helpers pick their plain-Python or NumPy form
+    by :attr:`on_numpy`; the graph is never converted whole — a
+    certificate reads single rows (:meth:`row`).
     """
 
     states: Sequence[int]
@@ -369,18 +360,14 @@ class _CsrGraph:
         """Whether the fields are NumPy arrays (the vector backend)."""
         return not isinstance(self.indptr, list)
 
-    def as_lists(self) -> "_CsrGraph":
-        """This graph with every field a Python list."""
-        if not self.on_numpy:
-            return self
-        return _CsrGraph(
-            self.states.tolist(),
-            self.indptr.tolist(),
-            self.labels.tolist(),
-            self.succs.tolist(),
-            self.occ.tolist(),
-            self.seeds,
-        )
+    def row(self, state: int) -> tuple[list[int], list[int]]:
+        """The labels and successor indices of one state's transitions,
+        in move order, as Python lists."""
+        lo, hi = self.indptr[state], self.indptr[state + 1]
+        labels, succs = self.labels[lo:hi], self.succs[lo:hi]
+        if self.on_numpy:
+            return labels.tolist(), succs.tolist()
+        return labels, succs
 
 
 @dataclass
@@ -400,6 +387,36 @@ class _Arena:
     ptr: list[int]
     nxt: list[int]
     pair_label: list[int]
+
+
+def _build_csr(
+    backend: str,
+    topology: Topology,
+    algorithm: Algorithm,
+    vector: tuple[Chirality, ...],
+    max_states: int,
+    placements: Optional[Sequence[Sequence[NodeId]]],
+    scheduler: str,
+) -> tuple[PackedKernel, _CsrGraph]:
+    """One chirality vector's kernel and canonical CSR, built the
+    backend's way; the backend's own graph form dies with this frame."""
+    if backend == "object":
+        system = ProductSystem(
+            topology, algorithm, vector, max_states=max_states,
+            backend="object", scheduler=scheduler,
+        )
+        kernel = system.kernel()
+        seeds = system.initial_states(placements)
+        return kernel, _csr_from_object(kernel, system.reachable(seeds), seeds)
+    kernel = PackedKernel(
+        topology, algorithm, vector, max_states=max_states, scheduler=scheduler,
+    )
+    packed_seeds = kernel.initial_states(placements)
+    if backend == "vector":
+        return kernel, _CsrGraph(*batch_solver.reachable_csr(kernel, packed_seeds))
+    occupied: dict[PackedState, int] = {}
+    graph = kernel.reachable(packed_seeds, occupied_out=occupied)
+    return kernel, _csr_from_packed(graph, occupied, packed_seeds)
 
 
 def _csr_from_packed(
@@ -470,8 +487,8 @@ def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
     Rotation moves every robot from node ``v`` to ``v + 1 (mod n)`` and
     keeps its state: each slot ``v * S + s`` gains ``S``, and a slot at
     node ``n - 1`` wraps by ``-base``. Rotation is a bijection of the
-    finite state space, so closure makes the set a union of orbits. An
-    int64 array (the vector backend) is checked in NumPy.
+    finite state space, so closure makes the set a union of orbits. The
+    vector backend's ascending int64 state array is checked in NumPy.
     """
     if not isinstance(states, list):
         return batch_solver.rotation_closed(kernel, states)
@@ -674,11 +691,9 @@ def _internal_transitions(
     component_set = set(component)
     internal: list[_CsrInternal] = []
     for state in component:
-        lo = int(csr.indptr[state])
-        hi = int(csr.indptr[state + 1])
-        for label, succ in zip(csr.labels[lo:hi], csr.succs[lo:hi]):
-            if int(succ) in component_set:
-                internal.append((state, int(label), int(succ)))
+        for label, succ in zip(*csr.row(state)):
+            if succ in component_set:
+                internal.append((state, label, succ))
     return internal
 
 
@@ -700,10 +715,9 @@ def _extract_certificate_csr(
     activation bits above the edge bits, so the very same greedy cover
     also guarantees every robot of the SCC's activation union is
     activated within one cycle — the fairness the criterion promised.
+    Rows are read one visited state at a time (:meth:`_CsrGraph.row`),
+    so an array CSR is never converted whole.
     """
-    indptr = csr.indptr
-    succs = csr.succs
-    labels = csr.labels
     # --- prefix: BFS from the seeds into the SCC (within ``restrict``,
     # the target-avoiding arena, when the property demands it) -----------
     parent: dict[int, Optional[tuple[int, int]]] = {}
@@ -719,13 +733,12 @@ def _extract_certificate_csr(
             break
     while queue and entry is None:
         state = queue.popleft()
-        for t in range(indptr[state], indptr[state + 1]):
-            succ = succs[t]
+        for label, succ in zip(*csr.row(state)):
             if succ in parent:
                 continue
             if restrict is not None and not restrict[succ]:
                 continue
-            parent[succ] = (state, labels[t])
+            parent[succ] = (state, label)
             if succ in scc_states:
                 entry = succ
                 break
@@ -803,7 +816,7 @@ def _extract_certificate_csr(
     for mask in cycle_masks:
         realized_union |= mask
     missing_mask = kernel.full_mask & ~realized_union
-    seed_positions, _seed_states = kernel.decode(csr.states[seed_state])
+    seed_positions, _seed_states = kernel.decode(int(csr.states[seed_state]))
 
     if kernel.scheduler == "ssync":
         prefix_activations = tuple(

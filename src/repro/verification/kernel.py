@@ -125,7 +125,7 @@ class PackedKernel(CompiledTables):
         self._moves_cache[occupied] = result
         return result
 
-    def padded_moves(self, occupied_values: Sequence[int]) -> tuple:
+    def padded_moves(self, occupied_values: Sequence[int]) -> "object":
         """Padded ndarray view of the adversary move enumeration.
 
         The vector solver's counterpart of
@@ -134,8 +134,7 @@ class PackedKernel(CompiledTables):
         the longest enumeration by repeating move 0 — the always-valid
         all-non-adjacent-edges mask, so the padding duplicates a real
         transition and stays harmless for reachability and label unions.
-        Returns ``(moves_pad, mcount)``: the int64 ``(len, width)`` table
-        and each row's unpadded length (the valid prefix). Raises
+        Returns the int64 ``(len, width)`` table. Raises
         :class:`~repro.errors.VerificationError` when NumPy — an optional
         dependency — is absent.
         """
@@ -146,14 +145,10 @@ class PackedKernel(CompiledTables):
         rows = [self.moves_for_occupied(occ) for occ in occupied_values]
         width = max(len(row) for row in rows)
         moves_pad = np.empty((len(rows), width), dtype=np.int64)
-        mcount = np.empty(len(rows), dtype=np.int64)
         for p, row in enumerate(rows):
-            count = len(row)
-            moves_pad[p, :count] = row
-            if count < width:
-                moves_pad[p, count:] = row[0]
-            mcount[p] = count
-        return moves_pad, mcount
+            moves_pad[p, : len(row)] = row
+            moves_pad[p, len(row) :] = row[0]
+        return moves_pad
 
     # ------------------------------------------------------------------
     # Reachability

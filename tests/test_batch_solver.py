@@ -24,16 +24,19 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
 * **Portability** — a solver campaign checkpointed under ``packed``
   resumes under ``vector`` into a byte-identical report.
 * **Sparse frontier and rotation reduction** — ``reachable_csr`` builds
-  the scalar kernel's CSR field for field as int64 arrays (PEF_3+ up to
-  n=8, FSYNC and SSYNC, ill-initiated starts, a dense-eligible instance)
-  and raises the same ``max_states`` error; so does the object backend's
+  the scalar kernel's CSR field for field in its narrow dtypes (PEF_3+ up
+  to n=8, FSYNC and SSYNC, ill-initiated starts, a dense-eligible
+  instance; int64 offsets and successors past the index bound) and
+  raises the same ``max_states`` error; so does the object backend's
   engine-stepped graph once packed (rings and chains, k=1..3, FSYNC and
   SSYNC, tower placements), as lists and without NumPy; ring rotation is
   a graph automorphism of every rotation-closed instance; and checking target 0
   alone yields the verdict and certificate of a full all-target scan.
 * **Solve phase** — the NumPy arena, live-arena and rotation helpers
-  equal their plain-Python twins field for field, an EXPLORES verdict
-  converts no full-graph array to a list, and the lean Tarjan
+  equal their plain-Python twins field for field, no verdict (EXPLORES,
+  or TRAPPED with the packed backend's certificate) converts a
+  full-graph array to a list, the traced peak per transition of a
+  vector ``verify`` stays bounded, and the lean Tarjan
   over the deduplicated arena returns exactly the ``(component,
   internal)`` of a reference copy of the full-CSR Tarjan it replaced,
   for every target on both backends.
@@ -852,13 +855,21 @@ _SPARSE_CASES = [
 ]
 
 
-def _assert_csr_fields(sparse, reference: _CsrGraph) -> None:
+def _narrowest_int(bits: int) -> str:
+    """The narrowest signed integer dtype name holding ``bits`` bits."""
+    return next(f"int{width}" for width in (8, 16, 32, 64) if bits < width)
+
+
+def _assert_csr_fields(sparse, reference: _CsrGraph, kernel=None) -> None:
     """A CSR built another way equals a list-built one, value for value.
 
-    ``reachable_csr``'s tuple must hold its five per-state/per-transition
-    fields as int64 arrays; a :class:`_CsrGraph` canonicalized from the
-    object backend's graph must hold every field as a list. The seed
-    indices are a list either way.
+    ``reachable_csr``'s tuple (built on ``kernel``) must hold ``states``
+    as int64; ``indptr`` and ``succs`` as int32 — int64 once the
+    transition or state count reaches ``batch_solver._INDEX_BOUND``; and
+    ``labels``/``occ`` in the narrowest signed dtype holding the label
+    bits (edges, then SSYNC activations) / one bit per node. A
+    :class:`_CsrGraph` canonicalized from the object backend's graph must
+    hold every field as a list. The seed indices are a list either way.
     """
     if isinstance(sparse, _CsrGraph):
         for field in ("states", "indptr", "labels", "succs", "occ", "seeds"):
@@ -867,8 +878,19 @@ def _assert_csr_fields(sparse, reference: _CsrGraph) -> None:
             assert value == getattr(reference, field), field
         return
     *arrays, seeds = sparse
-    for field, array in zip(("states", "indptr", "labels", "succs", "occ"), arrays):
-        assert array.dtype.name == "int64", field
+    bound = batch_solver._INDEX_BOUND
+    label_bits = kernel.m
+    if kernel.scheduler == "ssync":
+        label_bits = kernel.act_shift + kernel.k
+    dtypes = {
+        "states": "int64",
+        "indptr": "int32" if len(reference.labels) < bound else "int64",
+        "labels": _narrowest_int(label_bits),
+        "succs": "int32" if len(reference.states) < bound else "int64",
+        "occ": _narrowest_int(kernel.n),
+    }
+    for field, array in zip(dtypes, arrays):
+        assert array.dtype.name == dtypes[field], field
         assert array.tolist() == getattr(reference, field), field
     assert seeds == reference.seeds
 
@@ -895,7 +917,9 @@ class TestSparseFrontier:
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_matches_scalar_csr(self, case) -> None:
         kernel, seeds, reference = _scalar_csr(*case)
-        _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
+        _assert_csr_fields(
+            batch_solver.reachable_csr(kernel, seeds), reference, kernel
+        )
 
     @pytest.mark.parametrize(
         "topology,name,k,scheduler,towers", _OBJECT_CASES,
@@ -934,15 +958,45 @@ class TestSparseFrontier:
         occupied: dict = {}
         graph = kernel.reachable(seeds, occupied_out=occupied)
         reference = _csr_from_packed(graph, occupied, seeds)
-        _assert_csr_fields(batch_solver.reachable_csr(kernel, seeds), reference)
+        _assert_csr_fields(
+            batch_solver.reachable_csr(kernel, seeds), reference, kernel
+        )
 
     @requires_numpy
     def test_no_seeds_give_the_empty_csr(self) -> None:
         kernel, _seeds = _pef3_instance(5, "fsync", 0, False)
         assert kernel.reachable([]) == {}
         _assert_csr_fields(
-            batch_solver.reachable_csr(kernel, []), _csr_from_packed({}, {}, [])
+            batch_solver.reachable_csr(kernel, []),
+            _csr_from_packed({}, {}, []),
+            kernel,
         )
+
+    @requires_numpy
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    def test_int64_index_fallback(self, monkeypatch, scheduler: str) -> None:
+        # Past 2^31 transitions (or states) the offsets (successor
+        # indices) stay int64; a lowered bound takes that branch on a
+        # small graph, and the solve phase runs on it unchanged.
+        kernel, seeds, reference = _scalar_csr(5, scheduler, 0, False)
+        states = len(reference.states)
+        expected = verify_exploration(
+            PEF3Plus(), RingTopology(5), 3, backend="packed",
+            scheduler=scheduler,
+        )
+        for bound in (states + 1, states):
+            monkeypatch.setattr(batch_solver, "_INDEX_BOUND", bound)
+            sparse = batch_solver.reachable_csr(kernel, seeds)
+            assert sparse[1].dtype.name == "int64"
+            assert sparse[3].dtype.name == (
+                "int32" if bound > states else "int64"
+            )
+            _assert_csr_fields(sparse, reference, kernel)
+            verdict = verify_exploration(
+                PEF3Plus(), RingTopology(5), 3, backend="vector",
+                scheduler=scheduler,
+            )
+            assert verdict == expected
 
     @requires_numpy
     def test_refuses_labels_beyond_int64(self) -> None:
@@ -1017,18 +1071,59 @@ class TestSparseFrontier:
 @requires_numpy
 class TestVectorSolvePhase:
     """The vector backend's NumPy solve helpers equal the Python ones,
-    and an EXPLORES verdict never turns the graph into lists."""
+    and no verdict — EXPLORES, or TRAPPED with its certificate — turns
+    the graph into lists."""
 
     def test_explores_without_converting_the_graph(self, monkeypatch) -> None:
-        def refuse(csr):
-            raise AssertionError("full CSR converted to lists")
+        # The transition arrays are handed to the solve phase as a
+        # subclass that refuses to become a Python list (or be iterated)
+        # at full size; arena- and row-sized pieces cut from them pass.
+        import numpy as np
 
-        monkeypatch.setattr(_CsrGraph, "as_lists", refuse)
+        build = batch_solver.reachable_csr
+
+        class Guarded(np.ndarray):
+            limit = 0
+
+            def tolist(self):
+                if self.size >= Guarded.limit:
+                    raise AssertionError("full CSR converted to lists")
+                return super().tolist()
+
+            def __iter__(self):
+                if self.size >= Guarded.limit:
+                    raise AssertionError("full CSR iterated in Python")
+                return super().__iter__()
+
+        def guarded(kernel, seeds):
+            states, indptr, labels, succs, occ, seed_idx = build(kernel, seeds)
+            Guarded.limit = labels.size
+            return (
+                states, indptr, labels.view(Guarded), succs.view(Guarded),
+                occ, seed_idx,
+            )
+
+        monkeypatch.setattr(batch_solver, "reachable_csr", guarded)
         for prop in PROPERTIES:
             verdict = verify_exploration(
                 PEF3Plus(), RingTopology(6), 3, backend="vector", prop=prop
             )
             assert verdict.explorable
+        for algorithm, n, scheduler, prop in (
+            (PEF3Plus(), 5, "ssync", "perpetual"),
+            (get_algorithm("pef3+-no-turn"), 6, "fsync", "perpetual"),
+            (PEF3Plus(), 4, "ssync", "live"),
+        ):
+            kwargs = dict(scheduler=scheduler, prop=prop)
+            verdict = verify_exploration(
+                algorithm, RingTopology(n), 3, backend="vector", **kwargs
+            )
+            packed = verify_exploration(
+                algorithm, RingTopology(n), 3, backend="packed", **kwargs
+            )
+            assert not verdict.explorable and verdict.certificate is not None
+            assert verdict.certificate == packed.certificate
+            assert verdict == packed
 
     @pytest.mark.parametrize("case", _SPARSE_CASES)
     def test_numpy_helpers_match_python(self, case) -> None:
@@ -1049,6 +1144,34 @@ class TestVectorSolvePhase:
             ]
             for mask, mask_reference in masks:
                 assert _arena(sparse, mask) == _arena(reference, mask_reference)
+
+
+@requires_numpy
+class TestMemoryFootprint:
+    """The vector verify path stays lean: narrow CSR arrays, bounded
+    build slices and one chirality vector's graph alive at a time."""
+
+    #: Traced bytes per explored transition. The all-int64 CSR, kept
+    #: across vectors and built from whole levels, peaked at 28.5 here;
+    #: the lean path peaks at 17.5.
+    BOUND = 24.0
+
+    def test_traced_peak_per_transition(self) -> None:
+        # tracemalloc sees NumPy's allocations. A first, untraced run
+        # fills the process caches (frontier tables, compiled tables), so
+        # the traced run measures the solve alone.
+        import tracemalloc
+
+        args = (PEF3Plus(), RingTopology(7), 3)
+        verify_exploration(*args, backend="vector")
+        tracemalloc.start()
+        try:
+            verdict = verify_exploration(*args, backend="vector")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.explorable
+        assert peak / verdict.transitions_explored < self.BOUND
 
 
 def _reference_winning_scc_csr(kernel, csr, target, allowed=None):
