@@ -15,7 +15,8 @@ Subcommands:
   exhaustive/sampled algorithm-class sweep on the NumPy vector solver,
   the packed kernel or the object oracle (``auto``, the default,
   resolves vector → packed by NumPy availability), optionally sharded
-  across a process pool; ``--memory
+  across forked workers by the campaign runner's chunk executor (a
+  chunk that fails every attempt exits 4); ``--memory
   2`` samples the ``2**64`` memory-2 two-robot class deterministically;
   ``--scheduler ssync`` plays every game against the semi-synchronous
   activation adversary; ``--json FILE`` dumps the machine-readable
@@ -37,10 +38,11 @@ Subcommands:
   (``repro.verification.backends``) shared with ``simulate_chunk`` and
   the sweep path. Backends tally byte-identically,
   so reports and resume points are backend-portable. Runs are supervised
-  (``--max-attempts``/``--chunk-timeout`` govern retries, deadlines and
-  quarantine — see ``docs/robustness.md``); ``fsck`` salvages a corrupt
-  checkpoint log and ``retry-failed`` re-executes quarantined chunks,
-  first explaining each poisoning from the stored retry diagnostics.
+  at every ``--jobs`` (``--max-attempts``/``--chunk-timeout`` govern
+  retries, deadlines and quarantine — see ``docs/robustness.md``);
+  ``fsck`` salvages a corrupt checkpoint log and ``retry-failed``
+  re-executes quarantined chunks, first explaining each poisoning from
+  the stored retry diagnostics.
   ``--trace-dir DIR`` (or ``REPRO_TRACE_DIR``) arms span/counter
   telemetry for a run — strictly observational, reports stay
   byte-identical — and ``campaign analyze TRACE_DIR`` aggregates a trace
@@ -512,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
             c_action.add_argument(
                 "--chunk-timeout", type=float, default=None, metavar="SEC",
-                help="per-chunk deadline in seconds, enforced on the "
-                "supervised multi-process path (default: none)",
+                help="per-chunk deadline in seconds, enforced at every "
+                "--jobs (default: none)",
             )
             c_action.add_argument(
                 "--trace-dir", default=None, metavar="DIR", dest="trace_dir",

@@ -65,7 +65,7 @@ _EXPORTS = {
     "CampaignRunner": "repro.scenarios.campaign",
     "CampaignRunOutcome": "repro.scenarios.campaign",
     "CampaignStatus": "repro.scenarios.campaign",
-    "RetryPolicy": "repro.scenarios.campaign",
+    "RetryPolicy": "repro.scenarios.executor",
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -26,13 +26,14 @@ contract:
   chunk boundaries, so a Ctrl-C never tears a non-final record.
 * **Dedup.** Re-running a completed campaign is a cache hit: zero chunks
   re-verified, the same report bytes re-emitted.
-* **Fault tolerance.** With ``jobs > 1`` every chunk runs in a
-  *supervised* worker process: the runner detects dead workers (a crash
-  is an event, not a hang), enforces the :class:`RetryPolicy` per-chunk
-  deadline, and respawns failed attempts with exponentially backed-off,
-  deterministically jittered retries. A chunk that exhausts its attempts
-  is *quarantined* — recorded as failed in the store — and the campaign
-  settles **degraded** instead of losing the run; ``campaign
+* **Fault tolerance.** Every chunk settles through the one supervisor
+  state machine of :mod:`repro.scenarios.executor`, at every ``jobs``:
+  dead workers are detected (a crash is an event, not a hang), the
+  :class:`RetryPolicy` per-chunk deadline is enforced, and failed
+  attempts — exceptions included — are retried with exponentially
+  backed-off, deterministically jittered delays. A chunk that exhausts
+  its attempts is *quarantined* — recorded as failed in the store — and
+  the campaign settles **degraded** instead of losing the run; ``campaign
   retry-failed`` re-executes exactly the quarantined chunks.
 
 The runner parallelizes *across* chunks (``jobs``), writing each record
@@ -48,24 +49,23 @@ import os
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import Any, Optional
 
 from repro._lazy import lazy_exports
 from repro.errors import (
     CampaignDegradedError,
     CampaignIncompleteError,
     CampaignInterruptedError,
-    ChunkPoisonedError,
     ScenarioError,
     StoreCorruptionError,
     VerificationError,
-    WorkerCrashError,
 )
 from repro import telemetry
 from repro.scenarios import faults
+from repro.scenarios.executor import ChunkExecutor, RetryPolicy
 from repro.scenarios.faults import FaultPlan
 from repro.telemetry import TelemetryConfig
 from repro.scenarios.spec import ScenarioSpec
@@ -83,10 +83,6 @@ from repro.verification.backends import (
 )
 from repro.verification.families import resolve_jobs
 
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
-    from multiprocessing.process import BaseProcess
-
 # Reading a store never pays for the solver, the simulator or
 # multiprocessing: the chunk runners are imported when chunks are
 # pending (see :meth:`CampaignRunner._run`), and stay reachable as
@@ -102,64 +98,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 CAMPAIGN_REPORT_VERSION = 1
-
-# How long the supervisor blocks in one wait() round. Bounds the latency
-# of signal delivery (the flag is only *checked* between waits) and of
-# backoff-retry promotion, without busy-polling.
-_SUPERVISOR_TICK_SECONDS = 0.2
-
-_Payload = tuple[int, dict[str, Any], tuple[int, ...], str, bool]
-"""(chunk index, spec encoding, bit patterns, backend, validate).
-
-The spec rides along as its :meth:`ScenarioSpec.to_dict` form — plainly
-picklable, and the worker re-validates it on decode, so a chunk can never
-execute against a spec its own construction-time gate would refuse.
-``backend`` selects the execution substrate on *both* dispatch paths
-(packed kernel vs object oracle for the exact solver; vector lockstep
-vs compiled tables vs object engines for the simulation runner), always
-as a *concrete* name — ``auto`` is resolved by the parent before
-dispatch. It is hash-neutral — never part of the spec payload, the
-chunk records or the report bytes.
-"""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How the runner treats a chunk that crashes, hangs, or errors.
-
-    ``chunk_timeout`` (seconds; ``None`` disables) is enforced on the
-    supervised multi-process path only — an in-process chunk cannot be
-    preempted. Backoff before attempt ``k+1`` is
-    ``min(cap, base * 2**(k-1))`` scaled by a deterministic jitter into
-    ``[0.5, 1.0)`` of itself (:func:`repro.scenarios.faults.backoff_delay`).
-    With ``quarantine`` (the default) a chunk that fails every attempt is
-    recorded as failed and the campaign settles degraded; without it the
-    run raises :class:`~repro.errors.ChunkPoisonedError` instead.
-    """
-
-    max_attempts: int = 3
-    chunk_timeout: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    quarantine: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ScenarioError(
-                f"max_attempts must be >= 1, got {self.max_attempts!r}"
-            )
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ScenarioError(
-                f"chunk_timeout must be > 0 (or None), got {self.chunk_timeout!r}"
-            )
-        if self.backoff_base < 0:
-            raise ScenarioError(
-                f"backoff_base must be >= 0, got {self.backoff_base!r}"
-            )
-        if self.backoff_cap < self.backoff_base:
-            raise ScenarioError(
-                f"backoff_cap must be >= backoff_base, got {self.backoff_cap!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -273,19 +211,25 @@ class CampaignRunOutcome:
         return line
 
 
-def _campaign_chunk(payload: _Payload) -> tuple[int, tuple]:
-    """Run one indexed chunk (worker body; top-level to pickle).
+def _campaign_chunk(
+    spec_data: dict[str, Any], backend: str, validate: bool, chunk: tuple[int, ...]
+) -> tuple:
+    """Run one chunk of a campaign (the executor's work function).
 
+    The spec rides along as its :meth:`ScenarioSpec.to_dict` form and is
+    re-validated on decode, so a chunk can never execute against a spec
+    its own construction-time gate would refuse. ``backend`` is always a
+    *concrete* name (``auto`` is resolved before dispatch) and is
+    hash-neutral: never part of the spec, the records or the report.
     Dispatches on the spec's dynamics: the exact solver for the
     highly-dynamic adversary, the simulation runner for schedule
     families. Both return the same tally shape.
     """
-    index, spec_data, chunk, backend, validate = payload
     spec = ScenarioSpec.from_dict(spec_data)
     if spec.dynamics == "highly-dynamic":
         from repro.verification.sweeps import sweep_chunk
 
-        return index, sweep_chunk(
+        return sweep_chunk(
             spec.robots.family,
             spec.n,
             chunk,
@@ -297,86 +241,7 @@ def _campaign_chunk(payload: _Payload) -> tuple[int, tuple]:
         )
     from repro.scenarios.simulate import simulate_chunk
 
-    return index, simulate_chunk(spec, chunk, backend)
-
-
-def _worker_main(
-    conn: Connection,
-    payload: _Payload,
-    attempt: int,
-    plan_data: Optional[dict[str, Any]],
-    telemetry_data: Optional[dict[str, Any]] = None,
-) -> None:
-    """Supervised worker body: run one chunk, deliver ``("ok", tally)``.
-
-    First order of business is shedding the parent's flag-setting signal
-    handlers (inherited across ``fork``): SIGTERM back to the default
-    disposition so the supervisor's ``terminate()`` actually kills a hung
-    worker, SIGINT ignored so a terminal Ctrl-C (delivered group-wide)
-    interrupts only the supervisor, which then winds workers down
-    deliberately. Any exception is delivered as ``("error", message)``;
-    a worker that dies without delivering anything (injected ``os._exit``
-    or a real crash) is detected by the supervisor as EOF on the pipe.
-
-    Telemetry follows the fault plan's delivery model: the supervisor
-    ships an explicit config (same trace id) rather than the worker
-    self-arming from the environment, so one campaign run is exactly one
-    trace however many workers it respawns. The worker's own
-    ``chunk.attempt`` span brackets the chunk's true execution time —
-    pipe and spawn latency stay in the supervisor's accounting.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    faults.clear()
-    if plan_data is not None:
-        faults.install(FaultPlan.from_dict(plan_data))
-    faults.mark_worker()
-    faults.set_context(payload[0], attempt)
-    telemetry.install(
-        TelemetryConfig.from_dict(telemetry_data)
-        if telemetry_data is not None
-        else None
-    )
-    telemetry.set_context(chunk=payload[0], attempt=attempt)
-    try:
-        with telemetry.span(
-            "chunk.attempt",
-            chunk=payload[0],
-            attempt=attempt,
-            tables=len(payload[2]),
-        ) as span_attrs:
-            _, tally = _campaign_chunk(payload)
-            span_attrs["ok"] = True
-    except BaseException as exc:  # delivered, not swallowed
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", tally))
-    conn.close()
-
-
-def _kill_process(process: BaseProcess) -> None:
-    """Terminate a worker, escalating to SIGKILL if it lingers."""
-    if not process.is_alive():
-        process.join()
-        return
-    process.terminate()
-    process.join(timeout=1.0)
-    if process.is_alive():
-        process.kill()
-        process.join()
-
-
-@dataclass
-class _Slot:
-    """One running supervised worker."""
-
-    payload: _Payload
-    attempt: int
-    process: BaseProcess
-    deadline: Optional[float]
+    return simulate_chunk(spec, chunk, backend)
 
 
 class CampaignRunner:
@@ -624,12 +489,7 @@ class CampaignRunner:
             if max_chunks < 0:
                 raise ScenarioError(f"max_chunks must be >= 0, got {max_chunks}")
             pending = pending[:max_chunks]
-        spec_data = spec.to_dict()
-        payloads: list[_Payload] = [
-            (index, spec_data, chunk, backend, self.validate)
-            for index, chunk in pending
-        ]
-        if payloads:
+        if pending:
             try:
                 import_backend(backend)
             except VerificationError as exc:
@@ -649,8 +509,15 @@ class CampaignRunner:
         previous_plan = faults._STATE.plan
         if self.faults is not None:
             faults.install(self.faults)
+        executor = ChunkExecutor(
+            partial(_campaign_chunk, spec.to_dict(), backend, self.validate),
+            self.jobs,
+            self.policy,
+            plan,
+            self._check_interrupt,
+        )
         try:
-            for index, outcome in self._execute(payloads, plan):
+            for index, outcome in executor.settle(pending):
                 if outcome[0] == "ok":
                     total, trapped, explorers, states = outcome[1]
                     record = {
@@ -675,7 +542,6 @@ class CampaignRunner:
                 self._append_with_retry(spec, record, plan)
         finally:
             faults.install(previous_plan)
-            faults.set_context(-1, 0)
             self._restore_signal_handlers(previous_handlers)
         status = self._merged_status(spec, chunks, records)
         if status.degraded and telemetry.armed():
@@ -688,13 +554,13 @@ class CampaignRunner:
             report_path = self.store.report_path(spec)
             # Cache-hit reruns stay write-free: only (re)publish the
             # report when this call settled something or none exists.
-            if payloads or not report_path.exists():
+            if pending or not report_path.exists():
                 report_path = self.store.write_report(
                     spec, self._report_text(spec, status)
                 )
         return CampaignRunOutcome(
             status=status,
-            chunks_run=len(payloads),
+            chunks_run=len(pending),
             chunks_cached=cached,
             report_path=report_path,
         )
@@ -758,327 +624,6 @@ class CampaignRunner:
             f"campaign interrupted by {name}; every checkpointed chunk is "
             "fsynced — resume with `campaign run`"
         )
-
-    # ------------------------------------------------------------------
-    # Executors
-    # ------------------------------------------------------------------
-    def _execute(
-        self, payloads: list[_Payload], plan: Optional[FaultPlan]
-    ) -> Iterable[tuple[int, tuple]]:
-        """Settle chunk payloads, in-process or supervised.
-
-        Results stream out as chunks settle (``("ok", tally)`` or
-        ``("failed", attempts, error)``) so every record is checkpointed
-        the moment it lands; an interrupt preserves the fastest chunks
-        regardless of their index, and merged results never depend on
-        arrival order.
-        """
-        if self.jobs <= 1 or len(payloads) <= 1:
-            yield from self._execute_inprocess(payloads, plan)
-            return
-        yield from self._execute_supervised(payloads, plan)
-
-    def _execute_inprocess(
-        self, payloads: list[_Payload], plan: Optional[FaultPlan]
-    ) -> Iterator[tuple[int, tuple]]:
-        """Serial executor with the same retry/quarantine semantics.
-
-        No process boundary, so no preemption: ``chunk_timeout`` is not
-        enforced here, and only *injected* crashes
-        (:class:`WorkerCrashError`) are retryable — a genuine exception
-        from the chunk runner propagates, exactly as before.
-        """
-        policy = self.policy
-        seed = plan.seed if plan is not None else 0
-        for payload in payloads:
-            self._check_interrupt()
-            index = payload[0]
-            error = ""
-            attempt_log: list[dict[str, Any]] = []
-            for attempt in range(1, policy.max_attempts + 1):
-                faults.set_context(index, attempt)
-                telemetry.set_context(chunk=index, attempt=attempt)
-                crash: Optional[WorkerCrashError] = None
-                tally: tuple = ()
-                try:
-                    with telemetry.span(
-                        "chunk.attempt",
-                        chunk=index,
-                        attempt=attempt,
-                        tables=len(payload[2]),
-                    ) as span_attrs:
-                        try:
-                            _, tally = _campaign_chunk(payload)
-                            span_attrs["ok"] = True
-                        except WorkerCrashError as exc:
-                            span_attrs["ok"] = False
-                            span_attrs["error"] = type(exc).__name__
-                            crash = exc
-                finally:
-                    faults.set_context(-1, 0)
-                    telemetry.set_context(chunk=None, attempt=None)
-                if crash is None:
-                    yield index, ("ok", tally)
-                    break
-                error = f"{type(crash).__name__}: {crash}"
-                delay: Optional[float] = None
-                if attempt < policy.max_attempts:
-                    delay = faults.backoff_delay(
-                        policy.backoff_base,
-                        policy.backoff_cap,
-                        attempt,
-                        f"chunk{index}",
-                        seed,
-                    )
-                attempt_log.append(
-                    {
-                        "attempt": attempt,
-                        "error": error,
-                        "delay": delay,
-                        "deadline": None,  # no preemption in-process
-                    }
-                )
-                if delay is not None:
-                    telemetry.event(
-                        "chunk.retry",
-                        chunk=index,
-                        next_attempt=attempt + 1,
-                        delay=delay,
-                    )
-                    time.sleep(delay)
-            else:
-                if not policy.quarantine:
-                    raise ChunkPoisonedError(
-                        f"chunk {index} failed all {policy.max_attempts} "
-                        f"attempts; last error: {error}"
-                    )
-                telemetry.event(
-                    "chunk.quarantine", chunk=index, attempts=policy.max_attempts
-                )
-                yield index, (
-                    "failed",
-                    policy.max_attempts,
-                    error,
-                    self._failure_diagnostics(attempt_log),
-                )
-
-    def _execute_supervised(
-        self, payloads: list[_Payload], plan: Optional[FaultPlan]
-    ) -> Iterator[tuple[int, tuple]]:
-        """Process-per-chunk supervisor: deadlines, respawn, quarantine.
-
-        A hand-rolled supervisor rather than ``multiprocessing.Pool``
-        because a pool treats a dead worker as a reason to hang; here a
-        worker death is an *event* — EOF on its result pipe — answered by
-        a backed-off respawn of that attempt's chunk. Deadlines are
-        enforced by the same ``wait()`` loop: an overdue worker is
-        killed and its chunk retried like a crash.
-        """
-        import multiprocessing
-        from multiprocessing.connection import wait as connection_wait
-
-        policy = self.policy
-        seed = plan.seed if plan is not None else 0
-        ctx = multiprocessing.get_context()
-        plan_data = plan.to_dict() if plan is not None else None
-        trace = telemetry.active()
-        telemetry_data = trace.to_dict() if trace is not None else None
-        queue: deque[tuple[_Payload, int]] = deque(
-            (payload, 1) for payload in payloads
-        )
-        retries: list[tuple[float, _Payload, int]] = []
-        running: dict[Connection, _Slot] = {}
-        history: dict[int, list[dict[str, Any]]] = {}
-        try:
-            while queue or retries or running:
-                self._check_interrupt()
-                now = time.monotonic()
-                if retries:
-                    due = [entry for entry in retries if entry[0] <= now]
-                    if due:
-                        retries = [e for e in retries if e[0] > now]
-                        # Retries jump the queue: an old chunk's tail
-                        # latency should not grow behind fresh work.
-                        for _, payload, attempt in due:
-                            queue.appendleft((payload, attempt))
-                while queue and len(running) < self.jobs:
-                    payload, attempt = queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_worker_main,
-                        args=(child_conn, payload, attempt, plan_data, telemetry_data),
-                    )
-                    process.start()
-                    child_conn.close()
-                    telemetry.event(
-                        "worker.spawn",
-                        chunk=payload[0],
-                        attempt=attempt,
-                        worker_pid=process.pid,
-                    )
-                    deadline = (
-                        time.monotonic() + policy.chunk_timeout
-                        if policy.chunk_timeout is not None
-                        else None
-                    )
-                    running[parent_conn] = _Slot(payload, attempt, process, deadline)
-                ready = (
-                    connection_wait(
-                        list(running), timeout=_SUPERVISOR_TICK_SECONDS
-                    )
-                    if running
-                    else []
-                )
-                if not running:
-                    # Everything is backing off; sleep one tick.
-                    time.sleep(
-                        min(
-                            _SUPERVISOR_TICK_SECONDS,
-                            max(0.0, min(e[0] for e in retries) - now),
-                        )
-                    )
-                for conn in ready:
-                    slot = running.pop(conn)  # type: ignore[arg-type]
-                    try:
-                        message = conn.recv()  # type: ignore[union-attr]
-                    except (EOFError, OSError):
-                        message = None
-                    conn.close()  # type: ignore[union-attr]
-                    slot.process.join()
-                    if message is not None and message[0] == "ok":
-                        yield slot.payload[0], ("ok", message[1])
-                        continue
-                    if message is not None:
-                        error = message[1]
-                    else:
-                        error = (
-                            f"WorkerCrashError: worker for chunk "
-                            f"{slot.payload[0]} died with exit code "
-                            f"{slot.process.exitcode} before delivering a "
-                            f"tally (attempt {slot.attempt})"
-                        )
-                        telemetry.event(
-                            "worker.crash",
-                            chunk=slot.payload[0],
-                            attempt=slot.attempt,
-                            exitcode=slot.process.exitcode,
-                        )
-                    settled = self._settle_failure(
-                        slot, error, retries, seed, history
-                    )
-                    if settled is not None:
-                        yield settled
-                now = time.monotonic()
-                overdue = [
-                    conn
-                    for conn, slot in running.items()
-                    if slot.deadline is not None and slot.deadline <= now
-                ]
-                for conn in overdue:
-                    slot = running.pop(conn)
-                    _kill_process(slot.process)
-                    conn.close()
-                    error = (
-                        f"ChunkTimeoutError: chunk {slot.payload[0]} exceeded "
-                        f"the {policy.chunk_timeout:g}s per-chunk deadline "
-                        f"(attempt {slot.attempt})"
-                    )
-                    telemetry.event(
-                        "chunk.timeout",
-                        chunk=slot.payload[0],
-                        attempt=slot.attempt,
-                        deadline=policy.chunk_timeout,
-                    )
-                    settled = self._settle_failure(
-                        slot, error, retries, seed, history
-                    )
-                    if settled is not None:
-                        yield settled
-        finally:
-            for conn, slot in running.items():
-                _kill_process(slot.process)
-                conn.close()
-
-    def _settle_failure(
-        self,
-        slot: _Slot,
-        error: str,
-        retries: list[tuple[float, _Payload, int]],
-        seed: int,
-        history: dict[int, list[dict[str, Any]]],
-    ) -> Optional[tuple[int, tuple]]:
-        """Retry a failed attempt with backoff, or settle the chunk.
-
-        Returns ``(index, ("failed", attempts, error, diagnostics))``
-        once the retry budget is exhausted and quarantine is on; ``None``
-        while a retry is still owed (it was pushed onto ``retries``).
-        Every failed attempt is logged to ``history`` — attempt number,
-        error, computed backoff delay, per-attempt deadline — which
-        becomes the quarantined record's ``diagnostics``, so fsck and
-        ``retry-failed`` can explain the poisoning without re-running it.
-        """
-        policy = self.policy
-        index = slot.payload[0]
-        entry = {
-            "attempt": slot.attempt,
-            "error": error,
-            "delay": None,
-            "deadline": policy.chunk_timeout,
-        }
-        history.setdefault(index, []).append(entry)
-        if slot.attempt < policy.max_attempts:
-            delay = faults.backoff_delay(
-                policy.backoff_base,
-                policy.backoff_cap,
-                slot.attempt,
-                f"chunk{index}",
-                seed,
-            )
-            entry["delay"] = delay
-            telemetry.event(
-                "chunk.retry",
-                chunk=index,
-                next_attempt=slot.attempt + 1,
-                delay=delay,
-            )
-            retries.append((time.monotonic() + delay, slot.payload, slot.attempt + 1))
-            return None
-        if not policy.quarantine:
-            raise ChunkPoisonedError(
-                f"chunk {index} failed all {policy.max_attempts} attempts; "
-                f"last error: {error}"
-            )
-        telemetry.event(
-            "chunk.quarantine", chunk=index, attempts=policy.max_attempts
-        )
-        return index, (
-            "failed",
-            policy.max_attempts,
-            error,
-            self._failure_diagnostics(history[index]),
-        )
-
-    def _failure_diagnostics(
-        self, attempt_log: list[dict[str, Any]]
-    ) -> dict[str, Any]:
-        """The retry schedule a quarantined chunk actually exhausted.
-
-        Deterministic given the spec, policy and fault seed —
-        ``backoff_delay`` is a pure function — so quarantine records stay
-        reproducible; stored under the failure record's ``diagnostics``
-        key (the strict reader accepts records with or without it, so
-        pre-existing logs still load).
-        """
-        policy = self.policy
-        return {
-            "attempts": attempt_log,
-            "policy": {
-                "max_attempts": policy.max_attempts,
-                "backoff_base": policy.backoff_base,
-                "backoff_cap": policy.backoff_cap,
-                "chunk_timeout": policy.chunk_timeout,
-            },
-        }
 
     def _append_with_retry(
         self,

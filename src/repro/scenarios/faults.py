@@ -7,8 +7,9 @@ This module holds our infrastructure to the same bar: a
 :class:`FaultPlan` is a *seedable, deterministic* adversary against the
 campaign runner and its result store. It can
 
-* **crash** a worker mid-chunk (``os._exit`` in a real worker process,
-  :class:`~repro.errors.WorkerCrashError` on the in-process path);
+* **crash** a worker mid-chunk (``os._exit`` in a forked worker,
+  :class:`~repro.errors.WorkerCrashError` in an in-process attempt —
+  the one chunk executor retries either);
 * **delay** a chunk past its deadline (exercises the supervisor's
   per-chunk timeout);
 * **tear** a checkpoint append — write half the record and kill the
@@ -216,7 +217,7 @@ def set_context(chunk: int, attempt: int) -> None:
 
 
 def mark_worker() -> None:
-    """Declare this process a supervised worker: crashes hard-kill it."""
+    """Declare this process a forked chunk worker: crashes hard-kill it."""
     _STATE.in_worker = True
 
 
@@ -249,9 +250,9 @@ def fault_point(site: str) -> None:
     """An injection site inside chunk execution.
 
     May sleep (delay faults) and may crash: a hard ``os._exit`` in a
-    supervised worker process (the supervisor must detect the death), a
-    :class:`WorkerCrashError` on the in-process path (the retry loop
-    must catch it). No-op without an active plan.
+    forked worker (the supervisor must detect the death), a
+    :class:`WorkerCrashError` in an in-process attempt (the supervisor
+    receives it as that attempt's error). No-op without an active plan.
     """
     plan = active_plan()
     if plan is None or not plan.enabled():

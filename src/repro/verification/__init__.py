@@ -43,7 +43,8 @@ This subpackage decides it, through three mutually-checking layers:
 * :mod:`repro.verification.enumeration` — exhaustive sweeps over whole
   algorithm classes (e.g. all 256 memoryless single-robot algorithms);
 * :mod:`repro.verification.sweeps` — the parallel sweep engine: shards a
-  table class across a process pool with deterministic chunk merging;
+  table class into chunks settled by the campaign runner's chunk
+  executor (:mod:`repro.scenarios.executor`), merged deterministically;
 * :mod:`repro.verification.families` — the table families and run
   vocabularies as plain data (stdlib-only), which scenario specs
   validate against without loading any of the above.

@@ -18,7 +18,8 @@ can discharge it by brute force:
 Both sweeps run on the parallel engine of
 :mod:`repro.verification.sweeps`: pass ``backend`` to pick the packed
 kernel (default) or the object-path oracle, ``jobs`` to shard the
-table class across a process pool (``None`` = all cores), and
+table class across forked workers of the one chunk executor
+(:mod:`repro.scenarios.executor`; ``None`` = all cores), and
 ``scheduler`` to play the game under FSYNC (default) or SSYNC (the
 semi-synchronous adversary of Di Luna et al., where an all-trapped sweep
 machine-checks their impossibility over the class). The result is

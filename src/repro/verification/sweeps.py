@@ -3,16 +3,18 @@
 A sweep discharges a universally quantified impossibility claim by
 verifying every member of a finite algorithm class. Members are
 independent, so the work shards perfectly: this module splits a sequence
-of table bit-patterns into contiguous chunks, verifies each chunk in a
-worker (in-process for ``jobs=1``, a ``multiprocessing`` pool otherwise)
-and merges the per-chunk tallies *in chunk order* — so the resulting
+of table bit-patterns into contiguous chunks, settles them through the
+campaign runner's chunk executor (:mod:`repro.scenarios.executor` —
+in-process for ``jobs=1``, one forked worker per chunk attempt
+otherwise, with dead workers respawned) and merges the per-chunk
+tallies *in chunk order* — so the resulting
 :class:`SweepResult` (totals, explorer names and their order, state
 counts) is byte-identical for any worker count, and for every
 verification backend (``vector``, ``packed``, ``object`` — ``auto``
 resolves by NumPy availability). ``jobs=None`` uses every available
 core.
 
-A chunk pickles as a tuple of bit patterns. On the ``packed`` and
+A chunk is a tuple of bit patterns. On the ``packed`` and
 ``object`` backends (and for instances too large for the dense solver)
 workers rebuild each :class:`~repro.robots.algorithms.tables
 .TableAlgorithm` from its pattern and verify it alone; on ``vector``
@@ -27,9 +29,9 @@ this module is the engine underneath them.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro import telemetry
@@ -43,6 +45,7 @@ from repro.robots.algorithms.tables import (
     memoryless_table_from_bits,
 )
 from repro.scenarios import faults
+from repro.scenarios.executor import ChunkExecutor, RetryPolicy
 from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
 from repro.verification.backends import import_backend, resolve_solver_backend
@@ -360,30 +363,22 @@ def _sweep_chunk_vector(
     return total, total - len(pending), explorers, states
 
 
-def _sweep_chunk(
-    payload: tuple[str, int, tuple[int, ...], str, bool, str, str, str]
-) -> _ChunkOutcome:
-    """Tuple-payload wrapper of :func:`sweep_chunk` (worker body).
-
-    Top-level by necessity: chunks are shipped to ``multiprocessing``
-    workers, so both the function and its payload must pickle.
-    """
-    family, n, bits_chunk, backend, validate, starts, prop, scheduler = payload
-    return sweep_chunk(
-        family, n, bits_chunk, backend, validate, starts, prop, scheduler
-    )
+# Every chunk attempt forks a worker that builds its dense space afresh,
+# so fewer chunks cost less. Measured on a 2-core host, 10 alternating
+# rounds of `sweep --robots 2 --n 5 --sample 16384 --jobs 2`: median wall
+# 1.00 s at one chunk per worker, 1.04 s at two, 1.08 s at four. The cap
+# bounds one chunk's table stack: the exhaustive 65,536-table n=4 sweep at
+# `--jobs 1` peaked at 61.5 MB RSS as one chunk, 46.8 MB as four.
+_MAX_CHUNK_TABLES = 16384
 
 
 def _chunked(patterns: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
-    """Split into contiguous chunks (~4 per worker for load balance).
+    """Split into contiguous chunks: one per worker, capped in size.
 
     Contiguity plus in-order merging is what makes the sweep outcome
-    independent of both the chunk size and the pool's scheduling.
+    independent of both the chunk size and the workers' scheduling.
     """
-    if not patterns:
-        return []
-    pieces = max(1, min(len(patterns), jobs * 4))
-    size = -(-len(patterns) // pieces)
+    size = max(1, min(_MAX_CHUNK_TABLES, -(-len(patterns) // jobs)))
     return [tuple(patterns[i : i + size]) for i in range(0, len(patterns), size)]
 
 
@@ -400,11 +395,16 @@ def run_table_sweep(
 ) -> SweepResult:
     """Verify every bit pattern and fold the tallies into ``result``.
 
-    Deterministic by construction: ``pool.map`` preserves chunk order and
-    chunks are contiguous, so explorers arrive in input order whatever
-    ``jobs`` is. ``starts``, ``prop`` and ``scheduler`` select the start
-    policy, the exploration property and the execution scheduler for
-    every member.
+    Chunks settle through the one chunk executor
+    (:class:`~repro.scenarios.executor.ChunkExecutor`): in-process at
+    ``jobs=1``, one forked worker per chunk attempt otherwise. A dead
+    worker is respawned with backoff, and a chunk that fails every
+    attempt raises :class:`~repro.errors.ChunkPoisonedError` (a sweep has
+    no store to quarantine into). Deterministic by construction: chunks
+    are contiguous and merge in index order, so explorers arrive in input
+    order whatever ``jobs`` is. ``starts``, ``prop`` and ``scheduler``
+    select the start policy, the exploration property and the execution
+    scheduler for every member.
     """
     check_family(family)
     backend = resolve_solver_backend(backend)
@@ -412,18 +412,19 @@ def run_table_sweep(
     check_property(prop)
     check_scheduler(scheduler)
     jobs = resolve_jobs(jobs)
-    payloads = [
-        (family, result.n, chunk, backend, validate, starts, prop, scheduler)
-        for chunk in _chunked(bit_patterns, jobs)
-    ]
-    if payloads:
+    chunks = _chunked(bit_patterns, jobs)
+    if chunks:
         import_backend(backend)
-    if jobs <= 1 or len(payloads) <= 1:
-        outcomes = [_sweep_chunk(payload) for payload in payloads]
-    else:
-        with multiprocessing.get_context().Pool(processes=jobs) as pool:
-            outcomes = pool.map(_sweep_chunk, payloads)
-    for total, trapped, explorers, states in outcomes:
+    work = partial(
+        sweep_chunk, family, result.n, backend=backend, validate=validate,
+        starts=starts, prop=prop, scheduler=scheduler,
+    )
+    executor = ChunkExecutor(
+        work, jobs, RetryPolicy(quarantine=False), faults.active_plan()
+    )
+    tallies = dict(executor.settle(list(enumerate(chunks))))
+    for index in range(len(chunks)):
+        total, trapped, explorers, states = tallies[index][1]
         result.total += total
         result.trapped += trapped
         result.explorers.extend(explorers)

@@ -19,10 +19,13 @@ from scenario_testlib import make_tiny_scenario as tiny_spec
 from repro.errors import ScenarioError
 from repro.scenarios import (
     CampaignRunner,
+    FaultPlan,
     ResultStore,
+    RetryPolicy,
     RobotClassSpec,
     simulate_chunk,
 )
+from repro.verification import sweeps
 from repro.verification.sweeps import sweep_chunk
 
 
@@ -128,6 +131,51 @@ class TestCampaignLifecycle:
             runner.report_text(spec)
         with pytest.raises(ScenarioError):
             runner.report_dict(spec)
+
+
+class TestOneExecutor:
+    """``jobs=1`` settles chunks through the same state machine as ``jobs=2``."""
+
+    def test_chunk_exception_fails_identically_at_any_jobs(
+        self, tmp_path: Path, monkeypatch
+    ) -> None:
+        spec = tiny_spec()
+        poisoned = spec.chunks()[1]
+
+        def flaky_sweep_chunk(family, n, bits_chunk, *args):
+            if tuple(bits_chunk) == poisoned:
+                raise RuntimeError("chunk runner bug")
+            return sweep_chunk(family, n, bits_chunk, *args)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(sweeps, "sweep_chunk", flaky_sweep_chunk)
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.001)
+        failures = {}
+        for jobs in (1, 2):
+            runner = runner_for(tmp_path, f"jobs{jobs}", jobs=jobs, policy=policy)
+            assert runner.run(spec).status.failed_chunks == (1,)
+            (record,) = runner.failure_details(spec).values()
+            failures[jobs] = {
+                key: record[key] for key in ("error", "attempts", "diagnostics")
+            }
+        assert failures[1] == failures[2]
+        assert failures[1]["error"] == "RuntimeError: chunk runner bug"
+        assert failures[1]["attempts"] == 2
+
+    def test_deadline_is_enforced_at_jobs_1(self, tmp_path: Path) -> None:
+        spec = tiny_spec()
+        runner = runner_for(
+            tmp_path,
+            "a",
+            jobs=1,
+            policy=RetryPolicy(max_attempts=2, chunk_timeout=0.5, backoff_base=0.01),
+            faults=FaultPlan(seed=0, delay_chunks=(1,), delay_seconds=5.0),
+        )
+        status = runner.run(spec).status
+        assert status.degraded and status.failed_chunks == (1,)
+        record = runner.failure_details(spec)[1]
+        assert record["attempts"] == 2
+        assert record["error"].startswith("ChunkTimeoutError: chunk 1 exceeded")
 
 
 class TestScenarioDimensions:

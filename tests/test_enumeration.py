@@ -11,9 +11,15 @@ import os
 
 import pytest
 
-from repro.errors import AlgorithmError, VerificationError
+from repro.errors import (
+    AlgorithmError,
+    ChunkPoisonedError,
+    VerificationError,
+    WorkerCrashError,
+)
 from repro.robots.algorithms.tables import TableAlgorithm, table_space_size
-from repro.scenarios import get_scenario
+from repro.scenarios import faults, get_scenario
+from repro.scenarios.faults import FaultPlan
 from repro.verification import families
 from repro.verification.enumeration import (
     sample_table_patterns,
@@ -21,7 +27,13 @@ from repro.verification.enumeration import (
     sweep_two_robot_memory2,
     sweep_two_robot_memoryless,
 )
-from repro.verification.sweeps import available_cpus, resolve_jobs
+from repro.verification.sweeps import (
+    SweepResult,
+    available_cpus,
+    resolve_jobs,
+    run_table_sweep,
+    sweep_chunk,
+)
 
 
 class TestSingleRobotSweep:
@@ -185,3 +197,36 @@ class TestJobsResolution:
     def test_resolve_jobs_floor(self) -> None:
         with pytest.raises(VerificationError):
             resolve_jobs(0)
+
+
+class TestSweepUnderFaults:
+    """A sweep settles its chunks through the campaign's retry loop."""
+
+    @pytest.fixture(autouse=True)
+    def _no_ambient_plan(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        faults.clear()
+        yield
+        faults.clear()
+
+    @staticmethod
+    def _sweep(jobs: int) -> SweepResult:
+        result = SweepResult("single n=3", n=3, k=1, total=0, trapped=0)
+        return run_table_sweep(result, "single", range(256), jobs=jobs)
+
+    def test_crashed_attempts_are_retried_to_the_clean_result(self) -> None:
+        clean = self._sweep(1)
+        faults.install(FaultPlan(seed=0, crash=0.2))
+        # The plan does crash a first attempt; retries must absorb it.
+        faults.set_context(0, 1)
+        with pytest.raises(WorkerCrashError):
+            sweep_chunk("single", 3, tuple(range(256)))
+        faults.set_context(-1, 0)
+        for jobs in (1, 2):
+            assert self._sweep(jobs) == clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chunk_failing_every_attempt_poisons_the_sweep(self, jobs) -> None:
+        faults.install(FaultPlan(seed=0, crash_chunks=(0,)))
+        with pytest.raises(ChunkPoisonedError, match="chunk 0 failed all 3"):
+            self._sweep(jobs)

@@ -117,6 +117,8 @@ class TestReadOnlyVerbsStayNumpyFree:
                 ["campaign", "status", name, *store],
                 ["campaign", "report", name, *store],
                 ["campaign", "run", name, *store],
+                # A deadline forks attempts, but only pending ones.
+                ["campaign", "run", name, *store, "--chunk-timeout", "5"],
             ]
         for argv, (code, modules) in zip(commands, run_probe(*commands)):
             assert code == 0, argv

@@ -11,8 +11,7 @@ Covers the two halves of the simulation execution path:
   contract (same tally for any chunk split — the invariant campaign
   resume and jobs-independence rest on). The backend contract (every
   available backend tallies every chunk byte-identically) lives in
-  ``test_batch.py::TestVectorDifferential``; ``TestBackendAgreement``
-  below keeps its former test names pointing there.
+  ``test_batch.py::TestVectorDifferential``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from scenario_testlib import make_tiny_dynamics_scenario as dyn_spec
-from test_batch import TestVectorDifferential as _Differential
 from repro.errors import ScenarioError
 from repro.graph import schedules
 from repro.graph.topology import RingTopology
@@ -262,20 +260,3 @@ class TestScheduleMasks:
         schedule = build_schedule("static", None, None, ring)
         with pytest.raises(ScenarioError):
             schedule_masks(schedule, -1)
-
-
-class TestBackendAgreement:
-    """The packed == object differential, folded into
-    ``test_batch.py::TestVectorDifferential`` (which compares every
-    available backend, so it runs without NumPy too). These names run
-    that class's tests, kept so every test id stays stable."""
-
-    test_registered_families_first_chunk_identical = (
-        _Differential.test_registered_families_first_chunk_identical
-    )
-    test_registry_spans_both_schedulers = (
-        _Differential.test_registry_spans_both_schedulers
-    )
-    test_random_schedules_and_tables_agree = (
-        _Differential.test_random_schedules_and_tables_agree
-    )
