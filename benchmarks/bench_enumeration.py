@@ -4,7 +4,7 @@
   trapped (a finite-domain discharge of Theorem 5.1's universal
   quantifier over this class).
 * A 4096-table sample of the 65536 memoryless two-robot algorithms on the
-  4-ring (plus the structured baselines): every one trapped (Theorem 4.1).
+  4-ring: every one trapped (Theorem 4.1).
   Set ``REPRO_FULL_SWEEP=1`` to sweep all 65536 (seconds on the packed
   backend).
 * ``test_packed_vs_object_backends`` — the perf-tracking entry: times the
@@ -37,16 +37,15 @@ from repro.scenarios import (
     get_scenario,
     smallest_scenario,
 )
-from repro.verification.enumeration import (
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memoryless,
-)
+from repro.verification.enumeration import sweep_spec
+from repro.verification.sweeps import run_table_sweep
 
 
 def test_single_robot_exhaustive(benchmark, save_artifact) -> None:
     spec = get_scenario("thm51-single-n3")
     result = benchmark.pedantic(
-        sweep_single_robot_memoryless, args=(spec.n,), rounds=1, iterations=1
+        run_table_sweep, args=(sweep_spec("single", spec.n),), rounds=1,
+        iterations=1,
     )
     assert result.all_trapped
     assert result.total == spec.table_count == 256
@@ -55,7 +54,8 @@ def test_single_robot_exhaustive(benchmark, save_artifact) -> None:
 
 def test_single_robot_exhaustive_ring4(benchmark, save_artifact) -> None:
     result = benchmark.pedantic(
-        sweep_single_robot_memoryless, args=(4,), rounds=1, iterations=1
+        run_table_sweep, args=(sweep_spec("single", 4),), rounds=1,
+        iterations=1,
     )
     assert result.all_trapped
     save_artifact("enumeration_1robot_ring4", result.summary())
@@ -67,7 +67,7 @@ def test_two_robot_sweep(benchmark, save_artifact) -> None:
     sample = None if full else 4096
 
     def run():
-        return sweep_two_robot_memoryless(spec.n, sample=sample)
+        return run_table_sweep(sweep_spec("two", spec.n, sample=sample))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.all_trapped
@@ -101,12 +101,14 @@ def test_packed_vs_object_backends(
     cases = [
         (
             "single_robot_full_n5",
-            lambda backend: sweep_single_robot_memoryless(5, backend=backend),
+            lambda backend: run_table_sweep(
+                sweep_spec("single", 5), backend=backend
+            ),
         ),
         (
             "two_robot_sampled_n4",
-            lambda backend: sweep_two_robot_memoryless(
-                4, sample=256, backend=backend
+            lambda backend: run_table_sweep(
+                sweep_spec("two", 4, sample=256), backend=backend
             ),
         ),
     ]
@@ -184,8 +186,8 @@ def test_vector_vs_packed_solver(
     name = "two_robot_solver_sampled_n4" if not full else "two_robot_solver_full_n4"
 
     def run(backend: str):
-        return sweep_two_robot_memoryless(
-            spec.n, sample=sample, backend=backend, jobs=1
+        return run_table_sweep(
+            sweep_spec("two", spec.n, sample=sample), backend=backend, jobs=1
         )
 
     packed_result, packed_seconds = timed_best_of(lambda: run("packed"))

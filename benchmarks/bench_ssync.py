@@ -22,7 +22,8 @@ from repro.analysis.recurrence import recurrence_report
 from repro.graph.topology import RingTopology
 from repro.robots.algorithms import PEF2, BounceOnBlocked, PEF3Plus
 from repro.sim.semi_sync import run_ssync
-from repro.verification.enumeration import sweep_two_robot_memoryless
+from repro.verification.enumeration import sweep_spec
+from repro.verification.sweeps import run_table_sweep
 from repro.viz.tables import TextTable
 
 
@@ -75,8 +76,8 @@ def test_packed_vs_object_ssync_sweep(
     name = "two_robot_sampled_n4_ssync"
 
     def run(backend: str):
-        return sweep_two_robot_memoryless(
-            4, sample=128, backend=backend, scheduler="ssync"
+        return run_table_sweep(
+            sweep_spec("two", 4, sample=128, scheduler="ssync"), backend=backend
         )
 
     object_result, object_seconds = timed_best_of(lambda: run("object"))

@@ -12,15 +12,19 @@ Subcommands:
   certificate when one exists), under either execution scheduler;
 * ``sweep --robots 1|2 --n N [--sample S | --full] [--memory 1|2]
   [--rng-seed S] [--backend B] [--scheduler S] [--jobs J]`` —
-  exhaustive/sampled algorithm-class sweep on the NumPy vector solver,
-  the packed kernel or the object oracle (``auto``, the default,
-  resolves vector → packed by NumPy availability), optionally sharded
-  across forked workers by the campaign runner's chunk executor (a
-  chunk that fails every attempt exits 4); ``--memory
-  2`` samples the ``2**64`` memory-2 two-robot class deterministically;
-  ``--scheduler ssync`` plays every game against the semi-synchronous
-  activation adversary; ``--json FILE`` dumps the machine-readable
-  result;
+  exhaustive/sampled algorithm-class sweep: the flags name a table
+  family, which becomes a scenario spec
+  (:func:`repro.verification.enumeration.sweep_spec`) run without a
+  store by :func:`repro.verification.sweeps.run_table_sweep` — the
+  campaign's plan, chunk runner and chunk executor, so it tallies what
+  the same spec's campaign report holds. It runs on the NumPy vector
+  solver, the packed kernel or the object oracle (``auto``, the
+  default, resolves vector → packed by NumPy availability), optionally
+  sharded across forked workers (a chunk that fails every attempt exits
+  4); ``--memory 2`` samples the ``2**64`` memory-2 two-robot class
+  deterministically; ``--scheduler ssync`` plays every game against the
+  semi-synchronous activation adversary; ``--json FILE`` dumps the
+  machine-readable result, with the resolved backend and worker count;
 * ``campaign list|run|status|report|fsck|retry-failed|analyze`` — the scenario
   registry and the persistent campaign runner: named workloads executed
   against an append-only result store with chunk checkpointing, resume
@@ -76,6 +80,7 @@ from repro.verification.backends import (
     SOLVER_BACKEND_CHOICES,
     resolve_solver_backend,
 )
+from repro.verification.families import DEFAULT_RNG_SEED, resolve_jobs
 
 # Each verb imports what it needs when it runs: a listing or a report
 # never pays for the solver, the simulator or NumPy. The solver entry
@@ -176,14 +181,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.verification.enumeration import (
-        sweep_single_robot_memoryless,
-        sweep_two_robot_memory2,
-        sweep_two_robot_memoryless,
-    )
+    from repro.verification.enumeration import sweep_spec
+    from repro.verification.sweeps import run_table_sweep
 
     backend = resolve_solver_backend(args.backend)
-    seed = args.rng_seed if args.rng_seed is not None else args.seed
     if args.memory == 2:
         if args.robots != 2:
             print("--memory 2 requires --robots 2", file=sys.stderr)
@@ -195,28 +196,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = sweep_two_robot_memory2(
-            args.n,
-            sample=args.sample,
-            seed=seed,
-            backend=backend,
-            jobs=args.jobs,
-            scheduler=args.scheduler,
-        )
-    elif args.robots == 1:
-        result = sweep_single_robot_memoryless(
-            args.n, backend=backend, jobs=args.jobs,
-            scheduler=args.scheduler,
-        )
+        family = "two-m2"
     else:
-        result = sweep_two_robot_memoryless(
-            args.n,
-            sample=None if args.full else args.sample,
-            seed=seed,
-            backend=backend,
-            jobs=args.jobs,
-            scheduler=args.scheduler,
-        )
+        family = "single" if args.robots == 1 else "two"
+    # The 256 single-robot tables are always enumerated whole.
+    sample = None if args.full or family == "single" else args.sample
+    spec = sweep_spec(
+        family, args.n, sample=sample, rng_seed=args.rng_seed,
+        scheduler=args.scheduler,
+    )
+    jobs = resolve_jobs(args.jobs)
+    result = run_table_sweep(spec, backend=backend, jobs=jobs)
     print(result.summary())
     if args.json is not None:
         import json
@@ -231,7 +221,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "states_explored": result.states_explored,
             "all_trapped": result.all_trapped,
             "backend": backend,
-            "jobs": args.jobs,
+            "jobs": jobs,
             "memory": args.memory,
             "scheduler": args.scheduler,
         }
@@ -434,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true",
         help="2-robot only: sweep all 65536 tables (overrides --sample)",
     )
-    p_sweep.add_argument("--seed", type=int, default=20170605)
     p_sweep.add_argument(
         "--memory", type=int, choices=[1, 2], default=1,
         help="table memory size; 2 samples the 2**64 memory-2 two-robot "
         "class (requires --robots 2 and --sample)",
     )
     p_sweep.add_argument(
-        "--rng-seed", type=int, default=None, metavar="S",
-        help="deterministic sampling seed (defaults to --seed)",
+        "--rng-seed", type=int, default=DEFAULT_RNG_SEED, metavar="S",
+        help=f"deterministic sampling seed (default {DEFAULT_RNG_SEED})",
     )
     p_sweep.add_argument(
         "--backend", choices=list(SOLVER_BACKEND_CHOICES), default=AUTO_BACKEND,

@@ -39,11 +39,9 @@ from repro.robots.algorithms import (
     KeepDirection,
     PEF3Plus,
 )
-from repro.verification.enumeration import (
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memoryless,
-)
+from repro.verification.enumeration import sweep_spec
 from repro.verification.game import verify_exploration
+from repro.verification.sweeps import run_table_sweep
 from repro.viz.tables import TextTable
 
 Scale = Literal["small", "full"]
@@ -144,7 +142,7 @@ def _row2(scale: Scale) -> Table1Row:
         evidence.append(outcome.summary())
 
     sample = 192 if scale == "small" else 4096
-    sweep = sweep_two_robot_memoryless(4, sample=sample)
+    sweep = run_table_sweep(sweep_spec("two", 4, sample=sample))
     all_trapped &= sweep.all_trapped
     evidence.append(sweep.summary())
 
@@ -202,7 +200,7 @@ def _row4(scale: Scale) -> Table1Row:
         all_trapped &= outcome.confined and outcome.recurrence.within_budget
         evidence.append(outcome.summary())
 
-    sweep = sweep_single_robot_memoryless(3)
+    sweep = run_table_sweep(sweep_spec("single", 3))
     all_trapped &= sweep.all_trapped
     evidence.append(sweep.summary())
 

@@ -52,6 +52,7 @@ from repro.scenarios.dynamics import (
     validate_dynamics,
 )
 from repro.verification.families import (
+    DEFAULT_RNG_SEED,
     PROPERTIES,
     SCHEDULERS,
     START_POLICIES,
@@ -73,9 +74,6 @@ DYNAMICS_FAMILIES = ("highly-dynamic",) + tuple(sorted(SCHEDULE_FAMILIES))
 #: The largest family a scenario may enumerate exhaustively; bigger
 #: families (e.g. the 2**64 memory-2 class) must declare a sample.
 EXHAUSTIVE_LIMIT = 1 << 16
-
-#: Default sampling seed (the paper's submission date, as elsewhere).
-DEFAULT_RNG_SEED = 20170605
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,10 @@ This subpackage decides it, through three mutually-checking layers:
   and either scheduler (``"fsync" | "ssync"``);
 * :mod:`repro.verification.certificates` — certificate datatypes and the
   *independent* replay validator (simulator-checked, period-exact);
-* :mod:`repro.verification.enumeration` — exhaustive sweeps over whole
+* :mod:`repro.verification.enumeration` — the scenario specs of whole
   algorithm classes (e.g. all 256 memoryless single-robot algorithms);
-* :mod:`repro.verification.sweeps` — the parallel sweep engine: shards a
-  table class into chunks settled by the campaign runner's chunk
+* :mod:`repro.verification.sweeps` — the one sweep engine: runs a
+  class's spec as chunks settled by the campaign runner's chunk
   executor (:mod:`repro.scenarios.executor`), merged deterministically;
 * :mod:`repro.verification.families` — the table families and run
   vocabularies as plain data (stdlib-only), which scenario specs
@@ -81,9 +81,7 @@ _EXPORTS = {
     "ProductSystem": "repro.verification.product",
     "SysState": "repro.verification.product",
     "SweepResult": "repro.verification.enumeration",
-    "sweep_single_robot_memoryless": "repro.verification.enumeration",
-    "sweep_two_robot_memory2": "repro.verification.enumeration",
-    "sweep_two_robot_memoryless": "repro.verification.enumeration",
+    "sweep_spec": "repro.verification.enumeration",
     "run_table_sweep": "repro.verification.sweeps",
     "sweep_chunk": "repro.verification.sweeps",
 }
@@ -118,9 +116,7 @@ __all__ = [
     "SweepResult",
     "available_cpus",
     "sample_table_patterns",
-    "sweep_single_robot_memoryless",
-    "sweep_two_robot_memoryless",
-    "sweep_two_robot_memory2",
+    "sweep_spec",
     "run_table_sweep",
     "sweep_chunk",
 ]

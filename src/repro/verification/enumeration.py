@@ -1,31 +1,31 @@
-"""Exhaustive and sampled sweeps over whole algorithm classes.
+"""The scenario specs of the theorems' algorithm classes.
 
 The paper's impossibility theorems quantify over *all* deterministic
 algorithms. For bounded-memory classes this is a finite quantifier, and we
-can discharge it by brute force:
+can discharge it by brute force. :func:`sweep_spec` names such a class
+as a :class:`~repro.scenarios.spec.ScenarioSpec`, the plan a campaign
+runs too, and :func:`repro.verification.sweeps.run_table_sweep` settles
+it:
 
-* :func:`sweep_single_robot_memoryless` — all ``2**8`` memoryless
-  single-robot algorithms on an ``n >= 3`` ring. With one robot,
-  chirality is a relabeling of left/right, and the enumerated class is
-  closed under that relabeling, so checking one chirality per table
-  covers the class-level claim. Theorem 5.1 predicts: all of them fail.
-* :func:`sweep_two_robot_memoryless` — the ``2**16`` memoryless two-robot
-  algorithms on an ``n >= 4`` ring (exhaustive or uniformly sampled).
-  The enumerated class is closed under the left/right relabeling too, so
-  the all-AGREE chirality vector is checked first and mixed vectors only
-  as a fallback. Theorem 4.1 predicts: all fail.
+* ``"single"`` — all ``2**8`` memoryless single-robot algorithms on an
+  ``n >= 3`` ring. With one robot, chirality is a relabeling of
+  left/right, and the enumerated class is closed under that relabeling,
+  so checking one chirality per table covers the class-level claim.
+  Theorem 5.1 predicts: all of them fail.
+* ``"two"`` — the ``2**16`` memoryless two-robot algorithms on an
+  ``n >= 4`` ring (exhaustive or uniformly sampled). The enumerated class
+  is closed under the left/right relabeling too, so the all-AGREE
+  chirality vector is checked first and mixed vectors only as a
+  fallback. Theorem 4.1 predicts: all fail.
+* ``"two-m2"`` — a seeded sample of the ``4**32 = 2**64`` memory-2
+  two-robot algorithms, far past exhaustion. Theorem 4.1 quantifies over
+  bounded memory too, so it predicts every sampled member fails.
 
-Both sweeps run on the parallel engine of
-:mod:`repro.verification.sweeps`: pass ``backend`` to pick the packed
-kernel (default) or the object-path oracle, ``jobs`` to shard the
-table class across forked workers of the one chunk executor
-(:mod:`repro.scenarios.executor`; ``None`` = all cores), and
-``scheduler`` to play the game under FSYNC (default) or SSYNC (the
-semi-synchronous adversary of Di Luna et al., where an all-trapped sweep
-machine-checks their impossibility over the class). The result is
-identical — bit for bit, explorer order included — for every
-(backend, jobs) combination; the full 65,536-table Theorem 4.1 sweep is
-a routine operation on the packed backend.
+Under ``scheduler="ssync"`` an all-trapped class machine-checks the
+semi-synchronous impossibility of Di Luna et al. as well (every FSYNC
+trap is in particular a fair SSYNC one). The sweep's result is identical
+— bit for bit, explorer order included — for every (backend, jobs)
+combination, and equals the campaign report of the same spec.
 
 A sweep's value is the *shape* of its result: ``trapped == total`` is an
 exhaustive finite-domain confirmation of the paper's universally
@@ -34,179 +34,60 @@ quantified claim, something no sampling of schedules could give.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import VerificationError
-from repro.graph.topology import RingTopology
-from repro.robots.algorithms.tables import TableAlgorithm, table_space_size
-from repro.verification.families import sample_table_patterns
-from repro.verification.sweeps import (
-    SweepResult,
-    check_algorithm_class,
-    family_plan,
-    run_table_sweep,
+from repro.scenarios.spec import RobotClassSpec, ScenarioSpec
+from repro.verification.families import (
+    DEFAULT_RNG_SEED,
+    check_family,
+    sample_table_patterns,
 )
+from repro.verification.sweeps import SweepResult
+
+_CLASS_NAMES = {
+    "single": "memoryless 1-robot",
+    "two": "memoryless 2-robot",
+    "two-m2": "memory-2 2-robot",
+}
+
+_THEOREMS = {1: "5.1", 2: "4.1"}
+"""The impossibility theorem of each robot count; it holds for n >= k+2."""
 
 
-def _sweep_description(base: str, scheduler: str) -> str:
-    """Human description of a sweep; tagged under non-FSYNC schedulers."""
-    return base if scheduler == "fsync" else f"{base} [{scheduler}]"
-
-
-def sweep_single_robot_memoryless(
+def sweep_spec(
+    family: str,
     n: int,
-    validate_certificates: bool = False,
-    backend: str = "packed",
-    jobs: Optional[int] = 1,
+    sample: Optional[int] = None,
+    rng_seed: int = DEFAULT_RNG_SEED,
     scheduler: str = "fsync",
-) -> SweepResult:
-    """Check all 256 memoryless single-robot algorithms on the ``n``-ring.
+) -> ScenarioSpec:
+    """The scenario of one theorem's class: ``family`` tables on the ``n``-ring.
 
-    Theorem 5.1 says every one of them must be trappable for ``n >= 3``;
-    under ``scheduler="ssync"`` the same conclusion is an instance of the
-    Di Luna et al. semi-synchronous impossibility (with one robot SSYNC
-    adds only the degenerate everyone-active choice, so the two sweeps
-    must tally identically).
+    ``sample=None`` enumerates the whole family; an integer draws that
+    many distinct tables with the seeded sampler (same tables for the
+    same seed on any machine or worker count). ``n`` must be where the
+    family's theorem applies, ``n >= k + 2``.
     """
-    if n < 3:
+    data = check_family(family)
+    if n < data.k + 2:
         raise VerificationError(
-            f"Theorem 5.1 concerns rings of size >= 3, got n={n}"
+            f"Theorem {_THEOREMS[data.k]} concerns rings of size "
+            f">= {data.k + 2}, got n={n}"
         )
-    result = SweepResult(
-        description=_sweep_description(
-            "all memoryless 1-robot algorithms", scheduler
-        ),
+    if sample is not None and not 1 <= sample <= data.space:
+        raise VerificationError(
+            f"sample must be in 1..{data.space}, got {sample}"
+        )
+    size = "all" if sample is None else f"{sample} sampled"
+    description = f"{size} {_CLASS_NAMES[family]} algorithms"
+    if scheduler != "fsync":
+        description += f" [{scheduler}]"
+    return ScenarioSpec(
+        name=f"sweep-{family}-n{n}",
+        description=description,
+        robots=RobotClassSpec(family, sample, rng_seed),
         n=n,
-        k=1,
-        total=0,
-        trapped=0,
-    )
-    return run_table_sweep(
-        result,
-        family="single",
-        bit_patterns=range(1 << 8),
-        backend=backend,
-        validate=validate_certificates,
-        jobs=jobs,
-        scheduler=scheduler,
-    )
-
-
-def sweep_two_robot_memoryless(
-    n: int,
-    sample: Optional[int] = 2048,
-    seed: int = 20170605,
-    validate_certificates: bool = False,
-    extra_tables: Iterable[TableAlgorithm] = (),
-    backend: str = "packed",
-    jobs: Optional[int] = 1,
-    scheduler: str = "fsync",
-) -> SweepResult:
-    """Check memoryless two-robot algorithms on the ``n``-ring.
-
-    ``sample=None`` sweeps all 65536 tables (seconds on the packed
-    backend, minutes on the object path); an integer draws that many
-    distinct tables uniformly (plus any ``extra_tables``, e.g. the
-    structured baselines). Theorem 4.1 says every member must be
-    trappable for ``n >= 4``; under ``scheduler="ssync"`` the all-trapped
-    outcome reproduces the Di Luna et al. semi-synchronous impossibility
-    over this class (every FSYNC trap is in particular a fair SSYNC one).
-
-    For each table the all-AGREE chirality vector is tried first; only if
-    the table survives it are the remaining vectors checked (an algorithm
-    fails the spec if *any* well-initiated execution — any chirality
-    assignment — is trappable).
-    """
-    if n < 4:
-        raise VerificationError(
-            f"Theorem 4.1 concerns rings of size >= 4, got n={n}"
-        )
-    if sample is None:
-        bit_patterns: list[int] = list(range(1 << 16))
-        total_hint = 1 << 16
-    else:
-        if not 1 <= sample <= 1 << 16:
-            raise VerificationError(f"sample must be in 1..65536, got {sample}")
-        bit_patterns = sample_table_patterns(1 << 16, sample, seed)
-        total_hint = sample
-    description = _sweep_description(
-        "all memoryless 2-robot algorithms"
-        if sample is None
-        else f"{total_hint} sampled memoryless 2-robot algorithms",
-        scheduler,
-    )
-    result = SweepResult(description=description, n=n, k=2, total=0, trapped=0)
-    run_table_sweep(
-        result,
-        family="two",
-        bit_patterns=bit_patterns,
-        backend=backend,
-        validate=validate_certificates,
-        jobs=jobs,
-        scheduler=scheduler,
-    )
-
-    # Structured extras (a handful at most) are checked in-process, after
-    # the table family, preserving the historical result ordering.
-    topology = RingTopology(n)
-    for algorithm in extra_tables:
-        trapped, states = check_algorithm_class(
-            algorithm,
-            topology,
-            k=2,
-            vector_plan=family_plan("two"),
-            backend=backend,
-            validate=validate_certificates,
-            scheduler=scheduler,
-        )
-        result.total += 1
-        result.states_explored += states
-        if trapped:
-            result.trapped += 1
-        else:
-            result.explorers.append(algorithm.name)
-    return result
-
-
-def sweep_two_robot_memory2(
-    n: int,
-    sample: int = 256,
-    seed: int = 20170605,
-    validate_certificates: bool = False,
-    backend: str = "packed",
-    jobs: Optional[int] = 1,
-    scheduler: str = "fsync",
-) -> SweepResult:
-    """Check a deterministic sample of memory-2 two-robot algorithms.
-
-    The memory-2 class has ``4**32 = 2**64`` members — far past
-    exhaustion — so this sweep draws ``sample`` distinct tables with a
-    seeded RNG (:func:`sample_table_patterns`: same tables for the same
-    seed on any machine or worker count). Theorem 4.1 quantifies over
-    *all* deterministic algorithms, bounded memory included, so it
-    predicts every sampled member is trappable for ``n >= 4``.
-    """
-    if n < 4:
-        raise VerificationError(
-            f"Theorem 4.1 concerns rings of size >= 4, got n={n}"
-        )
-    bit_patterns = sample_table_patterns(table_space_size(2), sample, seed)
-    result = SweepResult(
-        description=_sweep_description(
-            f"{sample} sampled memory-2 2-robot algorithms", scheduler
-        ),
-        n=n,
-        k=2,
-        total=0,
-        trapped=0,
-    )
-    return run_table_sweep(
-        result,
-        family="two-m2",
-        bit_patterns=bit_patterns,
-        backend=backend,
-        validate=validate_certificates,
-        jobs=jobs,
         scheduler=scheduler,
     )
 
@@ -214,7 +95,5 @@ def sweep_two_robot_memory2(
 __all__ = [
     "SweepResult",
     "sample_table_patterns",
-    "sweep_single_robot_memoryless",
-    "sweep_two_robot_memoryless",
-    "sweep_two_robot_memory2",
+    "sweep_spec",
 ]

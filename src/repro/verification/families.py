@@ -3,11 +3,11 @@
 Everything a scenario spec validates against, and nothing that runs a
 table: the table families (robot count, bit-pattern domain, chirality
 fallback plan), the start policies, exploration properties and
-schedulers a run may name, the seeded pattern sampler, and the jobs
-resolution. The module imports only :mod:`repro.errors` and
-:mod:`repro.types`, so the spec, registry, store and report layers —
-and with them ``campaign list|status|report`` and a cache-hit ``campaign
-run`` — never load the solver or the simulator.
+schedulers a run may name, the seeded pattern sampler and its default
+seed, and the jobs resolution. The module imports only
+:mod:`repro.errors` and :mod:`repro.types`, so the spec, registry, store
+and report layers — and with them ``campaign list|status|report`` and
+a cache-hit ``campaign run`` — never load the solver or the simulator.
 
 The solver and simulator re-export these objects rather than restating
 them: :data:`repro.verification.game.PROPERTIES`,
@@ -72,6 +72,9 @@ the adversary wins iff it can keep some node unvisited *from round 0*.
 Every live trap is a perpetual trap (zero visits are finitely many), so
 per-class trap tallies satisfy ``trapped_live <= trapped_perpetual``.
 """
+
+DEFAULT_RNG_SEED = 20170605
+"""Default table-sampling seed (the paper's submission date)."""
 
 SCHEDULERS = ("fsync", "ssync")
 """Execution scheduler names: fully synchronous (every robot activated
@@ -161,6 +164,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 
 __all__ = [
+    "DEFAULT_RNG_SEED",
     "FAMILIES",
     "PROPERTIES",
     "SCHEDULERS",

@@ -1,18 +1,20 @@
-"""The parallel sweep engine: sharded algorithm-class verification.
+"""The one class-sweep engine: sharded algorithm-class verification.
 
 A sweep discharges a universally quantified impossibility claim by
-verifying every member of a finite algorithm class. Members are
-independent, so the work shards perfectly: this module splits a sequence
-of table bit-patterns into contiguous chunks, settles them through the
-campaign runner's chunk executor (:mod:`repro.scenarios.executor` —
-in-process for ``jobs=1``, one forked worker per chunk attempt
-otherwise, with dead workers respawned) and merges the per-chunk
-tallies *in chunk order* — so the resulting
-:class:`SweepResult` (totals, explorer names and their order, state
-counts) is byte-identical for any worker count, and for every
-verification backend (``vector``, ``packed``, ``object`` — ``auto``
-resolves by NumPy availability). ``jobs=None`` uses every available
-core.
+verifying every member of a finite algorithm class. The class is a
+:class:`~repro.scenarios.spec.ScenarioSpec` — the same plan a campaign
+runs: table family, sample and seed, ring size, scheduler, start policy
+and property. :func:`run_table_sweep` expands it, splits the bit
+patterns into contiguous chunks, settles them through the campaign
+runner's chunk executor (:mod:`repro.scenarios.executor` — in-process
+for ``jobs=1``, one forked worker per chunk attempt otherwise, with
+dead workers respawned) and merges the per-chunk tallies *in chunk
+order* — so the resulting :class:`SweepResult` (totals, explorer names
+and their order, state counts) is byte-identical for any worker count,
+and for every verification backend (``vector``, ``packed``, ``object``
+— ``auto`` resolves by NumPy availability). ``jobs=None`` uses every
+available core. A sweep is a campaign without a store: no
+checkpoints, no resume, the same tallies.
 
 A chunk is a tuple of bit patterns. On the ``packed`` and
 ``object`` backends (and for instances too large for the dense solver)
@@ -23,8 +25,8 @@ solve it in lockstep, building table objects only for explorers' names.
 Both apply the same chirality-fallback plan: cheap vectors first, the
 expensive mixed vectors only for tables that survive.
 
-The public entry points remain in :mod:`repro.verification.enumeration`;
-this module is the engine underneath them.
+:func:`repro.verification.enumeration.sweep_spec` builds the specs of
+the theorems' classes (``sweep`` and ``table1`` use it).
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from repro import telemetry
-from repro.errors import VerificationError
+from repro.errors import ScenarioError, VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
 from repro.robots.algorithms.base import Algorithm
 from repro.robots.algorithms.tables import (
@@ -59,9 +61,11 @@ from repro.verification.families import (
     family_space,
     resolve_jobs,
 )
-from repro.verification.game import check_property, verify_exploration
+from repro.verification.game import verify_exploration
 from repro.verification.kernel import PackedKernel
-from repro.verification.product import check_scheduler
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -138,7 +142,7 @@ _ChunkOutcome = tuple[int, int, list[str], int]
 
 
 def family_plan(family: str) -> tuple:
-    """The chirality fallback plan of a table family (for extra tables)."""
+    """The chirality fallback plan of a table family."""
     return check_family(family).plan
 
 
@@ -172,7 +176,7 @@ def start_placements(
     return arbitrary_placements(topology, k)
 
 
-def check_algorithm_class(
+def _check_algorithm_class(
     algorithm: Algorithm,
     topology: RingTopology,
     k: int,
@@ -263,7 +267,7 @@ def sweep_chunk(
         if position == midpoint and position:
             faults.fault_point("sweep-mid")
         algorithm = maker(bits)
-        hit, explored = check_algorithm_class(
+        hit, explored = _check_algorithm_class(
             algorithm, topology, k, plan, backend, validate,
             placements=placements, prop=prop, scheduler=scheduler,
         )
@@ -383,17 +387,12 @@ def _chunked(patterns: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
 
 
 def run_table_sweep(
-    result: SweepResult,
-    family: str,
-    bit_patterns: Sequence[int],
+    spec: "ScenarioSpec",
     backend: str = "packed",
-    validate: bool = False,
     jobs: Optional[int] = 1,
-    starts: str = "well",
-    prop: str = "perpetual",
-    scheduler: str = "fsync",
+    validate: bool = False,
 ) -> SweepResult:
-    """Verify every bit pattern and fold the tallies into ``result``.
+    """Verify every table of ``spec``'s class and tally the verdicts.
 
     Chunks settle through the one chunk executor
     (:class:`~repro.scenarios.executor.ChunkExecutor`): in-process at
@@ -402,27 +401,31 @@ def run_table_sweep(
     attempt raises :class:`~repro.errors.ChunkPoisonedError` (a sweep has
     no store to quarantine into). Deterministic by construction: chunks
     are contiguous and merge in index order, so explorers arrive in input
-    order whatever ``jobs`` is. ``starts``, ``prop`` and ``scheduler``
-    select the start policy, the exploration property and the execution
-    scheduler for every member.
+    order whatever ``jobs`` is. Only ``highly-dynamic`` specs are
+    solvable; a schedule-family spec runs as a simulation campaign.
     """
-    check_family(family)
+    if spec.dynamics != "highly-dynamic":
+        raise ScenarioError(
+            f"scenario {spec.name!r} has {spec.dynamics!r} dynamics; a table "
+            "sweep solves the 'highly-dynamic' adversary only — run it as "
+            "a campaign"
+        )
     backend = resolve_solver_backend(backend)
-    check_start_policy(starts)
-    check_property(prop)
-    check_scheduler(scheduler)
     jobs = resolve_jobs(jobs)
-    chunks = _chunked(bit_patterns, jobs)
-    if chunks:
-        import_backend(backend)
+    # spec.chunk_size sets a campaign's checkpoint boundaries; a sweep has
+    # no checkpoints, so it cuts for its workers instead.
+    chunks = _chunked(spec.expand_patterns(), jobs)
+    import_backend(backend)
     work = partial(
-        sweep_chunk, family, result.n, backend=backend, validate=validate,
-        starts=starts, prop=prop, scheduler=scheduler,
+        sweep_chunk, spec.robots.family, spec.n, backend=backend,
+        validate=validate, starts=spec.starts, prop=spec.prop,
+        scheduler=spec.scheduler,
     )
     executor = ChunkExecutor(
         work, jobs, RetryPolicy(quarantine=False), faults.active_plan()
     )
     tallies = dict(executor.settle(list(enumerate(chunks))))
+    result = SweepResult(spec.description, spec.n, spec.robots.k, 0, 0)
     for index in range(len(chunks)):
         total, trapped, explorers, states = tallies[index][1]
         result.total += total
@@ -437,7 +440,6 @@ __all__ = [
     "TABLE_FAMILIES",
     "SweepResult",
     "available_cpus",
-    "check_algorithm_class",
     "check_start_policy",
     "family_k",
     "family_maker",

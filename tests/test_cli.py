@@ -157,6 +157,28 @@ class TestSweep:
 
         assert payload["backend"] == resolve_solver_backend("auto")
 
+    def test_json_records_resolved_jobs_when_omitted(self, tmp_path) -> None:
+        # Like the backend, the payload names the worker count that ran,
+        # not the unset flag.
+        from repro.verification.families import available_cpus
+
+        target = tmp_path / "sweep.json"
+        assert main(
+            ["sweep", "--robots", "1", "--n", "3", "--json", str(target)]
+        ) == 0
+        import json
+
+        payload = json.loads(target.read_text())
+        assert payload["jobs"] == available_cpus()
+        assert payload["total"] == 256
+
+    def test_one_seed_flag(self, capsys) -> None:
+        # --rng-seed is the only sampling seed; --seed belongs to `run`.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--robots", "2", "--n", "4", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_ssync_sweep_smoke(self, capsys) -> None:
         code = main(
             ["sweep", "--robots", "2", "--n", "4", "--sample", "6",

@@ -14,19 +14,22 @@ import pytest
 from repro.errors import (
     AlgorithmError,
     ChunkPoisonedError,
+    ScenarioError,
     VerificationError,
     WorkerCrashError,
 )
-from repro.robots.algorithms.tables import TableAlgorithm, table_space_size
-from repro.scenarios import faults, get_scenario
+from repro.robots.algorithms.tables import table_space_size
+from repro.scenarios import (
+    CampaignRunner,
+    ResultStore,
+    RobotClassSpec,
+    ScenarioSpec,
+    faults,
+    get_scenario,
+)
 from repro.scenarios.faults import FaultPlan
 from repro.verification import families
-from repro.verification.enumeration import (
-    sample_table_patterns,
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memory2,
-    sweep_two_robot_memoryless,
-)
+from repro.verification.enumeration import sample_table_patterns, sweep_spec
 from repro.verification.sweeps import (
     SweepResult,
     available_cpus,
@@ -38,7 +41,7 @@ from repro.verification.sweeps import (
 
 class TestSingleRobotSweep:
     def test_all_256_single_robot_algorithms_fail_on_ring3(self) -> None:
-        result = sweep_single_robot_memoryless(3)
+        result = run_table_sweep(sweep_spec("single", 3))
         assert result.total == 256
         assert result.trapped == 256
         assert result.all_trapped
@@ -46,55 +49,142 @@ class TestSingleRobotSweep:
 
     def test_rejects_small_rings(self) -> None:
         with pytest.raises(VerificationError):
-            sweep_single_robot_memoryless(2)
+            sweep_spec("single", 2)
 
     def test_summary_shape(self) -> None:
-        result = sweep_single_robot_memoryless(3)
+        result = run_table_sweep(sweep_spec("single", 3))
         assert "ALL TRAPPED" in result.summary()
         assert "256/256" in result.summary()
 
 
 class TestTwoRobotSweep:
     def test_sampled_sweep_all_trapped_on_ring4(self) -> None:
-        result = sweep_two_robot_memoryless(4, sample=96, seed=7)
+        result = run_table_sweep(sweep_spec("two", 4, sample=96, rng_seed=7))
         assert result.total == 96
-        assert result.all_trapped
-
-    def test_extra_tables_included(self) -> None:
-        extra = TableAlgorithm(1, [0] * 16, name="all-left")
-        result = sweep_two_robot_memoryless(4, sample=8, extra_tables=[extra])
-        assert result.total == 9
         assert result.all_trapped
 
     def test_sample_bounds_validated(self) -> None:
         with pytest.raises(VerificationError):
-            sweep_two_robot_memoryless(4, sample=0)
+            sweep_spec("two", 4, sample=0)
         with pytest.raises(VerificationError):
-            sweep_two_robot_memoryless(3, sample=4)
+            sweep_spec("two", 3, sample=4)
 
     def test_deterministic_given_seed(self) -> None:
-        a = sweep_two_robot_memoryless(4, sample=16, seed=3)
-        b = sweep_two_robot_memoryless(4, sample=16, seed=3)
+        a = run_table_sweep(sweep_spec("two", 4, sample=16, rng_seed=3))
+        b = run_table_sweep(sweep_spec("two", 4, sample=16, rng_seed=3))
         assert a.trapped == b.trapped == 16
 
 
 class TestMemory2Sweep:
     def test_sampled_memory2_sweep_all_trapped(self) -> None:
-        result = sweep_two_robot_memory2(4, sample=24, seed=11)
+        result = run_table_sweep(sweep_spec("two-m2", 4, sample=24, rng_seed=11))
         assert result.total == 24
         assert result.all_trapped
         assert "memory-2" in result.description
 
     def test_deterministic_given_seed(self) -> None:
-        a = sweep_two_robot_memory2(4, sample=12, seed=5)
-        b = sweep_two_robot_memory2(4, sample=12, seed=5)
+        a = run_table_sweep(sweep_spec("two-m2", 4, sample=12, rng_seed=5))
+        b = run_table_sweep(sweep_spec("two-m2", 4, sample=12, rng_seed=5))
         assert (a.total, a.trapped, a.explorers, a.states_explored) == (
             b.total, b.trapped, b.explorers, b.states_explored,
         )
 
     def test_rejects_small_rings(self) -> None:
         with pytest.raises(VerificationError):
-            sweep_two_robot_memory2(3, sample=4)
+            sweep_spec("two-m2", 3, sample=4)
+
+
+class TestSweepSpec:
+    """The builder names the theorems' classes in today's words."""
+
+    @pytest.mark.parametrize(
+        "args, description",
+        [
+            (("single", 3), "all memoryless 1-robot algorithms"),
+            (("two", 4), "all memoryless 2-robot algorithms"),
+            (("two", 5, 16384), "16384 sampled memoryless 2-robot algorithms"),
+            (("two-m2", 4, 128), "128 sampled memory-2 2-robot algorithms"),
+        ],
+    )
+    def test_descriptions(self, args, description) -> None:
+        assert sweep_spec(*args).description == description
+        tagged = sweep_spec(*args, scheduler="ssync")
+        assert tagged.description == f"{description} [ssync]"
+
+    def test_theorem_bounds(self) -> None:
+        with pytest.raises(VerificationError, match="Theorem 5.1 .* >= 3, got n=2"):
+            sweep_spec("single", 2)
+        with pytest.raises(VerificationError, match="Theorem 4.1 .* >= 4, got n=3"):
+            sweep_spec("two-m2", 3, sample=4)
+
+    def test_memory2_needs_a_sample(self) -> None:
+        with pytest.raises(ScenarioError, match="declare a sample"):
+            sweep_spec("two-m2", 4)
+
+    def test_simulation_specs_are_refused(self) -> None:
+        with pytest.raises(ScenarioError, match="highly-dynamic"):
+            run_table_sweep(get_scenario("bernoulli-two-n4"))
+
+
+# One plan, two entry points: a sweep of a spec tallies exactly what the
+# campaign runner checkpoints for it.
+_DIFFERENTIAL_SPECS = [
+    get_scenario(name)
+    for name in (
+        "thm51-single-n3",
+        "ssync-single-n3",
+        "m2-two-n4",
+        "selfstab-ill-two-n4",
+        "live-two-n4",
+        "thm41-two-n6",
+    )
+] + [
+    # Unregistered, below Theorem 4.1's bound, and with explorers: pins
+    # their order as well as the tallies.
+    ScenarioSpec(
+        name="live-two-n3",
+        description="live two-robot sample on the 3-ring",
+        robots=RobotClassSpec("two", sample=512, rng_seed=3),
+        n=3,
+        prop="live",
+    ),
+]
+
+
+class TestOneSweepPlan:
+    @pytest.fixture(scope="class")
+    def campaign_tallies(self, tmp_path_factory):
+        runner = CampaignRunner(
+            ResultStore(tmp_path_factory.mktemp("store")), jobs=1
+        )
+        tallies = {}
+        for spec in _DIFFERENTIAL_SPECS:
+            status = runner.run(spec).status
+            tallies[spec.name] = (
+                status.total,
+                status.trapped,
+                list(status.explorers),
+                status.states_explored,
+            )
+        return tallies
+
+    @pytest.mark.parametrize(
+        "spec", _DIFFERENTIAL_SPECS, ids=[spec.name for spec in _DIFFERENTIAL_SPECS]
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_equals_campaign(self, spec, jobs, campaign_tallies) -> None:
+        result = run_table_sweep(spec, backend="auto", jobs=jobs)
+        assert (
+            result.total,
+            result.trapped,
+            result.explorers,
+            result.states_explored,
+        ) == campaign_tallies[spec.name]
+        assert (result.description, result.n, result.k) == (
+            spec.description, spec.n, spec.robots.k,
+        )
+        if spec.name == "live-two-n3":
+            assert len(result.explorers) == 2
 
 
 class TestSampleTablePatterns:
@@ -211,8 +301,7 @@ class TestSweepUnderFaults:
 
     @staticmethod
     def _sweep(jobs: int) -> SweepResult:
-        result = SweepResult("single n=3", n=3, k=1, total=0, trapped=0)
-        return run_table_sweep(result, "single", range(256), jobs=jobs)
+        return run_table_sweep(sweep_spec("single", 3), jobs=jobs)
 
     def test_crashed_attempts_are_retried_to_the_clean_result(self) -> None:
         clean = self._sweep(1)

@@ -40,14 +40,12 @@ from repro.robots.algorithms.tables import (
 )
 from repro.sim.engine import run_fsync
 from repro.types import AGREE, DISAGREE, Chirality
-from repro.verification.enumeration import (
-    sweep_single_robot_memoryless,
-    sweep_two_robot_memoryless,
-)
+from repro.verification.enumeration import sweep_spec
 from repro.verification.backends import SOLVER_BACKENDS, vector_available
 from repro.verification.compiled import CompiledTables
 from repro.verification.game import verify_exploration
 from repro.verification.kernel import PackedKernel
+from repro.verification.sweeps import run_table_sweep
 from repro.verification.product import ProductSystem
 
 
@@ -424,11 +422,11 @@ class TestSsyncScheduler:
             assert frozenset().union(*cert.cycle_activations) == {0, 1}
 
     def test_ssync_sweep_identical_across_backends_and_jobs(self) -> None:
-        kwargs = dict(sample=12, seed=9, scheduler="ssync")
+        spec = sweep_spec("two", 4, sample=12, rng_seed=9, scheduler="ssync")
         results = [
-            sweep_two_robot_memoryless(4, backend="object", **kwargs),
-            sweep_two_robot_memoryless(4, backend="packed", **kwargs),
-            sweep_two_robot_memoryless(4, backend="packed", jobs=2, **kwargs),
+            run_table_sweep(spec, backend="object"),
+            run_table_sweep(spec, backend="packed"),
+            run_table_sweep(spec, backend="packed", jobs=2),
         ]
         reference = results[0]
         assert reference.total == 12
@@ -459,11 +457,12 @@ class TestSsyncScheduler:
 
 class TestSweepRegression:
     def test_single_robot_sweep_identical_across_backends_and_jobs(self) -> None:
+        spec = sweep_spec("single", 3)
         results = [
-            sweep_single_robot_memoryless(3, backend="object"),
-            sweep_single_robot_memoryless(3, backend="packed"),
-            sweep_single_robot_memoryless(3, backend="packed", jobs=2),
-            sweep_single_robot_memoryless(3, backend="packed", jobs=5),
+            run_table_sweep(spec, backend="object"),
+            run_table_sweep(spec, backend="packed"),
+            run_table_sweep(spec, backend="packed", jobs=2),
+            run_table_sweep(spec, backend="packed", jobs=5),
         ]
         reference = results[0]
         assert reference.total == 256
@@ -482,12 +481,12 @@ class TestSweepRegression:
             )
 
     def test_two_robot_sample_identical_across_backends_and_jobs(self) -> None:
-        kwargs = dict(sample=24, seed=5)
+        spec = sweep_spec("two", 4, sample=24, rng_seed=5)
         results = [
-            sweep_two_robot_memoryless(4, backend="object", **kwargs),
-            sweep_two_robot_memoryless(4, backend="packed", **kwargs),
-            sweep_two_robot_memoryless(4, backend="packed", jobs=2, **kwargs),
-            sweep_two_robot_memoryless(4, backend="packed", jobs=3, **kwargs),
+            run_table_sweep(spec, backend="object"),
+            run_table_sweep(spec, backend="packed"),
+            run_table_sweep(spec, backend="packed", jobs=2),
+            run_table_sweep(spec, backend="packed", jobs=3),
         ]
         reference = results[0]
         assert reference.total == 24
@@ -507,9 +506,10 @@ class TestSweepRegression:
             )
 
     def test_validated_sweep_replays_certificates(self) -> None:
-        # validate_certificates=True forces lasso extraction + simulator
-        # replay inside the packed sweep path.
-        result = sweep_two_robot_memoryless(
-            4, sample=4, seed=11, backend="packed", validate_certificates=True
+        # validate=True forces lasso extraction + simulator replay inside
+        # the packed sweep path.
+        result = run_table_sweep(
+            sweep_spec("two", 4, sample=4, rng_seed=11), backend="packed",
+            validate=True,
         )
         assert result.total == 4
