@@ -144,6 +144,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is a usage error (one
+    stderr line, exit 2) rather than a traceback."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.graph.topology import RingTopology
     from repro.robots.algorithms.base import get_algorithm
@@ -172,8 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.save is not None:
             from repro.serialize import dumps
 
-            with open(args.save, "w", encoding="utf-8") as handle:
-                handle.write(dumps(cert) + "\n")
+            _write_output(args.save, dumps(cert) + "\n")
             print(f"  certificate written to {args.save}")
     elif args.save is not None:
         print("  nothing to save: the instance is explorable", file=sys.stderr)
@@ -225,9 +234,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "memory": args.memory,
             "scheduler": args.scheduler,
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        _write_output(args.json, json.dumps(payload, indent=2) + "\n")
         print(f"  result written to {args.json}")
     return 0 if result.all_trapped else 1
 

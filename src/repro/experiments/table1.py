@@ -84,8 +84,8 @@ def _row1(scale: Scale) -> Table1Row:
     for n, k in exact_cases:
         # "auto": the vector backend keeps the graph in narrow NumPy
         # arrays up to the Tarjan walk of the deduplicated arena — k=3
-        # n=10 in about 2 s; k=4 n=8 (110.6 M transitions) in about 30 s
-        # under 0.7 GB peak RSS on a 2-core host.
+        # n=10 in about 2 s; k=4 n=8 (110.6 M transitions) in about 25 s
+        # under 0.35 GB peak RSS on a 2-core host.
         verdict = verify_exploration(
             PEF3Plus(), RingTopology(n), k=k, backend="auto"
         )

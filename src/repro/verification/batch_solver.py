@@ -53,14 +53,15 @@ The dense tensors stop paying off past a few thousand states
 (:func:`dense_eligible`), and the paper's own positive algorithm leaves
 that range early: ``PEF_3+`` at k=3 has ``base^k = 32768`` at n=8, 61%
 of it reachable. Single instances of any size take the **frontier**
-path instead — :func:`reachable_csr`, a level-synchronous BFS over the
-*reached* states only. Per level it decodes the frontier's slots and, in
-row slices of bounded size, gathers the valid adversary moves of every
-frontier state out of a move CSR (spanning only occupancies with
-popcount ``≤ k``), resolves all their successors at once, finds the new
-ones against the ascending visited array and keeps the slice's
-transitions narrow: labels as narrow as their bits, successors as int32
-discovery ids. One final scatter yields the per-table CSR — states
+path instead — :func:`reachable_csr`, two passes over one dense id map
+of ``base^k`` entries. Pass 1, a level-synchronous BFS, only marks the
+reached states; pass 2 numbers them ascending through the map and
+expands them again in row slices of bounded size, writing each slice's
+narrow labels and int32 successor indices (one gather from the map)
+straight into the preallocated final arrays. Per slice it decodes the
+slice's states, gathers their valid adversary moves out of a move CSR
+(spanning only occupancies with popcount ``≤ k``) and resolves all
+their successors at once. The result is the per-table CSR — states
 ascending, per-state transitions in the scalar kernel's move order, the
 *same* canonical graph the packed backend builds from
 ``PackedKernel.reachable`` — so vector and packed verdicts and
@@ -70,8 +71,8 @@ certificate path of validated sweeps), which stays on the arrays: the
 NumPy kernels at the end of this module check rotation closure
 (:func:`rotation_closed`), grow the live arena
 (:func:`avoid_reachable`) and build each target's deduplicated arena
-(:func:`arena_csr`), the one part handed to Python — for the Tarjan
-walk. There is no scalar size fallback.
+(:func:`arena_csr`), handed to the Python Tarjan walk as compact stdlib
+arrays. There is no scalar size fallback.
 
 NumPy stays optional and is loaded on first use through
 :func:`repro.verification.batch.require_numpy`: callers guard with
@@ -84,6 +85,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from typing import Optional, Sequence
 
 from repro.errors import VerificationError
@@ -114,20 +116,25 @@ BATCH_PAIR_TARGET = 1 << 20
 #: Bits per uint64 word of a reachability bit-row.
 _BITS = 64
 
-#: Bound on packed states and move labels (edge bits, then activation
-#: bits) for the int64 frontier.
+#: Bound on move labels (edge bits, then activation bits) for the int64
+#: frontier.
 _INT64_BOUND = 1 << 62
+
+#: Entries of :func:`reachable_csr`'s dense id map, one per packed state
+#: of ``base^k`` (a flag, then an index); larger spaces are refused with
+#: a pointer to the packed backend. ``PEF_3+`` at k=4 n=8 needs 2^20.
+_MAP_STATES = 1 << 26
 
 #: Offsets and indices below this bound are stored as int32.
 _INDEX_BOUND = 1 << 31
 
-#: Transitions per build slice: :func:`reachable_csr` expands each
-#: frontier level, and :func:`arena_csr` deduplicates an arena's pairs,
-#: at most this many transitions at a time (one longer row excepted), so
-#: their int64 temporaries stay bounded whatever the graph's size. No
-#: level of ``verify pef3+ --n 8 --k 3`` (152k transitions at most) is
-#: large enough to be sliced.
-_SLICE_TRANSITIONS = 1 << 18
+#: Transitions per build slice: :func:`reachable_csr` expands the states
+#: of each pass, and :func:`arena_csr` deduplicates an arena's pairs, at
+#: most this many transitions at a time (one longer row excepted), so
+#: their int64 temporaries stay bounded whatever the graph's size. The
+#: largest level of ``verify pef3+ --n 8 --k 3`` (152k transitions) is
+#: cut into five slices.
+_SLICE_TRANSITIONS = 1 << 15
 
 _space_cache: dict = {}
 _frontier_cache: dict = {}
@@ -800,56 +807,78 @@ def _row_slices(deg: "object") -> "object":
         lo = hi
 
 
+def _frontier_rows(
+    kernel: PackedKernel, tables: tuple, states: "object"
+) -> tuple:
+    """Per packed state: its occupied-node mask, the row of its
+    occupancy in the move CSR of :func:`_frontier_tables`, and its
+    transition count (moves, times ``full_act`` under SSYNC)."""
+    np = require_numpy()
+    occ_keys, move_ptr, _moves, _robots = tables
+    base, S = kernel._base, kernel.state_count
+    occ = np.zeros_like(states)
+    rest = states
+    for _ in range(kernel.k):
+        occ |= np.left_shift(1, rest % base // S)
+        rest = rest // base
+    row = np.searchsorted(occ_keys, occ)
+    deg = move_ptr[row + 1] - move_ptr[row]
+    if kernel.scheduler == "ssync":
+        deg *= kernel.full_act
+    return occ, row, deg
+
+
 def _expand_frontier(
-    kernel: PackedKernel, tables: tuple, steps: "object", frontier: "object"
+    kernel: PackedKernel,
+    tables: tuple,
+    steps: "object",
+    states: "object",
+    row: "object",
+    deg: "object",
 ) -> "object":
-    """Every transition of a frontier of packed states, in kernel order.
+    """Every transition of some packed states, in kernel order.
 
     ``steps[view]`` is the Look–Compute table folded with the direction
-    bit of the computed state (``new_state · 2 + dir_bit``). Yields one
-    ``(deg, occ, succ, labels)`` record per row slice
-    (:func:`_row_slices`), slices in frontier order: the slice's
-    per-state transition counts and occupied-node masks, then its flat
-    successor and label arrays (per state, moves in
+    bit of the computed state (``new_state · 2 + dir_bit``); ``row`` and
+    ``deg`` come from :func:`_frontier_rows`. Yields ``(lo, hi, succ,
+    move_at)`` per row slice ``states[lo:hi]`` (:func:`_row_slices`), in
+    order: the flat packed successors (per state, moves in
     :meth:`PackedKernel.moves_for_occupied` order; under SSYNC each move
-    crossed with activation masks ``1..full_act`` ascending). The
-    frontier is decoded once; per slice only valid moves are expanded —
-    one flat row per (state, move) pair, gathered out of the move CSR —
-    and per robot three gathers resolve view, computed state and landing
-    node for all of them at once.
+    crossed with activation masks ``1..full_act`` ascending) and each
+    (state, move) pair's position in the flat move table, which holds
+    its label. A slice decodes its own states and gathers its valid
+    moves out of the move CSR; per robot three gathers resolve view,
+    computed state and landing node for all of them at once.
     """
     np = require_numpy()
-    occ_keys, move_ptr, moves, robots = tables
+    _occ_keys, move_ptr, _moves, robots = tables
     base, S = kernel._base, kernel.state_count
-    ssync = kernel.scheduler == "ssync"
-    acts = np.arange(1, kernel.full_act + 1, dtype=np.int64) << kernel.act_shift
-    slots, pos, views = [], [], []
-    rest = frontier
-    for _ in range(kernel.k):
-        slot = rest % base
-        rest = rest // base
-        slots.append(slot)
-        pos.append(slot // S)
-    occ = np.zeros_like(frontier)
-    towers = np.zeros_like(frontier)
-    for p in pos:
-        bit = np.left_shift(1, p)
-        towers |= occ & bit
-        occ |= bit
-    for i in range(kernel.k):
-        views.append((slots[i] % S) * 8 + ((towers >> pos[i]) & 1))
-    row = np.searchsorted(occ_keys, occ)
-    count = move_ptr[row + 1] - move_ptr[row]
-    deg = count * kernel.full_act if ssync else count
+    masks = [kernel.full_act]
+    if kernel.scheduler == "ssync":
+        masks = range(1, kernel.full_act + 1)
     for lo, hi in _row_slices(deg):
-        owner = np.repeat(np.arange(hi - lo), count[lo:hi])
-        move_at = _csr_rows(move_ptr, row[lo:hi])
-        labels = moves[move_at]
+        rows = row[lo:hi]
+        owner = np.repeat(np.arange(hi - lo), move_ptr[rows + 1] - move_ptr[rows])
+        move_at = _csr_rows(move_ptr, rows)
+        slots, pos = [], []
+        rest = states[lo:hi]
+        for _ in range(kernel.k):
+            slot = rest % base
+            rest = rest // base
+            slots.append(slot)
+            pos.append(slot // S)
+        occ = np.zeros_like(rest)
+        towers = np.zeros_like(rest)
+        for p in pos:
+            bit = np.left_shift(1, p)
+            towers |= occ & bit
+            occ |= bit
         cell = move_at * kernel.n
         active = []
         for i, (view_bits, landing) in enumerate(robots):
-            here = cell + pos[i][lo:hi][owner]
-            step = steps[views[i][lo:hi][owner] + view_bits[here]]
+            view = (slots[i] % S) * 8 + ((towers >> pos[i]) & 1)
+            here = cell + pos[i][owner]
+            step = steps[view[owner] + view_bits[here]]
             here *= 2
             here += step & 1
             slot = landing[here]
@@ -858,43 +887,27 @@ def _expand_frontier(
             slot += step
             active.append(slot)
         del cell, here, step
-        if not ssync:
-            succ = active.pop()
-            while active:
-                succ *= base
-                succ += active.pop()
-            yield deg[lo:hi], occ[lo:hi], succ, labels
-            continue
-        parts = []
-        for act in range(1, kernel.full_act + 1):
-            succ = None
+        # One successor column per activation mask; FSYNC activates all.
+        succ = np.empty((owner.size, len(masks)), dtype=np.int64)
+        for column, act in zip(succ.T, masks):
+            column[:] = 0
             for i in range(kernel.k - 1, -1, -1):
-                part = active[i] if act >> i & 1 else slots[i][lo:hi][owner]
-                succ = part if succ is None else succ * base + part
-            parts.append(succ)
-        yield (
-            deg[lo:hi],
-            occ[lo:hi],
-            np.stack(parts, axis=-1).reshape(-1),
-            (labels[:, None] | acts).reshape(-1),
-        )
+                column *= base
+                column += active[i] if act >> i & 1 else slots[i][owner]
+        yield lo, hi, succ.reshape(-1), move_at
 
 
 def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     """One table's reachable graph in canonical CSR form, in NumPy.
 
-    A level-synchronous frontier over the reached states only, so it
-    serves any instance whose packed states fit in int64 — no dense
-    ``base^k`` materialization. Each level is expanded in row slices
-    (:func:`_expand_frontier`). Per slice, the successors not reached yet
-    are inserted into the ascending ``visited`` array and get the next
-    *discovery ids* (the order in which the frontiers list them), every
-    successor is mapped to its id, and the slice is kept in its narrow
-    form: labels, successor ids, counts, occupied masks. The packed int64
-    successors are dropped as soon as they are mapped. Once the frontier
-    is empty, ``visited`` is the canonical state order, and each kept
-    slice is scattered into its rows of the canonical CSR, ids renumbered
-    to canonical indices, and freed.
+    Two passes over one dense id map of ``base^k`` entries, at most
+    :data:`_MAP_STATES`. **Pass 1**, a level-synchronous BFS in row
+    slices (:func:`_expand_frontier`), only marks reached states; it
+    keeps no transition. **Pass 2** numbers the reached states ascending
+    (the canonical order) through the map, takes ``indptr`` from their
+    transition counts (:func:`_frontier_rows`) and expands them again in
+    row slices, writing labels and successor indices (one gather from
+    the map) straight into the preallocated final arrays.
 
     Returns ``(states, indptr, labels, succs, occ, seed_idx)``:
     ``states`` the reached packed states ascending (int64); ``indptr``
@@ -910,17 +923,21 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     certificates; it keeps the arrays and converts to Python only what
     its Tarjan walks and single rows a certificate reads. Raises
     :class:`VerificationError` on the same ``max_states`` overflow the
-    scalar path reports.
+    scalar path reports, and, naming ``backend='packed'``, past the map
+    bound or on labels past int64.
     """
     np = require_numpy()
-    if (
-        kernel._base ** kernel.k > _INT64_BOUND
-        or 1 << (kernel.act_shift + kernel.k) > _INT64_BOUND
-    ):
+    space = kernel._base ** kernel.k
+    where = f"{kernel.algorithm.name!r} on {kernel.topology!r} with k={kernel.k}"
+    if space > _MAP_STATES:
         raise VerificationError(
-            f"packed states or move labels of {kernel.algorithm.name!r} on "
-            f"{kernel.topology!r} with k={kernel.k} overflow int64; "
+            f"the packed state space of {where} has {space} states, more "
+            f"than the vector frontier's {_MAP_STATES}-entry id map; "
             "use backend='packed'"
+        )
+    if 1 << (kernel.act_shift + kernel.k) > _INT64_BOUND:
+        raise VerificationError(
+            f"move labels of {where} overflow int64; use backend='packed'"
         )
     label_type = _value_dtype(_label_bits(kernel))
     occ_type = _value_dtype(kernel.n)
@@ -928,80 +945,52 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     trans, dirs, _initial = kernel.batch_tables()
     steps = trans * 2 + dirs[trans]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
-    if not seed_array.size:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(1, dtype=_index_dtype(0)),
-            np.zeros(0, dtype=label_type),
-            np.zeros(0, dtype=_index_dtype(0)),
-            np.zeros(0, dtype=occ_type),
-            [],
-        )
-    id_type = _index_dtype(kernel.max_states)
-    visited = np.unique(seed_array)
-    ids = np.arange(visited.size, dtype=id_type)  # discovery id per state
-    frontier = visited
-    kept = []
+    # Pass 1: mark every reached state.
+    reached = np.zeros(space, dtype=bool)
+    frontier = np.unique(seed_array)
+    reached[frontier] = True
+    count = frontier.size
     while frontier.size:
         fresh = []
-        for deg, occ, succ, labels in _expand_frontier(
-            kernel, tables, steps, frontier
+        _occ, row, deg = _frontier_rows(kernel, tables, frontier)
+        for _lo, _hi, succ, _move_at in _expand_frontier(
+            kernel, tables, steps, frontier, row, deg
         ):
-            at = np.minimum(np.searchsorted(visited, succ), visited.size - 1)
-            miss = visited[at] != succ
-            succ_ids = ids[at]
-            if miss.any():
-                unseen = succ[miss]
-                new = np.unique(unseen)
-                if visited.size + new.size > kernel.max_states:
-                    raise VerificationError(
-                        f"reachable state space exceeds {kernel.max_states} "
-                        f"states for {kernel.algorithm.name!r} on "
-                        f"{kernel.topology!r}"
-                    )
-                succ_ids[miss] = np.searchsorted(new, unseen) + visited.size
-                reached = np.arange(
-                    visited.size, visited.size + new.size, dtype=id_type
+            new = np.unique(succ[~reached[succ]])
+            count += new.size
+            if count > kernel.max_states:
+                raise VerificationError(
+                    f"reachable state space exceeds {kernel.max_states} "
+                    f"states for {kernel.algorithm.name!r} on "
+                    f"{kernel.topology!r}"
                 )
-                at = np.searchsorted(visited, new)
-                visited = np.insert(visited, at, new)
-                ids = np.insert(ids, at, reached)
-                fresh.append(new)
-            kept.append((
-                deg.astype(id_type),
-                occ.astype(occ_type),
-                labels.astype(label_type),
-                succ_ids,
-            ))
-        frontier = np.concatenate(fresh) if fresh else frontier[:0]
-    # Discovery order → canonical order: ``ids[i]`` is the discovery id
-    # of the i-th smallest state, ``rank`` its inverse.
-    states = visited
-    rank = np.empty(states.size, dtype=id_type)
-    rank[ids] = np.arange(states.size, dtype=id_type)
-    deg = np.concatenate([part[0] for part in kept])[ids]
-    occ = np.concatenate([part[1] for part in kept])[ids]
+            reached[new] = True
+            fresh.append(new)
+        frontier = np.concatenate(fresh)
+    # Pass 2: ascending ids through the map, rows written in place.
+    states = np.flatnonzero(reached)
+    del reached
+    id_type = _index_dtype(states.size)
+    ids = np.zeros(space, dtype=id_type)
+    ids[states] = np.arange(states.size, dtype=id_type)
+    occ, row, deg = _frontier_rows(kernel, tables, states)
     total = int(deg.sum())
     indptr = np.zeros(states.size + 1, dtype=_index_dtype(total))
     np.cumsum(deg, out=indptr[1:])
-    del deg, ids
     labels = np.empty(total, dtype=label_type)
-    succs = np.empty(total, dtype=_index_dtype(states.size))
-    first = 0
-    for i, (part_deg, _occ, part_labels, part_succ) in enumerate(kept):
-        kept[i] = None
-        rows = rank[first : first + part_deg.size]
-        first += part_deg.size
-        dest = _csr_rows(indptr, rows)
-        labels[dest] = part_labels
-        succs[dest] = rank[part_succ]
-    seed_idx: list[int] = []
-    seen: set[int] = set()
-    for idx in np.searchsorted(states, seed_array).tolist():
-        if idx not in seen:
-            seen.add(idx)
-            seed_idx.append(idx)
-    return states, indptr, labels, succs, occ, seed_idx
+    succs = np.empty(total, dtype=id_type)
+    moves = tables[2]
+    acts = np.zeros(1, dtype=np.int64)  # activation bits per column
+    if kernel.scheduler == "ssync":
+        acts = np.arange(1, kernel.full_act + 1) << kernel.act_shift
+    for lo, hi, succ, move_at in _expand_frontier(
+        kernel, tables, steps, states, row, deg
+    ):
+        rows = slice(indptr[lo], indptr[hi])
+        np.take(ids, succ, out=succs[rows], mode="clip")
+        labels[rows].reshape(move_at.size, -1)[:] = moves[move_at][:, None] | acts
+    seed_idx = list(dict.fromkeys(ids[seed_array].tolist()))
+    return states, indptr, labels, succs, occ.astype(occ_type), seed_idx
 
 
 # ----------------------------------------------------------------------
@@ -1048,10 +1037,18 @@ def avoid_reachable(
     return allowed
 
 
+def _compact(values: "object") -> array:
+    """A NumPy integer array as a stdlib :class:`array.array` of the same
+    item size (``b``/``h``/``i``/``q``), one copy of the buffer."""
+    out = array({1: "b", 2: "h", 4: "i", 8: "q"}[values.itemsize])
+    out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
 def arena_csr(
     indptr: "object", labels: "object", succs: "object", avoiding: "object"
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The deduplicated successor CSR of an arena, as Python lists.
+) -> tuple[list[int], array, array, array]:
+    """The deduplicated successor CSR of an arena, as compact arrays.
 
     The NumPy builder of :class:`repro.verification.game._Arena`:
     ``avoiding`` flags the arena's states, which get int32 node ids.
@@ -1062,8 +1059,9 @@ def arena_csr(
     source, successors in first-occurrence move order, exactly as the
     Python builder emits them. A pair never spans two sources, so the
     sources are processed in row slices (:func:`_row_slices`) and the
-    slices' pairs concatenated. Only this arena-sized result is
-    converted to lists, for the Tarjan walk.
+    slices' pairs concatenated. The Tarjan walk gets ``states`` as a
+    list and ``ptr``/``nxt``/``pair_label`` as stdlib arrays as narrow
+    as the NumPy ones (:func:`_compact`).
     """
     np = require_numpy()
     states = np.flatnonzero(avoiding)
@@ -1072,7 +1070,7 @@ def arena_csr(
     node = np.full(avoiding.size, -1, dtype=node_type)
     node[states] = np.arange(size, dtype=node_type)
     deg = indptr[states + 1] - indptr[states]
-    counts, nxt, pair_labels = [], [], []
+    counts, nxt, pair_labels = [np.zeros(1, dtype=np.int64)], [], []
     for lo, hi in _row_slices(deg):
         at = _csr_rows(indptr, states[lo:hi])
         dst = node[succs[at]]
@@ -1086,17 +1084,14 @@ def arena_csr(
         emit = np.argsort(order[head])
         key = key[head][emit]
         counts.append(np.bincount(key // size, minlength=hi - lo))
-        nxt.append(key % size)
+        nxt.append((key % size).astype(node_type))
         pair_labels.append(pair_label[emit])
-    if not size:
-        return [], [0], [], []
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=ptr[1:])
+    ptr = np.cumsum(np.concatenate(counts))
     return (
         states.tolist(),
-        ptr.tolist(),
-        np.concatenate(nxt).tolist(),
-        np.concatenate(pair_labels).tolist(),
+        _compact(ptr.astype(_index_dtype(int(ptr[-1])))),
+        _compact(np.concatenate(nxt or [node[:0]])),
+        _compact(np.concatenate(pair_labels or [labels[:0]])),
     )
 
 

@@ -70,8 +70,9 @@ the CSR as narrow NumPy arrays throughout — int32 offsets and successor
 indices (int64 past 2^31), labels and occupied masks in the narrowest
 dtype that holds their bits — and holds one chirality vector's graph at
 a time. Rotation closure, the live arena and the deduplication run in
-NumPy; Python lists are built only for the arena the Tarjan walks, and a
-certificate reads the rows it visits one at a time. Verdicts, counts and
+NumPy; the arena the Tarjan walks arrives as compact stdlib arrays (as it
+does from the packed backend's Python builder), and a certificate reads
+the rows it visits one at a time. Verdicts, counts and
 certificates are bit-identical across the three backends.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
@@ -84,9 +85,10 @@ other under either scheduler.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -380,13 +382,18 @@ class _Arena:
     ``pair_label[p]`` is the OR of every transition label between the
     pair. Tarjan over this graph visits states and emits components in
     exactly the order it would over the full CSR — a repeated successor
-    never changes a low-link — while walking each pair once.
+    never changes a low-link — while walking each pair once. ``ptr``,
+    ``nxt`` and ``pair_label`` are compact stdlib :class:`array.array`
+    buffers from both builders (NumPy's as narrow as its dtypes, the
+    plain-Python one 64-bit), a few bytes per entry instead of a list
+    slot plus an int object; only labels wider than 63 bits — rings of
+    more than 62 edges, packed backend only — stay a list.
     """
 
     states: list[int]
-    ptr: list[int]
-    nxt: list[int]
-    pair_label: list[int]
+    ptr: array
+    nxt: array
+    pair_label: Union[array, list[int]]
 
 
 def _build_csr(
@@ -546,7 +553,8 @@ def _arena(csr: _CsrGraph, avoiding: Sequence[bool]) -> _Arena:
 
     NumPy builds it on the vector backend
     (:func:`repro.verification.batch_solver.arena_csr`); this plain
-    Python loop on the packed backend emits the same lists.
+    Python loop on the packed backend emits the same values into stdlib
+    arrays.
     """
     if csr.on_numpy:
         return _Arena(
@@ -559,9 +567,9 @@ def _arena(csr: _CsrGraph, avoiding: Sequence[bool]) -> _Arena:
     node = [-1] * len(avoiding)
     for j, state in enumerate(states):
         node[state] = j
-    ptr = [0]
-    nxt: list[int] = []
-    pair_label: list[int] = []
+    ptr = array("q", [0])
+    nxt = array("q")
+    pair_label = array("q") if max(labels, default=0) >> 63 == 0 else []
     at = [-1] * len(states)  # latest position of each arena node in nxt
     for state in states:
         start = len(nxt)

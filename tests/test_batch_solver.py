@@ -1007,6 +1007,47 @@ class TestSparseFrontier:
         with pytest.raises(VerificationError, match="overflow int64"):
             batch_solver.reachable_csr(kernel, kernel.initial_states())
 
+    def test_packed_arena_keeps_wide_labels(self) -> None:
+        # The plain-Python arena builder fills int64 arrays, except for
+        # labels of more than 63 bits, which stay a list: the packed
+        # backend answers the 70-ring the frontier refuses.
+        kernel = PackedKernel(
+            RingTopology(70), PEF1(), default_chirality_vectors(1)[0]
+        )
+        seeds = kernel.initial_states()
+        occupied: dict = {}
+        graph = kernel.reachable(seeds, occupied_out=occupied)
+        csr = _csr_from_packed(graph, occupied, seeds)
+        arena = _arena(csr, [not occ & 1 for occ in csr.occ])
+        assert (arena.ptr.typecode, arena.nxt.typecode) == ("q", "q")
+        assert isinstance(arena.pair_label, list)
+        assert max(arena.pair_label) >> 63
+        verdict = verify_exploration(
+            PEF1(), RingTopology(70), 1, backend="packed"
+        )
+        assert not verdict.explorable and verdict.certificate is not None
+
+    @requires_numpy
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    def test_refuses_spaces_past_the_id_map(
+        self, monkeypatch, scheduler: str
+    ) -> None:
+        # The frontier's dense id map has one entry per packed state; a
+        # space past its bound is refused with a pointer to the packed
+        # backend, which still answers the same instance.
+        kernel, seeds = _pef3_instance(5, scheduler, 0, False)
+        space = kernel._base ** kernel.k
+        args = (PEF3Plus(), RingTopology(5), 3)
+        monkeypatch.setattr(batch_solver, "_MAP_STATES", space - 1)
+        with pytest.raises(VerificationError, match="backend='packed'"):
+            batch_solver.reachable_csr(kernel, seeds)
+        with pytest.raises(VerificationError, match="backend='packed'"):
+            verify_exploration(*args, backend="vector", scheduler=scheduler)
+        packed = verify_exploration(*args, backend="packed", scheduler=scheduler)
+        monkeypatch.setattr(batch_solver, "_MAP_STATES", space)
+        vector = verify_exploration(*args, backend="vector", scheduler=scheduler)
+        assert vector == packed
+
     @requires_numpy
     @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
     def test_same_max_states_error(self, scheduler: str) -> None:
@@ -1153,8 +1194,9 @@ class TestMemoryFootprint:
 
     #: Traced bytes per explored transition. The all-int64 CSR, kept
     #: across vectors and built from whole levels, peaked at 28.5 here;
-    #: the lean path peaks at 17.5.
-    BOUND = 24.0
+    #: the discovery-order build in bounded slices at 17.5; the two-pass
+    #: build over the dense id map, with compact arena arrays, at 7.9.
+    BOUND = 12.0
 
     def test_traced_peak_per_transition(self) -> None:
         # tracemalloc sees NumPy's allocations. A first, untraced run
@@ -1172,6 +1214,22 @@ class TestMemoryFootprint:
             tracemalloc.stop()
         assert verdict.explorable
         assert peak / verdict.transitions_explored < self.BOUND
+
+    def test_reachable_csr_peak_near_its_result(self) -> None:
+        # The two passes hold no second copy of the graph: beside the
+        # returned arrays only the id map and slice-sized temporaries are
+        # alive (the discovery-order build peaked at 3.8x the result).
+        import tracemalloc
+
+        kernel, seeds = _pef3_instance(8, "fsync", 0, False)
+        batch_solver.reachable_csr(kernel, seeds)  # fills the caches
+        tracemalloc.start()
+        try:
+            result = batch_solver.reachable_csr(kernel, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * sum(array.nbytes for array in result[:5])
 
 
 def _reference_winning_scc_csr(kernel, csr, target, allowed=None):

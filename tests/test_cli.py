@@ -397,3 +397,24 @@ class TestErrorBoundary:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--algo", "pef1", "--n", "3", "--k", "1"], "--save"),
+            (["sweep", "--robots", "1", "--n", "3", "--jobs", "1"], "--json"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    def test_unwritable_output_is_usage_exit(
+        self, argv, flag, where, tmp_path, capsys
+    ) -> None:
+        # The result is computed, but its file cannot be opened: one
+        # stderr line naming the path and exit 2, not EXIT_INCOMPLETE's 1.
+        target = tmp_path / "missing" / "out.json"
+        if where == "is-a-dir":
+            target = tmp_path
+        assert main(argv + [flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert f"cannot write {target}" in err
