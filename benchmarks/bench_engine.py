@@ -69,7 +69,10 @@ def test_engine_with_trace_and_observers(benchmark) -> None:
     assert result.trace is not None
 
 
-def test_product_reachability_ring4_k2(benchmark) -> None:
+def test_engine_oracle_reachability_ring4_k2(benchmark) -> None:
+    """Times the engine oracle: ``ProductSystem.reachable`` steps the
+    engine once per transition (the packed kernel is timed through the
+    solver benchmarks)."""
     ring = RingTopology(4)
 
     def run():

@@ -77,7 +77,6 @@ from repro.errors import ReproError, exit_code_for
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
-    SOLVER_BACKEND_CHOICES,
     resolve_solver_backend,
 )
 from repro.verification.families import DEFAULT_RNG_SEED, resolve_jobs
@@ -321,6 +320,10 @@ def _cmd_campaign_analyze(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.errors import EXIT_OK
 
+    # Both knobs are checked whether or not the flag that reads them is
+    # given, so an out-of-range value never passes silently.
+    telemetry.check_threshold(args.threshold)
+    telemetry.check_derate(args.derate)
     summary = telemetry.summarize(telemetry.load_trace(args.trace_dir))
     if args.write_baseline is not None:
         path = telemetry.write_baseline(
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trap certificate (if any) as JSON",
     )
     p_verify.add_argument(
-        "--backend", choices=list(SOLVER_BACKEND_CHOICES), default=AUTO_BACKEND,
+        "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
         help="verification substrate: NumPy vector lockstep, packed int "
         "kernel or the object-path semantics oracle; 'auto' (default) "
         "resolves vector → packed by NumPy availability",
@@ -441,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"deterministic sampling seed (default {DEFAULT_RNG_SEED})",
     )
     p_sweep.add_argument(
-        "--backend", choices=list(SOLVER_BACKEND_CHOICES), default=AUTO_BACKEND,
+        "--backend", choices=list(BACKEND_CHOICES), default=AUTO_BACKEND,
         help="solver substrate; 'auto' (default) resolves vector → "
         "packed by NumPy availability",
     )

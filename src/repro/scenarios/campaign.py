@@ -8,7 +8,7 @@ schedule-family scenarios run on the simulation chunk runner
 (:func:`~repro.scenarios.simulate.simulate_chunk`) against their pinned
 schedule parameterization. Both paths produce the same record schema and
 both offer the same backend family with byte-identical tallies — a NumPy
-``vector`` lockstep kernel, a packed int kernel and an object oracle on
+``vector`` lockstep kernel, a packed int kernel and the engine oracle on
 either path (``auto``, the default choice, resolves vector → packed by
 NumPy availability) — so the store, resume, dedup and reporting
 machinery below is shared — and backend-agnostic. The
@@ -78,7 +78,6 @@ from repro.scenarios.store import (
 from repro.verification.backends import (
     check_backend_choice,
     import_backend,
-    resolve_simulation_backend,
     resolve_solver_backend,
 )
 from repro.verification.families import resolve_jobs
@@ -212,7 +211,7 @@ class CampaignRunOutcome:
 
 
 def _campaign_chunk(
-    spec_data: dict[str, Any], backend: str, validate: bool, chunk: tuple[int, ...]
+    spec_data: dict[str, Any], backend: str, chunk: tuple[int, ...]
 ) -> tuple:
     """Run one chunk of a campaign (the executor's work function).
 
@@ -234,7 +233,7 @@ def _campaign_chunk(
             spec.n,
             chunk,
             backend,
-            validate,
+            False,  # validate: a campaign tallies verdicts, no replay
             spec.starts,
             spec.prop,
             spec.scheduler,
@@ -248,18 +247,17 @@ class CampaignRunner:
     """Runs scenarios against a result store, resumably and supervised.
 
     ``backend`` picks the execution substrate of *both* dispatch paths:
-    the exact solver's dense NumPy lockstep vs packed kernel vs object
-    product, and the simulation runner's NumPy lockstep kernel vs
-    compiled tables vs object engines. ``"auto"`` (the default) resolves
-    per scenario to the fastest backend available on this host —
+    the exact solver's dense NumPy lockstep vs packed kernel vs the
+    engine-stepped :class:`~repro.verification.product.ProductSystem`,
+    and the simulation runner's NumPy lockstep kernel vs compiled tables
+    vs the engines themselves. ``"auto"`` (the default) resolves to the
+    fastest backend available on this host —
     ``vector`` → ``packed`` by NumPy availability on either path (the
     one registry: :mod:`repro.verification.backends`).
     The backend is an execution detail, not workload identity — all
     backends tally every chunk byte-identically, so scenario hashes,
     chunk records and report bytes never depend on it, and a campaign
     checkpointed under one backend resumes cleanly under any other.
-    ``validate`` applies to the exact-solver path only (certificate
-    replay validation).
 
     ``policy`` governs retries, per-chunk deadlines and quarantine
     (:class:`RetryPolicy`); ``faults`` installs an explicit
@@ -282,7 +280,6 @@ class CampaignRunner:
         store: ResultStore,
         backend: str = "auto",
         jobs: Optional[int] = None,
-        validate: bool = False,
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         telemetry: Optional[str | Path | TelemetryConfig] = None,
@@ -290,26 +287,22 @@ class CampaignRunner:
         self.store = store
         self.backend = check_backend_choice(backend)
         self.jobs = resolve_jobs(jobs)
-        self.validate = validate
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
         self.telemetry = telemetry
         self._signal: Optional[int] = None
 
-    def _resolve_backend(self, spec: ScenarioSpec) -> str:
-        """The concrete backend this spec's chunks will execute on.
+    def _resolve_backend(self) -> str:
+        """The concrete backend the chunks will execute on.
 
         Resolved once in the parent before any chunk is dispatched
-        (workers receive the concrete name): ``auto`` picks the fastest
-        substrate available for the spec's dispatch path. Asking the
-        exact solver for ``vector``, or for ``vector`` without NumPy,
-        fails loudly here as a usage error rather than poisoning chunks
-        retry by retry.
+        (workers receive the concrete name), the same way on both
+        dispatch paths: ``auto`` picks the fastest substrate available.
+        Asking for ``vector`` without NumPy fails loudly here as a usage
+        error rather than poisoning chunks retry by retry.
         """
         try:
-            if spec.dynamics == "highly-dynamic":
-                return resolve_solver_backend(self.backend)
-            return resolve_simulation_backend(self.backend)
+            return resolve_solver_backend(self.backend)
         except VerificationError as exc:
             raise ScenarioError(str(exc)) from exc
 
@@ -453,7 +446,7 @@ class CampaignRunner:
         the run's clock time); the previous process-local telemetry state
         is restored on exit, mirroring the fault-plan save/restore.
         """
-        backend = self._resolve_backend(spec)
+        backend = self._resolve_backend()
         config = self._telemetry_config(spec, backend)
         if config is None:
             return self._run(spec, max_chunks, include_failed, backend)
@@ -510,7 +503,7 @@ class CampaignRunner:
         if self.faults is not None:
             faults.install(self.faults)
         executor = ChunkExecutor(
-            partial(_campaign_chunk, spec.to_dict(), backend, self.validate),
+            partial(_campaign_chunk, spec.to_dict(), backend),
             self.jobs,
             self.policy,
             plan,

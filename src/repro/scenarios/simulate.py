@@ -91,7 +91,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.sim.engine import make_initial_configuration, step_fsync
 from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
-from repro.verification.backends import resolve_simulation_backend
+from repro.verification.backends import resolve_solver_backend
 from repro.verification.compiled import CompiledTables
 from repro.verification.sweeps import family_maker, family_plan
 
@@ -264,9 +264,9 @@ def simulate_chunk(
     process or host with an identical tally. ``backend`` picks the
     execution substrate (``"vector"``/``"packed"``/``"object"``; see the
     module docstring); ``"auto"`` resolves to the fastest available one
-    (:func:`repro.verification.backends.resolve_simulation_backend`).
+    (:func:`repro.verification.backends.resolve_solver_backend`).
     """
-    backend = resolve_simulation_backend(backend)
+    backend = resolve_solver_backend(backend)
     topology = RingTopology(spec.n)
     schedule = build_schedule(
         spec.dynamics, spec.dynamics_params, spec.dynamics_seed, topology

@@ -570,6 +570,20 @@ def git_metadata() -> dict[str, str]:
     return meta
 
 
+def check_derate(derate: float) -> float:
+    """Validate a baseline ``derate`` factor: a fraction in ``(0, 1]``."""
+    if not 0.0 < derate <= 1.0:
+        raise ScenarioError(f"derate must be in (0, 1], got {derate!r}")
+    return derate
+
+
+def check_threshold(threshold: float) -> float:
+    """Validate a regression ``threshold``: a fraction in ``[0, 1)``."""
+    if not 0.0 <= threshold < 1.0:
+        raise ScenarioError(f"threshold must be in [0, 1), got {threshold!r}")
+    return threshold
+
+
 def make_baseline(
     summary: Mapping[str, Any], derate: float = 1.0
 ) -> dict[str, Any]:
@@ -581,8 +595,7 @@ def make_baseline(
     ordinary hardware variance; a fresh same-machine baseline uses the
     default ``1.0``.
     """
-    if not 0.0 < derate <= 1.0:
-        raise ScenarioError(f"derate must be in (0, 1], got {derate!r}")
+    check_derate(derate)
     metrics = {}
     for name, data in summary["scenarios"].items():
         metrics[name] = {
@@ -652,8 +665,7 @@ def diff_baseline(
     Baseline scenarios absent from the summary are noted and skipped, so
     a partial run can still gate the scenarios it did execute.
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ScenarioError(f"threshold must be in [0, 1), got {threshold!r}")
+    check_threshold(threshold)
     ok = True
     lines: list[str] = []
     for name, expected in sorted(baseline["metrics"].items()):
@@ -699,6 +711,8 @@ __all__ = [
     "TelemetryConfig",
     "active",
     "armed",
+    "check_derate",
+    "check_threshold",
     "counter",
     "diff_baseline",
     "event",

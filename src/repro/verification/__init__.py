@@ -7,9 +7,10 @@ strongest adversary is decidable — the interaction is a game on the finite
 product of robot positions, robot states and adversarial edge choices.
 This subpackage decides it, through three mutually-checking layers:
 
-* :mod:`repro.verification.product` — the object-level product transition
-  system, driven by the very same :func:`repro.sim.engine.step_fsync` the
-  simulator uses (the semantics oracle);
+* :mod:`repro.verification.product` — the engine oracle: the object-level
+  product transition system, every transition one call of the very same
+  :func:`repro.sim.engine.step_fsync` the simulator uses, and never a call
+  into the packed kernel it checks;
 * :mod:`repro.verification.compiled` — the compiled-tables core: product
   states as single ints, edge/activation sets as bitmasks, the whole
   Look–Compute logic folded into flat integer tables, shared with the
@@ -28,7 +29,7 @@ This subpackage decides it, through three mutually-checking layers:
   CLI, the chunk runners and the campaign runner all derive from;
 * :mod:`repro.verification.kernel` — the packed-state kernel: the game
   solver's consumer of the compiled tables, adding adversarial move
-  enumeration and labeled reachability. The default, fast substrate;
+  enumeration and labeled reachability. The scalar fast substrate;
   differentially tested against the other two layers;
 * :mod:`repro.verification.game` — the solver: the adversary wins iff,
   from some well-initiated configuration, some reachable SCC of the
@@ -56,10 +57,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "AUTO_BACKEND": "repro.verification.backends",
     "BACKEND_CHOICES": "repro.verification.backends",
-    "SIMULATION_BACKENDS": "repro.verification.backends",
     "SOLVER_BACKENDS": "repro.verification.backends",
-    "SOLVER_BACKEND_CHOICES": "repro.verification.backends",
-    "resolve_simulation_backend": "repro.verification.backends",
     "resolve_solver_backend": "repro.verification.backends",
     "vector_available": "repro.verification.backends",
     "TrapCertificate": "repro.verification.certificates",
@@ -77,7 +75,6 @@ _EXPORTS = {
     "sample_table_patterns": "repro.verification.families",
     "PackedKernel": "repro.verification.kernel",
     "check_scheduler": "repro.verification.kernel",
-    "BACKENDS": "repro.verification.product",
     "ProductSystem": "repro.verification.product",
     "SysState": "repro.verification.product",
     "SweepResult": "repro.verification.enumeration",
@@ -90,13 +87,9 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __all__ = [
     "AUTO_BACKEND",
-    "BACKENDS",
     "BACKEND_CHOICES",
-    "SIMULATION_BACKENDS",
     "SOLVER_BACKENDS",
-    "SOLVER_BACKEND_CHOICES",
     "PROPERTIES",
-    "resolve_simulation_backend",
     "resolve_solver_backend",
     "vector_available",
     "START_POLICIES",

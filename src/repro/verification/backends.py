@@ -9,14 +9,14 @@ from this module, so a new backend cannot drift out of a help text or an
 error message.
 
 Both dispatch paths offer the same three backends, fastest first
-(:data:`SOLVER_BACKENDS`; :data:`SIMULATION_BACKENDS` is the same tuple)
-and resolve a choice the same way (one :func:`resolve_solver_backend`,
-aliased as :func:`resolve_simulation_backend`):
+(:data:`SOLVER_BACKENDS`), and resolve a choice the same way (one
+:func:`resolve_solver_backend`):
 
 * on the **solver** path (the exact game solver over the highly-dynamic
   adversary): ``vector`` (dense NumPy lockstep over a whole chunk of
   tables, :mod:`repro.verification.batch_solver`), ``packed`` (flat int
-  tables) and ``object`` (the differential oracle);
+  tables) and ``object`` (the engine oracle,
+  :class:`~repro.verification.product.ProductSystem`);
 * on the **simulation** path (the bounded-horizon schedule-dynamics
   runner): ``vector`` (NumPy structure-of-arrays lockstep over a whole
   chunk, :mod:`repro.verification.batch`), ``packed`` and ``object``.
@@ -34,19 +34,13 @@ from __future__ import annotations
 from repro.errors import VerificationError
 
 SOLVER_BACKENDS = ("vector", "packed", "object")
-"""Backends of the exact game solver path, fastest first."""
-
-SIMULATION_BACKENDS = SOLVER_BACKENDS
-"""Backends of the schedule-simulation path: the same three names."""
+"""Backends of both dispatch paths, fastest first."""
 
 AUTO_BACKEND = "auto"
 """Sentinel choice: resolve to the fastest available backend."""
 
 BACKEND_CHOICES = (AUTO_BACKEND,) + SOLVER_BACKENDS
 """Every name a caller may pass (CLI ``--backend`` choices)."""
-
-SOLVER_BACKEND_CHOICES = BACKEND_CHOICES
-"""Solver-path ``--backend`` choices (``verify``/``sweep`` CLI)."""
 
 
 def vector_available() -> bool:
@@ -71,7 +65,7 @@ def check_backend_choice(backend: str) -> str:
 
 
 def check_solver_backend(backend: str) -> str:
-    """Validate a concrete solver backend (shared by product, game, sweeps)."""
+    """Validate a concrete backend name (``auto`` already resolved)."""
     if backend not in SOLVER_BACKENDS:
         raise VerificationError(
             f"unknown backend {backend!r}; choose from {SOLVER_BACKENDS}"
@@ -96,10 +90,6 @@ def resolve_solver_backend(backend: str) -> str:
             "pass backend='auto' to fall back to 'packed' automatically"
         )
     return check_solver_backend(backend)
-
-
-resolve_simulation_backend = resolve_solver_backend
-"""The simulation path resolves exactly like the solver path."""
 
 
 def import_backend(backend: str) -> None:

@@ -518,26 +518,6 @@ class CompiledTables:
             )
         return self._batch_tables
 
-    def step(
-        self,
-        state: SysState,
-        present: frozenset[EdgeId],
-        active: Optional[Iterable[RobotId]] = None,
-    ) -> SysState:
-        """Object-level convenience wrapper around :meth:`step_packed`."""
-        if active is None:
-            act_mask = None
-        else:
-            # OR, not sum: a duplicated robot id must be idempotent, not
-            # silently activate a different robot.
-            act_mask = 0
-            for robot in active:
-                act_mask |= 1 << robot
-        successor, _moved = self.step_packed(
-            self.encode(state), self.edges_to_mask(present), act_mask
-        )
-        return self.decode(successor)
-
     # ------------------------------------------------------------------
     # Initial states
     # ------------------------------------------------------------------

@@ -407,17 +407,16 @@ def _build_csr(
 ) -> tuple[PackedKernel, _CsrGraph]:
     """One chirality vector's kernel and canonical CSR, built the
     backend's way; the backend's own graph form dies with this frame."""
-    if backend == "object":
-        system = ProductSystem(
-            topology, algorithm, vector, max_states=max_states,
-            backend="object", scheduler=scheduler,
-        )
-        kernel = system.kernel()
-        seeds = system.initial_states(placements)
-        return kernel, _csr_from_object(kernel, system.reachable(seeds), seeds)
     kernel = PackedKernel(
         topology, algorithm, vector, max_states=max_states, scheduler=scheduler,
     )
+    if backend == "object":
+        system = ProductSystem(
+            topology, algorithm, vector, max_states=max_states,
+            scheduler=scheduler,
+        )
+        seeds = system.initial_states(placements)
+        return kernel, _csr_from_object(kernel, system.reachable(seeds), seeds)
     packed_seeds = kernel.initial_states(placements)
     if backend == "vector":
         return kernel, _CsrGraph(*batch_solver.reachable_csr(kernel, packed_seeds))

@@ -20,13 +20,14 @@ per-transition object allocation. The kernel is differentially tested
 against both ``ProductSystem.step`` and ``step_fsync``
 (``tests/test_packed_kernel.py``) so the "solver and simulator can never
 disagree" invariant spans three mutually-checking implementations:
-engine oracle → object product → packed kernel.
+engine oracle → object product → packed kernel. The object product
+never calls into this module, so the checks stay independent.
 
 Move enumeration mirrors the object path's normalization exactly (all
 edges not adjacent to an occupied node are always present; adjacent edges
-range over all subsets, in the same order), so
-``ProductSystem(backend="packed").reachable()`` decodes to a graph
-*identical* to the object backend's — same states, same per-state
+range over all subsets, in the same order), so the kernel's graph and
+``ProductSystem.reachable()``'s, packed with :meth:`~CompiledTables.encode`,
+give the *identical* canonical CSR — same states, same per-state
 transition order.
 
 **Schedulers.** The adversary move is really a *(edge-mask,
@@ -58,7 +59,6 @@ from repro.verification.compiled import (
     CompiledTables,
     PackedState,
     PackedTransition,
-    SysState,
     check_scheduler,
 )
 
@@ -161,8 +161,8 @@ class PackedKernel(CompiledTables):
         """The reachable labeled transition graph, entirely on ints.
 
         Traversal order, per-state move order and the ``max_states`` guard
-        all match the object path exactly, so the decoded graph is
-        indistinguishable from ``ProductSystem.reachable``'s. Pass a dict
+        all match the object path exactly, so the graph packs to the same
+        canonical CSR as ``ProductSystem.reachable``'s. Pass a dict
         as ``occupied_out`` to also collect each state's occupied-node
         bitmask (computed here anyway; the solver needs it per target).
         """
@@ -176,8 +176,6 @@ class PackedKernel(CompiledTables):
                 frontier.append(seed)
         if self.scheduler == "ssync":
             return self._reachable_ssync(graph, frontier, occupied_out)
-        if self.k == 1:
-            return self._reachable_k1(graph, frontier, occupied_out)
 
         base = self._base
         state_count = self.state_count
@@ -296,93 +294,6 @@ class PackedKernel(CompiledTables):
                         graph[successor] = []
                         frontier.append(successor)
         return graph
-
-    def _reachable_k1(
-        self,
-        graph: dict[PackedState, list[PackedTransition]],
-        frontier: list[PackedState],
-        occupied_out: Optional[dict[PackedState, int]],
-    ) -> dict[PackedState, list[PackedTransition]]:
-        """Single-robot body of :meth:`reachable`.
-
-        With k = 1 a packed state is just ``position * S + state_index``,
-        multiplicity never fires and there is no per-robot loop — worth a
-        dedicated loop because single-robot sweeps run it 256 times per
-        ring size.
-        """
-        state_count = self.state_count
-        transitions = self._transitions
-        dir_bits = self._dir_bits
-        left_masks, right_masks, move_masks, move_dests = self._robot_tables[0]
-        max_states = self.max_states
-        moves_cache = self._moves_cache
-        moves_for_occupied = self.moves_for_occupied
-
-        while frontier:
-            state = frontier.pop()
-            out = graph[state]
-            position, s = divmod(state, state_count)
-            occupied = 1 << position
-            if occupied_out is not None:
-                occupied_out[state] = occupied
-            row = s * 8
-            lmask = left_masks[position]
-            rmask = right_masks[position]
-            pointer_row = position * 2
-            landing_base = position * state_count
-            moves = moves_cache.get(occupied)
-            if moves is None:
-                moves = moves_for_occupied(occupied)
-            for mask in moves:
-                view = row
-                if mask & lmask:
-                    view += 4
-                if mask & rmask:
-                    view += 2
-                new_state = transitions[view]
-                pointer = pointer_row + dir_bits[new_state]
-                if mask & move_masks[pointer]:
-                    successor = move_dests[pointer] * state_count + new_state
-                else:
-                    successor = landing_base + new_state
-                out.append((mask, successor))
-                if successor not in graph:
-                    if len(graph) >= max_states:
-                        raise VerificationError(
-                            f"reachable state space exceeds {max_states} states "
-                            f"for {self.algorithm.name!r} on {self.topology!r}"
-                        )
-                    graph[successor] = []
-                    frontier.append(successor)
-        return graph
-
-    def decode_graph(
-        self, graph: dict[PackedState, list[PackedTransition]]
-    ) -> dict[SysState, list[tuple]]:
-        """Decode a packed graph into the object-level representation.
-
-        FSYNC labels decode to present-edge frozensets; SSYNC labels to
-        ``(present-edges, activated-robots)`` pairs — matching the object
-        backend's label shape under either scheduler.
-        """
-        decoded = {state: self.decode(state) for state in graph}
-        result: dict[SysState, list[tuple]] = {}
-        if self.scheduler == "ssync":
-            for state, out in graph.items():
-                result[decoded[state]] = [
-                    (
-                        (self.move_edges(label), self.move_activations(label)),
-                        decoded[successor],
-                    )
-                    for label, successor in out
-                ]
-            return result
-        for state, out in graph.items():
-            result[decoded[state]] = [
-                (self.mask_to_edges(mask), decoded[successor])
-                for mask, successor in out
-            ]
-        return result
 
 
 __all__ = [

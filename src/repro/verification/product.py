@@ -8,16 +8,14 @@ is computed by :func:`repro.sim.engine.step_fsync` (respectively
 :func:`repro.sim.semi_sync.step_ssync`), the same functions the
 simulators run, so solver and simulator can never disagree on semantics.
 
-Interchangeable backends compute :meth:`ProductSystem.reachable`: the
-``object`` path steps ``step_fsync`` per transition (the semantics
-oracle), while the default ``packed`` path runs the allocation-free
-integer kernel of :mod:`repro.verification.kernel` (``vector``, its
-NumPy frontier) and decodes its graph. All yield the identical labeled
-transition graph; differential tests hold them together. The game
-solver builds only the object backend's graph here: it packs it with the
-kernel's encoding (:meth:`ProductSystem.kernel`) into the canonical CSR
-form the packed and vector backends build directly, and all three share
-one solve phase (:mod:`repro.verification.game`).
+This module is the engine oracle and nothing else: every transition of
+:meth:`ProductSystem.reachable` is one engine step, with no packed or
+vector machinery underneath, so the chain engine oracle → object product
+→ packed kernel (:mod:`repro.verification.kernel`) stays a chain of
+independent checks. The game solver's ``object`` backend packs this
+graph with the kernel's encoding into the canonical CSR form the packed
+and vector backends build directly, and all three share one solve phase
+(:mod:`repro.verification.game`).
 
 Adversary-move reduction (soundness argument): only edges adjacent to an
 *occupied* node can influence any robot's view or movement. Presenting a
@@ -46,15 +44,7 @@ from repro.sim.config import Configuration
 from repro.sim.engine import step_fsync
 from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
-from repro.verification.kernel import PackedKernel, check_scheduler
-
-# Backend names live in the one registry shared with the CLI and the
-# simulation path; the solver aliases keep this module's historical API.
-from repro.verification.backends import (  # noqa: E402  (re-export)
-    SOLVER_BACKENDS as BACKENDS,
-    check_solver_backend as check_backend,
-    resolve_solver_backend,
-)
+from repro.verification.compiled import check_scheduler
 
 SysState = tuple[tuple[NodeId, ...], tuple[Hashable, ...]]
 """A product state: (robot positions, robot algorithm states)."""
@@ -84,18 +74,6 @@ class ProductSystem:
         Safety valve: exploration aborts (``VerificationError``) if the
         reachable set exceeds this bound, rather than consuming the
         machine.
-    backend:
-        ``"packed"`` (default) explores reachability on the int-packed
-        kernel (:mod:`repro.verification.kernel`) and decodes the result;
-        ``"vector"`` builds the same graph with a NumPy frontier
-        (:func:`repro.verification.batch_solver.reachable_csr`; requires
-        NumPy); ``"auto"`` resolves vector → packed by
-        NumPy availability; ``"object"`` steps
-        :func:`repro.sim.engine.step_fsync` (or
-        :func:`repro.sim.semi_sync.step_ssync`) per transition. All
-        produce the *identical* graph — the object path is kept as the
-        semantics oracle. :meth:`step` always uses the engine, whatever
-        the backend.
     scheduler:
         ``"fsync"`` (default): every robot acts every round, moves are
         bare present-edge sets. ``"ssync"``: the adversary additionally
@@ -110,7 +88,6 @@ class ProductSystem:
         algorithm: Algorithm,
         chiralities: Sequence[Chirality],
         max_states: int = 2_000_000,
-        backend: str = "packed",
         scheduler: str = "fsync",
     ) -> None:
         if not algorithm.is_finite_state:
@@ -124,25 +101,9 @@ class ProductSystem:
         if self.k < 1:
             raise VerificationError("need at least one robot")
         self.max_states = max_states
-        # Resolved eagerly so an explicit "vector" without NumPy fails
-        # loudly at construction, not deep inside reachability.
-        self.backend = resolve_solver_backend(backend)
         self.scheduler = check_scheduler(scheduler)
-        self._kernel: Optional[PackedKernel] = None
         self._moves_cache: dict[frozenset[NodeId], tuple[frozenset[EdgeId], ...]] = {}
         self._activation_sets: Optional[tuple[frozenset[RobotId], ...]] = None
-
-    def kernel(self) -> PackedKernel:
-        """The (lazily built) packed kernel for this instance."""
-        if self._kernel is None:
-            self._kernel = PackedKernel(
-                self.topology,
-                self.algorithm,
-                self.chiralities,
-                self.max_states,
-                scheduler=self.scheduler,
-            )
-        return self._kernel
 
     def activation_sets(self) -> tuple[frozenset[RobotId], ...]:
         """Every non-empty activated-robot subset, ascending bitmask order.
@@ -264,33 +225,9 @@ class ProductSystem:
 
         Returns a dict mapping every reachable state to its outgoing
         (move, successor) list. Raises :class:`VerificationError` when the
-        state count exceeds :attr:`max_states`. With the ``packed``
-        backend the graph is computed on the int kernel and decoded —
-        identical result, no per-transition allocation.
+        state count exceeds :attr:`max_states`. Every transition is one
+        :meth:`step` of the engine.
         """
-        if self.backend in ("packed", "vector"):
-            from repro.verification import batch_solver
-
-            kernel = self.kernel()
-            packed_seeds = (
-                None if seeds is None else [kernel.encode(seed) for seed in seeds]
-            )
-            if self.backend == "vector":
-                if packed_seeds is None:
-                    packed_seeds = kernel.initial_states()
-                states, indptr, labels, succs = (
-                    array.tolist()
-                    for array in batch_solver.reachable_csr(kernel, packed_seeds)[:4]
-                )
-                packed_graph = {
-                    states[i]: [
-                        (labels[t], states[succs[t]])
-                        for t in range(indptr[i], indptr[i + 1])
-                    ]
-                    for i in range(len(states))
-                }
-                return kernel.decode_graph(packed_graph)
-            return kernel.decode_graph(kernel.reachable(packed_seeds))
         if seeds is None:
             seeds = self.initial_states()
         graph: dict[SysState, list[Transition]] = {}
@@ -320,7 +257,5 @@ __all__ = [
     "SsyncMove",
     "Transition",
     "ProductSystem",
-    "BACKENDS",
-    "check_backend",
     "check_scheduler",
 ]

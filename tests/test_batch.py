@@ -42,15 +42,12 @@ from repro.scenarios import (
 )
 from repro.scenarios.simulate import simulate_chunk, simulation_placements
 from repro.types import Chirality
-from repro.verification import backends, batch, product
+from repro.verification import batch
 from repro.verification.backends import (
     AUTO_BACKEND,
     BACKEND_CHOICES,
-    SIMULATION_BACKENDS,
     SOLVER_BACKENDS,
-    SOLVER_BACKEND_CHOICES,
     check_backend_choice,
-    resolve_simulation_backend,
     resolve_solver_backend,
     vector_available,
 )
@@ -89,15 +86,8 @@ class TestRegistry:
     """One backend registry; nothing can drift out of the CLI help."""
 
     def test_choice_sets(self) -> None:
-        assert BACKEND_CHOICES == (AUTO_BACKEND,) + SIMULATION_BACKENDS
-        assert SOLVER_BACKEND_CHOICES == (AUTO_BACKEND,) + SOLVER_BACKENDS
-        assert "vector" in SIMULATION_BACKENDS
+        assert BACKEND_CHOICES == (AUTO_BACKEND,) + SOLVER_BACKENDS
         assert "vector" in SOLVER_BACKENDS
-
-    def test_product_aliases_are_the_registry(self) -> None:
-        # The historical solver API re-exports the registry, not a copy.
-        assert product.BACKENDS is SOLVER_BACKENDS
-        assert product.check_backend is backends.check_solver_backend
 
     def test_campaign_cli_choices_derive_from_registry(self) -> None:
         parser = build_parser()
@@ -110,14 +100,14 @@ class TestRegistry:
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_solver_cli_choices_derive_from_registry(self, command: str) -> None:
         action = _find_backend_action(_subparser(build_parser(), command))
-        assert tuple(action.choices) == SOLVER_BACKEND_CHOICES
+        assert tuple(action.choices) == BACKEND_CHOICES
         assert action.default == AUTO_BACKEND
 
     def test_unknown_choice_message_lists_registry(self) -> None:
         with pytest.raises(VerificationError, match="auto"):
             check_backend_choice("simd")
         with pytest.raises(VerificationError, match="backend"):
-            resolve_simulation_backend("vectorized")
+            resolve_solver_backend("vectorized")
 
     def test_solver_resolution_tracks_numpy(self) -> None:
         resolved = resolve_solver_backend("auto")
@@ -125,10 +115,14 @@ class TestRegistry:
         assert resolve_solver_backend("packed") == "packed"
         assert resolve_solver_backend("object") == "object"
 
-    def test_simulation_resolution_tracks_numpy(self) -> None:
-        resolved = resolve_simulation_backend("auto")
+    def test_simulation_resolution_tracks_numpy(self, tmp_path) -> None:
+        # The campaign runner resolves a schedule-family (simulation)
+        # spec's backend exactly as a solver spec's: one registry call.
+        runner = CampaignRunner(ResultStore(tmp_path), backend="auto", jobs=1)
+        resolved = runner._resolve_backend()  # noqa: SLF001
         assert resolved == ("vector" if HAVE_NUMPY else "packed")
-        assert resolve_simulation_backend("packed") == "packed"
+        packed = CampaignRunner(ResultStore(tmp_path), backend="packed", jobs=1)
+        assert packed._resolve_backend() == "packed"  # noqa: SLF001
 
 
 class TestNumpyAbsent:
@@ -142,11 +136,11 @@ class TestNumpyAbsent:
 
     def test_auto_falls_back_to_packed(self, no_numpy) -> None:
         assert not vector_available()
-        assert resolve_simulation_backend("auto") == "packed"
+        assert resolve_solver_backend("auto") == "packed"
 
     def test_explicit_vector_raises_clearly(self, no_numpy) -> None:
         with pytest.raises(VerificationError, match="requires numpy"):
-            resolve_simulation_backend("vector")
+            resolve_solver_backend("vector")
         spec = dyn_spec()
         with pytest.raises(VerificationError, match="requires numpy"):
             simulate_chunk(spec, spec.chunks()[0], backend="vector")
@@ -201,7 +195,7 @@ def _assert_backends_agree(spec, chunk) -> None:
     Without NumPy that is packed == object, so the no-NumPy run keeps
     the engine-oracle differential.
     """
-    backends = [b for b in SIMULATION_BACKENDS if b != "vector" or HAVE_NUMPY]
+    backends = [b for b in SOLVER_BACKENDS if b != "vector" or HAVE_NUMPY]
     tallies = [simulate_chunk(spec, chunk, backend=b) for b in backends]
     assert all(tally == tallies[0] for tally in tallies[1:]), backends
 

@@ -931,10 +931,11 @@ class TestSparseFrontier:
         placements = arbitrary_placements(topology, k) if towers else None
         for vector in default_chirality_vectors(k):
             system = ProductSystem(
-                topology, _algorithm(name), vector, backend="object",
-                scheduler=scheduler,
+                topology, _algorithm(name), vector, scheduler=scheduler,
             )
-            kernel = system.kernel()
+            kernel = PackedKernel(
+                topology, _algorithm(name), vector, scheduler=scheduler,
+            )
             seeds = system.initial_states(placements)
             packed_seeds = kernel.initial_states(placements)
             occupied: dict = {}

@@ -399,6 +399,27 @@ class TestErrorBoundary:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "knob,message",
+        [
+            (["--threshold", "2"], "threshold must be in [0, 1), got 2.0"),
+            (["--threshold", "-0.5"], "threshold must be in [0, 1)"),
+            (["--derate", "0"], "derate must be in (0, 1], got 0.0"),
+            (["--derate", "1.5"], "derate must be in (0, 1]"),
+        ],
+    )
+    def test_analyze_knob_out_of_range_is_usage_exit(
+        self, knob, message, tmp_path, capsys
+    ) -> None:
+        # Each knob is range-checked even without the flag that reads it
+        # (--baseline for --threshold, --write-baseline for --derate), and
+        # before the trace is read: nothing is printed to stdout.
+        assert main(["campaign", "analyze", str(tmp_path), *knob]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             (["verify", "--algo", "pef1", "--n", "3", "--k", "1"], "--save"),

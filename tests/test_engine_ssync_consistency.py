@@ -122,9 +122,7 @@ def test_packed_kernel_and_product_replay_ssync_traces(seed: int) -> None:
     assert trace is not None
 
     kernel = PackedKernel(ring, algorithm, chiralities, scheduler="ssync")
-    system = ProductSystem(
-        ring, algorithm, chiralities, backend="object", scheduler="ssync"
-    )
+    system = ProductSystem(ring, algorithm, chiralities, scheduler="ssync")
     state = (trace.initial.positions, trace.initial.states)
     packed = kernel.encode(state)
     for t, record in enumerate(trace.records):

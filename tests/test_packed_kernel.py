@@ -8,16 +8,17 @@ close the triangle in both directions:
   and ``run_fsync`` agree on (successor state, moved flags) for randomized
   table algorithms, rings and chains ``n ∈ 3..8``, ``k ∈ 1..3`` and mixed
   chiralities;
-* whole graphs — ``ProductSystem(backend="packed").reachable()`` equals the
-  object backend's graph *exactly* (same states, same per-state transition
-  order);
+* whole graphs — ``PackedKernel.reachable()`` and the engine-stepped
+  ``ProductSystem.reachable()`` give the *identical* canonical CSR (same
+  states, same per-state transition order) once the object graph is packed
+  with the kernel's encoding;
 * verdicts — ``verify_exploration`` agrees across backends (explorability,
   state and transition counts, the trap certificate itself) and packed
   certificates replay-validate;
 * sweeps — ``sweep_*_memoryless`` results are identical for every
   (backend, jobs) combination;
 * schedulers — the SSYNC twins of all of the above: packed SSYNC graphs
-  decode identically to the object backend's, SSYNC verdicts and
+  pack to the same canonical CSR as the object backend's, SSYNC verdicts and
   certificates agree across backends, SSYNC trap certificates replay
   through ``run_ssync``, and with one robot the SSYNC game tallies
   exactly like FSYNC on all 256 canonical single-robot tables (all 8
@@ -43,7 +44,11 @@ from repro.types import AGREE, DISAGREE, Chirality
 from repro.verification.enumeration import sweep_spec
 from repro.verification.backends import SOLVER_BACKENDS, vector_available
 from repro.verification.compiled import CompiledTables
-from repro.verification.game import verify_exploration
+from repro.verification.game import (
+    _csr_from_object,
+    _csr_from_packed,
+    verify_exploration,
+)
 from repro.verification.kernel import PackedKernel
 from repro.verification.sweeps import run_table_sweep
 from repro.verification.product import ProductSystem
@@ -59,6 +64,22 @@ def _random_instance(rng: random.Random):
     return topology, algorithm, chiralities
 
 
+def _assert_csr_parity(topology, algorithm, chiralities, scheduler="fsync"):
+    """The engine-stepped graph, packed with the kernel's encoding, is the
+    kernel's own canonical CSR; returns the object graph."""
+    system = ProductSystem(topology, algorithm, chiralities, scheduler=scheduler)
+    kernel = PackedKernel(topology, algorithm, chiralities, scheduler=scheduler)
+    seeds = system.initial_states()
+    packed_seeds = [kernel.encode(seed) for seed in seeds]
+    occupied: dict = {}
+    packed_graph = kernel.reachable(packed_seeds, occupied_out=occupied)
+    object_graph = system.reachable(seeds)
+    assert _csr_from_object(kernel, object_graph, seeds) == _csr_from_packed(
+        packed_graph, occupied, packed_seeds
+    )
+    return object_graph
+
+
 class TestStepAgreement:
     @pytest.mark.parametrize("seed", range(12))
     def test_kernel_product_engine_agree_on_random_walks(self, seed: int) -> None:
@@ -66,7 +87,7 @@ class TestStepAgreement:
         rng = random.Random(seed)
         topology, algorithm, chiralities = _random_instance(rng)
         k = len(chiralities)
-        system = ProductSystem(topology, algorithm, chiralities, backend="object")
+        system = ProductSystem(topology, algorithm, chiralities)
         kernel = PackedKernel(topology, algorithm, chiralities)
 
         positions = tuple(rng.sample(range(topology.n), k))
@@ -99,7 +120,7 @@ class TestStepAgreement:
         rng = random.Random(1000 + seed)
         topology, algorithm, chiralities = _random_instance(rng)
         k = len(chiralities)
-        system = ProductSystem(topology, algorithm, chiralities, backend="object")
+        system = ProductSystem(topology, algorithm, chiralities)
         kernel = PackedKernel(topology, algorithm, chiralities)
         state = (
             tuple(rng.sample(range(topology.n), k)),
@@ -110,7 +131,10 @@ class TestStepAgreement:
                 edge for edge in topology.edges if rng.random() < 0.5
             )
             expected = system.step(state, present)
-            assert kernel.step(state, present) == expected
+            packed, _moved = kernel.step_packed(
+                kernel.encode(state), kernel.edges_to_mask(present)
+            )
+            assert kernel.decode(packed) == expected
             state = expected
 
 
@@ -123,13 +147,7 @@ class TestGraphIdentity:
         k = rng.randint(1, 2)
         chiralities = tuple(rng.choice([AGREE, DISAGREE]) for _ in range(k))
         algorithm = random_table_algorithm(rng, memory_size=rng.randint(1, 2))
-        object_graph = ProductSystem(
-            topology, algorithm, chiralities, backend="object"
-        ).reachable()
-        packed_graph = ProductSystem(
-            topology, algorithm, chiralities, backend="packed"
-        ).reachable()
-        assert object_graph == packed_graph
+        _assert_csr_parity(topology, algorithm, chiralities)
 
     def test_structured_algorithms_and_two_node_multigraph(self) -> None:
         cases = [
@@ -139,20 +157,17 @@ class TestGraphIdentity:
             (ChainTopology(4), PEF2(), (AGREE, AGREE)),
         ]
         for topology, algorithm, chiralities in cases:
-            object_graph = ProductSystem(
-                topology, algorithm, chiralities, backend="object"
-            ).reachable()
-            packed_graph = ProductSystem(
-                topology, algorithm, chiralities, backend="packed"
-            ).reachable()
-            assert object_graph == packed_graph
+            for scheduler in ("fsync", "ssync"):
+                _assert_csr_parity(topology, algorithm, chiralities, scheduler)
 
     def test_max_states_guard_applies_to_packed_backend(self) -> None:
-        system = ProductSystem(
-            RingTopology(6), PEF3Plus(), (AGREE, AGREE, AGREE), max_states=10
-        )
-        with pytest.raises(VerificationError):
-            system.reachable()
+        for scheduler in ("fsync", "ssync"):
+            kernel = PackedKernel(
+                RingTopology(6), PEF3Plus(), (AGREE, AGREE, AGREE),
+                max_states=10, scheduler=scheduler,
+            )
+            with pytest.raises(VerificationError, match="exceeds 10 states"):
+                kernel.reachable()
 
 
 class TestCompiledSplit:
@@ -164,7 +179,7 @@ class TestCompiledSplit:
         # Adversary enumeration and reachability are kernel-only: the
         # compilation layer must stay game-agnostic so the simulation
         # runner can consume it without dragging in the solver.
-        for game_only in ("moves_for_occupied", "reachable", "decode_graph"):
+        for game_only in ("moves_for_occupied", "reachable"):
             assert not hasattr(CompiledTables, game_only)
 
     def test_simulation_tables_replay_matches_step_packed(self) -> None:
@@ -240,7 +255,7 @@ class TestKernelEncoding:
 
     def test_adversary_moves_match_object_path(self) -> None:
         topology = RingTopology(6)
-        system = ProductSystem(topology, PEF2(), (AGREE, AGREE), backend="object")
+        system = ProductSystem(topology, PEF2(), (AGREE, AGREE))
         kernel = PackedKernel(topology, PEF2(), (AGREE, AGREE))
         positions = (0, 3)
         object_moves = system.adversary_moves(positions)
@@ -255,9 +270,7 @@ class TestKernelEncoding:
             kernel.encode(((0,), ("not-a-state",)))
 
     def test_unknown_backend_rejected(self) -> None:
-        with pytest.raises(VerificationError):
-            ProductSystem(RingTopology(3), PEF1(), (AGREE,), backend="simd")
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="unknown backend 'simd'"):
             verify_exploration(PEF1(), RingTopology(3), k=1, backend="simd")
 
     @pytest.mark.parametrize("placement", [(5,), (-1,)])
@@ -339,17 +352,13 @@ class TestSsyncScheduler:
         k = rng.randint(1, 2)
         chiralities = tuple(rng.choice([AGREE, DISAGREE]) for _ in range(k))
         algorithm = random_table_algorithm(rng, memory_size=rng.randint(1, 2))
-        object_graph = ProductSystem(
-            topology, algorithm, chiralities, backend="object", scheduler="ssync"
-        ).reachable()
-        packed_graph = ProductSystem(
-            topology, algorithm, chiralities, backend="packed", scheduler="ssync"
-        ).reachable()
-        assert object_graph == packed_graph
+        object_graph = _assert_csr_parity(
+            topology, algorithm, chiralities, scheduler="ssync"
+        )
         # Every SSYNC label is a (present-edges, activated-robots) pair
         # with a non-empty activation drawn from this instance's robots.
         robots = frozenset(range(k))
-        for out in packed_graph.values():
+        for out in object_graph.values():
             for (present, active), _succ in out:
                 assert active and active <= robots
                 assert isinstance(present, frozenset)

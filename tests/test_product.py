@@ -12,6 +12,8 @@ from repro.graph.topology import ChainTopology, RingTopology
 from repro.robots.algorithms import PEF2, PEF3Plus
 from repro.sim.engine import run_fsync
 from repro.types import AGREE, DISAGREE
+from repro.verification.compiled import CompiledTables
+from repro.verification.kernel import PackedKernel
 from repro.verification.product import ProductSystem
 
 
@@ -91,6 +93,26 @@ class TestInitialStatesAndReachability:
             assert len(transitions) == len(system.adversary_moves(state[0]))
             for _label, successor in transitions:
                 assert successor in graph
+
+    def test_reachable_never_calls_the_packed_kernel(self, monkeypatch) -> None:
+        """The oracle stays independent of what it checks: no packed
+        kernel is compiled or explored under ``ProductSystem.reachable``."""
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("ProductSystem reached the packed kernel")
+
+        monkeypatch.setattr(PackedKernel, "reachable", forbidden)
+        monkeypatch.setattr(CompiledTables, "__init__", forbidden)
+        ring = RingTopology(4)
+        for scheduler, activations in (("fsync", 1), ("ssync", 3)):
+            system = ProductSystem(
+                ring, PEF2(), (AGREE, AGREE), scheduler=scheduler
+            )
+            graph = system.reachable()
+            assert len(graph) > 1
+            for state, transitions in graph.items():
+                moves = system.adversary_moves(state[0])
+                assert len(transitions) == len(moves) * activations
 
     def test_max_states_guard(self) -> None:
         ring = RingTopology(6)
