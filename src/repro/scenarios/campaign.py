@@ -232,11 +232,11 @@ def _campaign_chunk(
             spec.robots.family,
             spec.n,
             chunk,
-            backend,
-            False,  # validate: a campaign tallies verdicts, no replay
-            spec.starts,
-            spec.prop,
-            spec.scheduler,
+            backend=backend,
+            validate=False,  # a campaign tallies verdicts, no replay
+            starts=spec.starts,
+            prop=spec.prop,
+            scheduler=spec.scheduler,
         )
     from repro.scenarios.simulate import simulate_chunk
 

@@ -28,8 +28,9 @@ once** as structure-of-arrays NumPy state:
   runs are **compacted** away (boolean-filter of the state columns)
   whenever enough of the batch has settled, so a chunk whose tables
   mostly trap early costs little more than the scalar early-exit path;
-* under SSYNC only the active robot's contiguous block is stepped —
-  the round-robin discipline becomes a slice, not a mask.
+* each round steps one contiguous row slice — every robot block under
+  FSYNC, block ``t mod k`` under round-robin SSYNC — so the activation
+  discipline is a slice, not a mask, and there is one round body.
 
 **Exact tally reproduction.** The scalar path breaks out of the
 chirality/placement loops at a table's *first failing run* and counts
@@ -300,6 +301,9 @@ def simulate_batch(
     horizon = len(masks)
     mid = horizon // 2
     live = prop == "live"
+    # Robot blocks stepped per round: all of them, or under round-robin
+    # SSYNC the one of robot t mod k.
+    span = 1 if ssync else k
 
     def compact(keep) -> None:
         nonlocal pos, st, seen, late, ev_off, dest_off, td_base_rows, orig
@@ -354,23 +358,14 @@ def simulate_batch(
                 occupied |= bits[i]
             tower_bit = ((towers >> pos2) & one).ravel()
 
-        if ssync:
-            # Round-robin SSYNC: exactly robot t mod k acts this round.
-            lo = (t % k) * r
-            sl = slice(lo, lo + r)
-            view = (st[sl] << 3) + ev_table[ev_off[sl] + pos[sl]]
-            if tower_bit is not None:
-                view += tower_bit[sl]
-            td = td_flat[td_base_rows[sl] + view]
-            pos[sl] = dest_table[dest_off[sl] + (pos[sl] << one) + (td & one)]
-            st[sl] = td >> one
-        else:
-            view = (st << 3) + ev_table[ev_off + pos]
-            if tower_bit is not None:
-                view += tower_bit
-            td = td_flat[td_base_rows + view]
-            pos = dest_table[dest_off + (pos << one) + (td & one)]
-            st = td >> one
+        lo = (t * span % k) * r
+        sl = slice(lo, lo + span * r)
+        view = (st[sl] << 3) + ev_table[ev_off[sl] + pos[sl]]
+        if tower_bit is not None:
+            view += tower_bit[sl]
+        td = td_flat[td_base_rows[sl] + view]
+        pos[sl] = dest_table[dest_off[sl] + (pos[sl] << one) + (td & one)]
+        st[sl] = td >> one
 
         pos2 = pos.reshape(k, r)
         occupancy = one << pos2[0]

@@ -21,10 +21,12 @@ it:
   between two precompiled weighted landing shares turn the stack of
   Look–Compute tables into the full dense successor tensor
   ``succ[b, p, j]`` over every state ``p`` and adversary move ``j`` —
-  a successor is the sum of its robots' shares (FSYNC edge masks; SSYNC
-  edge×activation moves packed above ``act_shift``, mirroring
-  ``PackedKernel._reachable_ssync``'s mask-major / activation-minor
-  order, idle robots contributing their precompiled idle share);
+  a successor is the sum of its robots' shares. A move is an edge mask
+  crossed with one of the kernel's activation columns
+  (:attr:`~repro.verification.compiled.CompiledTables.activations`:
+  FSYNC's single all-active column, SSYNC's every non-empty robot
+  subset), edge-mask-major like ``PackedKernel.reachable``; a robot a
+  column leaves idle contributes its precompiled idle share;
 * **frontier** — reachability is breadth-first over word-major
   ``(B, words, P)`` successor bit-rows (one word: an OR-reduce of the
   successors' bits; more: one scatter into a flag plane plus
@@ -146,11 +148,10 @@ def _word_count(count: int) -> int:
 
 
 def _label_bits(kernel: PackedKernel) -> int:
-    """Bits of a full transition label: the edge bits, then (SSYNC) one
-    activation bit per robot."""
-    if kernel.scheduler == "ssync":
-        return kernel.act_shift + kernel.k
-    return kernel.m
+    """Bits of a full transition label: the edge bits, then whatever
+    activation bits the kernel's columns tag above them."""
+    top = max(label_bits for _act, label_bits in kernel.activations)
+    return max(kernel.m, top.bit_length())
 
 
 def _value_dtype(bits: int) -> "object":
@@ -172,11 +173,8 @@ def _index_dtype(top: int) -> "object":
 
 
 def _branch_bound(kernel: PackedKernel) -> int:
-    """Upper bound on per-state branching (moves × activations)."""
-    moves = 1 << min(2 * kernel.k, kernel.m)
-    if kernel.scheduler == "ssync":
-        return moves * kernel.full_act
-    return moves
+    """Upper bound on per-state branching (moves × activation columns)."""
+    return (1 << min(2 * kernel.k, kernel.m)) * len(kernel.activations)
 
 
 def dense_eligible(kernel: PackedKernel) -> bool:
@@ -218,6 +216,7 @@ class DenseSpace:
         self.full_mask = kernel.full_mask
         self.act_shift = kernel.act_shift
         self.full_act = kernel.full_act
+        self.activations = kernel.activations
         space, S, k = self.space, self.S, self.k
 
         ar = np.arange(space, dtype=np.int64)
@@ -274,16 +273,13 @@ class DenseSpace:
 
         # Narrowest integer dtype that holds a full transition label —
         # the label-union reductions are the solve loop's biggest tensors.
-        label_dtype = _value_dtype(_label_bits(kernel))
-        if self.scheduler == "ssync":
-            acts = np.arange(1, self.full_act + 1, dtype=np.int64)
-            self.labels = (
-                (moves_pad[:, :, None] | (acts << self.act_shift))
-                .reshape(space, -1)
-                .astype(label_dtype)
-            )
-        else:
-            self.labels = moves_pad.astype(label_dtype)
+        # Move-major, activation-column-minor, like the kernel's order.
+        label_bits = np.array([bits for _act, bits in self.activations])
+        self.labels = (
+            (moves_pad[:, :, None] | label_bits)
+            .reshape(space, -1)
+            .astype(_value_dtype(_label_bits(kernel)))
+        )
         self.branch = self.labels.shape[1]
         self.pop = np.array(
             [bin(x).count("1") for x in range(1 << self.m)], dtype=np.int64
@@ -341,38 +337,44 @@ def _expand(sp: DenseSpace, trans: "object") -> "object":
     arithmetically, ``moved0 + (t & 1)·(moved1 − moved0)``, about 3×
     faster than ``np.where`` on these broadcast int16 operands;
     ``(t >> 1)·2·base^i`` adds the rest of the state (zero when
-    ``S = 2``). A successor is the sum of the shares. Under SSYNC each
-    activation mask sums the active robots' shares and the idle shares
-    of the others straight into its column of the successor tensor.
+    ``S = 2``). A successor is the sum of the shares: each partial
+    activation column sums its active robots' shares and the idle shares
+    of the others into its slot of the successor tensor, then the
+    all-active column (the last) sums every robot's share in place.
     """
     np = require_numpy()
     steps = trans.astype(np.int16)
+    count = steps.shape[0]
+    moves = sp.robots[0][0].shape[1]
+    # Batch-innermost, the memory order the gathers below leave their
+    # results in, so every add streams and the reshape is a view.
+    succ = np.empty(
+        (sp.space, moves, len(sp.activations), count), dtype=np.int16
+    ).transpose(3, 0, 1, 2)
     shares = []
     for view, moved0, flip, step, _idle in sp.robots:
         t = steps[:, view]
-        share = t & 1
+        # Robot 0's share is computed straight into the all-active column.
+        share = np.bitwise_and(t, 1, out=None if shares else succ[..., -1])
         share *= flip
         share += moved0
         t >>= 1
         t *= step
         share += t
         shares.append(share)
-    if sp.scheduler != "ssync":
-        succ = shares[0]
-        for share in shares[1:]:
-            succ += share
-        return succ
-    succ = np.empty(shares[0].shape + (sp.full_act,), dtype=np.int16)
-    for act in range(1, sp.full_act + 1):
+    *partial, _all_active = sp.activations
+    for c, (act, _bits) in enumerate(partial):
         parts = [
             share if act >> i & 1 else sp.robots[i][4]
             for i, share in enumerate(shares)
         ]
-        column = succ[..., act - 1]
+        column = succ[..., c]
         np.add(parts[0], parts[1] if sp.k > 1 else 0, out=column)
         for part in parts[2:]:
             column += part
-    return succ.reshape(shares[0].shape[0], sp.space, -1)
+    for share in shares[1:]:
+        shares[0] += share
+    return succ.reshape(count, sp.space, -1)
 
 
 def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
@@ -812,7 +814,7 @@ def _frontier_rows(
 ) -> tuple:
     """Per packed state: its occupied-node mask, the row of its
     occupancy in the move CSR of :func:`_frontier_tables`, and its
-    transition count (moves, times ``full_act`` under SSYNC)."""
+    transition count (moves times activation columns)."""
     np = require_numpy()
     occ_keys, move_ptr, _moves, _robots = tables
     base, S = kernel._base, kernel.state_count
@@ -822,9 +824,7 @@ def _frontier_rows(
         occ |= np.left_shift(1, rest % base // S)
         rest = rest // base
     row = np.searchsorted(occ_keys, occ)
-    deg = move_ptr[row + 1] - move_ptr[row]
-    if kernel.scheduler == "ssync":
-        deg *= kernel.full_act
+    deg = (move_ptr[row + 1] - move_ptr[row]) * len(kernel.activations)
     return occ, row, deg
 
 
@@ -843,19 +843,16 @@ def _expand_frontier(
     ``deg`` come from :func:`_frontier_rows`. Yields ``(lo, hi, succ,
     move_at)`` per row slice ``states[lo:hi]`` (:func:`_row_slices`), in
     order: the flat packed successors (per state, moves in
-    :meth:`PackedKernel.moves_for_occupied` order; under SSYNC each move
-    crossed with activation masks ``1..full_act`` ascending) and each
-    (state, move) pair's position in the flat move table, which holds
-    its label. A slice decodes its own states and gathers its valid
-    moves out of the move CSR; per robot three gathers resolve view,
-    computed state and landing node for all of them at once.
+    :meth:`PackedKernel.moves_for_occupied` order, each crossed with the
+    kernel's activation columns) and each (state, move) pair's position
+    in the flat move table, which holds its label. A slice decodes its
+    own states and gathers its valid moves out of the move CSR; per
+    robot three gathers resolve view, computed state and landing node
+    for all of them at once.
     """
     np = require_numpy()
     _occ_keys, move_ptr, _moves, robots = tables
     base, S = kernel._base, kernel.state_count
-    masks = [kernel.full_act]
-    if kernel.scheduler == "ssync":
-        masks = range(1, kernel.full_act + 1)
     for lo, hi in _row_slices(deg):
         rows = row[lo:hi]
         owner = np.repeat(np.arange(hi - lo), move_ptr[rows + 1] - move_ptr[rows])
@@ -887,9 +884,9 @@ def _expand_frontier(
             slot += step
             active.append(slot)
         del cell, here, step
-        # One successor column per activation mask; FSYNC activates all.
-        succ = np.empty((owner.size, len(masks)), dtype=np.int64)
-        for column, act in zip(succ.T, masks):
+        # One successor column per activation column.
+        succ = np.empty((owner.size, len(kernel.activations)), dtype=np.int64)
+        for column, (act, _bits) in zip(succ.T, kernel.activations):
             column[:] = 0
             for i in range(kernel.k - 1, -1, -1):
                 column *= base
@@ -913,7 +910,7 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     ``states`` the reached packed states ascending (int64); ``indptr``
     and ``succs`` int32, or int64 when the transition or state count
     does not fit (:func:`_index_dtype`); per-state transitions in the
-    scalar kernel's move order (SSYNC mask-major / activation-minor);
+    scalar kernel's move order (edge-mask-major, activation-minor);
     ``labels`` and the per-state occupied-node masks ``occ`` in the
     narrowest dtype that holds their bits (:func:`_value_dtype`); and the
     seed indices in first-occurrence order as a list. Value for value
@@ -980,9 +977,7 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     labels = np.empty(total, dtype=label_type)
     succs = np.empty(total, dtype=id_type)
     moves = tables[2]
-    acts = np.zeros(1, dtype=np.int64)  # activation bits per column
-    if kernel.scheduler == "ssync":
-        acts = np.arange(1, kernel.full_act + 1) << kernel.act_shift
+    acts = np.array([bits for _act, bits in kernel.activations])
     for lo, hi, succ, move_at in _expand_frontier(
         kernel, tables, steps, states, row, deg
     ):

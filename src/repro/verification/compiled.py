@@ -247,6 +247,19 @@ class CompiledTables:
         self.act_shift = self.m
         #: The everyone-active robot bitmask.
         self.full_act = (1 << self.k) - 1
+        #: The adversary's activation choices, one ``(activation mask,
+        #: label bits)`` column each, in label order, so the all-active
+        #: column comes last: FSYNC's only column adds nothing to a label;
+        #: SSYNC has every non-empty robot subset, its mask tagged at
+        #: :attr:`act_shift`.
+        self.activations: tuple[tuple[int, int], ...] = (
+            tuple(
+                (act, act << self.act_shift)
+                for act in range(1, self.full_act + 1)
+            )
+            if self.scheduler == "ssync"
+            else ((self.full_act, 0),)
+        )
 
         (
             self._state_objects,
@@ -359,32 +372,26 @@ class CompiledTables:
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
-    def _state_tables(
-        self, state: PackedState
-    ) -> tuple[list[int], int, list[tuple]]:
-        """Mask-independent per-state tables, shared by the reachability
-        loops of :class:`~repro.verification.kernel.PackedKernel` (runs
+    def _state_tables(self, state: PackedState) -> tuple[int, list[tuple]]:
+        """Mask-independent per-state tables for
+        :meth:`~repro.verification.kernel.PackedKernel.reachable` (runs
         once per state, never per move).
 
-        Returns ``(idle_slots, occupied, per_robot)``: each robot's
-        current ``position * S + state_index`` slot (what an inactive
-        SSYNC robot contributes to the successor), the occupied-node
-        bitmask, and — in robot index order — the per-robot move tuple
-        ``(position, view row with the multiplicity bit folded in, left
-        port mask, right port mask, pointer row, move masks, move
-        dests)``.
+        Returns ``(occupied, per_robot)``: the occupied-node bitmask and,
+        highest robot index first (the order a successor is composed
+        in), the per-robot move tuple ``(position, view row with the
+        multiplicity bit folded in, left port mask, right port mask,
+        pointer row, move masks, move dests)``.
         """
         base = self._base
         state_count = self.state_count
         positions: list[NodeId] = []
-        idle_slots: list[int] = []
         rows: list[int] = []
         x = state
         for _ in range(self.k):
             x, slot = divmod(x, base)
             position, s = divmod(slot, state_count)
             positions.append(position)
-            idle_slots.append(slot)
             rows.append(s * 8)
         occupied = 0
         towers = 0
@@ -394,7 +401,7 @@ class CompiledTables:
                 towers |= bit
             occupied |= bit
         per_robot: list[tuple] = []
-        for i in range(self.k):
+        for i in range(self.k - 1, -1, -1):
             position = positions[i]
             left_masks, right_masks, move_masks, move_dests = self._robot_tables[i]
             view = rows[i]
@@ -411,7 +418,7 @@ class CompiledTables:
                     move_dests,
                 )
             )
-        return idle_slots, occupied, per_robot
+        return occupied, per_robot
 
     def step_packed(
         self,

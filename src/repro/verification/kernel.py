@@ -31,17 +31,21 @@ give the *identical* canonical CSR — same states, same per-state
 transition order.
 
 **Schedulers.** The adversary move is really a *(edge-mask,
-activation-mask)* pair. Under ``scheduler="fsync"`` (the default) the
-activation mask is constantly "everyone", so it is not materialized and
-transition labels are bare edge bitmasks — bit-for-bit the historical
-tables. Under ``scheduler="ssync"`` the adversary also picks which
-non-empty robot subset performs its atomic Look–Compute–Move cycle this
-round (the semi-synchronous model of Di Luna et al.); a transition label
-packs both choices into one int, edge bits low, activation bits at
-:attr:`CompiledTables.act_shift`. Inactive robots contribute identity
-transitions (position and state unchanged); *fairness* — every robot
-activated infinitely often — is not a per-move constraint but a property
-of infinite plays, enforced by the game solver's winning-SCC criterion
+activation-mask)* pair, and the activation axis is data:
+:attr:`CompiledTables.activations` lists the ``(activation mask, label
+bits)`` columns the adversary picks from. Under ``scheduler="fsync"``
+(the default) it is the single all-active column ``((full_act, 0),)``,
+so transition labels are bare edge bitmasks — bit-for-bit the
+historical tables. Under ``scheduler="ssync"`` it is every non-empty
+robot subset (the semi-synchronous model of Di Luna et al.), each
+tagged at :attr:`CompiledTables.act_shift`, so a label packs both
+choices into one int, edge bits low. :meth:`~PackedKernel.reachable`
+has one body for both: per edge mask it composes the all-active
+successor once, then per column puts each idle robot's current slot
+back (inactive robots contribute identity transitions — position and
+state unchanged). *Fairness* — every robot activated infinitely often
+— is not a per-move constraint but a property of infinite plays,
+enforced by the game solver's winning-SCC criterion
 (:mod:`repro.verification.game`). Use :meth:`CompiledTables.split_move` /
 :meth:`~CompiledTables.move_edges` /
 :meth:`~CompiledTables.move_activations` to read a label without caring
@@ -153,6 +157,13 @@ class PackedKernel(CompiledTables):
     # ------------------------------------------------------------------
     # Reachability
     # ------------------------------------------------------------------
+    def _state_overflow(self) -> VerificationError:
+        """The error of the ``max_states`` guard."""
+        return VerificationError(
+            f"reachable state space exceeds {self.max_states} states "
+            f"for {self.algorithm.name!r} on {self.topology!r}"
+        )
+
     def reachable(
         self,
         seeds: Optional[list[PackedState]] = None,
@@ -174,8 +185,6 @@ class PackedKernel(CompiledTables):
             if seed not in graph:
                 graph[seed] = []
                 frontier.append(seed)
-        if self.scheduler == "ssync":
-            return self._reachable_ssync(graph, frontier, occupied_out)
 
         base = self._base
         state_count = self.state_count
@@ -185,21 +194,29 @@ class PackedKernel(CompiledTables):
         moves_cache = self._moves_cache
         moves_for_occupied = self.moves_for_occupied
         state_tables = self._state_tables
+        # The last activation column activates every robot. Each other one
+        # (SSYNC's partial activations) leaves the robots whose radix
+        # weights are in ``idle`` on their current slots.
+        *partial, (_full_act, full_bits) = self.activations
+        partial = [
+            (label_bits, tuple(base**i for i in range(self.k) if not act >> i & 1))
+            for act, label_bits in partial
+        ]
 
         while frontier:
             state = frontier.pop()
             out = graph[state]
-            # Everything mask-independent is hoisted out of the move loop
-            # (reversed: the successor is composed high slot first).
-            _idle_slots, occupied, per_robot_fwd = state_tables(state)
-            per_robot = per_robot_fwd[::-1]
+            # Everything mask-independent is hoisted out of the move loop.
+            occupied, per_robot = state_tables(state)
             if occupied_out is not None:
                 occupied_out[state] = occupied
             moves = moves_cache.get(occupied)
             if moves is None:
                 moves = moves_for_occupied(occupied)
             for mask in moves:
-                successor = 0
+                # The Look–Compute–Move outcome depends only on the edge
+                # mask: compose the all-active successor once...
+                active = 0
                 for position, view, lmask, rmask, pointer_row, mm, md in per_robot:
                     if mask & lmask:
                         view += 4
@@ -211,88 +228,27 @@ class PackedKernel(CompiledTables):
                         landing = md[pointer]
                     else:
                         landing = position
-                    successor = successor * base + landing * state_count + new_state
-                out.append((mask, successor))
-                if successor not in graph:
-                    if len(graph) >= max_states:
-                        raise VerificationError(
-                            f"reachable state space exceeds {max_states} states "
-                            f"for {self.algorithm.name!r} on {self.topology!r}"
-                        )
-                    graph[successor] = []
-                    frontier.append(successor)
-        return graph
-
-    def _reachable_ssync(
-        self,
-        graph: dict[PackedState, list[PackedTransition]],
-        frontier: list[PackedState],
-        occupied_out: Optional[dict[PackedState, int]],
-    ) -> dict[PackedState, list[PackedTransition]]:
-        """Semi-synchronous body of :meth:`reachable`.
-
-        Per state the move loop is the FSYNC edge-mask enumeration crossed
-        with every non-empty activation subset, in ascending activation-
-        mask order. The per-robot Look–Compute–Move outcome depends only
-        on the edge mask, so it is computed once per (state, edge mask)
-        and activation subsets merely select between the active landing
-        slot and the robot's untouched current slot.
-        """
-        k = self.k
-        base = self._base
-        state_count = self.state_count
-        transitions = self._transitions
-        dir_bits = self._dir_bits
-        max_states = self.max_states
-        moves_cache = self._moves_cache
-        moves_for_occupied = self.moves_for_occupied
-        act_shift = self.act_shift
-        full_act = self.full_act
-        state_tables = self._state_tables
-        robot_range = tuple(range(k - 1, -1, -1))
-
-        while frontier:
-            state = frontier.pop()
-            out = graph[state]
-            idle_slots, occupied, per_robot = state_tables(state)
-            if occupied_out is not None:
-                occupied_out[state] = occupied
-            moves = moves_cache.get(occupied)
-            if moves is None:
-                moves = moves_for_occupied(occupied)
-            for mask in moves:
-                active_slots: list[int] = []
-                for position, view, lmask, rmask, pointer_row, mm, md in per_robot:
-                    if mask & lmask:
-                        view += 4
-                    if mask & rmask:
-                        view += 2
-                    new_state = transitions[view]
-                    pointer = pointer_row + dir_bits[new_state]
-                    if mask & mm[pointer]:
-                        landing = md[pointer]
-                    else:
-                        landing = position
-                    active_slots.append(landing * state_count + new_state)
-                for act in range(1, full_act + 1):
-                    successor = 0
-                    for i in robot_range:
-                        slot = (
-                            active_slots[i]
-                            if act >> i & 1
-                            else idle_slots[i]
-                        )
-                        successor = successor * base + slot
-                    out.append((mask | act << act_shift, successor))
+                    active = active * base + landing * state_count + new_state
+                # ...derive each partial column's by putting its idle robots'
+                # current slots back, then emit the all-active one last.
+                for label_bits, idle in partial:
+                    successor = active
+                    for weight in idle:
+                        successor += (
+                            state // weight % base - active // weight % base
+                        ) * weight
+                    out.append((mask | label_bits, successor))
                     if successor not in graph:
                         if len(graph) >= max_states:
-                            raise VerificationError(
-                                f"reachable state space exceeds {max_states} "
-                                f"states for {self.algorithm.name!r} on "
-                                f"{self.topology!r}"
-                            )
+                            raise self._state_overflow()
                         graph[successor] = []
                         frontier.append(successor)
+                out.append((mask | full_bits, active))
+                if active not in graph:
+                    if len(graph) >= max_states:
+                        raise self._state_overflow()
+                    graph[active] = []
+                    frontier.append(active)
         return graph
 
 

@@ -142,10 +142,10 @@ class TestOneExecutor:
         spec = tiny_spec()
         poisoned = spec.chunks()[1]
 
-        def flaky_sweep_chunk(family, n, bits_chunk, *args):
+        def flaky_sweep_chunk(family, n, bits_chunk, *args, **kwargs):
             if tuple(bits_chunk) == poisoned:
                 raise RuntimeError("chunk runner bug")
-            return sweep_chunk(family, n, bits_chunk, *args)
+            return sweep_chunk(family, n, bits_chunk, *args, **kwargs)
 
         # Forked workers inherit the patched module attribute.
         monkeypatch.setattr(sweeps, "sweep_chunk", flaky_sweep_chunk)

@@ -11,7 +11,10 @@ close the triangle in both directions:
 * whole graphs — ``PackedKernel.reachable()`` and the engine-stepped
   ``ProductSystem.reachable()`` give the *identical* canonical CSR (same
   states, same per-state transition order) once the object graph is packed
-  with the kernel's encoding;
+  with the kernel's encoding; at k=3, where SSYNC activations include a
+  non-contiguous mask, every kernel transition is checked against
+  ``step_packed``, a sample against the engine, and the whole graph
+  against the vector ``reachable_csr``;
 * verdicts — ``verify_exploration`` agrees across backends (explorability,
   state and transition counts, the trap certificate itself) and packed
   certificates replay-validate;
@@ -148,6 +151,71 @@ class TestGraphIdentity:
         chiralities = tuple(rng.choice([AGREE, DISAGREE]) for _ in range(k))
         algorithm = random_table_algorithm(rng, memory_size=rng.randint(1, 2))
         _assert_csr_parity(topology, algorithm, chiralities)
+
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    def test_three_robots_mixed_chiralities(self, scheduler: str) -> None:
+        # k=3 is the smallest team whose SSYNC activations include a
+        # non-contiguous mask (0b101): an idle robot between two active
+        # ones. Stepping the whole SSYNC ring graph through the engine
+        # takes seconds (44k transitions), so every transition is checked
+        # against ``step_packed`` (itself pinned to ``step_ssync`` with
+        # arbitrary activation subsets) and a sample of states against
+        # the engine oracle.
+        rng = random.Random(6000)
+        for topology in (RingTopology(4), ChainTopology(4)):
+            chiralities = [AGREE, DISAGREE, rng.choice([AGREE, DISAGREE])]
+            rng.shuffle(chiralities)
+            chiralities = tuple(chiralities)
+            algorithm = random_table_algorithm(rng, memory_size=1)
+            system = ProductSystem(
+                topology, algorithm, chiralities, scheduler=scheduler
+            )
+            kernel = PackedKernel(
+                topology, algorithm, chiralities, scheduler=scheduler
+            )
+            # Activation masks in the object oracle's label order.
+            acts = [None]
+            if scheduler == "ssync":
+                acts = [
+                    sum(1 << robot for robot in active)
+                    for active in system.activation_sets()
+                ]
+
+            def tagged(mask, act):
+                return mask if act is None else mask | act << kernel.act_shift
+
+            def object_label(move):
+                if scheduler == "fsync":
+                    return kernel.edges_to_mask(move)
+                present, active = move
+                act = sum(1 << robot for robot in active)
+                return tagged(kernel.edges_to_mask(present), act)
+
+            seeds = kernel.initial_states()
+            occupied: dict = {}
+            graph = kernel.reachable(seeds, occupied_out=occupied)
+            for state, out in graph.items():
+                assert out == [
+                    (tagged(mask, act), kernel.step_packed(state, mask, act)[0])
+                    for mask in kernel.moves_for_occupied(occupied[state])
+                    for act in acts
+                ]
+            for state in rng.sample(sorted(graph), 16):
+                assert graph[state] == [
+                    (object_label(move), kernel.encode(successor))
+                    for move, successor in system.transitions(
+                        kernel.decode(state)
+                    )
+                ]
+            if vector_available():
+                from repro.verification import batch_solver
+
+                reference = _csr_from_packed(graph, occupied, seeds)
+                *arrays, seed_idx = batch_solver.reachable_csr(kernel, seeds)
+                fields = ("states", "indptr", "labels", "succs", "occ")
+                for field, array in zip(fields, arrays):
+                    assert array.tolist() == getattr(reference, field), field
+                assert seed_idx == reference.seeds
 
     def test_structured_algorithms_and_two_node_multigraph(self) -> None:
         cases = [
