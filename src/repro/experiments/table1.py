@@ -79,13 +79,17 @@ def _row1(scale: Scale) -> Table1Row:
 
     exact_cases = (
         [(4, 3)] if scale == "small"
-        else [(n, 3) for n in range(4, 11)] + [(n, 4) for n in range(5, 9)]
+        else [(n, 3) for n in range(4, 11)]
+        + [(n, 4) for n in range(5, 9)]
+        + [(n, 5) for n in (6, 7)]
     )
     for n, k in exact_cases:
-        # "auto": the vector backend keeps the graph in narrow NumPy
-        # arrays up to the Tarjan walk of the deduplicated arena — k=3
-        # n=10 in about 2 s; k=4 n=8 (110.6 M transitions) in about 25 s
-        # under 0.35 GB peak RSS on a 2-core host.
+        # "auto": the vector backend builds one state per orbit of
+        # same-chirality robot swaps and keeps it in narrow NumPy arrays
+        # up to the Tarjan walk of the deduplicated arena. On a 2-core
+        # host: k=4 n=8 (110.6 M transitions) in about 6 s, k=5 n=6
+        # (272.8 M) in about 5 s and k=5 n=7 (1.18 G) in 13-18 s under
+        # 0.32 GB peak RSS.
         verdict = verify_exploration(
             PEF3Plus(), RingTopology(n), k=k, backend="auto"
         )

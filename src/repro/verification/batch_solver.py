@@ -76,6 +76,19 @@ NumPy kernels at the end of this module check rotation closure
 (:func:`arena_csr`), handed to the Python Tarjan walk as compact stdlib
 arrays. There is no scalar size fallback.
 
+Given swap classes (``verify`` under FSYNC on rings from the default
+seeds), :func:`reachable_csr` builds the robot-permutation quotient
+instead (:mod:`repro.verification.game` proves it sound): per slice,
+:func:`_expand_frontier` sorts the per-robot slot arrays within each
+chirality class by a min/max sorting network (:func:`_sort_classes`)
+before it encodes them, so both passes and the map see orbit
+representatives only. Each representative is expanded through its
+*lift*, the real state it was first reached as, and pass 2 records per
+representative which robots of robot 0's class the transitions entering
+it swap against its lift, for the exactness check. For ``PEF_3+`` at
+k=3 n=8 the
+two chirality vectors' 21,504 + 18,816 states become 3,584 + 9,408.
+
 NumPy stays optional and is loaded on first use through
 :func:`repro.verification.batch.require_numpy`: callers guard with
 :func:`have_numpy` (via the backend registry) and run the scalar packed path (identical tallies)
@@ -92,6 +105,7 @@ from typing import Optional, Sequence
 
 from repro.errors import VerificationError
 from repro.verification.batch import _np_node_tables, have_numpy, require_numpy
+from repro.verification.compiled import SwapClasses
 from repro.verification.kernel import PackedKernel
 
 #: Hard cap on a dense space's state count (beyond it, tables are solved
@@ -828,6 +842,92 @@ def _frontier_rows(
     return occ, row, deg
 
 
+#: Min/max comparator networks that sort 2..5 values (1, 3, 5 and 9
+#: comparators, the fewest possible); larger classes use insertion order.
+_NETWORKS = {
+    2: ((0, 1),),
+    3: ((0, 1), (0, 2), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: (
+        (0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
+        (1, 2),
+    ),
+}
+
+
+def _network(size: int) -> tuple[tuple[int, int], ...]:
+    """A comparator network sorting ``size`` values ascending."""
+    if size in _NETWORKS:
+        return _NETWORKS[size]
+    return tuple((j - 1, j) for i in range(1, size) for j in range(i, 0, -1))
+
+
+def _sort_classes(slots: list, classes: SwapClasses) -> None:
+    """Sort a list of per-robot slot arrays within each swap class: the
+    vector form of :meth:`~repro.verification.compiled.CompiledTables
+    .canonical`, one ``minimum``/``maximum`` pair per comparator and no
+    decode or re-encode of the packed states. The list's entries are
+    replaced, never written into."""
+    np = require_numpy()
+    for group in classes:
+        for a, b in _network(len(group)):
+            i, j = group[a], group[b]
+            slots[i], slots[j] = (
+                np.minimum(slots[i], slots[j]), np.maximum(slots[i], slots[j])
+            )
+
+
+def _digits(kernel: PackedKernel, states: "object") -> list:
+    """The per-robot slot arrays of packed states, robot 0 first."""
+    slots, rest = [], states
+    for _ in range(kernel.k):
+        slots.append(rest % kernel._base)
+        rest = rest // kernel._base
+    return slots
+
+
+def _encode(kernel: PackedKernel, slots: list) -> "object":
+    """Packed states from per-robot slot arrays (the inverse of
+    :func:`_digits`)."""
+    packed = slots[-1].copy()
+    for slot in reversed(slots[:-1]):
+        packed *= kernel._base
+        packed += slot
+    return packed
+
+
+def canonical_states(
+    kernel: PackedKernel, states: "object", classes: SwapClasses
+) -> "object":
+    """The orbit representatives of an int64 array of packed states."""
+    slots = _digits(kernel, states)
+    _sort_classes(slots, classes)
+    return _encode(kernel, slots)
+
+
+def orbit_sizes(
+    kernel: PackedKernel, states: "object", classes: SwapClasses
+) -> "object":
+    """Per canonical packed state, the size of its orbit under robot
+    permutations within ``classes`` (int64).
+
+    Per class, its size factorial over the factorials of its equal
+    slots' multiplicities, built one robot at a time like
+    :meth:`~repro.verification.compiled.CompiledTables.orbit_size`;
+    equal slots of a canonical state are adjacent within their class.
+    """
+    np = require_numpy()
+    slots = _digits(kernel, states)
+    size = np.ones(states.size, dtype=np.int64)
+    for group in classes:
+        run = np.ones(states.size, dtype=np.int64)
+        for count, (prev, robot) in enumerate(zip(group, group[1:]), start=2):
+            run = np.where(slots[robot] == slots[prev], run + 1, 1)
+            size *= count
+            size //= run
+    return size
+
+
 def _expand_frontier(
     kernel: PackedKernel,
     tables: tuple,
@@ -835,20 +935,25 @@ def _expand_frontier(
     states: "object",
     row: "object",
     deg: "object",
+    classes: SwapClasses = (),
 ) -> "object":
     """Every transition of some packed states, in kernel order.
 
     ``steps[view]`` is the Look–Compute table folded with the direction
     bit of the computed state (``new_state · 2 + dir_bit``); ``row`` and
     ``deg`` come from :func:`_frontier_rows`. Yields ``(lo, hi, succ,
-    move_at)`` per row slice ``states[lo:hi]`` (:func:`_row_slices`), in
-    order: the flat packed successors (per state, moves in
+    move_at, raw)`` per row slice ``states[lo:hi]`` (:func:`_row_slices`),
+    in order: the flat packed successors (per state, moves in
     :meth:`PackedKernel.moves_for_occupied` order, each crossed with the
-    kernel's activation columns) and each (state, move) pair's position
-    in the flat move table, which holds its label. A slice decodes its
-    own states and gathers its valid moves out of the move CSR; per
-    robot three gathers resolve view, computed state and landing node
-    for all of them at once.
+    kernel's activation columns), each (state, move) pair's position in
+    the flat move table, which holds its label, and per robot the slot
+    it lands on under each move when every robot is active. A slice
+    decodes its own states and gathers its valid moves out of the move
+    CSR; per robot three gathers resolve view, computed state and
+    landing node for all of them at once. With swap ``classes`` (FSYNC
+    only) the computed slots are sorted within each class
+    (:func:`_sort_classes`) before they are encoded, so every successor
+    is its orbit's representative.
     """
     np = require_numpy()
     _occ_keys, move_ptr, _moves, robots = tables
@@ -857,15 +962,10 @@ def _expand_frontier(
         rows = row[lo:hi]
         owner = np.repeat(np.arange(hi - lo), move_ptr[rows + 1] - move_ptr[rows])
         move_at = _csr_rows(move_ptr, rows)
-        slots, pos = [], []
-        rest = states[lo:hi]
-        for _ in range(kernel.k):
-            slot = rest % base
-            rest = rest // base
-            slots.append(slot)
-            pos.append(slot // S)
-        occ = np.zeros_like(rest)
-        towers = np.zeros_like(rest)
+        slots = _digits(kernel, states[lo:hi])
+        pos = [slot // S for slot in slots]
+        occ = np.zeros_like(slots[0])
+        towers = np.zeros_like(slots[0])
         for p in pos:
             bit = np.left_shift(1, p)
             towers |= occ & bit
@@ -884,6 +984,8 @@ def _expand_frontier(
             slot += step
             active.append(slot)
         del cell, here, step
+        raw = list(active)
+        _sort_classes(active, classes)
         # One successor column per activation column.
         succ = np.empty((owner.size, len(kernel.activations)), dtype=np.int64)
         for column, (act, _bits) in zip(succ.T, kernel.activations):
@@ -891,10 +993,62 @@ def _expand_frontier(
             for i in range(kernel.k - 1, -1, -1):
                 column *= base
                 column += active[i] if act >> i & 1 else slots[i][owner]
-        yield lo, hi, succ.reshape(-1), move_at
+        yield lo, hi, succ.reshape(-1), move_at, raw
 
 
-def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
+def _swap_links(
+    group: tuple, homes: list, raw: list, heads: "object", links: "object"
+) -> None:
+    """OR into ``links[head]``, per transition whose real successor
+    (per-robot ``raw`` slots) permutes robot 0's class ``group`` of its
+    head's lift (``homes``, per robot of ``group`` and state), the pairs
+    of ``group`` that permutation joins: the vector form of
+    :meth:`~repro.verification.compiled.CompiledTables.swap_links`."""
+    np = require_numpy()
+    lifted = [home[heads] for home in homes]
+    moved = np.zeros(heads.size, dtype=bool)
+    for robot, home in zip(group, lifted):
+        moved |= raw[robot] != home
+    at = np.flatnonzero(moved)
+    if not at.size:
+        return
+    size = len(group)
+    heads = heads[at]
+    ys = [raw[robot][at] for robot in group]
+    xs = [home[at] for home in lifted]
+    for a in range(size):
+        for b in range(a + 1, size):
+            joined = (ys[b] == xs[a]) | (ys[a] == xs[b])
+            # One bit per pair: repeated heads all write the same value.
+            links[heads[joined]] |= np.int32(1 << (a * size + b))
+
+
+def reaching_links(
+    indptr: "object", succs: "object", links: "object", root: int, joined
+) -> int:
+    """The OR of ``links`` over the states that reach ``root``: a
+    backward breadth-first search, one pass over the successor array
+    per level, that stops as soon as ``joined`` accepts the OR so far.
+    The NumPy form of the plain-Python search in
+    :func:`repro.verification.game._reaching_links`."""
+    np = require_numpy()
+    reach = np.zeros(indptr.size - 1, dtype=bool)
+    reach[root] = True
+    found = int(links[root])
+    starts = indptr[:-1]
+    while not joined(found):
+        # Every state has a transition, so no row of reduceat is empty.
+        fresh = np.logical_or.reduceat(reach[succs], starts) & ~reach
+        if not fresh.any():
+            break
+        reach |= fresh
+        found |= int(np.bitwise_or.reduce(links[fresh]))
+    return found
+
+
+def reachable_csr(
+    kernel: PackedKernel, seeds: Sequence[int], classes: SwapClasses = ()
+) -> tuple:
     """One table's reachable graph in canonical CSR form, in NumPy.
 
     Two passes over one dense id map of ``base^k`` entries, at most
@@ -922,6 +1076,22 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     :class:`VerificationError` on the same ``max_states`` overflow the
     scalar path reports, and, naming ``backend='packed'``, past the map
     bound or on labels past int64.
+
+    With swap ``classes`` (FSYNC only) it builds the robot-permutation
+    quotient, as ``PackedKernel.reachable(seeds, classes=classes)`` does:
+    seeds and every successor are canonicalized (:func:`_sort_classes`
+    in :func:`_expand_frontier`), so both passes expand orbit
+    representatives only and ``max_states`` counts orbits. Pass 1 then
+    starts from the first seed alone and expands each representative's
+    *lift*, the real state it was first reached as (a seed is its own),
+    and pass 2 expands the same lifts: their rows are the
+    representatives' rows. The tuple then has a seventh entry,
+    ``links``: per state (int32), the OR over the transitions entering
+    it of :meth:`~repro.verification.compiled.CompiledTables.swap_links`
+    in robot 0's class between their real successors and its lift, as
+    ``PackedKernel.reachable``'s ``links_out`` collects them; all zero
+    when the first seed does not reach every other one or robot 0 has
+    no partner.
     """
     np = require_numpy()
     space = kernel._base ** kernel.k
@@ -942,18 +1112,28 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     trans, dirs, _initial = kernel.batch_tables()
     steps = trans * 2 + dirs[trans]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
-    # Pass 1: mark every reached state.
+    if classes:
+        if len(kernel.activations) > 1:
+            raise VerificationError(
+                "the robot-permutation quotient is defined under FSYNC only"
+            )
+        seed_array = canonical_states(kernel, seed_array, classes)
+    # Pass 1: mark every reached state (and, on a quotient, keep each
+    # representative's lift, reached from the first seed when it can be).
     reached = np.zeros(space, dtype=bool)
-    frontier = np.unique(seed_array)
+    frontier = lifts = np.unique(seed_array[:1] if classes else seed_array)
     reached[frontier] = True
     count = frontier.size
+    found, found_lifts = [frontier], [lifts]
+    rooted = True
     while frontier.size:
-        fresh = []
+        fresh, fresh_lifts = [], []
         _occ, row, deg = _frontier_rows(kernel, tables, frontier)
-        for _lo, _hi, succ, _move_at in _expand_frontier(
-            kernel, tables, steps, frontier, row, deg
+        for _lo, _hi, succ, _move_at, raw in _expand_frontier(
+            kernel, tables, steps, lifts, row, deg, classes
         ):
-            new = np.unique(succ[~reached[succ]])
+            unseen = np.flatnonzero(~reached[succ])
+            new, first = np.unique(succ[unseen], return_index=True)
             count += new.size
             if count > kernel.max_states:
                 raise VerificationError(
@@ -963,10 +1143,33 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
                 )
             reached[new] = True
             fresh.append(new)
+            if classes:
+                at = unseen[first]
+                fresh_lifts.append(_encode(kernel, [slot[at] for slot in raw]))
         frontier = np.concatenate(fresh)
+        lifts = np.concatenate(fresh_lifts) if classes else frontier
+        if not frontier.size:
+            # Seeds the first one does not reach start their own trees.
+            frontier = lifts = np.unique(seed_array[~reached[seed_array]])
+            reached[frontier] = True
+            count += frontier.size
+            rooted &= not frontier.size
+        if classes:
+            found.append(frontier)
+            found_lifts.append(lifts)
     # Pass 2: ascending ids through the map, rows written in place.
     states = np.flatnonzero(reached)
     del reached
+    if classes:
+        order = np.argsort(np.concatenate(found))
+        lifts = np.concatenate(found_lifts)[order]
+        links = np.zeros(states.size, dtype=np.int32)
+        group = classes[0] if rooted and 0 in classes[0] else ()
+        # Each lift's slots in robot 0's class, robot by robot.
+        homes = [lifts // kernel._base**robot % kernel._base for robot in group]
+    else:
+        lifts = states
+    del found, found_lifts
     id_type = _index_dtype(states.size)
     ids = np.zeros(space, dtype=id_type)
     ids[states] = np.arange(states.size, dtype=id_type)
@@ -978,35 +1181,40 @@ def reachable_csr(kernel: PackedKernel, seeds: Sequence[int]) -> tuple:
     succs = np.empty(total, dtype=id_type)
     moves = tables[2]
     acts = np.array([bits for _act, bits in kernel.activations])
-    for lo, hi, succ, move_at in _expand_frontier(
-        kernel, tables, steps, states, row, deg
+    for lo, hi, succ, move_at, raw in _expand_frontier(
+        kernel, tables, steps, lifts, row, deg, classes
     ):
         rows = slice(indptr[lo], indptr[hi])
         np.take(ids, succ, out=succs[rows], mode="clip")
         labels[rows].reshape(move_at.size, -1)[:] = moves[move_at][:, None] | acts
+        if classes and group:
+            _swap_links(group, homes, raw, succs[rows], links)
     seed_idx = list(dict.fromkeys(ids[seed_array].tolist()))
-    return states, indptr, labels, succs, occ.astype(occ_type), seed_idx
+    csr = states, indptr, labels, succs, occ.astype(occ_type), seed_idx
+    return csr + (links,) if classes else csr
 
 
 # ----------------------------------------------------------------------
 # Solve-phase kernels over a reachable_csr graph (repro.verification.game)
 # ----------------------------------------------------------------------
-def rotation_closed(kernel: PackedKernel, states: "object") -> bool:
+def rotation_closed(
+    kernel: PackedKernel, states: "object", classes: SwapClasses = ()
+) -> bool:
     """Whether an ascending packed-state array is closed under rotation.
 
     The NumPy form of :func:`repro.verification.game._rotation_closed`:
     every robot's slot moves one node on (``node → node + 1 mod n``,
-    state kept), and each rotated state must be found in ``states``.
+    state kept), the rotated slots are sorted within the swap
+    ``classes`` of a quotient, and each rotated state must be found in
+    ``states``.
     """
     np = require_numpy()
-    base, S, n = kernel._base, kernel.state_count, kernel.n
-    rotated = np.zeros_like(states)
-    rest, weight = states, 1
-    for _ in range(kernel.k):
-        slot = rest % base
-        rest = rest // base
-        rotated += ((slot // S + 1) % n * S + slot % S) * weight
-        weight *= base
+    S, n = kernel.state_count, kernel.n
+    slots = [
+        (slot // S + 1) % n * S + slot % S for slot in _digits(kernel, states)
+    ]
+    _sort_classes(slots, classes)
+    rotated = _encode(kernel, slots)
     at = np.minimum(np.searchsorted(states, rotated), states.size - 1)
     return bool((states[at] == rotated).all())
 
@@ -1096,11 +1304,14 @@ __all__ = [
     "DenseSpace",
     "arena_csr",
     "avoid_reachable",
+    "canonical_states",
     "decode_tables",
     "dense_eligible",
     "dense_space",
     "have_numpy",
+    "orbit_sizes",
     "reachable_csr",
+    "reaching_links",
     "rotation_closed",
     "solve_tables",
 ]

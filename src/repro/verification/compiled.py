@@ -48,6 +48,7 @@ this module inherits it.
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable, Iterable, Optional, Sequence
 
 from repro.errors import VerificationError
@@ -85,6 +86,26 @@ def check_scheduler(scheduler: str) -> str:
 
 SysState = tuple[tuple[NodeId, ...], tuple[Hashable, ...]]
 """Object-level product state, as in :mod:`repro.verification.product`."""
+
+SwapClasses = tuple[tuple[RobotId, ...], ...]
+"""Robot indices that may be permuted among themselves (see
+:func:`swap_classes`)."""
+
+
+def swap_classes(chiralities: Sequence[Chirality]) -> SwapClasses:
+    """Robots grouped by chirality, ascending: the classes whose members
+    a state may permute without changing any play's labels.
+
+    Robots are anonymous and uniform, so two robots of the same chirality
+    in the same slot behave identically. Only classes of two or more
+    robots are listed, ordered by their smallest index, so robot 0's class
+    (when it has a partner) comes first.
+    """
+    members: dict[Chirality, list[RobotId]] = {}
+    for robot, chirality in enumerate(chiralities):
+        members.setdefault(chirality, []).append(robot)
+    return tuple(tuple(group) for group in members.values() if len(group) > 1)
+
 
 _DIR_BIT = {Direction.LEFT: 0, Direction.RIGHT: 1}
 _BIT_DIR = (Direction.LEFT, Direction.RIGHT)
@@ -205,6 +226,43 @@ def _close_state_table(
     transitions = tuple(value for row in rows for value in row)
     dir_bits = tuple(_DIR_BIT[getattr(state, "dir")] for state in objects)
     return tuple(objects), index, transitions, dir_bits
+
+
+# A sweep solves thousands of tables over one packed space, so the
+# quotient's per-state arithmetic is cached across tables (bounded).
+@functools.lru_cache(maxsize=1 << 14)
+def _canonical(
+    packed: PackedState, base: int, k: int, classes: SwapClasses
+) -> PackedState:
+    """:meth:`CompiledTables.canonical` on a radix-``base`` state."""
+    slots = []
+    for _ in range(k):
+        packed, slot = divmod(packed, base)
+        slots.append(slot)
+    for group in classes:
+        for robot, slot in zip(group, sorted([slots[i] for i in group])):
+            slots[robot] = slot
+    for slot in reversed(slots):
+        packed = packed * base + slot
+    return packed
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _orbit_size(
+    packed: PackedState, base: int, k: int, classes: SwapClasses
+) -> int:
+    """:meth:`CompiledTables.orbit_size` on a radix-``base`` state."""
+    slots = []
+    for _ in range(k):
+        packed, slot = divmod(packed, base)
+        slots.append(slot)
+    size = 1
+    for group in classes:
+        seen: dict[int, int] = {}
+        for count, robot in enumerate(group, start=1):
+            repeat = seen[slots[robot]] = seen.get(slots[robot], 0) + 1
+            size = size * count // repeat
+    return size
 
 
 class CompiledTables:
@@ -328,6 +386,37 @@ class CompiledTables:
             packed, slot = divmod(packed, self._base)
             occupied |= 1 << slot // self.state_count
         return occupied
+
+    def canonical(self, packed: PackedState, classes: SwapClasses) -> PackedState:
+        """The orbit representative of a packed state: within each class
+        of :func:`swap_classes`, robot slots sorted ascending by robot
+        index. Every backend's quotient uses this one rule (the vector
+        frontier as a sorting network over digit arrays)."""
+        return _canonical(packed, self._base, self.k, classes)
+
+    def orbit_size(self, packed: PackedState, classes: SwapClasses) -> int:
+        """How many packed states permuting robots within ``classes``
+        maps ``packed`` to: per class, its size factorial over the
+        factorials of its repeated slots' multiplicities."""
+        return _orbit_size(packed, self._base, self.k, classes)
+
+    def swap_links(
+        self, packed: PackedState, lift: PackedState, group: tuple[RobotId, ...]
+    ) -> int:
+        """Which pairs of ``group`` the permutation ``g`` with ``packed =
+        g·lift`` joins (``g`` sends one robot of the pair to the other):
+        bit ``a · len(group) + b`` for positions ``a < b``. ``lift``'s
+        slots in ``group`` must be distinct."""
+        base = self._base
+        ys = [packed // base**i % base for i in group]
+        xs = [lift // base**i % base for i in group]
+        size = len(group)
+        links = 0
+        for a in range(size):
+            for b in range(a + 1, size):
+                if ys[b] == xs[a] or ys[a] == xs[b]:
+                    links |= 1 << (a * size + b)
+        return links
 
     def edges_to_mask(self, edges: Iterable[EdgeId]) -> int:
         """Bitmask of an edge set."""
@@ -588,6 +677,8 @@ __all__ = [
     "PackedState",
     "PackedTransition",
     "STATE_TABLE_LIMIT",
+    "SwapClasses",
     "SysState",
     "check_scheduler",
+    "swap_classes",
 ]

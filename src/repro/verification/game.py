@@ -55,6 +55,72 @@ scanned. ``PEF_3+``'s reachable sets are rotation-closed (n checks of the
 SCC search become one); ill-initiated FSYNC seeds, for example, need not
 be.
 
+**Robot-permutation quotient** (FSYNC on rings from the default seeds).
+Let ``G`` be the robot permutations that keep chiralities (one symmetric
+group per class of :func:`~repro.verification.compiled.swap_classes`),
+acting on packed states by moving slots: ``(g·x)[g(i)] = x[i]``. Robots
+are anonymous and uniform, so two robots of one chirality in the same
+slot see the same view and compute the same move: a round commutes with
+``g`` (``step(g·x, m) = g·step(x, m)``), and ``x`` and ``g·x`` have the
+same occupied nodes, hence the same adversary moves in the same order.
+Each vector's graph is therefore built over orbit representatives
+(:meth:`~repro.verification.compiled.CompiledTables.canonical`: slots
+sorted within each class) with successors canonicalized. A default seed
+(every robot initial, robot 0 on node 0, the smallest slot) canonicalizes
+to a default seed.
+
+*Verdicts* are those of the full graph ``R`` for every target and arena.
+The map to representatives keeps labels and occupancy, so a winning play
+of ``R`` maps to a play of the quotient with the same recurrent label
+union that never visits the target, and the quotient criterion holds.
+Conversely a quotient lasso replays from its real seed: the prefix ends
+on ``p·q`` for the entry representative ``q``, and each traversal of the
+cycle multiplies by the cycle's accumulated permutation ``h``. Repeating
+the cycle ``m`` times, ``m`` the least with ``h^m·q = q`` (a divisor of
+the order of ``h``, at most 6 for ``k ≤ 5``), closes a real cycle with
+the same labels and occupancy (:func:`_lift_cycle`): a real trap.
+
+*Counts*. ``states_explored`` is the sum of the representatives' orbit
+sizes and ``transitions_explored`` of orbit size times out-degree (which
+the occupancy fixes), so both count the full graph's states and
+transitions exactly when ``R`` is closed under ``G``; ``max_states``
+counts representatives. The representatives are those of ``R̂``, the
+states reachable from ``G``-images of default seeds. ``R ⊆ R̂``, with
+equality iff every image of a default seed is in ``R``. Let ``G'`` fix
+robot 0. The default seeds are closed under ``G'`` (the other robots
+take every placement), so ``R`` is. Let ``r`` be the first seed
+representative. ``r`` is towerless, so ``g·r`` determines ``g``, and
+``H = {h : h·r reachable from r}`` is a subgroup: from ``h1·r`` the walk
+to ``h2·r`` lifts to ``h1·h2·r``. The set ``{g : g·r ∈ R}`` is closed
+under ``G'`` on the left and ``H`` on the right, so it holds ``G'·H``.
+``g·r`` gives robot 0 the slot ``r`` gives robot ``g⁻¹(0)``, and the
+right cosets of ``G'`` are told apart by that robot, so ``G'·H = G``
+iff ``H`` carries robot 0 to every robot of its class. Then
+``G·r ⊆ R``, and ``G·q ⊆ R`` passes to every successor ``q'`` of ``q``
+(``step(g·q, m) = g·step(q, m)``); if ``r`` reaches every seed
+representative, ``R = R̂``. :func:`_quotient_exact` checks exactly
+this, or that robot 0 has no partner (``G' = G``). The builders keep
+for each representative ``q`` a *lift* ``x_q``, a real state reached
+from ``r`` (``x_r = r``). A transition ``q → q'`` with label ``m``
+lands on ``step(x_q, m) = g_e·x_q'``. If ``q'`` reaches ``r``, a walk
+from ``q'`` to ``r`` lifts from ``x_q'`` to some ``w·r`` and from
+``g_e·x_q'`` to ``g_e·w·r``, both reachable from ``r``, so
+``g_e ∈ H``; and a closed walk at ``r`` lifts from ``r`` to the product
+of its transitions' ``g_e``, so these ``g_e`` generate ``H``. The orbit
+of robot 0 under ``H`` is therefore its component in the graph that
+joins ``i`` and ``g_e(i)`` over the transitions entering states that
+reach ``r`` (a state with two robots of one class in one slot keeps
+them together and never reaches ``r``, so there ``g_e`` is unique).
+The builders record those pairs per entered state
+(:meth:`~repro.verification.compiled.CompiledTables.swap_links`), and
+the check depends on the quotient alone, never on which lifts a
+backend kept. When it fails, the full graph is built instead. With
+``R = G·Q``, rotation commutes with ``G``, so ``R`` is rotation-closed
+iff every representative's rotation canonicalizes into ``Q``
+(:func:`_rotation_closed`). Under SSYNC a swap also relabels the
+activation sets, and fairness would need its own argument; SSYNC,
+chains and explicit ``placements`` keep the full graph.
+
 **Solve phase.** All three backends share one pipeline over the
 reachable graph's canonical CSR form; they differ only in how they build
 that graph. The object backend steps the engine
@@ -85,6 +151,7 @@ other under either scheduler.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -97,6 +164,7 @@ from repro.types import Chirality, NodeId
 from repro.verification import batch_solver
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import TrapCertificate, validate_certificate
+from repro.verification.compiled import SwapClasses, swap_classes
 from repro.verification.families import PROPERTIES
 from repro.verification.kernel import (
     PackedKernel,
@@ -218,7 +286,10 @@ def verify_exploration(
 
     Perpetual exploration on a ring whose reachable state set is closed
     under rotation checks target 0 only — the rotation-reduced targets
-    of the module docstring.
+    of the module docstring. Under FSYNC on a ring with the default
+    ``placements`` the graph is the module docstring's robot-permutation
+    quotient: the counts are still the full graph's, and a trap's cycle
+    may be its quotient cycle repeated.
 
     ``scheduler`` picks the execution model the game is played under:
     ``"fsync"`` (default, the paper's setting) or ``"ssync"``, where the
@@ -240,20 +311,23 @@ def verify_exploration(
                 raise VerificationError(
                     f"chirality vector {vector} has length {len(vector)}, want {k}"
                 )
+    # The robot-permutation quotient of the module docstring.
+    quotient = scheduler == "fsync" and topology.is_ring and placements is None
     total_states = 0
     total_transitions = 0
     for vector in vectors:
-        kernel, csr = _build_csr(
+        kernel, csr, classes = _build_csr(
             backend, topology, algorithm, vector, max_states, placements,
-            scheduler,
+            scheduler, quotient,
         )
-        total_states += len(csr.states)
-        total_transitions += len(csr.labels)
+        states, transitions = _counts(kernel, csr, classes)
+        total_states += states
+        total_transitions += transitions
         targets = topology.nodes
         if (
             prop == "perpetual"
             and topology.is_ring
-            and _rotation_closed(kernel, csr.states)
+            and _rotation_closed(kernel, csr.states, classes)
         ):
             targets = (0,)
         for target in targets:
@@ -271,7 +345,7 @@ def verify_exploration(
                     allowed = allowed.tolist()
                 certificate = _extract_certificate_csr(
                     kernel, vector, csr, target, scc_states, internal,
-                    allowed,
+                    allowed, classes,
                 )
                 if validate:
                     validate_certificate(certificate, algorithm)
@@ -347,7 +421,10 @@ class _CsrGraph:
     ``labels``/``occ`` as narrow as their bits; ``seeds`` is a list
     either way). The solve helpers pick their plain-Python or NumPy form
     by :attr:`on_numpy`; the graph is never converted whole — a
-    certificate reads single rows (:meth:`row`).
+    certificate reads single rows (:meth:`row`). A robot-permutation
+    quotient also carries ``links``, per state the pairs of robot 0's
+    class that the transitions entering it swap (:func:`_quotient_exact`);
+    ``None`` otherwise.
     """
 
     states: Sequence[int]
@@ -356,6 +433,7 @@ class _CsrGraph:
     succs: Sequence[int]
     occ: Sequence[int]
     seeds: list[int]
+    links: Optional[Sequence[int]] = None
 
     @property
     def on_numpy(self) -> bool:
@@ -404,9 +482,16 @@ def _build_csr(
     max_states: int,
     placements: Optional[Sequence[Sequence[NodeId]]],
     scheduler: str,
-) -> tuple[PackedKernel, _CsrGraph]:
-    """One chirality vector's kernel and canonical CSR, built the
-    backend's way; the backend's own graph form dies with this frame."""
+    quotient: bool,
+) -> tuple[PackedKernel, _CsrGraph, SwapClasses]:
+    """One chirality vector's kernel, canonical CSR and the swap classes
+    it is quotiented by, built the backend's way; the backend's own
+    graph form dies with this frame.
+
+    With ``quotient`` the CSR is first built over orbit representatives;
+    when :func:`_quotient_exact` cannot prove its counts exact, the full
+    graph is built instead and the classes come back empty.
+    """
     kernel = PackedKernel(
         topology, algorithm, vector, max_states=max_states, scheduler=scheduler,
     )
@@ -416,21 +501,48 @@ def _build_csr(
             scheduler=scheduler,
         )
         seeds = system.initial_states(placements)
-        return kernel, _csr_from_object(kernel, system.reachable(seeds), seeds)
-    packed_seeds = kernel.initial_states(placements)
-    if backend == "vector":
-        return kernel, _CsrGraph(*batch_solver.reachable_csr(kernel, packed_seeds))
-    occupied: dict[PackedState, int] = {}
-    graph = kernel.reachable(packed_seeds, occupied_out=occupied)
-    return kernel, _csr_from_packed(graph, occupied, packed_seeds)
+        full = _packed_from_object(kernel, system.reachable(seeds), seeds)
+
+        def build(classes: SwapClasses) -> Optional[_CsrGraph]:
+            if not classes:
+                return _csr_from_packed(*full)
+            return _quotient_of_packed(kernel, *full, classes)
+    else:
+        packed_seeds = kernel.initial_states(placements)
+
+        def build(classes: SwapClasses) -> Optional[_CsrGraph]:
+            if backend == "vector":
+                return _CsrGraph(
+                    *batch_solver.reachable_csr(kernel, packed_seeds, classes)
+                )
+            occupied: dict[PackedState, int] = {}
+            links: dict[PackedState, int] = {}
+            graph = kernel.reachable(
+                packed_seeds, occupied, classes,
+                links if classes and 0 in classes[0] else None,
+            )
+            return _csr_from_packed(
+                graph, occupied,
+                [kernel.canonical(seed, classes) for seed in packed_seeds],
+                links if classes else None,
+            )
+
+    classes = swap_classes(vector) if quotient else ()
+    csr = build(classes) if classes else None
+    if csr is None or not _quotient_exact(csr, classes):
+        classes = ()
+        csr = build(classes)
+    return kernel, csr, classes
 
 
 def _csr_from_packed(
     graph: dict[PackedState, list[PackedTransition]],
     occupied: dict[PackedState, int],
     seeds: Sequence[PackedState],
+    links: Optional[dict[PackedState, int]] = None,
 ) -> _CsrGraph:
-    """Canonicalize a scalar-kernel graph dict into CSR arrays."""
+    """Canonicalize a scalar-kernel graph dict into CSR arrays (with a
+    quotient's per-state ``links``, zero where absent)."""
     states = sorted(graph)
     index = {state: i for i, state in enumerate(states)}
     indptr = [0]
@@ -455,20 +567,25 @@ def _csr_from_packed(
         succs=succs,
         occ=[occupied[state] for state in states],
         seeds=seed_idx,
+        links=None if links is None else [links.get(s, 0) for s in states],
     )
 
 
-def _csr_from_object(
+def _packed_from_object(
     kernel: PackedKernel,
     graph: dict[SysState, list[Transition]],
     seeds: Sequence[SysState],
-) -> _CsrGraph:
-    """Canonicalize an object-backend graph into the same CSR arrays.
+) -> tuple[
+    dict[PackedState, list[PackedTransition]],
+    dict[PackedState, int],
+    list[PackedState],
+]:
+    """An object-backend graph in the packed kernel's form.
 
     Each state is packed with the kernel's encoding and each label
     becomes its bitmask (under SSYNC the activated robots sit at
-    ``act_shift``), so the engine-stepped graph enters the solve phase in
-    exactly the form the packed kernel builds.
+    ``act_shift``). Returns ``(graph, occupied, seeds)`` as
+    :func:`_csr_from_packed` takes them.
     """
     code = {state: kernel.encode(state) for state in graph}
     ssync = kernel.scheduler == "ssync"
@@ -484,20 +601,164 @@ def _csr_from_object(
                 mask = kernel.edges_to_mask(label)
             transitions.append((mask, code[succ]))
     occupied = {state: kernel.occupied_mask(state) for state in packed}
-    return _csr_from_packed(packed, occupied, [code[seed] for seed in seeds])
+    return packed, occupied, [code[seed] for seed in seeds]
 
 
-def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
+def _csr_from_object(
+    kernel: PackedKernel,
+    graph: dict[SysState, list[Transition]],
+    seeds: Sequence[SysState],
+) -> _CsrGraph:
+    """Canonicalize an object-backend graph into the same CSR arrays, so
+    the engine-stepped graph enters the solve phase in exactly the form
+    the packed kernel builds."""
+    return _csr_from_packed(*_packed_from_object(kernel, graph, seeds))
+
+
+def _quotient_of_packed(
+    kernel: PackedKernel,
+    graph: dict[PackedState, list[PackedTransition]],
+    occupied: dict[PackedState, int],
+    seeds: Sequence[PackedState],
+    classes: SwapClasses,
+) -> Optional[_CsrGraph]:
+    """The robot-permutation quotient of a full packed graph, or ``None``
+    when some orbit representative is not itself reachable (then the
+    full graph is not closed under the swaps, and no quotient is exact).
+
+    Each representative keeps its own transitions, successors replaced by
+    their representatives: the CSR the packed kernel and the vector
+    frontier build directly from the same seeds. Its lifts, for
+    ``links``, are the real states a breadth-first search of the full
+    graph from the first seed representative visits first in each orbit.
+    """
+    canonical = {state: kernel.canonical(state, classes) for state in graph}
+    if any(rep not in graph for rep in canonical.values()):
+        return None
+    quotient = {
+        rep: [(mask, canonical[succ]) for mask, succ in graph[rep]]
+        for rep in set(canonical.values())
+    }
+    reps = [canonical[seed] for seed in seeds]
+    lifts = {reps[0]: reps[0]} if reps else {}
+    queue = deque(lifts)
+    seen = set(lifts)
+    while queue:
+        for _mask, succ in graph[queue.popleft()]:
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+                lifts.setdefault(canonical[succ], succ)
+    links: dict[PackedState, int] = {}
+    if 0 in classes[0] and all(rep in lifts for rep in reps):
+        for lift in lifts.values():
+            for _mask, succ in graph[lift]:
+                head = canonical[succ]
+                if succ != lifts[head]:
+                    links[head] = links.get(head, 0) | kernel.swap_links(
+                        succ, lifts[head], classes[0]
+                    )
+    return _csr_from_packed(quotient, occupied, reps, links)
+
+
+def _counts(
+    kernel: PackedKernel, csr: _CsrGraph, classes: SwapClasses
+) -> tuple[int, int]:
+    """``(states, transitions)`` of the full graph a CSR stands for: the
+    CSR's own sizes, or for a quotient its orbit sizes and orbit size
+    times out-degree, summed (exact once :func:`_quotient_exact` holds)."""
+    if not classes:
+        return len(csr.states), len(csr.labels)
+    indptr = csr.indptr
+    if csr.on_numpy:
+        sizes = batch_solver.orbit_sizes(kernel, csr.states, classes)
+        return int(sizes.sum()), int((sizes * (indptr[1:] - indptr[:-1])).sum())
+    states = transitions = 0
+    for i, state in enumerate(csr.states):
+        size = kernel.orbit_size(state, classes)
+        states += size
+        transitions += size * (indptr[i + 1] - indptr[i])
+    return states, transitions
+
+
+def _quotient_exact(csr: _CsrGraph, classes: SwapClasses) -> bool:
+    """Whether a quotient's orbit sums are the full graph's counts.
+
+    The sufficient condition the module docstring proves (*Exactness*):
+    robot 0 has no partner in its class; or the builder's lifts are
+    rooted at the first seed representative, ``root`` (it reached every
+    other one; the links are all zero otherwise), and the links of the
+    states that reach ``root`` join robot 0 to its whole class. The
+    answer depends on the quotient graph only, so all three backends
+    agree; when it is ``False`` the caller builds the full graph.
+    """
+    group = classes[0]
+    if not csr.seeds or 0 not in group:
+        return True
+
+    def joined(links: int) -> bool:
+        """Whether the pairs in ``links`` connect position 0 of
+        ``group`` to every other position."""
+        size = len(group)
+        component = {0}
+        grew = True
+        while grew:
+            grew = False
+            for a in range(size):
+                for b in range(a + 1, size):
+                    if links >> (a * size + b) & 1 and (
+                        (a in component) != (b in component)
+                    ):
+                        component |= {a, b}
+                        grew = True
+        return len(component) == size
+
+    root = csr.seeds[0]
+    if csr.on_numpy:
+        found = batch_solver.reaching_links(
+            csr.indptr, csr.succs, csr.links, root, joined
+        )
+    else:
+        found = _reaching_links(csr, root, joined)
+    return joined(found)
+
+
+def _reaching_links(csr: _CsrGraph, root: int, joined) -> int:
+    """The OR of a list CSR's ``links`` over the states that reach
+    ``root``, by a backward search that stops once ``joined`` accepts
+    it."""
+    indptr = csr.indptr
+    preds: list[list[int]] = [[] for _ in csr.states]
+    for state in range(len(csr.states)):
+        for t in range(indptr[state], indptr[state + 1]):
+            preds[csr.succs[t]].append(state)
+    found = csr.links[root]
+    seen = {root}
+    stack = [root]
+    while stack and not joined(found):
+        for pred in preds[stack.pop()]:
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+                found |= csr.links[pred]
+    return found
+
+
+def _rotation_closed(
+    kernel: PackedKernel, states: Sequence[int], classes: SwapClasses = ()
+) -> bool:
     """Whether a packed state set is closed under ring rotation.
 
     Rotation moves every robot from node ``v`` to ``v + 1 (mod n)`` and
     keeps its state: each slot ``v * S + s`` gains ``S``, and a slot at
     node ``n - 1`` wraps by ``-base``. Rotation is a bijection of the
-    finite state space, so closure makes the set a union of orbits. The
-    vector backend's ascending int64 state array is checked in NumPy.
+    finite state space, so closure makes the set a union of orbits. A
+    quotient's states are rotated, then canonicalized (rotation commutes
+    with robot swaps). The vector backend's ascending int64 state array
+    is checked in NumPy.
     """
     if not isinstance(states, list):
-        return batch_solver.rotation_closed(kernel, states)
+        return batch_solver.rotation_closed(kernel, states, classes)
     base = kernel._base
     wrap = base - kernel.state_count
     shift = sum(kernel.state_count * base**i for i in range(kernel.k))
@@ -511,6 +772,8 @@ def _rotation_closed(kernel: PackedKernel, states: Sequence[int]) -> bool:
             if slot >= wrap:
                 rotated -= weight
             weight *= base
+        if classes:
+            rotated = kernel.canonical(rotated, classes)
         if rotated not in members:
             return False
     return True
@@ -712,6 +975,7 @@ def _extract_certificate_csr(
     scc_states: set[int],
     internal: list[_CsrInternal],
     restrict: Optional[list[bool]] = None,
+    classes: SwapClasses = (),
 ) -> TrapCertificate:
     """Build the lasso certificate for a winning SCC.
 
@@ -723,7 +987,8 @@ def _extract_certificate_csr(
     also guarantees every robot of the SCC's activation union is
     activated within one cycle — the fairness the criterion promised.
     Rows are read one visited state at a time (:meth:`_CsrGraph.row`),
-    so an array CSR is never converted whole.
+    so an array CSR is never converted whole. On a quotient the cycle is
+    lifted to a real one (:func:`_lift_cycle`).
     """
     # --- prefix: BFS from the seeds into the SCC (within ``restrict``,
     # the target-avoiding arena, when the property demands it) -----------
@@ -818,12 +1083,15 @@ def _extract_certificate_csr(
         cycle_masks.append(mask)
         cursor = succ
     cycle_masks.extend(internal_path(cursor, entry))
+    seed = int(csr.states[seed_state])
+    if classes:
+        cycle_masks = _lift_cycle(kernel, seed, prefix_masks, cycle_masks)
 
     realized_union = 0
     for mask in cycle_masks:
         realized_union |= mask
     missing_mask = kernel.full_mask & ~realized_union
-    seed_positions, _seed_states = kernel.decode(int(csr.states[seed_state]))
+    seed_positions, _seed_states = kernel.decode(seed)
 
     if kernel.scheduler == "ssync":
         prefix_activations = tuple(
@@ -846,6 +1114,33 @@ def _extract_certificate_csr(
         eventually_missing=kernel.mask_to_edges(missing_mask),
         prefix_activations=prefix_activations,
         cycle_activations=cycle_activations,
+    )
+
+
+def _lift_cycle(
+    kernel: PackedKernel, seed: PackedState, prefix: list[int], cycle: list[int]
+) -> list[int]:
+    """A quotient lasso's cycle, repeated until the real play closes.
+
+    Replayed from the real seed, the prefix ends on some permutation of
+    the entry representative and one cycle on that state permuted once
+    more, by the cycle's accumulated permutation ``g``; ``m`` cycles close
+    the real play exactly when ``g^m`` is the identity on that state, so
+    ``m`` divides the order of ``g`` (at most 6 for ``k <= 5``).
+    """
+    state = seed
+    for mask in prefix:
+        state = kernel.step_packed(state, mask)[0]
+    anchor = state
+    lifted: list[int] = []
+    for _ in range(math.factorial(kernel.k)):
+        for mask in cycle:
+            state = kernel.step_packed(state, mask)[0]
+        lifted.extend(cycle)
+        if state == anchor:
+            return lifted
+    raise VerificationError(  # pragma: no cover - g has finite order
+        "quotient cycle does not close under robot permutations"
     )
 
 

@@ -63,6 +63,7 @@ from repro.verification.compiled import (
     CompiledTables,
     PackedState,
     PackedTransition,
+    SwapClasses,
     check_scheduler,
 )
 
@@ -168,6 +169,8 @@ class PackedKernel(CompiledTables):
         self,
         seeds: Optional[list[PackedState]] = None,
         occupied_out: Optional[dict[PackedState, int]] = None,
+        classes: SwapClasses = (),
+        links_out: Optional[dict[PackedState, int]] = None,
     ) -> dict[PackedState, list[PackedTransition]]:
         """The reachable labeled transition graph, entirely on ints.
 
@@ -176,14 +179,36 @@ class PackedKernel(CompiledTables):
         canonical CSR as ``ProductSystem.reachable``'s. Pass a dict
         as ``occupied_out`` to also collect each state's occupied-node
         bitmask (computed here anyway; the solver needs it per target).
+
+        ``classes`` (FSYNC only) builds the robot-permutation quotient
+        instead: seeds and successors are replaced by their
+        :meth:`~CompiledTables.canonical` representatives, so the graph
+        holds one state per orbit and ``max_states`` counts orbits. The
+        traversal then starts from the first seed alone and expands each
+        representative's *lift*, the real state it was first reached as
+        (a seed is its own lift). A dict passed as ``links_out`` maps each
+        representative to the OR of :meth:`~CompiledTables.swap_links`
+        over the transitions entering it, in robot 0's class, between
+        their real successors and its lift; it is left empty when the
+        first seed does not reach every other one (see
+        :func:`repro.verification.game._quotient_exact`).
         """
         if seeds is None:
             seeds = self.initial_states()
+        lifts: dict[PackedState, PackedState] = {}
+        if classes:
+            if len(self.activations) > 1:
+                raise VerificationError(
+                    "the robot-permutation quotient is defined under FSYNC only"
+                )
+            seeds = [self.canonical(seed, classes) for seed in seeds]
+            group = classes[0]
         graph: dict[PackedState, list[PackedTransition]] = {}
         frontier: list[PackedState] = []
-        for seed in seeds:
+        for seed in seeds[:1] if classes else seeds:
             if seed not in graph:
                 graph[seed] = []
+                lifts[seed] = seed
                 frontier.append(seed)
 
         base = self._base
@@ -207,7 +232,7 @@ class PackedKernel(CompiledTables):
             state = frontier.pop()
             out = graph[state]
             # Everything mask-independent is hoisted out of the move loop.
-            occupied, per_robot = state_tables(state)
+            occupied, per_robot = state_tables(lifts[state] if classes else state)
             if occupied_out is not None:
                 occupied_out[state] = occupied
             moves = moves_cache.get(occupied)
@@ -229,6 +254,16 @@ class PackedKernel(CompiledTables):
                     else:
                         landing = position
                     active = active * base + landing * state_count + new_state
+                if classes:
+                    raw = active
+                    active = self.canonical(raw, classes)
+                    lift = lifts.get(active)
+                    if lift is None:
+                        lifts[active] = raw
+                    elif links_out is not None and raw != lift:
+                        links = self.swap_links(raw, lift, group)
+                        if links:
+                            links_out[active] = links_out.get(active, 0) | links
                 # ...derive each partial column's by putting its idle robots'
                 # current slots back, then emit the all-active one last.
                 for label_bits, idle in partial:
@@ -249,6 +284,17 @@ class PackedKernel(CompiledTables):
                         raise self._state_overflow()
                     graph[active] = []
                     frontier.append(active)
+            if not frontier:
+                # Seeds the first one does not reach start their own trees.
+                missing = [seed for seed in seeds if seed not in graph]
+                if missing and links_out is not None:
+                    links_out.clear()
+                    links_out = None
+                for seed in missing:
+                    if seed not in graph:
+                        graph[seed] = []
+                        lifts[seed] = seed
+                        frontier.append(seed)
         return graph
 
 

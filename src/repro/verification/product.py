@@ -46,6 +46,13 @@ from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification.compiled import check_scheduler
 
+#: Transitions :meth:`ProductSystem.reachable` stores before it gives up.
+#: Each one keeps an engine-built successor state, about 0.5 KB of heap
+#: (``verify --backend object`` peaked at 0.97 GB RSS when 2 M stopped
+#: it), so this bounds the oracle near 0.5 GB; the packed and vector
+#: backends build the same graph in a few bytes per transition.
+MAX_TRANSITIONS = 1_000_000
+
 SysState = tuple[tuple[NodeId, ...], tuple[Hashable, ...]]
 """A product state: (robot positions, robot algorithm states)."""
 
@@ -225,8 +232,9 @@ class ProductSystem:
 
         Returns a dict mapping every reachable state to its outgoing
         (move, successor) list. Raises :class:`VerificationError` when the
-        state count exceeds :attr:`max_states`. Every transition is one
-        :meth:`step` of the engine.
+        state count exceeds :attr:`max_states` or the transition count
+        :data:`MAX_TRANSITIONS`. Every transition is one :meth:`step` of
+        the engine.
         """
         if seeds is None:
             seeds = self.initial_states()
@@ -236,11 +244,19 @@ class ProductSystem:
             if seed not in graph:
                 graph[seed] = []
                 frontier.append(seed)
+        stored = 0
         while frontier:
             state = frontier.pop()
             out = graph[state]
             for present, successor in self.transitions(state):
                 out.append((present, successor))
+                stored += 1
+                if stored > MAX_TRANSITIONS:
+                    raise VerificationError(
+                        f"the engine-stepped graph of {self.algorithm.name!r} "
+                        f"on {self.topology!r} passes {MAX_TRANSITIONS} "
+                        "transitions; use backend='vector' or backend='packed'"
+                    )
                 if successor not in graph:
                     if len(graph) >= self.max_states:
                         raise VerificationError(
@@ -253,6 +269,7 @@ class ProductSystem:
 
 
 __all__ = [
+    "MAX_TRANSITIONS",
     "SysState",
     "SsyncMove",
     "Transition",

@@ -1137,12 +1137,14 @@ class TestVectorSolvePhase:
                     raise AssertionError("full CSR iterated in Python")
                 return super().__iter__()
 
-        def guarded(kernel, seeds):
-            states, indptr, labels, succs, occ, seed_idx = build(kernel, seeds)
+        def guarded(kernel, seeds, classes=()):
+            states, indptr, labels, succs, occ, seed_idx, *twisted = build(
+                kernel, seeds, classes
+            )
             Guarded.limit = labels.size
             return (
                 states, indptr, labels.view(Guarded), succs.view(Guarded),
-                occ, seed_idx,
+                occ, seed_idx, *twisted,
             )
 
         monkeypatch.setattr(batch_solver, "reachable_csr", guarded)
