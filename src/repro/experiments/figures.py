@@ -64,7 +64,9 @@ def figure3_experiment(
 ) -> Figure3Outcome:
     """Run the oscillation trap against a single-robot algorithm."""
     topology = RingTopology(n)
-    trap = OscillationTrap(topology)
+    # Anchored on the start node up front, as the trap would anchor on
+    # its first round, so a 0-round run still has its window.
+    trap = OscillationTrap(topology, window_anchor=start)
     result = run_fsync(
         topology,
         trap,

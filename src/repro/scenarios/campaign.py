@@ -220,27 +220,17 @@ def _campaign_chunk(
     its own construction-time gate would refuse. ``backend`` is always a
     *concrete* name (``auto`` is resolved before dispatch) and is
     hash-neutral: never part of the spec, the records or the report.
-    Dispatches on the spec's dynamics: the exact solver for the
-    highly-dynamic adversary, the simulation runner for schedule
-    families. Both return the same tally shape.
+    Picks the chunk runner by the spec's dynamics: the exact solver for
+    the highly-dynamic adversary, the simulation runner for schedule
+    families. Both take ``(spec, chunk, backend)`` and return the same
+    tally shape; a campaign tallies verdicts, so no certificate replay.
     """
     spec = ScenarioSpec.from_dict(spec_data)
     if spec.dynamics == "highly-dynamic":
-        from repro.verification.sweeps import sweep_chunk
-
-        return sweep_chunk(
-            spec.robots.family,
-            spec.n,
-            chunk,
-            backend=backend,
-            validate=False,  # a campaign tallies verdicts, no replay
-            starts=spec.starts,
-            prop=spec.prop,
-            scheduler=spec.scheduler,
-        )
-    from repro.scenarios.simulate import simulate_chunk
-
-    return simulate_chunk(spec, chunk, backend)
+        from repro.verification.sweeps import sweep_chunk as run_chunk
+    else:
+        from repro.scenarios.simulate import simulate_chunk as run_chunk
+    return run_chunk(spec, chunk, backend)
 
 
 class CampaignRunner:

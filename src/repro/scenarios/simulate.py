@@ -11,7 +11,8 @@ execution path for those workloads, shaped exactly like
 :func:`repro.verification.sweeps.sweep_chunk` so the campaign store,
 resume, dedup and report machinery apply unchanged:
 
-* :func:`simulate_chunk` — verify one chunk of table bit-patterns against
+* :func:`simulate_chunk` — ``(spec, bits_chunk, backend)``, the solver
+  runner's signature — verifies one chunk of table bit-patterns against
   the spec's schedule; returns the same ``(total, trapped, explorers,
   states)`` tally tuple the verification path checkpoints (``states``
   counts simulated rounds — the work proxy of this path);
@@ -29,22 +30,28 @@ resume, dedup and report machinery apply unchanged:
 execution substrates with one semantics:
 
 * ``backend="vector"`` (the fastest; requires NumPy, an *optional*
-  dependency) stacks every table's flat compiled tables into one array
-  and steps all (table, chirality-vector, placement) runs of a chunk in
-  NumPy lockstep — structure-of-arrays rows, one fancy-index gather per
-  robot per round, per-row done masks with periodic compaction
-  (:mod:`repro.verification.batch`);
+  dependency) decodes the chunk's bit patterns straight into one
+  ``(B, S·8)`` table stack
+  (:func:`~repro.verification.sweeps.family_tables`, the stack the dense
+  solver reads) and steps all (table, chirality-vector, placement) runs
+  of a chunk in NumPy lockstep — structure-of-arrays rows, one
+  fancy-index gather per robot per round, per-row done masks with
+  periodic compaction (:mod:`repro.verification.batch`); it builds a
+  table object only for an explorer's name;
 * ``backend="packed"`` compiles each table once per
   chirality vector into flat integer tables
   (:class:`~repro.verification.compiled.CompiledTables` — the same
   compilation the game solver's :class:`~repro.verification.kernel
   .PackedKernel` consumes), precompiles the schedule into an edge-bitmask
-  array (:func:`~repro.scenarios.dynamics.schedule_masks`) and the SSYNC
-  round-robin activations into an activation-mask array, and runs the
+  array (:func:`~repro.scenarios.dynamics.schedule_masks`), and runs the
   bounded-horizon check on packed occupancy bitsets;
 * ``backend="object"`` drives :func:`repro.sim.engine.step_fsync` /
   :func:`repro.sim.semi_sync.step_ssync` per round — the semantics
   oracle, kept as the differential reference.
+
+``packed`` and ``object`` share one per-table loop and differ only in
+the run function they plug into it: one bounded run of one table under
+one chirality vector from one placement.
 
 All backends produce byte-identical tallies (differentially tested in
 ``tests/test_simulate.py`` and ``tests/test_batch.py``), so the backend
@@ -80,6 +87,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import partial
 from typing import Optional, Sequence
 
 from repro import telemetry
@@ -93,10 +101,12 @@ from repro.sim.semi_sync import step_ssync
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.compiled import CompiledTables
-from repro.verification.sweeps import family_maker, family_plan
-
-_ChunkOutcome = tuple[int, int, list[str], int]
-"""(total, trapped, explorer names in input order, rounds simulated)."""
+from repro.verification.sweeps import (
+    _ChunkOutcome,
+    family_maker,
+    family_plan,
+    family_tables,
+)
 
 
 def simulation_placements(
@@ -115,12 +125,12 @@ def simulation_placements(
 
 def _bounded_explores(
     topology: RingTopology,
-    algorithm: Algorithm,
     steps: Sequence[frozenset[EdgeId]],
     activations: Optional[Sequence[frozenset[RobotId]]],
-    placement: Sequence[NodeId],
-    chiralities: Sequence[Chirality],
     prop: str,
+    algorithm: Algorithm,
+    chiralities: Sequence[Chirality],
+    placement: Sequence[NodeId],
 ) -> tuple[bool, int]:
     """One bounded run on the object engines; returns ``(explored, rounds)``.
 
@@ -168,12 +178,12 @@ def _bounded_explores(
 
 
 def _bounded_explores_packed(
-    tables: CompiledTables,
     masks: Sequence[int],
     ssync: bool,
-    placement: Sequence[NodeId],
     prop: str,
     full_nodes: int,
+    tables: CompiledTables,
+    placement: Sequence[NodeId],
 ) -> tuple[bool, int]:
     """The packed twin of :func:`_bounded_explores`.
 
@@ -258,12 +268,13 @@ def simulate_chunk(
     """Simulate one chunk of table bit-patterns against the spec's schedule.
 
     The simulation twin of :func:`repro.verification.sweeps.sweep_chunk`
-    and the unit of work the campaign runner checkpoints for
-    schedule-dynamics scenarios. Deterministic for a fixed
-    ``(spec, bits_chunk)`` pair — re-runnable on any backend, worker,
-    process or host with an identical tally. ``backend`` picks the
-    execution substrate (``"vector"``/``"packed"``/``"object"``; see the
-    module docstring); ``"auto"`` resolves to the fastest available one
+    — the same ``(spec, bits_chunk, backend)`` shape — and the unit of
+    work the campaign runner checkpoints for schedule-dynamics
+    scenarios. Deterministic for a fixed ``(spec, bits_chunk)`` pair —
+    re-runnable on any backend, worker, process or host with an
+    identical tally. ``backend`` picks the execution substrate
+    (``"vector"``/``"packed"``/``"object"``; see the module docstring);
+    ``"auto"`` resolves to the fastest available one
     (:func:`repro.verification.backends.resolve_solver_backend`).
     """
     backend = resolve_solver_backend(backend)
@@ -273,159 +284,109 @@ def simulate_chunk(
     )
     assert spec.horizon is not None  # guaranteed by spec validation
     k = spec.robots.k
+    ssync = spec.scheduler == "ssync"
     placements = simulation_placements(spec.starts, topology, k)
-    maker = family_maker(spec.robots.family)
+    family = spec.robots.family
+    maker = family_maker(family)
     vectors = [
-        tuple(vector)
-        for stage in family_plan(spec.robots.family)
-        for vector in stage
+        tuple(vector) for stage in family_plan(family) for vector in stage
     ]
-    total = trapped = rounds = 0
-    explorers: list[str] = []
+    total = len(bits_chunk)
     faults.fault_point("simulate-entry")
-    midpoint = len(bits_chunk) // 2
+    midpoint = total // 2
 
     # Phase accounting, armed-gated so the untraced hot loop pays one
-    # boolean. Compile time is accumulated around the explicit
-    # compilation work (schedule masks / step precompute, per-table
-    # CompiledTables construction); simulate time is the chunk remainder.
-    # Emitted once per chunk as phase.* spans — purely observational, the
-    # tally below never depends on it.
+    # boolean: "compile" is the schedule precompute plus each table's
+    # compilation, the rest of the chunk is "simulate" (the vector
+    # kernel splits it into "gather" and "compact"). Emitted once per
+    # chunk as phase.* spans — the tally never depends on it.
     traced = telemetry.armed()
-    compile_s = 0.0
-    chunk_start = time.perf_counter() if traced else 0.0
-
-    def _emit_phases() -> None:
-        if not traced:
-            return
-        simulate_s = max(0.0, time.perf_counter() - chunk_start - compile_s)
-        telemetry.phase("compile", compile_s, tables=len(bits_chunk))
-        telemetry.phase("simulate", simulate_s, tables=len(bits_chunk))
-
+    start = time.perf_counter()
     if backend == "vector":
-        # The NumPy lockstep kernel: compile every table of the chunk
-        # into one stacked flat-table array, then step all
-        # (table, chirality-vector, placement) runs at once. The kernel
-        # reproduces the scalar first-failure accounting exactly
-        # (see repro.verification.batch), so the tally below is
+        # The NumPy lockstep kernel steps every (table, chirality-vector,
+        # placement) run of the chunk at once on the family's decoded
+        # table stack, and reproduces the scalar first-failure accounting
+        # exactly (see repro.verification.batch): the tally is
         # byte-identical to the packed path's.
         from repro.verification import batch
 
-        mark = time.perf_counter()
         masks = schedule_masks(schedule, spec.horizon)
-        compiled = [
-            CompiledTables(
-                topology, maker(bits), vectors[0], scheduler=spec.scheduler
-            )
-            for bits in bits_chunk
-        ]
-        compile_s = time.perf_counter() - mark
+        tables = family_tables(family, bits_chunk)
+        compile_s = time.perf_counter() - start
         if midpoint:
             faults.fault_point("simulate-mid")
         trapped_flags, rounds, timings = batch.simulate_batch(
-            topology,
-            compiled,
-            vectors,
-            placements,
-            masks,
-            spec.scheduler == "ssync",
-            spec.prop,
+            topology, tables, vectors, placements, masks, ssync, spec.prop
         )
-        total = len(bits_chunk)
-        trapped = sum(trapped_flags)
         explorers = [
-            tables.algorithm.name
-            for tables, hit in zip(compiled, trapped_flags)
+            maker(bits).name
+            for bits, hit in zip(bits_chunk, trapped_flags)
             if not hit
         ]
         if traced:
-            telemetry.phase(
-                "compile", compile_s + timings["compile"], tables=total
-            )
-            telemetry.phase("gather", timings["gather"], tables=total)
-            telemetry.phase("compact", timings["compact"], tables=total)
-        return total, trapped, explorers, rounds
+            timings["compile"] += compile_s
+            for name in ("compile", "gather", "compact"):
+                telemetry.phase(name, timings[name], tables=total)
+        return total, sum(trapped_flags), explorers, rounds
 
+    # The scalar backends differ only in how one table meets one
+    # chirality vector: ``bind(algorithm, chiralities)`` returns the run
+    # function of one placement, ``(explored, rounds)``.
     if backend == "packed":
-        # One schedule compilation per chunk: the horizon's present-edge
-        # sets become a flat edge-bitmask array; under SSYNC the
-        # round-robin activation is folded into the round body.
-        if traced:
-            mark = time.perf_counter()
+        # The horizon's present-edge sets become one flat edge-bitmask
+        # array; each table compiles once per chirality vector.
         masks = schedule_masks(schedule, spec.horizon)
-        if traced:
-            compile_s += time.perf_counter() - mark
-        ssync = spec.scheduler == "ssync"
         full_nodes = (1 << spec.n) - 1
-        for position, bits in enumerate(bits_chunk):
-            if position == midpoint and position:
-                faults.fault_point("simulate-mid")
-            algorithm = maker(bits)
-            hit = False
-            for chiralities in vectors:
-                if traced:
-                    mark = time.perf_counter()
-                tables = CompiledTables(
-                    topology, algorithm, chiralities, scheduler=spec.scheduler
-                )
-                if traced:
-                    compile_s += time.perf_counter() - mark
-                for placement in placements:
-                    explored, executed = _bounded_explores_packed(
-                        tables, masks, ssync, placement, spec.prop, full_nodes
-                    )
-                    rounds += executed
-                    if not explored:
-                        hit = True
-                        break
-                if hit:
-                    break
-            total += 1
-            if hit:
-                trapped += 1
-            else:
-                explorers.append(algorithm.name)
-        _emit_phases()
-        return total, trapped, explorers, rounds
 
-    if traced:
-        mark = time.perf_counter()
-    steps = [schedule.present_edges(t) for t in range(spec.horizon)]
-    activations = (
-        None
-        if spec.scheduler == "fsync"
-        else [frozenset({t % k}) for t in range(spec.horizon)]
-    )
-    if traced:
-        compile_s += time.perf_counter() - mark
+        def bind(algorithm, chiralities):
+            tables = CompiledTables(
+                topology, algorithm, chiralities, scheduler=spec.scheduler
+            )
+            return partial(
+                _bounded_explores_packed, masks, ssync, spec.prop,
+                full_nodes, tables,
+            )
+    else:
+        steps = [schedule.present_edges(t) for t in range(spec.horizon)]
+        activations = (
+            [frozenset({t % k}) for t in range(spec.horizon)] if ssync else None
+        )
+
+        def bind(algorithm, chiralities):
+            return partial(
+                _bounded_explores, topology, steps, activations, spec.prop,
+                algorithm, chiralities,
+            )
+    compile_s = time.perf_counter() - start if traced else 0.0
+    trapped = rounds = 0
+    explorers: list[str] = []
     for position, bits in enumerate(bits_chunk):
         if position == midpoint and position:
             faults.fault_point("simulate-mid")
         algorithm = maker(bits)
         hit = False
         for chiralities in vectors:
+            if traced:
+                mark = time.perf_counter()
+            run = bind(algorithm, chiralities)
+            if traced:
+                compile_s += time.perf_counter() - mark
             for placement in placements:
-                explored, executed = _bounded_explores(
-                    topology,
-                    algorithm,
-                    steps,
-                    activations,
-                    placement,
-                    chiralities,
-                    spec.prop,
-                )
+                explored, executed = run(placement)
                 rounds += executed
                 if not explored:
                     hit = True
                     break
             if hit:
                 break
-        total += 1
         if hit:
             trapped += 1
         else:
             explorers.append(algorithm.name)
-    _emit_phases()
+    if traced:
+        simulate_s = max(0.0, time.perf_counter() - start - compile_s)
+        telemetry.phase("compile", compile_s, tables=total)
+        telemetry.phase("simulate", simulate_s, tables=total)
     return total, trapped, explorers, rounds
 
 

@@ -56,7 +56,8 @@ attempt of one chunk (in-process or in a supervised worker);
 compilation vs execution time (on the exact-solver path "simulate" is
 game solving); the vector simulation backend replaces ``simulate`` with
 ``phase.gather`` / ``phase.compact`` (NumPy lockstep rounds vs pending-row
-compaction — ``summarize`` treats any ``phase.*`` name generically);
+compaction) and the dense solver with ``phase.frontier`` / ``phase.scc``
+— ``summarize`` treats any ``phase.*`` name generically;
 ``store.append`` covers one durable checkpoint append
 including its fsync. Events: ``worker.spawn``, ``worker.crash``,
 ``chunk.timeout``, ``chunk.retry``, ``chunk.quarantine``,

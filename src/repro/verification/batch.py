@@ -13,17 +13,18 @@ once** as structure-of-arrays NumPy state:
   ``runs = tables × vectors × placements``, a few thousand for a
   192-table chunk at n=4 — and one *row* per ``(robot, run)`` pair,
   laid out robot-major so each robot's block is a contiguous slice
-  (``rows = k × runs``); per-row position and state-index columns,
-  exactly the ISSUE's ``(batch, k)`` state flattened so that one
-  fancy-index **gather** covers every robot of every run per round;
+  (``rows = k × runs``); per-row position and state-index columns, the
+  runs' ``(run, robot)`` state flattened so that one fancy-index
+  **gather** covers every robot of every run per round;
 * occupancy / ``seen`` / ``late`` visited bitsets as int64 columns per
   run (rings are tiny — n < 63 bits — and int64 avoids NumPy's
   uint64-with-Python-int float-promotion trap);
-* every table's flat Look–Compute tables
-  (:meth:`~repro.verification.compiled.CompiledTables.batch_tables`)
-  stacked into one ``(tables, S*8)`` array with the per-state direction
-  bit folded in (``value = successor*2 + dir_bit``), so Compute is a
-  single gather and the Move destination a second;
+* the chunk's ``(tables, S*8)`` Look–Compute stack, decoded from its
+  bit patterns (:func:`~repro.verification.sweeps.family_tables`, the
+  stack the dense solver reads: initial state 0, a state's direction
+  bit is its low bit), with the direction bit folded in (``value =
+  successor*2 + dir_bit``), so Compute is a single gather and the Move
+  destination a second;
 * per-run done masks give the live/perpetual early exits, and finished
   runs are **compacted** away (boolean-filter of the state columns)
   whenever enough of the batch has settled, so a chunk whose tables
@@ -69,13 +70,9 @@ from repro.types import Chirality, NodeId
 
 if TYPE_CHECKING:
     from repro.graph.topology import Topology
-    from repro.verification.compiled import CompiledTables
 
 #: Compact the row arrays once the finished fraction reaches this.
 COMPACT_THRESHOLD = 0.5
-
-BatchTables = tuple
-"""``(transitions, dir_bits, initial_index)`` — see :func:`as_batch_arrays`."""
 
 # Per-(topology, chirality) ndarray twins of the compiled node tables,
 # cached process-wide like the scalar tables they mirror.
@@ -134,23 +131,6 @@ def require_numpy() -> Any:
     return np
 
 
-def as_batch_arrays(
-    transitions: Sequence[int], dir_bits: Sequence[int], initial_index: int
-) -> BatchTables:
-    """ndarray views of one table's flat Look–Compute tables.
-
-    The conversion behind
-    :meth:`~repro.verification.compiled.CompiledTables.batch_tables`
-    (which caches the result per instance, like the scalar tables).
-    """
-    np = require_numpy()
-    return (
-        np.array(transitions, dtype=np.int64),
-        np.array(dir_bits, dtype=np.int64),
-        initial_index,
-    )
-
-
 def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
     """ndarray node tables per (topology, chirality), process-cached.
 
@@ -201,7 +181,7 @@ def _mask_tables(mask: int, node_tables: list[tuple], n: int) -> tuple:
 
 def simulate_batch(
     topology: Topology,
-    tables: Sequence[CompiledTables],
+    tables: Any,
     vectors: Sequence[Sequence[Chirality]],
     placements: Sequence[Sequence[NodeId]],
     masks: Sequence[int],
@@ -209,6 +189,14 @@ def simulate_batch(
     prop: str,
 ) -> tuple[list[bool], int, dict[str, float]]:
     """Run every (table, chirality-vector, placement) run in lockstep.
+
+    ``tables`` is a ``(B, S·8)`` int stack of Look–Compute tables laid
+    out like :meth:`TableAlgorithm.packed_tables`' ``transitions``
+    (:func:`~repro.verification.sweeps.family_tables` decodes it from
+    bit patterns): every robot starts in state 0, and a state's
+    direction bit is its low bit. Raises :class:`VerificationError` on a
+    stack that is not two-dimensional with a width of ``S·8``, ``S >=
+    1``, or holds an entry outside ``0..S-1``.
 
     Returns ``(trapped, rounds, timings)``: per-table trapped flags in
     input order, the total executed-round count under the scalar path's
@@ -218,41 +206,34 @@ def simulate_batch(
     """
     np = require_numpy()
     timings = {"compile": 0.0, "gather": 0.0, "compact": 0.0}
-    if not tables:
+    start = time.perf_counter()
+    trans2 = np.asarray(tables, dtype=np.int64)
+    if trans2.ndim != 2 or trans2.shape[1] < 8 or trans2.shape[1] % 8:
+        raise VerificationError(
+            f"table stack of shape {trans2.shape} is not (B, S·8) with S >= 1"
+        )
+    s8 = trans2.shape[1]
+    state_count = s8 // 8
+    if trans2.size and (trans2.min() < 0 or trans2.max() >= state_count):
+        raise VerificationError(
+            f"table stack holds entries outside 0..{state_count - 1}"
+        )
+    batch = trans2.shape[0]
+    if not batch:
         return [], 0, timings
 
-    start = time.perf_counter()
     n = topology.n
-    k = tables[0].k
-    batch = len(tables)
+    k = len(vectors[0])
     n_vectors = len(vectors)
     n_placements = len(placements)
     runs_per_table = n_vectors * n_placements
-    state_count = tables[0].state_count
-    s8 = state_count * 8
     one = np.int64(1)
     full = np.int64((1 << n) - 1)
 
-    # -- compile: stack every table's flat tables into one folded array.
-    # transitions[s*8+view] and dir_bits[s] collapse into one table
-    # whose value is successor*2 + dir_bit: Compute and the move
-    # direction come out of a single gather.
-    trans_rows = []
-    dir_rows = []
-    initials = []
-    for compiled in tables:
-        transitions, dir_bits, initial_index = compiled.batch_tables()
-        if transitions.shape[0] != s8:
-            raise VerificationError(
-                "vector backend needs a uniform state count per batch; "
-                f"got {transitions.shape[0] // 8} and {state_count}"
-            )
-        trans_rows.append(transitions)
-        dir_rows.append(dir_bits)
-        initials.append(initial_index)
-    trans2 = np.stack(trans_rows)
-    dir2 = np.stack(dir_rows)
-    td_flat = (trans2 * 2 + np.take_along_axis(dir2, trans2, axis=1)).ravel()
+    # -- compile: fold each state's direction bit (its low bit) into the
+    # stack, value successor*2 + dir_bit: Compute and the move direction
+    # come out of a single gather.
+    td_flat = (trans2 * 2 + (trans2 & 1)).ravel()
 
     # Run layout: run = table * runs_per_table + vector * placements +
     # placement — exactly the scalar loop nesting, which the post-hoc
@@ -284,9 +265,7 @@ def simulate_batch(
     pos = np.concatenate(
         [np.tile(place2[:, i], batch * n_vectors) for i in range(k)]
     )
-    st = np.tile(
-        np.repeat(np.array(initials, dtype=np.int64), runs_per_table), k
-    )
+    st = np.zeros(k * runs, dtype=np.int64)
 
     seen = np.zeros(runs, dtype=np.int64)
     pos2 = pos.reshape(k, runs)
@@ -442,7 +421,6 @@ def simulate_batch(
 
 
 __all__ = [
-    "as_batch_arrays",
     "have_numpy",
     "load_numpy",
     "require_numpy",

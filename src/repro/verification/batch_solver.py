@@ -1109,8 +1109,9 @@ def reachable_csr(
     label_type = _value_dtype(_label_bits(kernel))
     occ_type = _value_dtype(kernel.n)
     tables = _frontier_tables(kernel)
-    trans, dirs, _initial = kernel.batch_tables()
-    steps = trans * 2 + dirs[trans]
+    trans, dirs, _robots, _initial = kernel.simulation_tables()
+    trans = np.asarray(trans, dtype=np.int64)
+    steps = trans * 2 + np.asarray(dirs, dtype=np.int64)[trans]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
     if classes:
         if len(kernel.activations) > 1:

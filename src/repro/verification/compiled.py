@@ -337,7 +337,6 @@ class CompiledTables:
         self._mask_edges_cache = _mask_edges_cache_by_topology.setdefault(
             topology, {}
         )
-        self._batch_tables: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Encoding
@@ -582,7 +581,9 @@ class CompiledTables:
         arrays in place and consults these tables per round — the same
         compiled data :meth:`step_packed` reads, without the packed
         encode/decode per step that a graph search needs and a linear
-        replay does not.
+        replay does not. The vector frontier
+        (:func:`~repro.verification.batch_solver.reachable_csr`) reads
+        the first two as NumPy arrays.
         """
         return (
             self._transitions,
@@ -590,29 +591,6 @@ class CompiledTables:
             self._robot_tables,
             self._state_index[self.algorithm.initial_state()],
         )
-
-    def batch_tables(self) -> tuple:
-        """ndarray views of the flat tables, for the vector backend.
-
-        Returns ``(transitions, dir_bits, initial_index)`` with the two
-        tables as int64 ndarrays ready to be stacked into a batch —
-        consumed by both vector dispatch paths: the simulation runner
-        (:func:`repro.verification.batch.simulate_batch`) and the dense
-        game solver (:mod:`repro.verification.batch_solver`, which
-        gathers whole-chunk successor tensors straight from the stacked
-        tables). Cached per instance like the scalar tables. Raises
-        :class:`~repro.errors.VerificationError` when NumPy — an
-        optional dependency — is absent.
-        """
-        if self._batch_tables is None:
-            from repro.verification import batch
-
-            self._batch_tables = batch.as_batch_arrays(
-                self._transitions,
-                self._dir_bits,
-                self._state_index[self.algorithm.initial_state()],
-            )
-        return self._batch_tables
 
     # ------------------------------------------------------------------
     # Initial states

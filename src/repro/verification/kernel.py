@@ -133,8 +133,7 @@ class PackedKernel(CompiledTables):
     def padded_moves(self, occupied_values: Sequence[int]) -> "object":
         """Padded ndarray view of the adversary move enumeration.
 
-        The vector solver's counterpart of
-        :meth:`CompiledTables.batch_tables`: row ``p`` holds
+        For the vector solver: row ``p`` holds
         :meth:`moves_for_occupied` of ``occupied_values[p]`` padded to
         the longest enumeration by repeating move 0 — the always-valid
         all-non-adjacent-edges mask, so the padding duplicates a real

@@ -16,14 +16,17 @@ and for every verification backend (``vector``, ``packed``, ``object``
 available core. A sweep is a campaign without a store: no
 checkpoints, no resume, the same tallies.
 
-A chunk is a tuple of bit patterns. On the ``packed`` and
-``object`` backends (and for instances too large for the dense solver)
-workers rebuild each :class:`~repro.robots.algorithms.tables
-.TableAlgorithm` from its pattern and verify it alone; on ``vector``
-they decode the whole chunk straight into one NumPy table stack and
-solve it in lockstep, building table objects only for explorers' names.
-Both apply the same chirality-fallback plan: cheap vectors first, the
-expensive mixed vectors only for tables that survive.
+A chunk is a tuple of bit patterns, and :func:`sweep_chunk` takes
+``(spec, bits_chunk, backend)`` like the simulation runner
+(:func:`repro.scenarios.simulate.simulate_chunk`). It walks the
+family's chirality-fallback plan in one stage-major loop — cheap
+vectors first, the expensive mixed vectors only for tables that
+survive — and solves each vector for every pending table at once: on
+``vector`` the chunk is decoded straight into one NumPy table stack and
+solved in lockstep, building table objects only for explorers' names;
+on ``packed`` and ``object`` (and with ``validate``, or for instances
+too large for the dense solver) each pending table is rebuilt from its
+pattern and verified alone.
 
 :func:`repro.verification.enumeration.sweep_spec` builds the specs of
 the theorems' classes (``sweep`` and ``table1`` use it).
@@ -34,12 +37,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from repro import telemetry
 from repro.errors import ScenarioError, VerificationError
 from repro.graph.topology import RingTopology, arbitrary_placements
-from repro.robots.algorithms.base import Algorithm
 from repro.robots.algorithms.tables import (
     TableAlgorithm,
     memory2_table_from_bits,
@@ -48,7 +51,7 @@ from repro.robots.algorithms.tables import (
 )
 from repro.scenarios import faults
 from repro.scenarios.executor import ChunkExecutor, RetryPolicy
-from repro.types import Chirality, NodeId
+from repro.types import NodeId
 from repro.verification import batch_solver
 from repro.verification.backends import import_backend, resolve_solver_backend
 from repro.verification.families import (
@@ -138,7 +141,9 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 _ChunkOutcome = tuple[int, int, list[str], int]
-"""(total, trapped, explorer names in input order, states explored)."""
+"""A chunk runner's tally: ``(total, trapped, explorer names in input
+order, work)``, the work being states explored (:func:`sweep_chunk`) or
+rounds simulated (:func:`repro.scenarios.simulate.simulate_chunk`)."""
 
 
 def family_plan(family: str) -> tuple:
@@ -176,115 +181,6 @@ def start_placements(
     return arbitrary_placements(topology, k)
 
 
-def _check_algorithm_class(
-    algorithm: Algorithm,
-    topology: RingTopology,
-    k: int,
-    vector_plan: Sequence[Sequence[Sequence[Chirality]]],
-    backend: str,
-    validate: bool,
-    placements: Optional[Sequence[Sequence[NodeId]]] = None,
-    prop: str = "perpetual",
-    scheduler: str = "fsync",
-) -> tuple[bool, int]:
-    """Verify one table under a chirality fallback plan.
-
-    Returns ``(trapped, states_explored)``; the table fails the spec as
-    soon as any stage of the plan finds a trap. ``placements``, ``prop``
-    and ``scheduler`` select the start policy, the exploration property
-    and the execution scheduler, as in
-    :func:`~repro.verification.game.verify_exploration`.
-    """
-    states = 0
-    for vectors in vector_plan:
-        # A sweep only tallies verdicts: lasso extraction is skipped
-        # entirely unless certificate replay validation was requested.
-        verdict = verify_exploration(
-            algorithm,
-            topology,
-            k=k,
-            chirality_vectors=vectors,
-            validate=validate,
-            backend=backend,
-            certificates=validate,
-            placements=placements,
-            prop=prop,
-            scheduler=scheduler,
-        )
-        states += verdict.states_explored
-        if not verdict.explorable:
-            return True, states
-    return False, states
-
-
-def sweep_chunk(
-    family: str,
-    n: int,
-    bits_chunk: Sequence[int],
-    backend: str = "packed",
-    validate: bool = False,
-    starts: str = "well",
-    prop: str = "perpetual",
-    scheduler: str = "fsync",
-) -> _ChunkOutcome:
-    """Verify one chunk of table bit-patterns, in-process.
-
-    The unit of work of both the parallel sweep engine and the campaign
-    runner's checkpointing: deterministic for a fixed argument tuple, so a
-    chunk can be re-run anywhere (another worker, another process, another
-    machine) and tally identically.
-    """
-    check_family(family)
-    backend = resolve_solver_backend(backend)
-    if backend == "vector" and not validate:
-        # Whole-chunk dense solve; None means the space is not dense-
-        # eligible and the per-table loop below takes over (each table's
-        # reachability still runs on the NumPy frontier).
-        outcome = _sweep_chunk_vector(
-            family, n, bits_chunk, starts, prop, scheduler
-        )
-        if outcome is not None:
-            return outcome
-    fam = _FAMILIES[family]
-    k, maker, plan = fam.k, fam.maker, fam.plan
-    # Phase accounting when telemetry is armed (one boolean otherwise).
-    # Setup — placement expansion and table construction inputs — is the
-    # "compile" phase; the verification loop is "simulate" (the solver
-    # folds its own kernel compilation into solving, so the split is
-    # coarser than the simulation runner's — see docs/observability.md).
-    traced = telemetry.armed()
-    mark = time.perf_counter() if traced else 0.0
-    topology = RingTopology(n)
-    placements = start_placements(starts, topology, k)
-    if traced:
-        compile_s = time.perf_counter() - mark
-        mark = time.perf_counter()
-    total = trapped = states = 0
-    explorers: list[str] = []
-    faults.fault_point("sweep-entry")
-    midpoint = len(bits_chunk) // 2
-    for position, bits in enumerate(bits_chunk):
-        if position == midpoint and position:
-            faults.fault_point("sweep-mid")
-        algorithm = maker(bits)
-        hit, explored = _check_algorithm_class(
-            algorithm, topology, k, plan, backend, validate,
-            placements=placements, prop=prop, scheduler=scheduler,
-        )
-        total += 1
-        states += explored
-        if hit:
-            trapped += 1
-        else:
-            explorers.append(algorithm.name)
-    if traced:
-        telemetry.phase("compile", compile_s, tables=len(bits_chunk))
-        telemetry.phase(
-            "simulate", time.perf_counter() - mark, tables=len(bits_chunk)
-        )
-    return total, trapped, explorers, states
-
-
 def family_tables(family: str, patterns: Sequence[int]) -> "object":
     """The ``(B, S·8)`` int64 Look–Compute stack of a family's patterns.
 
@@ -303,66 +199,96 @@ def family_tables(family: str, patterns: Sequence[int]) -> "object":
     return batch_solver.decode_tables(patterns, fam.width, fam.digits)
 
 
-def _sweep_chunk_vector(
-    family: str,
-    n: int,
+def sweep_chunk(
+    spec: "ScenarioSpec",
     bits_chunk: Sequence[int],
-    starts: str,
-    prop: str,
-    scheduler: str,
-) -> Optional[_ChunkOutcome]:
-    """Solve a whole chunk of tables in NumPy lockstep.
+    backend: str = "auto",
+    validate: bool = False,
+) -> _ChunkOutcome:
+    """Verify one chunk of ``spec``'s table bit-patterns, in-process.
 
-    The vector backend's fast path: the chunk's bit patterns are decoded
-    straight into one table stack (:func:`family_tables`), and every
-    table marches through the chirality fallback plan together
-    (:func:`repro.verification.batch_solver.solve_tables`); tables drop
-    out of later stages the moment a stage traps them. The dense space
-    is table-independent, so one fixed family member supplies every
-    stage's kernel, and :class:`TableAlgorithm` objects are built only
-    for the explorers' names. The tallies — totals, explorer names in
-    input order, states explored — are bit-identical to the per-table
-    loop. Returns ``None`` when the product space is not dense-eligible;
-    the caller then falls back to the per-table path.
+    The unit of work of both the sweep and the campaign runner's
+    checkpointing, shaped like
+    :func:`repro.scenarios.simulate.simulate_chunk`: deterministic for a
+    fixed ``(spec, bits_chunk)``, so a chunk can be re-run anywhere
+    (another worker, process or machine) and tally identically.
+
+    One loop walks the family's chirality plan stage by stage with one
+    list of pending tables; a table leaves it at the first vector that
+    traps it. Each vector is solved for every pending table at once by
+    the dense :func:`~repro.verification.batch_solver.solve_tables` (on
+    ``vector`` without ``validate``, when the product space is
+    :func:`~repro.verification.batch_solver.dense_eligible`: the chunk is
+    decoded into one table stack and no table object is built) or else
+    table by table by :func:`~repro.verification.game.verify_exploration`,
+    which replays every trap certificate when ``validate`` is set.
+    Explorers' names are built last, in input order.
     """
-    if not bits_chunk:
-        return None
-    fam = _FAMILIES[family]
-    topology = RingTopology(n)
+    backend = resolve_solver_backend(backend)
+    fam = _FAMILIES[spec.robots.family]
+    # Setup is the "compile" phase; the dense solver adds its own compile
+    # time and splits solving into "frontier" and "scc", the per-table
+    # solver's whole stage loop is "simulate" (see docs/observability.md).
     mark = time.perf_counter()
+    topology = RingTopology(spec.n)
+    placements = start_placements(spec.starts, topology, fam.k)
     member = fam.maker(0)
-    probe = PackedKernel(topology, member, fam.plan[0][0], scheduler=scheduler)
-    if not batch_solver.dense_eligible(probe):
-        return None
-    traced = telemetry.armed()
-    placements = start_placements(starts, topology, fam.k)
-    tables = family_tables(family, bits_chunk)
+    if backend == "vector" and not validate and batch_solver.dense_eligible(
+        PackedKernel(topology, member, fam.plan[0][0], scheduler=spec.scheduler)
+    ):
+        tables = family_tables(spec.robots.family, bits_chunk)
+        phases = ("compile", "frontier", "scc")
+
+        def solve(vector, pending, timings):
+            # The dense space is table-independent: one fixed family
+            # member supplies the kernel's geometry.
+            kernel = PackedKernel(
+                topology, member, vector, scheduler=spec.scheduler
+            )
+            return batch_solver.solve_tables(
+                kernel, tables[pending], kernel.initial_states(placements),
+                spec.prop, timings=timings,
+            )
+    else:
+        phases = ("compile", "simulate")
+
+        def solve(vector, pending, timings):
+            start = time.perf_counter()
+            hit, reached = [], []
+            for index in pending:
+                # A sweep only tallies verdicts: lasso extraction is
+                # skipped unless certificate replay was requested.
+                verdict = verify_exploration(
+                    fam.maker(bits_chunk[index]), topology, k=fam.k,
+                    chirality_vectors=(vector,), validate=validate,
+                    backend=backend, certificates=validate,
+                    placements=placements, prop=spec.prop,
+                    scheduler=spec.scheduler,
+                )
+                hit.append(not verdict.explorable)
+                reached.append(verdict.states_explored)
+            timings["simulate"] = timings.get("simulate", 0.0) + (
+                time.perf_counter() - start
+            )
+            return hit, reached
+
     timings: dict = {"compile": time.perf_counter() - mark}
     faults.fault_point("sweep-entry")
     total = len(bits_chunk)
-    midpoint = total // 2
-    states = 0
     pending = list(range(total))
-    fired_mid = False
-    for vectors in fam.plan:
-        for vector in vectors:
-            if not pending:
-                break
-            kernel = PackedKernel(topology, member, vector, scheduler=scheduler)
-            seeds = kernel.initial_states(placements)
-            hit, reached = batch_solver.solve_tables(
-                kernel, tables[pending], seeds, prop, timings=timings
-            )
-            states += sum(reached)
-            pending = [index for index, trap in zip(pending, hit) if not trap]
-            # The chunk is atomic either way, so mid-chunk means
-            # "between lockstep solves" here rather than between tables.
-            if not fired_mid and midpoint:
-                fired_mid = True
-                faults.fault_point("sweep-mid")
-    explorers = [fam.maker(bits_chunk[i]).name for i in pending]
-    if traced:
-        for name in ("compile", "frontier", "scc"):
+    states = 0
+    for step, vector in enumerate(chain.from_iterable(fam.plan)):
+        if not pending:
+            break
+        hit, reached = solve(vector, pending, timings)
+        states += sum(reached)
+        pending = [index for index, trap in zip(pending, hit) if not trap]
+        # The chunk is atomic, so mid-chunk means after the first vector.
+        if step == 0 and total > 1:
+            faults.fault_point("sweep-mid")
+    explorers = [fam.maker(bits_chunk[index]).name for index in pending]
+    if telemetry.armed():
+        for name in phases:
             telemetry.phase(name, timings.get(name, 0.0), tables=total)
     return total, total - len(pending), explorers, states
 
@@ -416,11 +342,7 @@ def run_table_sweep(
     # no checkpoints, so it cuts for its workers instead.
     chunks = _chunked(spec.expand_patterns(), jobs)
     import_backend(backend)
-    work = partial(
-        sweep_chunk, spec.robots.family, spec.n, backend=backend,
-        validate=validate, starts=spec.starts, prop=spec.prop,
-        scheduler=spec.scheduler,
-    )
+    work = partial(sweep_chunk, spec, backend=backend, validate=validate)
     executor = ChunkExecutor(
         work, jobs, RetryPolicy(quarantine=False), faults.active_plan()
     )

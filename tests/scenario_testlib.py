@@ -47,3 +47,20 @@ def make_tiny_dynamics_scenario(**overrides) -> ScenarioSpec:
     )
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+def make_table_spec(family: str, n: int, **overrides) -> ScenarioSpec:
+    """A solver scenario of every ``family`` table on the ``n``-ring.
+
+    The spec a direct ``sweep_chunk(spec, chunk)`` call needs. The chunk
+    itself picks the tables, so the one-table sample that keeps
+    ``two-m2`` valid is never expanded.
+    """
+    fields = dict(
+        name=f"table-{family}-n{n}",
+        description=f"{family} tables on the {n}-ring",
+        robots=RobotClassSpec(family=family, sample=1),
+        n=n,
+    )
+    fields.update(overrides)
+    return ScenarioSpec(**fields)

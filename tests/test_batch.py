@@ -51,8 +51,7 @@ from repro.verification.backends import (
     resolve_solver_backend,
     vector_available,
 )
-from repro.verification.compiled import CompiledTables
-from repro.verification.sweeps import family_maker
+from repro.verification.sweeps import family_tables
 
 HAVE_NUMPY = batch.have_numpy()
 requires_numpy = pytest.mark.skipif(
@@ -161,14 +160,12 @@ class TestNumpyAbsent:
         with pytest.raises(ScenarioError, match="requires numpy"):
             runner.run(dyn_spec())
 
-    def test_batch_tables_raises_without_numpy(self, no_numpy) -> None:
-        tables = CompiledTables(
-            RingTopology(4),
-            family_maker("two")(7),
-            (Chirality.AGREE, Chirality.AGREE),
-        )
+    def test_simulate_batch_raises_without_numpy(self, no_numpy) -> None:
         with pytest.raises(VerificationError, match="requires numpy"):
-            tables.batch_tables()
+            batch.simulate_batch(
+                RingTopology(4), [[0] * 16], [(Chirality.AGREE,) * 2],
+                [(0, 1)], (7,), False, "perpetual",
+            )
 
 
 class TestCampaignSolverPath:
@@ -261,27 +258,27 @@ class TestVectorDifferential:
         assert simulate_chunk(spec, [], backend="vector") == (0, 0, [], 0)
 
     @requires_numpy
-    def test_batch_tables_cached_per_instance(self) -> None:
-        tables = CompiledTables(
-            RingTopology(4),
-            family_maker("two")(99),
-            (Chirality.AGREE, Chirality.DISAGREE),
-        )
-        assert tables.batch_tables() is tables.batch_tables()
-
-    @requires_numpy
-    def test_mixed_state_counts_rejected(self) -> None:
+    def test_malformed_stacks_rejected(self) -> None:
         topology = RingTopology(4)
         vectors = [(Chirality.AGREE, Chirality.AGREE)]
-        mixed = [
-            CompiledTables(topology, family_maker("two")(1), vectors[0]),
-            CompiledTables(topology, family_maker("two-m2")(1), vectors[0]),
-        ]
         placements = simulation_placements("well", topology, 2)
-        with pytest.raises(VerificationError, match="uniform state count"):
-            batch.simulate_batch(
-                topology, mixed, vectors, placements, (7, 7), False, "perpetual"
+
+        def run(tables):
+            return batch.simulate_batch(
+                topology, tables, vectors, placements, (7, 7), False,
+                "perpetual",
             )
+
+        stack = family_tables("two", [1, 2, 3])
+        assert len(run(stack)[0]) == 3
+        for bad in (stack[0], stack[:, :15], stack[:, :0]):
+            with pytest.raises(VerificationError, match="not \\(B, S·8\\)"):
+                run(bad)
+        for entry in (2, -1):
+            broken = stack.copy()
+            broken[1, 7] = entry
+            with pytest.raises(VerificationError, match="outside 0..1"):
+                run(broken)
 
     def test_random_schedules_and_tables_agree(self) -> None:
         _random_chunks_agree()

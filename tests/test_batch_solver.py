@@ -67,7 +67,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenario_testlib import make_tiny_scenario
+from scenario_testlib import make_table_spec, make_tiny_scenario
 from repro.cli import main as cli_main
 from repro.errors import AlgorithmError, VerificationError
 from repro.graph.topology import (
@@ -125,10 +125,6 @@ def _solver_scenario_names() -> list[str]:
     ]
 
 
-def _chunk_kwargs(spec) -> dict:
-    return dict(starts=spec.starts, prop=spec.prop, scheduler=spec.scheduler)
-
-
 @requires_numpy
 class TestSolverDifferential:
     """vector == packed == object on every solver tally, everywhere."""
@@ -137,16 +133,9 @@ class TestSolverDifferential:
     def test_registered_scenarios_first_chunk_identical(self, name: str) -> None:
         spec = get_scenario(name)
         chunk = spec.chunks()[0][:16]
-        kwargs = _chunk_kwargs(spec)
-        vector = sweep_chunk(
-            spec.robots.family, spec.n, chunk, backend="vector", **kwargs
-        )
-        assert vector == sweep_chunk(
-            spec.robots.family, spec.n, chunk, backend="packed", **kwargs
-        )
-        assert vector == sweep_chunk(
-            spec.robots.family, spec.n, chunk, backend="object", **kwargs
-        )
+        vector = sweep_chunk(spec, chunk, backend="vector")
+        assert vector == sweep_chunk(spec, chunk, backend="packed")
+        assert vector == sweep_chunk(spec, chunk, backend="object")
 
     @pytest.mark.parametrize("name", _solver_scenario_names())
     def test_certificate_replay_on_first_chunk(self, name: str) -> None:
@@ -154,18 +143,14 @@ class TestSolverDifferential:
         # path and replays every emitted lasso through the simulator.
         spec = get_scenario(name)
         chunk = spec.chunks()[0][:6]
-        kwargs = _chunk_kwargs(spec)
-        vector = sweep_chunk(
-            spec.robots.family, spec.n, chunk,
-            backend="vector", validate=True, **kwargs,
-        )
+        vector = sweep_chunk(spec, chunk, backend="vector", validate=True)
         assert vector == sweep_chunk(
-            spec.robots.family, spec.n, chunk,
-            backend="packed", validate=True, **kwargs,
+            spec, chunk, backend="packed", validate=True
         )
 
     def test_empty_chunk(self) -> None:
-        assert sweep_chunk("two", 4, (), backend="vector") == (0, 0, [], 0)
+        spec = make_table_spec("two", 4)
+        assert sweep_chunk(spec, (), backend="vector") == (0, 0, [], 0)
 
     @pytest.mark.parametrize(
         "prop,names",
@@ -182,10 +167,9 @@ class TestSolverDifferential:
         # survivors of both chirality stages to name; 0x45ae sits after
         # 0xed06's block, so the names must come back in input order.
         chunk = tuple(range(0xECF8, 0xED08)) + (0x45AE, 0x0003)
-        vector = sweep_chunk("two", 3, chunk, backend="vector", prop=prop)
-        assert vector == sweep_chunk(
-            "two", 3, chunk, backend="packed", prop=prop
-        )
+        spec = make_table_spec("two", 3, prop=prop)
+        vector = sweep_chunk(spec, chunk, backend="vector")
+        assert vector == sweep_chunk(spec, chunk, backend="packed")
         assert vector[2] == names
 
     def test_memory2_top_bit_patterns_match_packed(self) -> None:
@@ -195,9 +179,10 @@ class TestSolverDifferential:
         chunk = (2**64 - 1, 2**63) + tuple(
             draw.randrange(2**63, 2**64) for _ in range(14)
         )
-        assert sweep_chunk(
-            "two-m2", 4, chunk, backend="vector"
-        ) == sweep_chunk("two-m2", 4, chunk, backend="packed")
+        spec = make_table_spec("two-m2", 4)
+        assert sweep_chunk(spec, chunk, backend="vector") == sweep_chunk(
+            spec, chunk, backend="packed"
+        )
 
     @given(
         family=st.sampled_from(["single", "two", "two-m2"]),
@@ -217,10 +202,12 @@ class TestSolverDifferential:
         space = family_space(family)
         chunk = tuple(p % space for p in patterns)
         n = 3 if family == "single" else 4
-        kwargs = dict(starts=starts, prop=prop, scheduler=scheduler)
-        assert sweep_chunk(
-            family, n, chunk, backend="vector", **kwargs
-        ) == sweep_chunk(family, n, chunk, backend="packed", **kwargs)
+        spec = make_table_spec(
+            family, n, starts=starts, prop=prop, scheduler=scheduler
+        )
+        assert sweep_chunk(spec, chunk, backend="vector") == sweep_chunk(
+            spec, chunk, backend="packed"
+        )
 
 
 @requires_numpy
@@ -280,6 +267,29 @@ class TestDenseEligibility:
                 scheduler=spec.scheduler,
             )
             assert batch_solver.dense_eligible(kernel), name
+
+    @pytest.mark.parametrize(
+        "family,n,chunk,prop",
+        [
+            ("two", 4, tuple(range(0, 2**16, 4099)), "perpetual"),
+            ("two", 3, tuple(range(0xECF8, 0xED08)) + (0x45AE, 3), "perpetual"),
+            ("two", 3, tuple(range(0xECF8, 0xED08)) + (0x45AE, 3), "live"),
+        ],
+    )
+    def test_ineligible_instance_takes_the_per_table_solver(
+        self, monkeypatch, family, n, chunk, prop
+    ) -> None:
+        # An instance past the dense bound is solved table by table on
+        # the vector frontier, even without validation.
+        spec = make_table_spec(family, n, prop=prop)
+        packed = sweep_chunk(spec, chunk, backend="packed")
+        monkeypatch.setattr(batch_solver, "MAX_DENSE_STATES", 1)
+
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("the dense solver ran")
+
+        monkeypatch.setattr(batch_solver, "solve_tables", no_dense_solve)
+        assert sweep_chunk(spec, chunk, backend="vector") == packed
 
     def test_dense_space_is_process_cached(self) -> None:
         maker = family_maker("two")
@@ -1519,13 +1529,14 @@ class TestSolverNumpyAbsent:
 
     def test_auto_chunk_equals_packed_chunk(self, no_numpy) -> None:
         chunk = tuple(range(8))
-        assert sweep_chunk("single", 3, chunk, backend="auto") == sweep_chunk(
-            "single", 3, chunk, backend="packed"
+        spec = make_table_spec("single", 3)
+        assert sweep_chunk(spec, chunk, backend="auto") == sweep_chunk(
+            spec, chunk, backend="packed"
         )
 
     def test_explicit_vector_raises_clearly(self, no_numpy) -> None:
         with pytest.raises(VerificationError, match="requires numpy"):
-            sweep_chunk("single", 3, (0,), backend="vector")
+            sweep_chunk(make_table_spec("single", 3), (0,), backend="vector")
 
     @pytest.mark.parametrize(
         "argv",

@@ -107,7 +107,7 @@ class TestCampaignLifecycle:
         runner = runner_for(tmp_path, "a")
         status = runner.run(spec).status
         total, trapped, explorers, states = sweep_chunk(
-            "single", spec.n, spec.expand_patterns()
+            spec, spec.expand_patterns()
         )
         assert (status.total, status.trapped, list(status.explorers)) == (
             total, trapped, explorers,
@@ -142,10 +142,10 @@ class TestOneExecutor:
         spec = tiny_spec()
         poisoned = spec.chunks()[1]
 
-        def flaky_sweep_chunk(family, n, bits_chunk, *args, **kwargs):
+        def flaky_sweep_chunk(spec, bits_chunk, *args, **kwargs):
             if tuple(bits_chunk) == poisoned:
                 raise RuntimeError("chunk runner bug")
-            return sweep_chunk(family, n, bits_chunk, *args, **kwargs)
+            return sweep_chunk(spec, bits_chunk, *args, **kwargs)
 
         # Forked workers inherit the patched module attribute.
         monkeypatch.setattr(sweeps, "sweep_chunk", flaky_sweep_chunk)

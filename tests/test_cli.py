@@ -398,6 +398,17 @@ class TestErrorBoundary:
         assert message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_zero_round_trap_is_an_empty_run(self, kind, capsys) -> None:
+        # fig3's window is anchored before the first round, as fig2's is.
+        argv = ["trap", "--kind", kind, "--algo", "pef3+", "--n", "5",
+                "--rounds", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert f"{kind}[pef3+ n=5]: visited [0" in captured.out
+        assert "over 0 rounds" in captured.out
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "knob,message",
         [

@@ -309,7 +309,7 @@ class TestSweepUnderFaults:
         # The plan does crash a first attempt; retries must absorb it.
         faults.set_context(0, 1)
         with pytest.raises(WorkerCrashError):
-            sweep_chunk("single", 3, tuple(range(256)))
+            sweep_chunk(sweep_spec("single", 3), tuple(range(256)))
         faults.set_context(-1, 0)
         for jobs in (1, 2):
             assert self._sweep(jobs) == clean

@@ -26,8 +26,11 @@ from repro.cli import main
 from repro.errors import ScenarioError
 from repro.scenarios import CampaignRunner, ResultStore, RetryPolicy
 from repro.scenarios.faults import FaultPlan, backoff_delay
+from repro.scenarios.simulate import simulate_chunk
 from repro.scenarios.store import canonical_line
 from repro.telemetry import TelemetryConfig
+from repro.verification.batch import have_numpy
+from repro.verification.sweeps import sweep_chunk
 from scenario_testlib import make_tiny_dynamics_scenario, make_tiny_scenario
 
 
@@ -198,6 +201,51 @@ class TestEventSchema:
     def test_missing_trace_dir_is_an_error(self, tmp_path):
         with pytest.raises(ScenarioError):
             telemetry.load_trace(tmp_path / "nope")
+
+
+class TestChunkPhases:
+    """Each chunk path emits its ``phase.*`` spans once per chunk.
+
+    ``campaign analyze`` and perfbench's layer table read these names,
+    and every span carries ``tables=len(chunk)``.
+    """
+
+    @pytest.mark.parametrize(
+        "runner,backend,validate,phases",
+        [
+            ("sweep", "vector", False, ("compile", "frontier", "scc")),
+            ("sweep", "vector", True, ("compile", "simulate")),
+            ("sweep", "packed", False, ("compile", "simulate")),
+            ("sweep", "object", False, ("compile", "simulate")),
+            ("simulate", "vector", False, ("compile", "gather", "compact")),
+            ("simulate", "packed", False, ("compile", "simulate")),
+            ("simulate", "object", False, ("compile", "simulate")),
+        ],
+    )
+    def test_phase_names_per_path(
+        self, tmp_path, runner, backend, validate, phases
+    ):
+        if backend == "vector" and not have_numpy():
+            pytest.skip("numpy not installed (vector backend unavailable)")
+        if runner == "sweep":
+            spec = make_tiny_scenario()
+        else:
+            spec = make_tiny_dynamics_scenario()
+        chunk = spec.chunks()[0]
+        telemetry.install(TelemetryConfig(trace_dir=tmp_path))
+        if runner == "sweep":
+            sweep_chunk(spec, chunk, backend, validate)
+        else:
+            simulate_chunk(spec, chunk, backend)
+        telemetry.install(None)
+        spans = [
+            event for event in telemetry.load_trace(tmp_path)
+            if event["name"].startswith("phase.")
+        ]
+        assert sorted(event["name"] for event in spans) == sorted(
+            f"phase.{name}" for name in phases
+        )
+        assert {event["attrs"]["tables"] for event in spans} == {len(chunk)}
 
 
 class TestPercentile:
