@@ -63,11 +63,16 @@ narrow labels and int32 successor indices (one gather from the map)
 straight into the preallocated final arrays. Per slice it decodes the
 slice's states, gathers their valid adversary moves out of a move CSR
 (spanning only occupancies with popcount ``≤ k``) and resolves all
-their successors at once. The result is the per-table CSR — states
-ascending, per-state transitions in the scalar kernel's move order, the
-*same* canonical graph the packed backend builds from
-``PackedKernel.reachable`` — so vector and packed verdicts and
-certificates are bit-identical by construction. It feeds the shared
+their successors at once: a robot's next slot depends only on its slot,
+its tower bit and the two edge bits of its view (the edge it moves
+through is one of them), so each call folds the Look–Compute table and
+the landing nodes into one ``base · 8``-entry table per robot
+(:func:`_fold_steps`), read with one lookup per robot and transition.
+The result is the per-table CSR — states ascending, per-state
+transitions in the scalar kernel's move order, the *same* canonical
+graph the packed backend builds from ``PackedKernel.reachable`` — so
+vector and packed verdicts and certificates are bit-identical by
+construction. It feeds the shared
 solve phase in :mod:`repro.verification.game` (``verify`` and the
 certificate path of validated sweeps), which stays on the arrays: the
 NumPy kernels at the end of this module check rotation closure
@@ -756,15 +761,15 @@ def solve_tables(
 def _frontier_tables(kernel: PackedKernel) -> tuple:
     """Process-cached, table-independent geometry of the sparse frontier.
 
-    Returns ``(occ_keys, move_ptr, moves, robots)``. ``occ_keys`` are
+    Returns ``(occ_keys, move_ptr, moves, view_bits)``. ``occ_keys`` are
     the ascending occupied-node masks a state can have (popcount ``1..k``
     — robots sharing a node occupy fewer); the adversary moves of
     ``occ_keys[r]`` are ``moves[move_ptr[r]:move_ptr[r + 1]]``, in
-    :meth:`PackedKernel.moves_for_occupied` order. Per robot, two tables
-    fold its chirality's port and move geometry over every (move,
-    node) *cell* ``m · n + node``: ``view_bits[cell]`` is the
-    ``4·left + 2·right`` edge-presence part of its view, and
-    ``landing[2 · cell + dir_bit]`` the node it ends the round on.
+    :meth:`PackedKernel.moves_for_occupied` order. Per robot,
+    ``view_bits[cell]`` folds its chirality's ports over every (move,
+    node) *cell* ``m · n + node``: the ``4·left + 2·right`` edge-presence
+    part of its view there. Where the robot lands is not stored: the
+    edge it moves through is one of those two (:func:`_fold_steps`).
     """
     key = (kernel.topology, kernel.chiralities)
     cached = _frontier_cache.get(key)
@@ -779,26 +784,51 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
         move_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=move_ptr[1:])
         moves = np.array([move for row in rows for move in row], dtype=np.int64)
-        nodes = np.arange(kernel.n)
-        pointers = nodes[:, None] * 2 + np.arange(2)
-        robots = []
-        for chirality in kernel.chiralities:
-            left, right, move_masks, move_dests = _np_node_tables(
-                kernel.topology, chirality
-            )[:4]
-            view_bits = (
+        view_bits = {}
+        for chirality in dict.fromkeys(kernel.chiralities):
+            left, right = _np_node_tables(kernel.topology, chirality)[:2]
+            view_bits[chirality] = (
                 4 * ((moves[:, None] & left) != 0)
                 + 2 * ((moves[:, None] & right) != 0)
-            )
-            landing = np.where(
-                (moves[:, None, None] & move_masks[pointers]) != 0,
-                move_dests[pointers],
-                nodes[:, None],
-            )
-            robots.append((view_bits.reshape(-1), landing.reshape(-1)))
-        cached = (np.asarray(occ_keys, dtype=np.int64), move_ptr, moves, robots)
+            ).reshape(-1)
+        cached = (
+            np.asarray(occ_keys, dtype=np.int64),
+            move_ptr,
+            moves,
+            [view_bits[chirality] for chirality in kernel.chiralities],
+        )
         _frontier_cache[key] = cached
     return cached
+
+
+def _fold_steps(kernel: PackedKernel) -> list:
+    """Per robot, its whole round as one table over ``slot · 8 + view``.
+
+    ``view`` is the low three bits of a Look–Compute view: ``4·left +
+    2·right`` edge presence plus the tower bit. The computed state's
+    direction bit picks the left (0) or right (1) edge, whose presence
+    is already one of those view bits, so the landing node — the edge's
+    far end when present, else the robot's own node — and with it the
+    robot's next slot are a function of ``(slot, view)``. Robots of one
+    chirality share a table of ``base · 8`` entries.
+    """
+    np = require_numpy()
+    trans, dirs, _robots, _initial = kernel.simulation_tables()
+    trans = np.asarray(trans, dtype=np.int64)
+    steps = trans * 2 + np.asarray(dirs, dtype=np.int64)[trans]
+    S = kernel.state_count
+    slot = np.arange(kernel._base, dtype=np.int64)[:, None]
+    node = slot // S
+    view = np.arange(8, dtype=np.int64)
+    step = steps[slot % S * 8 + view]
+    dir_bit = step & 1
+    present = (view >> (2 - dir_bit)) & 1
+    folded = {}
+    for chirality in dict.fromkeys(kernel.chiralities):
+        move_dests = _np_node_tables(kernel.topology, chirality)[3]
+        landing = np.where(present == 1, move_dests[node * 2 + dir_bit], node)
+        folded[chirality] = (landing * S + (step >> 1)).reshape(-1)
+    return [folded[chirality] for chirality in kernel.chiralities]
 
 
 def _csr_rows(indptr: "object", rows: "object") -> "object":
@@ -807,6 +837,17 @@ def _csr_rows(indptr: "object", rows: "object") -> "object":
     lo = indptr[rows]
     deg = indptr[rows + 1] - lo
     return np.repeat(lo - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())
+
+
+def _distinct(values: "object") -> "object":
+    """The distinct values of an integer array, ascending: ``np.unique``
+    without its ``numpy.ma`` import (NumPy 2 loads that module to ask a
+    plain array whether it is masked)."""
+    np = require_numpy()
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def _row_slices(deg: "object") -> "object":
@@ -931,7 +972,7 @@ def orbit_sizes(
 def _expand_frontier(
     kernel: PackedKernel,
     tables: tuple,
-    steps: "object",
+    folded: list,
     states: "object",
     row: "object",
     deg: "object",
@@ -939,28 +980,29 @@ def _expand_frontier(
 ) -> "object":
     """Every transition of some packed states, in kernel order.
 
-    ``steps[view]`` is the Look–Compute table folded with the direction
-    bit of the computed state (``new_state · 2 + dir_bit``); ``row`` and
-    ``deg`` come from :func:`_frontier_rows`. Yields ``(lo, hi, succ,
-    move_at, raw)`` per row slice ``states[lo:hi]`` (:func:`_row_slices`),
-    in order: the flat packed successors (per state, moves in
+    ``folded`` holds per robot the slot it moves to as a function of
+    ``slot · 8 + view`` (:func:`_fold_steps`); ``row`` and ``deg`` come
+    from :func:`_frontier_rows`. Yields ``(lo, hi, succ, move_at, raw)``
+    per row slice ``states[lo:hi]`` (:func:`_row_slices`), in order: the
+    flat packed successors (per state, moves in
     :meth:`PackedKernel.moves_for_occupied` order, each crossed with the
     kernel's activation columns), each (state, move) pair's position in
     the flat move table, which holds its label, and per robot the slot
     it lands on under each move when every robot is active. A slice
     decodes its own states and gathers its valid moves out of the move
-    CSR; per robot three gathers resolve view, computed state and
-    landing node for all of them at once. With swap ``classes`` (FSYNC
-    only) the computed slots are sorted within each class
-    (:func:`_sort_classes`) before they are encoded, so every successor
-    is its orbit's representative.
+    CSR; per robot, one lookup of its folded table at its slot and tower
+    bit plus the move's edge-view bits resolves its round for all of
+    them at once. With swap ``classes`` (FSYNC only) the computed slots
+    are sorted within each class (:func:`_sort_classes`) before they are
+    encoded, so every successor is its orbit's representative.
     """
     np = require_numpy()
-    _occ_keys, move_ptr, _moves, robots = tables
+    _occ_keys, move_ptr, _moves, view_bits = tables
     base, S = kernel._base, kernel.state_count
     for lo, hi in _row_slices(deg):
         rows = row[lo:hi]
-        owner = np.repeat(np.arange(hi - lo), move_ptr[rows + 1] - move_ptr[rows])
+        # Per-state values reach the state's moves by repeating them.
+        fanout = move_ptr[rows + 1] - move_ptr[rows]
         move_at = _csr_rows(move_ptr, rows)
         slots = _digits(kernel, states[lo:hi])
         pos = [slot // S for slot in slots]
@@ -972,27 +1014,25 @@ def _expand_frontier(
             occ |= bit
         cell = move_at * kernel.n
         active = []
-        for i, (view_bits, landing) in enumerate(robots):
-            view = (slots[i] % S) * 8 + ((towers >> pos[i]) & 1)
-            here = cell + pos[i][owner]
-            step = steps[view[owner] + view_bits[here]]
-            here *= 2
-            here += step & 1
-            slot = landing[here]
-            slot *= S
-            step >>= 1
-            slot += step
-            active.append(slot)
-        del cell, here, step
+        for i, table in enumerate(folded):
+            key = slots[i] * 8 + ((towers >> pos[i]) & 1)
+            at = view_bits[i][cell + np.repeat(pos[i], fanout)]
+            at += np.repeat(key, fanout)
+            active.append(table[at])
+        del cell, at
         raw = list(active)
         _sort_classes(active, classes)
         # One successor column per activation column.
-        succ = np.empty((owner.size, len(kernel.activations)), dtype=np.int64)
+        succ = np.empty((move_at.size, len(kernel.activations)), dtype=np.int64)
         for column, (act, _bits) in zip(succ.T, kernel.activations):
-            column[:] = 0
-            for i in range(kernel.k - 1, -1, -1):
+            parts = [
+                active[i] if act >> i & 1 else np.repeat(slots[i], fanout)
+                for i in range(kernel.k)
+            ]
+            column[:] = parts[-1]
+            for part in reversed(parts[:-1]):
                 column *= base
-                column += active[i] if act >> i & 1 else slots[i][owner]
+                column += part
         yield lo, hi, succ.reshape(-1), move_at, raw
 
 
@@ -1109,9 +1149,7 @@ def reachable_csr(
     label_type = _value_dtype(_label_bits(kernel))
     occ_type = _value_dtype(kernel.n)
     tables = _frontier_tables(kernel)
-    trans, dirs, _robots, _initial = kernel.simulation_tables()
-    trans = np.asarray(trans, dtype=np.int64)
-    steps = trans * 2 + np.asarray(dirs, dtype=np.int64)[trans]
+    folded = _fold_steps(kernel)
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
     if classes:
         if len(kernel.activations) > 1:
@@ -1122,7 +1160,7 @@ def reachable_csr(
     # Pass 1: mark every reached state (and, on a quotient, keep each
     # representative's lift, reached from the first seed when it can be).
     reached = np.zeros(space, dtype=bool)
-    frontier = lifts = np.unique(seed_array[:1] if classes else seed_array)
+    frontier = lifts = _distinct(seed_array[:1] if classes else seed_array)
     reached[frontier] = True
     count = frontier.size
     found, found_lifts = [frontier], [lifts]
@@ -1131,7 +1169,7 @@ def reachable_csr(
         fresh, fresh_lifts = [], []
         _occ, row, deg = _frontier_rows(kernel, tables, frontier)
         for _lo, _hi, succ, _move_at, raw in _expand_frontier(
-            kernel, tables, steps, lifts, row, deg, classes
+            kernel, tables, folded, lifts, row, deg, classes
         ):
             unseen = np.flatnonzero(~reached[succ])
             new, first = np.unique(succ[unseen], return_index=True)
@@ -1151,7 +1189,7 @@ def reachable_csr(
         lifts = np.concatenate(fresh_lifts) if classes else frontier
         if not frontier.size:
             # Seeds the first one does not reach start their own trees.
-            frontier = lifts = np.unique(seed_array[~reached[seed_array]])
+            frontier = lifts = _distinct(seed_array[~reached[seed_array]])
             reached[frontier] = True
             count += frontier.size
             rooted &= not frontier.size
@@ -1183,7 +1221,7 @@ def reachable_csr(
     moves = tables[2]
     acts = np.array([bits for _act, bits in kernel.activations])
     for lo, hi, succ, move_at, raw in _expand_frontier(
-        kernel, tables, steps, lifts, row, deg, classes
+        kernel, tables, folded, lifts, row, deg, classes
     ):
         rows = slice(indptr[lo], indptr[hi])
         np.take(ids, succ, out=succs[rows], mode="clip")
@@ -1235,7 +1273,7 @@ def avoid_reachable(
     allowed = np.zeros(avoiding.size, dtype=bool)
     frontier = np.asarray(seeds, dtype=np.int64)
     while frontier.size:
-        frontier = np.unique(frontier[avoiding[frontier] & ~allowed[frontier]])
+        frontier = _distinct(frontier[avoiding[frontier] & ~allowed[frontier]])
         allowed[frontier] = True
         frontier = succs[_csr_rows(indptr, frontier)]
     return allowed

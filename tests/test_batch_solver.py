@@ -32,6 +32,11 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   SSYNC, tower placements), as lists and without NumPy; ring rotation is
   a graph automorphism of every rotation-closed instance; and checking target 0
   alone yields the verdict and certificate of a full all-target scan.
+* **Folded steps** — the edge a robot moves through is its view's left
+  or right edge (rings and chains, n=3..8, both chiralities), so the
+  frontier's per-robot table over ``(slot, tower bit, edge bits)``
+  equals the Look–Compute step followed by the landing it replaced
+  (``PEF_3+``, ``PEF_2`` and a memory-2 two-robot table).
 * **Solve phase** — the NumPy arena, live-arena and rotation helpers
   equal their plain-Python twins field for field, no verdict (EXPLORES,
   or TRAPPED with the packed backend's certificate) converts a
@@ -83,9 +88,11 @@ from repro.scenarios import (
     get_scenario,
     iter_scenarios,
 )
+from repro.types import Chirality
 from repro.verification import batch, batch_solver, game
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import validate_certificate
+from repro.verification.compiled import _node_tables
 from repro.verification.game import (
     _arena,
     _avoid_reachable_csr,
@@ -1118,6 +1125,65 @@ class TestSparseFrontier:
         image = canonical(rot[src], rot[succs] * width + rot_labels)
         assert (original[0] == image[0]).all()
         assert (original[1] == image[1]).all()
+
+
+class TestFoldedSteps:
+    """The frontier's per-robot folded table is the Look–Compute step
+    composed with the landing it replaced."""
+
+    @pytest.mark.parametrize("kind", [RingTopology, ChainTopology])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_move_edge_is_a_view_edge(self, kind, n: int) -> None:
+        # What makes the fold possible: the edge a robot moves through
+        # in direction d is its view's left (d=0) or right (d=1) edge.
+        for chirality in (Chirality.AGREE, Chirality.DISAGREE):
+            left, right, move_masks, _dests = _node_tables(kind(n), chirality)
+            for node in range(n):
+                assert move_masks[2 * node] == left[node]
+                assert move_masks[2 * node + 1] == right[node]
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "topology,name,k",
+        [
+            (RingTopology(6), "pef3+", 3),
+            (ChainTopology(5), "pef3+", 3),
+            (RingTopology(5), "pef2", 2),
+            (ChainTopology(4), "pef2", 2),
+            (RingTopology(5), "two-m2", 2),
+            (ChainTopology(5), "two-m2", 2),
+        ],
+        ids=repr,
+    )
+    def test_fold_equals_step_then_landing(self, topology, name, k) -> None:
+        if name == "two-m2":
+            algorithm = family_maker(name)(random.Random(30).getrandbits(64))
+        else:
+            algorithm = get_algorithm(name)
+        chiralities = (Chirality.AGREE, Chirality.DISAGREE, Chirality.AGREE)[:k]
+        kernel = PackedKernel(topology, algorithm, chiralities)
+        trans, dirs, robot_tables, _initial = kernel.simulation_tables()
+        S = kernel.state_count
+        folded = batch_solver._fold_steps(kernel)
+        assert len(folded) == k
+        for table, (left, right, move_masks, move_dests) in zip(
+            folded, robot_tables
+        ):
+            assert table.size == kernel._base * 8
+            for slot in range(kernel._base):
+                node, state = divmod(slot, S)
+                for view in range(8):
+                    # The move whose edge view this is: left, right or both.
+                    move = (left[node] if view & 4 else 0) | (
+                        right[node] if view & 2 else 0
+                    )
+                    new_state = trans[state * 8 + view]
+                    pointer = 2 * node + dirs[new_state]
+                    landing = (
+                        move_dests[pointer] if move & move_masks[pointer]
+                        else node
+                    )
+                    assert table[slot * 8 + view] == landing * S + new_state
 
 
 @requires_numpy

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -450,3 +457,105 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()]
         assert f"cannot write {target}" in err
+
+
+class TestProcessExit:
+    """``python -m repro`` ends through ``os._exit`` after flushing the
+    standard streams: every file a verb writes is complete and every exit
+    code is the one :func:`main` returns."""
+
+    @staticmethod
+    def python(*args: str, **env: str) -> subprocess.CompletedProcess:
+        environ = dict(os.environ, **env)
+        environ["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        # Block-buffered stdout: the flush before os._exit must carry it.
+        environ.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run(
+            [sys.executable, *args],
+            env=environ, capture_output=True, text=True, timeout=300,
+        )
+
+    def run(self, *argv: str, **env: str) -> subprocess.CompletedProcess:
+        return self.python("-m", "repro", *argv, **env)
+
+    def test_skips_interpreter_teardown(self) -> None:
+        probe = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown ran')\n"
+            "sys.argv = ['repro', 'algos']\n"
+            "runpy.run_module('repro', run_name='__main__')\n"
+        )
+        result = self.python("-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == self.run("algos").stdout
+        assert "pef3+" in result.stdout and "teardown ran" not in result.stdout
+
+    def test_verify_save_leaves_a_complete_certificate(self, tmp_path) -> None:
+        from repro.serialize import loads
+
+        target = tmp_path / "cert.json"
+        result = self.run(
+            "verify", "--algo", "pef2", "--n", "4", "--k", "2",
+            "--save", str(target),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1].endswith(str(target))
+        text = target.read_text()
+        assert text.endswith("\n")
+        assert loads(text).cycle
+
+    def test_sweep_json_is_complete(self, tmp_path) -> None:
+        target = tmp_path / "sweep.json"
+        result = self.run(
+            "sweep", "--robots", "1", "--n", "3", "--jobs", "2",
+            "--json", str(target),
+        )
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(target.read_text())
+        assert payload["total"] == payload["trapped"] == 256
+        assert payload["jobs"] == 2
+
+    def test_campaign_run_then_report(self, tmp_path, capsys) -> None:
+        store = ["--store", str(tmp_path / "s"), "--jobs", "2"]
+        trace = str(tmp_path / "trace")
+        run = self.run(
+            "campaign", "run", "thm51-single-n3", *store, "--trace-dir", trace
+        )
+        assert run.returncode == 0, run.stderr
+        assert "256/256 trapped" in run.stdout
+        analyzed = self.run("campaign", "analyze", trace, "--json")
+        assert analyzed.returncode == 0, analyzed.stderr
+        # The parent's and every worker's trace lines all landed.
+        summary = json.loads(analyzed.stdout)["scenarios"]["thm51-single-n3"]
+        assert summary["chunks_ok"] == 8 and summary["campaigns"] == 1
+        report = self.run("campaign", "report", "thm51-single-n3", *store)
+        assert report.returncode == 0, report.stderr
+        assert json.loads(report.stdout)["total"] == 256
+        # Byte for byte what the in-process verb prints.
+        assert main(["campaign", "report", "thm51-single-n3", *store]) == 0
+        assert capsys.readouterr().out == report.stdout
+
+    def test_usage_errors_exit_2(self) -> None:
+        result = self.run("verify", "--algo", "pef2", "--n", "3", "--k", "3")
+        assert result.returncode == 2
+        assert "k < n" in result.stderr and not result.stdout
+        result = self.run("verify", "--algo", "pef2")
+        assert result.returncode == 2
+        assert "required" in result.stderr
+
+    def test_degraded_campaign_exits_4(self, tmp_path) -> None:
+        from repro.scenarios import FAULT_PLAN_ENV_VAR
+
+        store = ["--store", str(tmp_path / "s"), "--jobs", "2"]
+        plan = json.dumps({"seed": 1, "crash_chunks": [5]})
+        result = self.run(
+            "campaign", "run", "thm51-single-n3", "--max-attempts", "2",
+            *store, **{FAULT_PLAN_ENV_VAR: plan},
+        )
+        assert result.returncode == 4, result.stderr
+        assert "quarantined [5]" in result.stdout
+        result = self.run(
+            "campaign", "report", "thm51-single-n3", "--allow-degraded", *store
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["failed_chunks"] == [5]

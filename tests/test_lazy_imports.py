@@ -162,6 +162,14 @@ class TestVectorWorkLoadsNumpyInTheParent:
         [(code, modules)] = run_probe(argv)
         assert code == 0 and "numpy" in modules
 
+    def test_vector_verify_leaves_numpy_ma_unloaded(self) -> None:
+        # np.unique without return_index imports numpy.ma (NumPy 2).
+        argv = ["verify", "--algo", "pef3+", "--n", "5", "--k", "3",
+                "--backend", "vector"]
+        [(code, modules)] = run_probe(argv)
+        assert code == 0 and "numpy" in modules
+        assert "numpy.ma" not in modules
+
 
 class TestNoNumpyContract:
     def test_cached_campaign_still_refuses_vector(
