@@ -58,9 +58,10 @@ of it reachable. Single instances of any size take the **frontier**
 path instead — :func:`reachable_csr`, two passes over one dense id map
 of ``base^k`` entries. Pass 1, a level-synchronous BFS, only marks the
 reached states; pass 2 numbers them ascending through the map and
-expands them again in row slices of bounded size, writing each slice's
-narrow labels and int32 successor indices (one gather from the map)
-straight into the preallocated final arrays. Per slice it decodes the
+expands them again in row slices of bounded size, merging each slice's
+moves into one entry per distinct (state, successor) pair — int32
+successor indices (one gather from the map) and narrow labels, OR-ed
+per pair — before the slices are concatenated. Per slice it decodes the
 slice's states, gathers their valid adversary moves out of a move CSR
 (spanning only occupancies with popcount ``≤ k``) and resolves all
 their successors at once: a robot's next slot depends only on its slot,
@@ -69,17 +70,17 @@ through is one of them), so each call folds the Look–Compute table and
 the landing nodes into one ``base · 8``-entry table per robot
 (:func:`_fold_steps`), read with one lookup per robot and transition.
 The result is the per-table CSR — states ascending, per-state
-transitions in the scalar kernel's move order, the *same* canonical
-graph the packed backend builds from ``PackedKernel.reachable`` — so
-vector and packed verdicts and certificates are bit-identical by
-construction. It feeds the shared
+successors in the order of their first move in the scalar kernel's
+move order, the *same* canonical graph the packed backend builds from
+``PackedKernel.reachable`` — so vector and packed verdicts and
+certificates are bit-identical by construction. It feeds the shared
 solve phase in :mod:`repro.verification.game` (``verify`` and the
 certificate path of validated sweeps), which stays on the arrays: the
 NumPy kernels at the end of this module check rotation closure
 (:func:`rotation_closed`), grow the live arena
-(:func:`avoid_reachable`) and build each target's deduplicated arena
-(:func:`arena_csr`), handed to the Python Tarjan walk as compact stdlib
-arrays. There is no scalar size fallback.
+(:func:`avoid_reachable`) and count transitions (:func:`out_degrees`),
+and the rows the Python Tarjan walks arrive as compact stdlib arrays
+(:func:`compact`). There is no scalar size fallback.
 
 Given swap classes (``verify`` under FSYNC on rings from the default
 seeds), :func:`reachable_csr` builds the robot-permutation quotient
@@ -150,9 +151,9 @@ _MAP_STATES = 1 << 26
 _INDEX_BOUND = 1 << 31
 
 #: Transitions per build slice: :func:`reachable_csr` expands the states
-#: of each pass, and :func:`arena_csr` deduplicates an arena's pairs, at
-#: most this many transitions at a time (one longer row excepted), so
-#: their int64 temporaries stay bounded whatever the graph's size. The
+#: of each pass, and merges pass 2's moves per successor, at most this
+#: many transitions at a time (one longer row excepted), so its int64
+#: temporaries stay bounded whatever the graph's size. The
 #: largest level of ``verify pef3+ --n 8 --k 3`` (152k transitions) is
 #: cut into five slices.
 _SLICE_TRANSITIONS = 1 << 15
@@ -883,6 +884,16 @@ def _frontier_rows(
     return occ, row, deg
 
 
+def out_degrees(kernel: PackedKernel, occ: "object") -> "object":
+    """Per occupied-node mask, the transition count of a state that has
+    it (int64): the occupancy fixes the adversary's moves, so this is
+    :func:`_frontier_rows`' ``deg`` without decoding the states."""
+    np = require_numpy()
+    occ_keys, move_ptr, _moves, _robots = _frontier_tables(kernel)
+    row = np.searchsorted(occ_keys, occ)
+    return (move_ptr[row + 1] - move_ptr[row]) * len(kernel.activations)
+
+
 #: Min/max comparator networks that sort 2..5 values (1, 3, 5 and 9
 #: comparators, the fewest possible); larger classes use insertion order.
 _NETWORKS = {
@@ -1097,22 +1108,28 @@ def reachable_csr(
     keeps no transition. **Pass 2** numbers the reached states ascending
     (the canonical order) through the map, takes ``indptr`` from their
     transition counts (:func:`_frontier_rows`) and expands them again in
-    row slices, writing labels and successor indices (one gather from
-    the map) straight into the preallocated final arrays.
+    row slices. Each slice's successors are gathered from the map and
+    merged to one entry per distinct (state, successor) pair: keyed
+    ``row · states + successor`` with the move's position below it,
+    sorted (so each pair's moves are grouped in move order), labels
+    OR-reduced per group (``np.bitwise_or.reduceat``) and the groups put
+    back in the order of their first move. A pair never spans two
+    slices, so the slices' pairs are concatenated.
 
     Returns ``(states, indptr, labels, succs, occ, seed_idx)``:
     ``states`` the reached packed states ascending (int64); ``indptr``
-    and ``succs`` int32, or int64 when the transition or state count
-    does not fit (:func:`_index_dtype`); per-state transitions in the
-    scalar kernel's move order (edge-mask-major, activation-minor);
-    ``labels`` and the per-state occupied-node masks ``occ`` in the
-    narrowest dtype that holds their bits (:func:`_value_dtype`); and the
-    seed indices in first-occurrence order as a list. Value for value
-    this is the CSR the packed backend builds from
-    ``PackedKernel.reachable``, so the shared solve phase in
+    and ``succs`` int32, or int64 when the pair or state count does not
+    fit (:func:`_index_dtype`); per state its distinct successors in the
+    order of their first move in the scalar kernel's move order
+    (edge-mask-major, activation-minor), each pair's label the OR of its
+    moves' labels; ``labels`` and the per-state occupied-node masks
+    ``occ`` in the narrowest dtype that holds their bits
+    (:func:`_value_dtype`); and the seed indices in first-occurrence
+    order as a list. Value for value this is the CSR the packed backend
+    builds from ``PackedKernel.reachable``, so the shared solve phase in
     :mod:`repro.verification.game` produces bit-identical verdicts and
-    certificates; it keeps the arrays and converts to Python only what
-    its Tarjan walks and single rows a certificate reads. Raises
+    certificates; it keeps the arrays and copies only the rows its
+    Python walks read into compact stdlib arrays. Raises
     :class:`VerificationError` on the same ``max_states`` overflow the
     scalar path reports, and, naming ``backend='packed'``, past the map
     bound or on labels past int64.
@@ -1196,7 +1213,7 @@ def reachable_csr(
         if classes:
             found.append(frontier)
             found_lifts.append(lifts)
-    # Pass 2: ascending ids through the map, rows written in place.
+    # Pass 2: ascending ids through the map, rows merged per slice.
     states = np.flatnonzero(reached)
     del reached
     if classes:
@@ -1213,22 +1230,41 @@ def reachable_csr(
     ids = np.zeros(space, dtype=id_type)
     ids[states] = np.arange(states.size, dtype=id_type)
     occ, row, deg = _frontier_rows(kernel, tables, states)
-    total = int(deg.sum())
-    indptr = np.zeros(states.size + 1, dtype=_index_dtype(total))
-    np.cumsum(deg, out=indptr[1:])
-    labels = np.empty(total, dtype=label_type)
-    succs = np.empty(total, dtype=id_type)
     moves = tables[2]
     acts = np.array([bits for _act, bits in kernel.activations])
+    counts = [np.zeros(1, dtype=np.int64)]
+    succs, labels = [np.zeros(0, dtype=id_type)], [np.zeros(0, dtype=label_type)]
     for lo, hi, succ, move_at, raw in _expand_frontier(
         kernel, tables, folded, lifts, row, deg, classes
     ):
-        rows = slice(indptr[lo], indptr[hi])
-        np.take(ids, succ, out=succs[rows], mode="clip")
-        labels[rows].reshape(move_at.size, -1)[:] = moves[move_at][:, None] | acts
+        dst = np.take(ids, succ, mode="clip")
         if classes and group:
-            _swap_links(group, homes, raw, succs[rows], links)
+            _swap_links(group, homes, raw, dst, links)
+        # One entry per distinct (state, successor) pair: sorted keys
+        # ``(row · states + successor) << shift | position`` group the
+        # slice's moves by pair, each group in move order; the labels
+        # are OR-ed per group and the pairs put back in the order of
+        # their first move. Keys stay below 2^57: a slice has at most
+        # 2^15 moves (or one longer row), over at most 2^26 states.
+        shift = dst.size.bit_length()
+        key = np.repeat(np.arange(hi - lo), deg[lo:hi]) * states.size + dst
+        key = key << shift | np.arange(dst.size)
+        key.sort()
+        at = key & ((1 << shift) - 1)
+        key >>= shift
+        head = np.flatnonzero(np.diff(key, prepend=-1))
+        label = (moves[move_at][:, None] | acts).reshape(-1)
+        pair_label = np.bitwise_or.reduceat(label[at], head)
+        emit = np.argsort(at[head])
+        key = key[head][emit]
+        counts.append(np.bincount(key // states.size, minlength=hi - lo))
+        succs.append((key % states.size).astype(id_type))
+        labels.append(pair_label[emit].astype(label_type))
     seed_idx = list(dict.fromkeys(ids[seed_array].tolist()))
+    del ids
+    indptr = np.cumsum(np.concatenate(counts))
+    indptr = indptr.astype(_index_dtype(int(indptr[-1])))
+    succs, labels = np.concatenate(succs), np.concatenate(labels)
     csr = states, indptr, labels, succs, occ.astype(occ_type), seed_idx
     return csr + (links,) if classes else csr
 
@@ -1279,76 +1315,28 @@ def avoid_reachable(
     return allowed
 
 
-def _compact(values: "object") -> array:
+def compact(values: "object") -> array:
     """A NumPy integer array as a stdlib :class:`array.array` of the same
-    item size (``b``/``h``/``i``/``q``), one copy of the buffer."""
+    item size (``b``/``h``/``i``/``q``), one copy of the buffer: indexed
+    one entry at a time from Python, it yields plain ints."""
     out = array({1: "b", 2: "h", 4: "i", 8: "q"}[values.itemsize])
     out.frombytes(memoryview(values).cast("B"))
     return out
-
-
-def arena_csr(
-    indptr: "object", labels: "object", succs: "object", avoiding: "object"
-) -> tuple[list[int], array, array, array]:
-    """The deduplicated successor CSR of an arena, as compact arrays.
-
-    The NumPy builder of :class:`repro.verification.game._Arena`:
-    ``avoiding`` flags the arena's states, which get int32 node ids.
-    Their transitions to arena states are keyed ``src · size + dst``
-    (int64), grouped by a stable sort (one group per distinct pair),
-    their labels OR-reduced per group (``np.bitwise_or.reduceat``) and
-    the groups put back in the order of their first transition — per
-    source, successors in first-occurrence move order, exactly as the
-    Python builder emits them. A pair never spans two sources, so the
-    sources are processed in row slices (:func:`_row_slices`) and the
-    slices' pairs concatenated. The Tarjan walk gets ``states`` as a
-    list and ``ptr``/``nxt``/``pair_label`` as stdlib arrays as narrow
-    as the NumPy ones (:func:`_compact`).
-    """
-    np = require_numpy()
-    states = np.flatnonzero(avoiding)
-    size = states.size
-    node_type = _index_dtype(size)
-    node = np.full(avoiding.size, -1, dtype=node_type)
-    node[states] = np.arange(size, dtype=node_type)
-    deg = indptr[states + 1] - indptr[states]
-    counts, nxt, pair_labels = [np.zeros(1, dtype=np.int64)], [], []
-    for lo, hi in _row_slices(deg):
-        at = _csr_rows(indptr, states[lo:hi])
-        dst = node[succs[at]]
-        keep = dst >= 0
-        src = np.repeat(np.arange(hi - lo, dtype=np.int64), deg[lo:hi])
-        key = src[keep] * size + dst[keep]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        head = np.flatnonzero(np.diff(key, prepend=-1))
-        pair_label = np.bitwise_or.reduceat(labels[at[keep][order]], head)
-        emit = np.argsort(order[head])
-        key = key[head][emit]
-        counts.append(np.bincount(key // size, minlength=hi - lo))
-        nxt.append((key % size).astype(node_type))
-        pair_labels.append(pair_label[emit])
-    ptr = np.cumsum(np.concatenate(counts))
-    return (
-        states.tolist(),
-        _compact(ptr.astype(_index_dtype(int(ptr[-1])))),
-        _compact(np.concatenate(nxt or [node[:0]])),
-        _compact(np.concatenate(pair_labels or [labels[:0]])),
-    )
 
 
 __all__ = [
     "MAX_DENSE_STATES",
     "MAX_DENSE_CELLS",
     "DenseSpace",
-    "arena_csr",
     "avoid_reachable",
     "canonical_states",
+    "compact",
     "decode_tables",
     "dense_eligible",
     "dense_space",
     "have_numpy",
     "orbit_sizes",
+    "out_degrees",
     "reachable_csr",
     "reaching_links",
     "rotation_closed",

@@ -126,20 +126,23 @@ reachable graph's canonical CSR form; they differ only in how they build
 that graph. The object backend steps the engine
 (``ProductSystem.reachable``) and packs each state and label with the
 kernel's encoding, the packed backend runs the scalar integer kernel and
-the vector backend a NumPy frontier. Per target, the avoiding arena
-is first reduced to a *deduplicated* successor CSR — one entry per
-distinct (state, successor) pair, its label the OR of every transition
-between them — and one iterative Tarjan walks that, stopping at the
-first winning component; only the winner's internal transitions are
-listed, from the full CSR, for the certificate. The vector backend keeps
-the CSR as narrow NumPy arrays throughout — int32 offsets and successor
-indices (int64 past 2^31), labels and occupied masks in the narrowest
-dtype that holds their bits — and holds one chirality vector's graph at
-a time. Rotation closure, the live arena and the deduplication run in
-NumPy; the arena the Tarjan walks arrives as compact stdlib arrays (as it
-does from the packed backend's Python builder), and a certificate reads
-the rows it visits one at a time. Verdicts, counts and
-certificates are bit-identical across the three backends.
+the vector backend a NumPy frontier. The CSR holds one entry per
+distinct (state, successor) pair, its label the OR of every move between
+them: the criterion above reads only which states follow which and the
+OR of the labels inside a component, so parallel moves add nothing.
+Per target, one iterative Tarjan walks the CSR rows, states outside the
+avoiding arena pre-tagged like finished components, and stops at the
+first winning component. Out-degree is fixed by occupancy, so the
+transition counts come from the kernel's move enumeration, and a
+certificate's real moves from re-expanding, through the kernel, the few
+states it needs: the winner's members and the prefix's parents. The
+vector backend keeps the CSR as narrow NumPy arrays — int32 offsets and
+successor indices (int64 past 2^31), labels and occupied masks in the
+narrowest dtype that holds their bits — and holds one chirality
+vector's graph at a time. Rotation closure and the live arena run in
+NumPy; the rows the Tarjan walks are copied once per chirality vector
+into compact stdlib arrays. Verdicts, counts and certificates are
+bit-identical across the three backends.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
 (prefix + cycle lasso; under SSYNC with per-step activation sets), which
@@ -151,11 +154,11 @@ other under either scheduler.
 
 from __future__ import annotations
 
+import functools
 import math
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -334,17 +337,17 @@ def verify_exploration(
             allowed = None
             if prop == "live":
                 allowed = _avoid_reachable_csr(csr, 1 << target)
-            win = _winning_scc_csr(kernel, csr, target, allowed)
-            if win is None:
+            members = _winning_scc_csr(kernel, csr, target, allowed)
+            if members is None:
                 continue
-            scc_states, internal = win
             if not certificates:
                 certificate = None
             else:
                 if allowed is not None and csr.on_numpy:
                     allowed = allowed.tolist()
                 certificate = _extract_certificate_csr(
-                    kernel, vector, csr, target, scc_states, internal,
+                    kernel, vector, csr, target, set(members),
+                    _internal_transitions(kernel, csr, members, classes),
                     allowed, classes,
                 )
                 if validate:
@@ -407,10 +410,11 @@ def synthesize_trap(
 class _CsrGraph:
     """The canonical CSR form of a reachable packed graph.
 
-    ``states`` ascending packed states; transition ``t`` of state index
-    ``i`` lives at flat position ``indptr[i] <= t < indptr[i + 1]`` with
-    label ``labels[t]`` and successor *index* ``succs[t]``, in the
-    kernel's per-state move order. ``occ`` is the occupied-node bitmask
+    ``states`` ascending packed states; the distinct successors of state
+    index ``i`` are ``succs[t]`` for ``indptr[i] <= t < indptr[i + 1]``,
+    in the order of their first move in the kernel's per-state move
+    order, and ``labels[t]`` is the OR of the labels of every move from
+    ``i`` to ``succs[t]``. ``occ`` is the occupied-node bitmask
     per state index and ``seeds`` the seed indices in first-occurrence
     order. All three solver backends normalize to this exact shape, which
     is what makes their certificates bit-identical. The object and packed
@@ -420,8 +424,8 @@ class _CsrGraph:
     int64, ``indptr``/``succs`` int32 unless a count passes 2^31,
     ``labels``/``occ`` as narrow as their bits; ``seeds`` is a list
     either way). The solve helpers pick their plain-Python or NumPy form
-    by :attr:`on_numpy`; the graph is never converted whole — a
-    certificate reads single rows (:meth:`row`). A robot-permutation
+    by :attr:`on_numpy`; the graph is never converted to lists — the
+    Python walks read :attr:`rows`. A robot-permutation
     quotient also carries ``links``, per state the pairs of robot 0's
     class that the transitions entering it swap (:func:`_quotient_exact`);
     ``None`` otherwise.
@@ -440,38 +444,17 @@ class _CsrGraph:
         """Whether the fields are NumPy arrays (the vector backend)."""
         return not isinstance(self.indptr, list)
 
-    def row(self, state: int) -> tuple[list[int], list[int]]:
-        """The labels and successor indices of one state's transitions,
-        in move order, as Python lists."""
-        lo, hi = self.indptr[state], self.indptr[state + 1]
-        labels, succs = self.labels[lo:hi], self.succs[lo:hi]
+    @functools.cached_property
+    def rows(self) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """``(indptr, succs, labels)`` for the Python walks, which read
+        them one entry at a time: the lists themselves (whose labels may
+        pass 63 bits, on rings of more than 62 edges), or the NumPy
+        arrays copied once into compact stdlib arrays of the same item
+        size (:func:`~repro.verification.batch_solver.compact`)."""
+        fields = (self.indptr, self.succs, self.labels)
         if self.on_numpy:
-            return labels.tolist(), succs.tolist()
-        return labels, succs
-
-
-@dataclass
-class _Arena:
-    """A target-avoiding arena as a deduplicated successor CSR.
-
-    Arena node ``j`` stands for CSR state index ``states[j]`` (ascending);
-    its distinct arena successors are ``nxt[ptr[j]:ptr[j + 1]]`` in the
-    order their first transition appears in the full CSR, and
-    ``pair_label[p]`` is the OR of every transition label between the
-    pair. Tarjan over this graph visits states and emits components in
-    exactly the order it would over the full CSR — a repeated successor
-    never changes a low-link — while walking each pair once. ``ptr``,
-    ``nxt`` and ``pair_label`` are compact stdlib :class:`array.array`
-    buffers from both builders (NumPy's as narrow as its dtypes, the
-    plain-Python one 64-bit), a few bytes per entry instead of a list
-    slot plus an int object; only labels wider than 63 bits — rings of
-    more than 62 edges, packed backend only — stay a list.
-    """
-
-    states: list[int]
-    ptr: array
-    nxt: array
-    pair_label: Union[array, list[int]]
+            return tuple(batch_solver.compact(values) for values in fields)
+        return fields
 
 
 def _build_csr(
@@ -542,16 +525,20 @@ def _csr_from_packed(
     links: Optional[dict[PackedState, int]] = None,
 ) -> _CsrGraph:
     """Canonicalize a scalar-kernel graph dict into CSR arrays (with a
-    quotient's per-state ``links``, zero where absent)."""
+    quotient's per-state ``links``, zero where absent), each state's
+    moves merged per successor by an insertion-ordered dict."""
     states = sorted(graph)
     index = {state: i for i, state in enumerate(states)}
     indptr = [0]
     labels: list[int] = []
     succs: list[int] = []
     for state in states:
+        row: dict[int, int] = {}
         for mask, succ in graph[state]:
-            labels.append(mask)
-            succs.append(index[succ])
+            succ = index[succ]
+            row[succ] = row.get(succ, 0) | mask
+        succs.extend(row)
+        labels.extend(row.values())
         indptr.append(len(labels))
     seed_idx: list[int] = []
     seen: set[int] = set()
@@ -604,17 +591,6 @@ def _packed_from_object(
     return packed, occupied, [code[seed] for seed in seeds]
 
 
-def _csr_from_object(
-    kernel: PackedKernel,
-    graph: dict[SysState, list[Transition]],
-    seeds: Sequence[SysState],
-) -> _CsrGraph:
-    """Canonicalize an object-backend graph into the same CSR arrays, so
-    the engine-stepped graph enters the solve phase in exactly the form
-    the packed kernel builds."""
-    return _csr_from_packed(*_packed_from_object(kernel, graph, seeds))
-
-
 def _quotient_of_packed(
     kernel: PackedKernel,
     graph: dict[PackedState, list[PackedTransition]],
@@ -664,20 +640,24 @@ def _quotient_of_packed(
 def _counts(
     kernel: PackedKernel, csr: _CsrGraph, classes: SwapClasses
 ) -> tuple[int, int]:
-    """``(states, transitions)`` of the full graph a CSR stands for: the
-    CSR's own sizes, or for a quotient its orbit sizes and orbit size
-    times out-degree, summed (exact once :func:`_quotient_exact` holds)."""
-    if not classes:
-        return len(csr.states), len(csr.labels)
-    indptr = csr.indptr
+    """``(states, transitions)`` of the full graph a CSR stands for: its
+    states and their out-degrees, or for a quotient its orbit sizes and
+    orbit size times out-degree, summed (exact once
+    :func:`_quotient_exact` holds). The CSR merges parallel moves, but
+    the occupancy fixes the moves: a state's out-degree is its
+    occupancy's adversary moves times the activation columns."""
     if csr.on_numpy:
+        degrees = batch_solver.out_degrees(kernel, csr.occ)
+        if not classes:
+            return len(csr.states), int(degrees.sum())
         sizes = batch_solver.orbit_sizes(kernel, csr.states, classes)
-        return int(sizes.sum()), int((sizes * (indptr[1:] - indptr[:-1])).sum())
+        return int(sizes.sum()), int((sizes * degrees).sum())
+    columns = len(kernel.activations)
     states = transitions = 0
-    for i, state in enumerate(csr.states):
-        size = kernel.orbit_size(state, classes)
+    for state, occ in zip(csr.states, csr.occ):
+        size = kernel.orbit_size(state, classes) if classes else 1
         states += size
-        transitions += size * (indptr[i + 1] - indptr[i])
+        transitions += size * len(kernel.moves_for_occupied(occ)) * columns
     return states, transitions
 
 
@@ -810,68 +790,28 @@ def _avoid_reachable_csr(csr: _CsrGraph, target_bit: int) -> Sequence[bool]:
     return allowed
 
 
-def _arena(csr: _CsrGraph, avoiding: Sequence[bool]) -> _Arena:
-    """The deduplicated arena of the states flagged in ``avoiding``.
-
-    NumPy builds it on the vector backend
-    (:func:`repro.verification.batch_solver.arena_csr`); this plain
-    Python loop on the packed backend emits the same values into stdlib
-    arrays.
-    """
-    if csr.on_numpy:
-        return _Arena(
-            *batch_solver.arena_csr(csr.indptr, csr.labels, csr.succs, avoiding)
-        )
-    indptr = csr.indptr
-    labels = csr.labels
-    succs = csr.succs
-    states = [i for i, flag in enumerate(avoiding) if flag]
-    node = [-1] * len(avoiding)
-    for j, state in enumerate(states):
-        node[state] = j
-    ptr = array("q", [0])
-    nxt = array("q")
-    pair_label = array("q") if max(labels, default=0) >> 63 == 0 else []
-    at = [-1] * len(states)  # latest position of each arena node in nxt
-    for state in states:
-        start = len(nxt)
-        for t in range(indptr[state], indptr[state + 1]):
-            j = node[succs[t]]
-            if j < 0:
-                continue
-            p = at[j]
-            if p >= start:
-                pair_label[p] |= labels[t]
-            else:
-                at[j] = len(nxt)
-                nxt.append(j)
-                pair_label.append(labels[t])
-        ptr.append(len(nxt))
-    return _Arena(states, ptr, nxt, pair_label)
-
-
 def _winning_scc_csr(
     kernel: PackedKernel,
     csr: _CsrGraph,
     target: NodeId,
     allowed: Optional[Sequence[bool]] = None,
-) -> Optional[tuple[set[int], list[_CsrInternal]]]:
-    """Find an SCC of the target-avoiding subgraph within recurrence budget.
+) -> Optional[list[int]]:
+    """The members of an SCC of the target-avoiding subgraph within the
+    recurrence budget, in pop order, or ``None``.
 
-    The target-avoiding arena (``allowed``, for the live property) is
-    first reduced to its deduplicated successor CSR (:class:`_Arena`).
     Labels are bitmasks, so a component's recurrent-edge union is the OR
     of its internal pairs' labels and the budget check a popcount; under
     SSYNC the same OR accumulates the activation bits, making the
-    fairness check one shift and compare. Tarjan runs iteratively with
-    roots in ascending state order and successors in kernel move order —
-    fully deterministic, so every backend emits the same SCC first. A
-    visited node that already belongs to a component carries an index
-    above every low-link (it stands in for an on-stack flag), and that
-    index doubles as the component's membership tag. Only the winner's
-    ``internal`` transitions are listed, from the full CSR (members in
-    pop order, each one's transitions in move order), for the
-    certificate.
+    fairness check one shift and compare. Tarjan runs iteratively over
+    the CSR rows (:attr:`_CsrGraph.rows`) with roots in ascending state
+    order and successors in first-move order — fully deterministic, so
+    every backend emits the same SCC first. A visited node that already
+    belongs to a component carries an index above every low-link (it
+    stands in for an on-stack flag), and that index doubles as the
+    component's membership tag. States outside the arena (``allowed``,
+    for the live property; else the target-avoiding states) are
+    pre-tagged the same way before the walk, so it never enters them
+    and they never lower a low-link.
     """
     budget = 1 if kernel.topology.is_ring else 0
     full_mask = kernel.full_mask
@@ -884,19 +824,18 @@ def _winning_scc_csr(
             allowed = (csr.occ & target_bit) == 0
         else:
             allowed = [not occ & target_bit for occ in csr.occ]
-    arena = _arena(csr, allowed)
-    ptr = arena.ptr
-    nxt = arena.nxt
-    pair_label = arena.pair_label
-    size = len(arena.states)
+    if not isinstance(allowed, list):
+        allowed = allowed.tolist()
+    ptr, nxt, pair_label = csr.rows
+    size = len(allowed)
 
     UNSEEN = -1
-    index = [UNSEEN] * size
+    index = [UNSEEN if flag else size for flag in allowed]
     low = [0] * size
     cursor = ptr[:-1]
     stack: list[int] = []
     counter = 0
-    tag = size  # assigned index of the next component, above every low-link
+    tag = size + 1  # assigned index of the next component, above every low-link
     for root in range(size):
         if index[root] != UNSEEN:
             continue
@@ -949,21 +888,41 @@ def _winning_scc_csr(
                     continue
                 if ssync and union >> act_shift != full_act:
                     continue
-                members = [arena.states[j] for j in component]
-                return set(members), _internal_transitions(csr, members)
+                return component
     return None
 
 
+def _moves(
+    kernel: PackedKernel, state: PackedState, classes: SwapClasses
+) -> list[PackedTransition]:
+    """One state's real moves, re-expanded in the kernel's order: its
+    occupancy's adversary moves, each crossed with the activation
+    columns, and the successor :meth:`~PackedKernel.step_packed` reaches
+    (canonicalized on a quotient, whose rows a lift's moves give)."""
+    out = []
+    for mask in kernel.moves_for_occupied(kernel.occupied_mask(state)):
+        for act, bits in kernel.activations:
+            succ = kernel.step_packed(state, mask, act)[0]
+            if classes:
+                succ = kernel.canonical(succ, classes)
+            out.append((mask | bits, succ))
+    return out
+
+
 def _internal_transitions(
-    csr: _CsrGraph, component: list[int]
+    kernel: PackedKernel,
+    csr: _CsrGraph,
+    component: list[int],
+    classes: SwapClasses = (),
 ) -> list[_CsrInternal]:
-    """Every full-CSR transition inside a component, members in order."""
-    component_set = set(component)
+    """Every real transition inside a component, members in order and
+    each one's moves in kernel order (:func:`_moves`)."""
+    members = {int(csr.states[state]): state for state in component}
     internal: list[_CsrInternal] = []
-    for state in component:
-        for label, succ in zip(*csr.row(state)):
-            if succ in component_set:
-                internal.append((state, label, succ))
+    for packed, state in members.items():
+        for label, succ in _moves(kernel, packed, classes):
+            if succ in members:
+                internal.append((state, label, members[succ]))
     return internal
 
 
@@ -986,13 +945,15 @@ def _extract_certificate_csr(
     activation bits above the edge bits, so the very same greedy cover
     also guarantees every robot of the SCC's activation union is
     activated within one cycle — the fairness the criterion promised.
-    Rows are read one visited state at a time (:meth:`_CsrGraph.row`),
-    so an array CSR is never converted whole. On a quotient the cycle is
-    lifted to a real one (:func:`_lift_cycle`).
+    The prefix BFS walks the CSR rows (:attr:`_CsrGraph.rows`); each
+    step's label is the first real move from its parent to its child,
+    found by re-expanding the parent (:func:`_moves`). On a quotient the
+    cycle is lifted to a real one (:func:`_lift_cycle`).
     """
     # --- prefix: BFS from the seeds into the SCC (within ``restrict``,
     # the target-avoiding arena, when the property demands it) -----------
-    parent: dict[int, Optional[tuple[int, int]]] = {}
+    indptr, succs, _labels = csr.rows
+    parent: dict[int, Optional[int]] = {}
     queue: deque[int] = deque()
     entry: Optional[int] = None
     for seed in csr.seeds:
@@ -1005,12 +966,13 @@ def _extract_certificate_csr(
             break
     while queue and entry is None:
         state = queue.popleft()
-        for label, succ in zip(*csr.row(state)):
+        for t in range(indptr[state], indptr[state + 1]):
+            succ = succs[t]
             if succ in parent:
                 continue
             if restrict is not None and not restrict[succ]:
                 continue
-            parent[succ] = (state, label)
+            parent[succ] = state
             if succ in scc_states:
                 entry = succ
                 break
@@ -1021,8 +983,15 @@ def _extract_certificate_csr(
     prefix_masks: list[int] = []
     cursor = entry
     while parent[cursor] is not None:
-        prev, mask = parent[cursor]  # type: ignore[misc]
-        prefix_masks.append(mask)
+        prev = parent[cursor]
+        child = int(csr.states[cursor])
+        prefix_masks.append(
+            next(
+                mask
+                for mask, succ in _moves(kernel, int(csr.states[prev]), classes)
+                if succ == child
+            )
+        )
         cursor = prev
     prefix_masks.reverse()
     seed_state = cursor

@@ -92,14 +92,14 @@ from repro.types import Chirality
 from repro.verification import batch, batch_solver, game
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import validate_certificate
-from repro.verification.compiled import _node_tables
+from repro.verification.compiled import _node_tables, swap_classes
 from repro.verification.game import (
-    _arena,
     _avoid_reachable_csr,
-    _csr_from_object,
     _csr_from_packed,
     _CsrGraph,
     _extract_certificate_csr,
+    _internal_transitions,
+    _packed_from_object,
     _rotation_closed,
     _winning_scc_csr,
     default_chirality_vectors,
@@ -926,6 +926,76 @@ _OBJECT_CASES = [
 ]
 
 
+# (topology, algorithm, k, scheduler, tower placements, quotient): every
+# builder on FSYNC and SSYNC graphs, from tower placements and as
+# robot-permutation quotients.
+_MERGE_CASES = [
+    (RingTopology(4), "pef3+", 3, "fsync", False, True),
+    (RingTopology(4), "pef2", 2, "fsync", False, True),
+    (RingTopology(4), "pef2", 2, "ssync", False, False),
+    (RingTopology(4), "two:91", 2, "ssync", True, False),
+    (RingTopology(4), "two:7", 2, "fsync", True, False),
+    (ChainTopology(4), "pef2", 2, "fsync", False, False),
+]
+
+
+class TestMergedRows:
+    """Every builder emits one CSR entry per distinct (state, successor)
+    pair, and the counts still cover every move."""
+
+    @pytest.mark.parametrize(
+        "topology,name,k,scheduler,towers,quotient", _MERGE_CASES,
+        ids=lambda value: repr(value) if isinstance(value, Topology) else None,
+    )
+    def test_rows_merge_the_kernel_moves(
+        self, topology, name, k, scheduler, towers, quotient
+    ) -> None:
+        # Each row is the first-occurrence dedupe of the kernel's moves
+        # of its state (successors canonicalized on a quotient), labels
+        # OR-ed per successor; the out-degrees those moves give, times
+        # orbit sizes, sum to the full graph's transition count.
+        placements = arbitrary_placements(topology, k) if towers else None
+        backends = ("packed", "object") + (("vector",) if HAVE_NUMPY else ())
+        for vector in default_chirality_vectors(k):
+            for backend in backends:
+                kernel, csr, classes = game._build_csr(
+                    backend, topology, _algorithm(name), vector, 2_000_000,
+                    placements, scheduler, quotient,
+                )
+                assert bool(classes) == (
+                    quotient and bool(swap_classes(vector))
+                )
+                states = [int(state) for state in csr.states]
+                index = {state: i for i, state in enumerate(states)}
+                indptr, succs, labels = (
+                    [int(value) for value in values]
+                    for values in (csr.indptr, csr.succs, csr.labels)
+                )
+                transitions = 0
+                for i, state in enumerate(states):
+                    occupied = kernel.occupied_mask(state)
+                    moves = kernel.moves_for_occupied(occupied)
+                    row: dict[int, int] = {}
+                    for mask in moves:
+                        for act, bits in kernel.activations:
+                            succ = kernel.step_packed(state, mask, act)[0]
+                            if classes:
+                                succ = kernel.canonical(succ, classes)
+                            j = index[succ]
+                            row[j] = row.get(j, 0) | mask | bits
+                    assert succs[indptr[i]:indptr[i + 1]] == list(row)
+                    assert labels[indptr[i]:indptr[i + 1]] == list(row.values())
+                    transitions += (
+                        kernel.orbit_size(state, classes) * len(moves)
+                        * len(kernel.activations)
+                    )
+                graph = kernel.reachable(kernel.initial_states(placements))
+                assert transitions == sum(map(len, graph.values()))
+                assert game._counts(kernel, csr, classes) == (
+                    len(graph), transitions
+                )
+
+
 class TestSparseFrontier:
     """The NumPy frontier, and the object backend's graph once packed,
     build the scalar kernel's CSR, field for field."""
@@ -958,7 +1028,9 @@ class TestSparseFrontier:
             occupied: dict = {}
             graph = kernel.reachable(packed_seeds, occupied_out=occupied)
             _assert_csr_fields(
-                _csr_from_object(kernel, system.reachable(seeds), seeds),
+                _csr_from_packed(
+                    *_packed_from_object(kernel, system.reachable(seeds), seeds)
+                ),
                 _csr_from_packed(graph, occupied, packed_seeds),
             )
 
@@ -1026,9 +1098,9 @@ class TestSparseFrontier:
             batch_solver.reachable_csr(kernel, kernel.initial_states())
 
     def test_packed_arena_keeps_wide_labels(self) -> None:
-        # The plain-Python arena builder fills int64 arrays, except for
-        # labels of more than 63 bits, which stay a list: the packed
-        # backend answers the 70-ring the frontier refuses.
+        # Labels of more than 63 bits stay Python ints in the list CSR
+        # the packed walk reads: the packed backend answers the 70-ring
+        # the frontier refuses.
         kernel = PackedKernel(
             RingTopology(70), PEF1(), default_chirality_vectors(1)[0]
         )
@@ -1036,10 +1108,7 @@ class TestSparseFrontier:
         occupied: dict = {}
         graph = kernel.reachable(seeds, occupied_out=occupied)
         csr = _csr_from_packed(graph, occupied, seeds)
-        arena = _arena(csr, [not occ & 1 for occ in csr.occ])
-        assert (arena.ptr.typecode, arena.nxt.typecode) == ("q", "q")
-        assert isinstance(arena.pair_label, list)
-        assert max(arena.pair_label) >> 63
+        assert max(csr.rows[2]) >> 63
         verdict = verify_exploration(
             PEF1(), RingTopology(70), 1, backend="packed"
         )
@@ -1195,7 +1264,8 @@ class TestVectorSolvePhase:
     def test_explores_without_converting_the_graph(self, monkeypatch) -> None:
         # The transition arrays are handed to the solve phase as a
         # subclass that refuses to become a Python list (or be iterated)
-        # at full size; arena- and row-sized pieces cut from them pass.
+        # at full size; smaller pieces cut from them pass, and so does
+        # the buffer copy into the compact arrays the Python walks read.
         import numpy as np
 
         build = batch_solver.reachable_csr
@@ -1258,12 +1328,10 @@ class TestVectorSolvePhase:
             live = _avoid_reachable_csr(sparse, bit)
             live_reference = _avoid_reachable_csr(reference, bit)
             assert live.tolist() == live_reference
-            masks = [
-                ((sparse.occ & bit) == 0, [not occ & bit for occ in reference.occ]),
-                (live, live_reference),
-            ]
-            for mask, mask_reference in masks:
-                assert _arena(sparse, mask) == _arena(reference, mask_reference)
+        for field in ("states", "indptr", "labels", "succs", "occ", "seeds"):
+            values = getattr(sparse, field)
+            values = values if isinstance(values, list) else values.tolist()
+            assert values == getattr(reference, field), field
 
 
 @requires_numpy
@@ -1296,8 +1364,13 @@ class TestMemoryFootprint:
 
     def test_reachable_csr_peak_near_its_result(self) -> None:
         # The two passes hold no second copy of the graph: beside the
-        # returned arrays only the id map and slice-sized temporaries are
-        # alive (the discovery-order build peaked at 3.8x the result).
+        # returned arrays only the id map, one row slice's temporaries
+        # (sixteen int64 values per transition bound them) and the
+        # merged slices awaiting their concatenation are alive. Here the
+        # build that kept every move peaked at 8.81 MB (1.84x its
+        # result), the merged build at 6.10 MB (5.0x its 4.9x smaller
+        # result) and the bound is 6.88 MB; one more copy of the merged
+        # arrays, alive while the slices are built, reaches 7.1 MB.
         import tracemalloc
 
         kernel, seeds = _pef3_instance(8, "fsync", 0, False)
@@ -1308,7 +1381,41 @@ class TestMemoryFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * sum(array.nbytes for array in result[:5])
+        merged = sum(array.nbytes for array in result[:5])
+        id_map = 8 * kernel._base ** kernel.k
+        slice_temporaries = 16 * 8 * batch_solver._SLICE_TRANSITIONS
+        assert peak <= 2 * merged + id_map + slice_temporaries
+
+
+def _unmerged_csr(graph, occupied, seeds) -> _CsrGraph:
+    """A list CSR that keeps every move, parallel ones included: a
+    verbatim copy of the builder that preceded the merged CSR, for the
+    reference Tarjan below."""
+    states = sorted(graph)
+    index = {state: i for i, state in enumerate(states)}
+    indptr = [0]
+    labels: list[int] = []
+    succs: list[int] = []
+    for state in states:
+        for mask, succ in graph[state]:
+            labels.append(mask)
+            succs.append(index[succ])
+        indptr.append(len(labels))
+    seed_idx: list[int] = []
+    seen: set[int] = set()
+    for seed in seeds:
+        i = index[seed]
+        if i not in seen:
+            seen.add(i)
+            seed_idx.append(i)
+    return _CsrGraph(
+        states=states,
+        indptr=indptr,
+        labels=labels,
+        succs=succs,
+        occ=[occupied[state] for state in states],
+        seeds=seed_idx,
+    )
 
 
 def _reference_winning_scc_csr(kernel, csr, target, allowed=None):
@@ -1414,13 +1521,14 @@ def _algorithm(name: str):
 
 
 class TestLeanTarjan:
-    """The deduplicated-arena Tarjan agrees with the full-CSR oracle.
+    """The Tarjan over the merged CSR agrees with the full-move oracle.
 
     Every target of every chirality vector, with no rotation reduction:
     the packed backend's list CSR and (with NumPy) the vector backend's
-    array CSR must both yield the oracle's exact ``(component, internal)``
-    — the winner and the order of its transitions, which the certificate
-    depends on.
+    array CSR must both yield the oracle's winner, run on a CSR that
+    keeps every move (:func:`_unmerged_csr`), and, once its members are
+    re-expanded through the kernel, the oracle's internal transitions in
+    order — which the certificate depends on.
     """
 
     @pytest.mark.parametrize(
@@ -1455,35 +1563,44 @@ class TestLeanTarjan:
             seeds = kernel.initial_states(placements)
             occupied: dict = {}
             graph = kernel.reachable(seeds, occupied_out=occupied)
-            packed = _csr_from_packed(graph, occupied, seeds)
+            unmerged = _unmerged_csr(graph, occupied, seeds)
+            csrs = [_csr_from_packed(graph, occupied, seeds)]
             if HAVE_NUMPY:
-                sparse = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
-            for target in topology.nodes:
-                allowed = sparse_allowed = None
-                if prop == "live":
-                    allowed = _avoid_reachable_csr(packed, 1 << target)
-                expected = _reference_winning_scc_csr(
-                    kernel, packed, target, allowed
+                csrs.append(
+                    _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
                 )
-                assert _winning_scc_csr(kernel, packed, target, allowed) == expected
-                if HAVE_NUMPY:
+            for target in topology.nodes:
+                allowed = None
+                if prop == "live":
+                    allowed = _avoid_reachable_csr(unmerged, 1 << target)
+                expected = _reference_winning_scc_csr(
+                    kernel, unmerged, target, allowed
+                )
+                for csr in csrs:
+                    arena = allowed
                     if prop == "live":
-                        sparse_allowed = _avoid_reachable_csr(sparse, 1 << target)
-                    assert _winning_scc_csr(
-                        kernel, sparse, target, sparse_allowed
-                    ) == expected
+                        arena = _avoid_reachable_csr(csr, 1 << target)
+                    members = _winning_scc_csr(kernel, csr, target, arena)
+                    if expected is None:
+                        assert members is None
+                        continue
+                    assert set(members) == expected[0]
+                    assert _internal_transitions(
+                        kernel, csr, members
+                    ) == expected[1]
 
 
 def _full_target_scan(algorithm, topology, k, scheduler, prop, placements):
     """Reference verdict: every target of every vector, no rotation
-    reduction, solved by the reference Tarjan — the solve loop as it ran
-    before targets were reduced and the arena deduplicated."""
+    reduction, solved by the reference Tarjan on a CSR that keeps every
+    move — the solve loop as it ran before targets were reduced and
+    parallel moves merged."""
     for vector in default_chirality_vectors(k):
         kernel = PackedKernel(topology, algorithm, vector, scheduler=scheduler)
         seeds = kernel.initial_states(placements)
         occupied: dict = {}
         graph = kernel.reachable(seeds, occupied_out=occupied)
-        csr = _csr_from_packed(graph, occupied, seeds)
+        csr = _unmerged_csr(graph, occupied, seeds)
         for target in topology.nodes:
             allowed = None
             if prop == "live":

@@ -48,8 +48,8 @@ from repro.verification.enumeration import sweep_spec
 from repro.verification.backends import SOLVER_BACKENDS, vector_available
 from repro.verification.compiled import CompiledTables
 from repro.verification.game import (
-    _csr_from_object,
     _csr_from_packed,
+    _packed_from_object,
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
@@ -77,9 +77,9 @@ def _assert_csr_parity(topology, algorithm, chiralities, scheduler="fsync"):
     occupied: dict = {}
     packed_graph = kernel.reachable(packed_seeds, occupied_out=occupied)
     object_graph = system.reachable(seeds)
-    assert _csr_from_object(kernel, object_graph, seeds) == _csr_from_packed(
-        packed_graph, occupied, packed_seeds
-    )
+    assert _csr_from_packed(
+        *_packed_from_object(kernel, object_graph, seeds)
+    ) == _csr_from_packed(packed_graph, occupied, packed_seeds)
     return object_graph
 
 
