@@ -44,7 +44,8 @@ execution substrates with one semantics:
   compilation the game solver's :class:`~repro.verification.kernel
   .PackedKernel` consumes), precompiles the schedule into an edge-bitmask
   array (:func:`~repro.scenarios.dynamics.schedule_masks`), and runs the
-  bounded-horizon check on packed occupancy bitsets;
+  bounded-horizon check on packed occupancy bitsets, one round-table
+  lookup per active robot and round;
 * ``backend="object"`` drives :func:`repro.sim.engine.step_fsync` /
   :func:`repro.sim.semi_sync.step_ssync` per round — the semantics
   oracle, kept as the differential reference.
@@ -188,26 +189,24 @@ def _bounded_explores_packed(
     """The packed twin of :func:`_bounded_explores`.
 
     Identical early-exit structure, identical round counts — ``seen`` and
-    ``late`` are occupancy bitsets instead of node sets, and each round
-    consults the compiled flat tables
-    (:meth:`CompiledTables.simulation_tables`) on in-place per-robot
-    position/state arrays instead of stepping an engine over frozensets.
-    A robot's view reads only its own slot plus the precomputed
-    multiplicity bits, so slots update in place mid-round without
-    perturbing the simultaneous Look — the same order-independence
-    ``step_packed`` relies on.
+    ``late`` are occupancy bitsets instead of node sets, and each robot
+    keeps one slot (``node · S + state``) that one lookup in its round
+    table (:attr:`CompiledTables.round_tables`) advances per round,
+    instead of an engine stepping over frozensets. A robot's view reads
+    only its own slot plus the precomputed multiplicity bits, so slots
+    update in place mid-round without perturbing the simultaneous Look —
+    the same order-independence ``step_packed`` relies on.
     """
-    transitions, dir_bits, robot_tables, initial_index = (
-        tables.simulation_tables()
-    )
+    round_tables = tables.round_tables
+    port_masks = tables.port_masks
+    S = tables.state_count
     k = tables.k
     all_robots = tuple(range(k))
     horizon = len(masks)
     mid = horizon // 2
-    positions = list(placement)
-    states = [initial_index] * k
+    slots = [position * S + tables.initial_index for position in placement]
     seen = 0
-    for position in positions:
+    for position in placement:
         seen |= 1 << position
     late = 0
     if prop == "live" and seen == full_nodes:
@@ -217,34 +216,31 @@ def _bounded_explores_packed(
         mask = masks[t]
         occupied = 0
         towers = 0
-        for position in positions:
-            bit = 1 << position
+        for slot in slots:
+            bit = 1 << slot // S
             if occupied & bit:
                 towers |= bit
             occupied |= bit
-        occupancy = 0
         if ssync:
             # Round-robin SSYNC: exactly robot t mod k acts this round.
             active = (t % k,)
         else:
             active = all_robots
         for i in active:
-            left_masks, right_masks, move_masks, move_dests = robot_tables[i]
-            position = positions[i]
-            view = states[i] * 8
-            if mask & left_masks[position]:
+            left_masks, right_masks = port_masks[i]
+            slot = slots[i]
+            node = slot // S
+            view = slot * 8
+            if mask & left_masks[node]:
                 view += 4
-            if mask & right_masks[position]:
+            if mask & right_masks[node]:
                 view += 2
-            if towers >> position & 1:
+            if towers >> node & 1:
                 view += 1
-            new_state = transitions[view]
-            pointer = position * 2 + dir_bits[new_state]
-            if mask & move_masks[pointer]:
-                positions[i] = move_dests[pointer]
-            states[i] = new_state
-        for position in positions:
-            occupancy |= 1 << position
+            slots[i] = round_tables[i][view]
+        occupancy = 0
+        for slot in slots:
+            occupancy |= 1 << slot // S
         if t < mid:
             seen |= occupancy
         else:

@@ -13,18 +13,19 @@ once** as structure-of-arrays NumPy state:
   ``runs = tables × vectors × placements``, a few thousand for a
   192-table chunk at n=4 — and one *row* per ``(robot, run)`` pair,
   laid out robot-major so each robot's block is a contiguous slice
-  (``rows = k × runs``); per-row position and state-index columns, the
-  runs' ``(run, robot)`` state flattened so that one fancy-index
-  **gather** covers every robot of every run per round;
+  (``rows = k × runs``); one per-row slot column (plus its node, for
+  the Look), the runs' ``(run, robot)`` state flattened so that one
+  fancy-index **gather** covers every robot of every run per round;
 * occupancy / ``seen`` / ``late`` visited bitsets as int64 columns per
   run (rings are tiny — n < 63 bits — and int64 avoids NumPy's
   uint64-with-Python-int float-promotion trap);
 * the chunk's ``(tables, S*8)`` Look–Compute stack, decoded from its
   bit patterns (:func:`~repro.verification.sweeps.family_tables`, the
   stack the dense solver reads: initial state 0, a state's direction
-  bit is its low bit), with the direction bit folded in (``value =
-  successor*2 + dir_bit``), so Compute is a single gather and the Move
-  destination a second;
+  bit is its low bit), composed with the landing rule into one round
+  table per table and chirality (:func:`round_stack`), so each row
+  keeps one slot (``node·S + state``) and a robot's whole round —
+  Compute and Move — is a single gather ``slot·8 + view → next slot``;
 * per-run done masks give the live/perpetual early exits, and finished
   runs are **compacted** away (boolean-filter of the state columns)
   whenever enough of the batch has settled, so a chunk whose tables
@@ -132,51 +133,62 @@ def require_numpy() -> Any:
 
 
 def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
-    """ndarray node tables per (topology, chirality), process-cached.
-
-    ``(left_masks, right_masks, move_masks, move_dests, stay_dests)`` —
-    the first four mirror :func:`repro.verification.compiled._node_tables`;
-    ``stay_dests[pointer] = pointer >> 1`` is the landing node of a move
-    whose pointed edge is absent (the robot stays put).
-    """
+    """ndarray ``(left_masks, right_masks)`` port masks per (topology,
+    chirality), process-cached: the int64 twins of
+    :func:`repro.verification.compiled._node_tables`."""
     key = (topology, chirality)
     cached = _np_node_cache.get(key)
     if cached is None:
         from repro.verification.compiled import _node_tables
 
         np = require_numpy()
-        left, right, move_masks, move_dests = _node_tables(topology, chirality)
-        cached = (
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(move_masks, dtype=np.int64),
-            np.array(move_dests, dtype=np.int64),
-            np.arange(2 * topology.n, dtype=np.int64) >> 1,
+        cached = tuple(
+            np.array(masks, dtype=np.int64)
+            for masks in _node_tables(topology, chirality)
         )
         _np_node_cache[key] = cached
     return cached
 
 
-def _mask_tables(mask: int, node_tables: list[tuple], n: int) -> tuple:
-    """Flat edge-view and move-destination tables for one edge mask.
+def round_stack(stack: Any, topology: Topology, chirality: Chirality) -> Any:
+    """The round tables of a ``(B, S·8)`` table stack, ``(B, n·S·8)``.
+
+    Row ``b`` is :attr:`~repro.verification.compiled.CompiledTables
+    .round_tables` of table ``b`` for a robot of ``chirality``: entry
+    ``slot · 8 + view`` is the robot's next slot. A stack state's
+    direction bit is its low bit, so the landing rule
+    (:func:`~repro.verification.compiled.landings`) is one gather at
+    ``(node · 8 + view) · 2 + (t & 1)`` for computed state ``t``.
+    """
+    from repro.verification.compiled import landings
+
+    np = require_numpy()
+    batch, width = stack.shape
+    S = width // 8
+    steps = stack.reshape(batch, 1, S, 8)
+    landing = np.array(landings(topology, chirality), dtype=np.int64)
+    at = np.arange(0, 16 * topology.n, 2, dtype=np.int64).reshape(-1, 1, 8)
+    out = landing[at + (steps & 1)]
+    out *= S
+    out += steps
+    return out.reshape(batch, -1)
+
+
+def _mask_tables(mask: int, node_tables: list[tuple], n: int) -> Any:
+    """The flat edge-view table of one edge mask.
 
     ``node_tables`` is the (robot, chirality-vector) cross product in
-    row-block order; the returned ``ev`` is indexed by ``block*n + node``
-    (value ``4*left_present + 2*right_present``) and ``dest`` by
-    ``block*2n + node*2 + dir_bit`` (the landing node of a move attempt
-    under this mask). Schedules repeat masks heavily (periodic families
-    cycle through a handful), so the caller memoizes per distinct mask.
+    row-block order; the table is indexed by ``block*n + node`` (value
+    ``4*left_present + 2*right_present``). Schedules repeat masks heavily
+    (periodic families cycle through a handful), so the caller memoizes
+    per distinct mask.
     """
     np = require_numpy()
-    ev_parts = []
-    dest_parts = []
-    for left, right, move_masks, move_dests, stay in node_tables:
-        ev_parts.append(
-            ((mask & left) != 0).astype(np.int64) * 4
-            + ((mask & right) != 0).astype(np.int64) * 2
-        )
-        dest_parts.append(np.where((mask & move_masks) != 0, move_dests, stay))
-    return np.concatenate(ev_parts), np.concatenate(dest_parts)
+    return np.concatenate([
+        ((mask & left) != 0).astype(np.int64) * 4
+        + ((mask & right) != 0).astype(np.int64) * 2
+        for left, right in node_tables
+    ])
 
 
 def simulate_batch(
@@ -230,10 +242,14 @@ def simulate_batch(
     one = np.int64(1)
     full = np.int64((1 << n) - 1)
 
-    # -- compile: fold each state's direction bit (its low bit) into the
-    # stack, value successor*2 + dir_bit: Compute and the move direction
-    # come out of a single gather.
-    td_flat = (trans2 * 2 + (trans2 & 1)).ravel()
+    # -- compile: per chirality, every table's round table (round_stack),
+    # all in one flat array: a robot's round is a single gather.
+    chiralities = list(dict.fromkeys(c for vector in vectors for c in vector))
+    rounds_flat = np.concatenate([
+        round_stack(trans2, topology, chirality).ravel()
+        for chirality in chiralities
+    ])
+    width = n * s8
 
     # Run layout: run = table * runs_per_table + vector * placements +
     # placement — exactly the scalar loop nesting, which the post-hoc
@@ -244,28 +260,32 @@ def simulate_batch(
     vec_of_run = np.tile(
         np.repeat(np.arange(n_vectors, dtype=np.int64), n_placements), batch
     )
-    td_base = np.repeat(np.arange(batch, dtype=np.int64) * s8, runs_per_table)
+    table_of_run = np.repeat(
+        np.arange(batch, dtype=np.int64) * width, runs_per_table
+    )
     place2 = np.array(placements, dtype=np.int64)  # (P, k)
 
-    # The (robot, chirality-vector) node-table blocks, in row-block
-    # order; per-row offsets select each row's block in the per-mask
-    # ev/dest tables built by _mask_tables.
-    node_tables = [
-        _np_node_tables(topology, vector[i])
-        for i in range(k)
-        for vector in vectors
-    ]
+    # The (robot, chirality-vector) blocks, in row-block order: per-row
+    # offsets select each row's block in the per-mask edge-view tables
+    # built by _mask_tables, and its chirality's round tables.
+    blocks = [(i, vector) for i in range(k) for vector in vectors]
+    node_tables = [_np_node_tables(topology, vector[i]) for i, vector in blocks]
+    block_rounds = np.array(
+        [chiralities.index(vector[i]) * batch * width for i, vector in blocks],
+        dtype=np.int64,
+    )
     block_of_row = np.concatenate(
         [vec_of_run + i * n_vectors for i in range(k)]
     )
     ev_off = block_of_row * n
-    dest_off = block_of_row * (2 * n)
-    td_base_rows = np.tile(td_base, k)
+    round_rows = block_rounds[block_of_row] + np.tile(table_of_run, k)
 
+    # One slot (node · S + state) per row; every robot starts in state
+    # 0. ``pos`` is its node, kept alongside for the Look.
     pos = np.concatenate(
         [np.tile(place2[:, i], batch * n_vectors) for i in range(k)]
     )
-    st = np.zeros(k * runs, dtype=np.int64)
+    slot = pos * state_count
 
     seen = np.zeros(runs, dtype=np.int64)
     pos2 = pos.reshape(k, runs)
@@ -285,14 +305,13 @@ def simulate_batch(
     span = 1 if ssync else k
 
     def compact(keep) -> None:
-        nonlocal pos, st, seen, late, ev_off, dest_off, td_base_rows, orig
+        nonlocal pos, slot, seen, late, ev_off, round_rows, orig
         mark = time.perf_counter()
         keep_rows = np.tile(keep, k)
         pos = pos[keep_rows]
-        st = st[keep_rows]
+        slot = slot[keep_rows]
         ev_off = ev_off[keep_rows]
-        dest_off = dest_off[keep_rows]
-        td_base_rows = td_base_rows[keep_rows]
+        round_rows = round_rows[keep_rows]
         seen = seen[keep]
         late = late[keep]
         orig = orig[keep]
@@ -307,7 +326,7 @@ def simulate_batch(
             compact(~done)
 
     mark = time.perf_counter()
-    mask_cache: dict[int, tuple] = {}
+    mask_cache: dict[int, Any] = {}
     # Runs already decided but not yet compacted away: their tally was
     # written the round they finished; they keep stepping harmlessly
     # (runs are independent) until the next compaction drops them.
@@ -317,11 +336,10 @@ def simulate_batch(
         if r == 0:
             break
         mask = masks[t]
-        cached = mask_cache.get(mask)
-        if cached is None:
-            cached = _mask_tables(mask, node_tables, n)
-            mask_cache[mask] = cached
-        ev_table, dest_table = cached
+        ev_table = mask_cache.get(mask)
+        if ev_table is None:
+            ev_table = _mask_tables(mask, node_tables, n)
+            mask_cache[mask] = ev_table
 
         pos2 = pos.reshape(k, r)
         if k == 1:
@@ -339,12 +357,11 @@ def simulate_batch(
 
         lo = (t * span % k) * r
         sl = slice(lo, lo + span * r)
-        view = (st[sl] << 3) + ev_table[ev_off[sl] + pos[sl]]
+        view = (slot[sl] << 3) + ev_table[ev_off[sl] + pos[sl]]
         if tower_bit is not None:
             view += tower_bit[sl]
-        td = td_flat[td_base_rows[sl] + view]
-        pos[sl] = dest_table[dest_off[sl] + (pos[sl] << one) + (td & one)]
-        st[sl] = td >> one
+        slot[sl] = rounds_flat[round_rows[sl] + view]
+        pos[sl] = slot[sl] // state_count
 
         pos2 = pos.reshape(k, r)
         occupancy = one << pos2[0]
@@ -424,6 +441,7 @@ __all__ = [
     "have_numpy",
     "load_numpy",
     "require_numpy",
+    "round_stack",
     "simulate_batch",
     "COMPACT_THRESHOLD",
 ]

@@ -17,11 +17,14 @@ a sweep decodes its bit patterns straight into it with shifts and masks
 state's direction bit is its low bit, so no direction table comes with
 it:
 
-* **expand** — per robot one gather of the table stack and one select
-  between two precompiled weighted landing shares turn the stack of
-  Look–Compute tables into the full dense successor tensor
-  ``succ[b, p, j]`` over every state ``p`` and adversary move ``j`` —
-  a successor is the sum of its robots' shares. A move is an edge mask
+* **expand** — the stack of Look–Compute tables becomes, per
+  chirality, its stack of round tables (next slot at ``slot · 8 +
+  view``, :func:`~repro.verification.batch.round_stack`); per robot one
+  gather of that ``(base·8, B)`` table, weighted by the robot's radix,
+  at precompiled keys turns it into the robot's share of the full
+  dense successor tensor ``succ[b, p, j]`` over every state ``p`` and
+  adversary move ``j`` — a successor is the sum of its robots' shares.
+  A move is an edge mask
   crossed with one of the kernel's activation columns
   (:attr:`~repro.verification.compiled.CompiledTables.activations`:
   FSYNC's single all-active column, SSYNC's every non-empty robot
@@ -66,9 +69,10 @@ slice's states, gathers their valid adversary moves out of a move CSR
 (spanning only occupancies with popcount ``≤ k``) and resolves all
 their successors at once: a robot's next slot depends only on its slot,
 its tower bit and the two edge bits of its view (the edge it moves
-through is one of them), so each call folds the Look–Compute table and
-the landing nodes into one ``base · 8``-entry table per robot
-(:func:`_fold_steps`), read with one lookup per robot and transition.
+through is one of them), so it reads the kernel's own round tables
+(:attr:`~repro.verification.compiled.CompiledTables.round_tables`,
+``base · 8`` entries per robot) as arrays, one lookup per robot and
+transition.
 The result is the per-table CSR — states ascending, per-state
 successors in the order of their first move in the scalar kernel's
 move order, the *same* canonical graph the packed backend builds from
@@ -110,7 +114,12 @@ from array import array
 from typing import Optional, Sequence
 
 from repro.errors import VerificationError
-from repro.verification.batch import _np_node_tables, have_numpy, require_numpy
+from repro.verification.batch import (
+    _np_node_tables,
+    have_numpy,
+    require_numpy,
+    round_stack,
+)
 from repro.verification.compiled import SwapClasses
 from repro.verification.kernel import PackedKernel
 
@@ -218,7 +227,7 @@ class DenseSpace:
 
     Everything here depends only on ``(topology, chirality vector, S,
     scheduler)`` — decoded positions, multiplicity bits, padded adversary
-    move tables, per-robot view rows and landing slots, transition
+    move tables, per-robot round-table keys and idle shares, transition
     labels. Instances are process-cached (:func:`dense_space`), so a
     sweep pays the construction once per chirality stage.
     """
@@ -252,43 +261,30 @@ class DenseSpace:
 
         moves_pad = kernel.padded_moves(occ.tolist())
 
-        # Per robot ``(view, moved0, flip, step, idle)``, all
-        # table-independent: the full view row (state row + multiplicity
-        # + left/right occupancy bits per move), and the parts of the
-        # robot's weighted share ``slot · base^i`` of a successor. A
-        # computed state ``t`` lands on slot ``landing(t & 1) · S + t``,
-        # so the share is ``moved[t & 1] + (t >> 1) · step`` with
-        # ``moved[d] = (landing(d) · S + d) · base^i``, ``flip = moved1 -
-        # moved0`` and ``step = 2 · base^i``; ``idle`` is the share of a
-        # robot SSYNC leaves inactive. int16 throughout: every value is a
-        # state/slot/row index below 2^15 (the dense caps guarantee it),
-        # and the expansion tensors are memory-bound.
+        # Per robot ``(key, weight, idle)``, all table-independent: the
+        # index into its round table of every (state, move) cell — slot
+        # · 8 + tower bit + left/right edge bits — its radix weight
+        # ``base^i``, and the weighted share ``slot · base^i`` a robot
+        # SSYNC leaves inactive contributes. int16: every slot share is
+        # below the dense cap of 2^15 states, and the expansion tensors
+        # are memory-bound.
+        self.chiralities = kernel.chiralities
         self.robots = []
         for i in range(k):
-            left, right, mm, md = kernel._robot_tables[i]
-            left = np.asarray(left, dtype=np.int64)[pos[i]]
-            right = np.asarray(right, dtype=np.int64)[pos[i]]
-            mm = np.asarray(mm, dtype=np.int64)
-            md = np.asarray(md, dtype=np.int64)
+            left, right = (
+                np.asarray(masks, dtype=np.int64)[pos[i]][:, None]
+                for masks in kernel.port_masks[i]
+            )
+            key = (
+                (slots[i] * 8 + ((tow >> pos[i]) & 1))[:, None]
+                + 4 * ((moves_pad & left) != 0)
+                + 2 * ((moves_pad & right) != 0)
+            )
             weight = self.base**i
-            view = (slots[i] % S) * 8 + ((tow >> pos[i]) & 1)
-            view = (
-                view[:, None]
-                + 4 * ((moves_pad & left[:, None]) != 0)
-                + 2 * ((moves_pad & right[:, None]) != 0)
-            ).astype(np.int16)
-            moved = []
-            for dir_bit in (0, 1):
-                pointer = pos[i] * 2 + dir_bit
-                hit = (moves_pad & mm[pointer][:, None]) != 0
-                landing = np.where(hit, md[pointer][:, None], pos[i][:, None])
-                moved.append((landing * S + dir_bit) * weight)
             self.robots.append((
-                view,
-                moved[0].astype(np.int16),
-                (moved[1] - moved[0]).astype(np.int16),
-                2 * weight,
-                (slots[i] * weight).astype(np.int16)[:, None],
+                key,
+                weight,
+                (slots[i] * weight).astype(np.int16)[:, None, None],
             ))
 
         # Narrowest integer dtype that holds a full transition label —
@@ -351,50 +347,47 @@ def dense_space(kernel: PackedKernel) -> DenseSpace:
 def _expand(sp: DenseSpace, trans: "object") -> "object":
     """The dense successor tensor ``(B, space, branch)`` of a table stack.
 
-    ``trans`` is a ``(B, S·8)`` int stack. Per robot one gather reads the
-    computed state ``t`` of every (state, move) cell, and one select picks
-    the robot's precompiled weighted share for direction bit ``t & 1`` —
-    arithmetically, ``moved0 + (t & 1)·(moved1 − moved0)``, about 3×
-    faster than ``np.where`` on these broadcast int16 operands;
-    ``(t >> 1)·2·base^i`` adds the rest of the state (zero when
-    ``S = 2``). A successor is the sum of the shares: each partial
-    activation column sums its active robots' shares and the idle shares
-    of the others into its slot of the successor tensor, then the
-    all-active column (the last) sums every robot's share in place.
+    ``trans`` is a ``(B, S·8)`` int stack. Per chirality it becomes the
+    stack's round tables (:func:`~repro.verification.batch.round_stack`),
+    laid out ``(base·8, B)``; per robot one gather of its weighted copy
+    at the robot's keys reads its share ``next slot · base^i`` of every
+    (state, move) cell for the whole batch. A successor is the sum of
+    the shares: each partial activation column sums its active robots'
+    shares and the idle shares of the others into its slot of the
+    successor tensor, then the all-active column (the last) sums every
+    robot's share in place.
     """
     np = require_numpy()
-    steps = trans.astype(np.int16)
-    count = steps.shape[0]
+    count = trans.shape[0]
     moves = sp.robots[0][0].shape[1]
-    # Batch-innermost, the memory order the gathers below leave their
-    # results in, so every add streams and the reshape is a view.
-    succ = np.empty(
+    # Batch-innermost, the memory order the gathers leave their results
+    # in, so every add streams and the final reshape is a view.
+    cells = np.empty(
         (sp.space, moves, len(sp.activations), count), dtype=np.int16
-    ).transpose(3, 0, 1, 2)
+    )
+    rounds = {
+        chirality: round_stack(trans, sp.topology, chirality).T
+        for chirality in dict.fromkeys(sp.chiralities)
+    }
     shares = []
-    for view, moved0, flip, step, _idle in sp.robots:
-        t = steps[:, view]
-        # Robot 0's share is computed straight into the all-active column.
-        share = np.bitwise_and(t, 1, out=None if shares else succ[..., -1])
-        share *= flip
-        share += moved0
-        t >>= 1
-        t *= step
-        share += t
-        shares.append(share)
+    for chirality, (key, weight, _idle) in zip(sp.chiralities, sp.robots):
+        table = (rounds[chirality] * weight).astype(np.int16, order="C")
+        # Robot 0's share is gathered straight into the all-active column.
+        out = None if shares else cells[:, :, -1]
+        shares.append(np.take(table, key, axis=0, out=out))
     *partial, _all_active = sp.activations
     for c, (act, _bits) in enumerate(partial):
         parts = [
-            share if act >> i & 1 else sp.robots[i][4]
+            share if act >> i & 1 else sp.robots[i][2]
             for i, share in enumerate(shares)
         ]
-        column = succ[..., c]
+        column = cells[:, :, c]
         np.add(parts[0], parts[1] if sp.k > 1 else 0, out=column)
         for part in parts[2:]:
             column += part
     for share in shares[1:]:
         shares[0] += share
-    return succ.reshape(count, sp.space, -1)
+    return cells.transpose(3, 0, 1, 2).reshape(count, sp.space, -1)
 
 
 def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
@@ -769,8 +762,8 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
     :meth:`PackedKernel.moves_for_occupied` order. Per robot,
     ``view_bits[cell]`` folds its chirality's ports over every (move,
     node) *cell* ``m · n + node``: the ``4·left + 2·right`` edge-presence
-    part of its view there. Where the robot lands is not stored: the
-    edge it moves through is one of those two (:func:`_fold_steps`).
+    part of its view there, which with its slot and tower bit indexes
+    its round table.
     """
     key = (kernel.topology, kernel.chiralities)
     cached = _frontier_cache.get(key)
@@ -787,7 +780,7 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
         moves = np.array([move for row in rows for move in row], dtype=np.int64)
         view_bits = {}
         for chirality in dict.fromkeys(kernel.chiralities):
-            left, right = _np_node_tables(kernel.topology, chirality)[:2]
+            left, right = _np_node_tables(kernel.topology, chirality)
             view_bits[chirality] = (
                 4 * ((moves[:, None] & left) != 0)
                 + 2 * ((moves[:, None] & right) != 0)
@@ -800,36 +793,6 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
         )
         _frontier_cache[key] = cached
     return cached
-
-
-def _fold_steps(kernel: PackedKernel) -> list:
-    """Per robot, its whole round as one table over ``slot · 8 + view``.
-
-    ``view`` is the low three bits of a Look–Compute view: ``4·left +
-    2·right`` edge presence plus the tower bit. The computed state's
-    direction bit picks the left (0) or right (1) edge, whose presence
-    is already one of those view bits, so the landing node — the edge's
-    far end when present, else the robot's own node — and with it the
-    robot's next slot are a function of ``(slot, view)``. Robots of one
-    chirality share a table of ``base · 8`` entries.
-    """
-    np = require_numpy()
-    trans, dirs, _robots, _initial = kernel.simulation_tables()
-    trans = np.asarray(trans, dtype=np.int64)
-    steps = trans * 2 + np.asarray(dirs, dtype=np.int64)[trans]
-    S = kernel.state_count
-    slot = np.arange(kernel._base, dtype=np.int64)[:, None]
-    node = slot // S
-    view = np.arange(8, dtype=np.int64)
-    step = steps[slot % S * 8 + view]
-    dir_bit = step & 1
-    present = (view >> (2 - dir_bit)) & 1
-    folded = {}
-    for chirality in dict.fromkeys(kernel.chiralities):
-        move_dests = _np_node_tables(kernel.topology, chirality)[3]
-        landing = np.where(present == 1, move_dests[node * 2 + dir_bit], node)
-        folded[chirality] = (landing * S + (step >> 1)).reshape(-1)
-    return [folded[chirality] for chirality in kernel.chiralities]
 
 
 def _csr_rows(indptr: "object", rows: "object") -> "object":
@@ -983,7 +946,7 @@ def orbit_sizes(
 def _expand_frontier(
     kernel: PackedKernel,
     tables: tuple,
-    folded: list,
+    rounds: list,
     states: "object",
     row: "object",
     deg: "object",
@@ -991,8 +954,9 @@ def _expand_frontier(
 ) -> "object":
     """Every transition of some packed states, in kernel order.
 
-    ``folded`` holds per robot the slot it moves to as a function of
-    ``slot · 8 + view`` (:func:`_fold_steps`); ``row`` and ``deg`` come
+    ``rounds`` holds per robot its round table as an array (the slot it
+    moves to at ``slot · 8 + view``, :attr:`~repro.verification.compiled
+    .CompiledTables.round_tables`); ``row`` and ``deg`` come
     from :func:`_frontier_rows`. Yields ``(lo, hi, succ, move_at, raw)``
     per row slice ``states[lo:hi]`` (:func:`_row_slices`), in order: the
     flat packed successors (per state, moves in
@@ -1001,7 +965,7 @@ def _expand_frontier(
     the flat move table, which holds its label, and per robot the slot
     it lands on under each move when every robot is active. A slice
     decodes its own states and gathers its valid moves out of the move
-    CSR; per robot, one lookup of its folded table at its slot and tower
+    CSR; per robot, one lookup of its round table at its slot and tower
     bit plus the move's edge-view bits resolves its round for all of
     them at once. With swap ``classes`` (FSYNC only) the computed slots
     are sorted within each class (:func:`_sort_classes`) before they are
@@ -1025,7 +989,7 @@ def _expand_frontier(
             occ |= bit
         cell = move_at * kernel.n
         active = []
-        for i, table in enumerate(folded):
+        for i, table in enumerate(rounds):
             key = slots[i] * 8 + ((towers >> pos[i]) & 1)
             at = view_bits[i][cell + np.repeat(pos[i], fanout)]
             at += np.repeat(key, fanout)
@@ -1166,7 +1130,12 @@ def reachable_csr(
     label_type = _value_dtype(_label_bits(kernel))
     occ_type = _value_dtype(kernel.n)
     tables = _frontier_tables(kernel)
-    folded = _fold_steps(kernel)
+    # The kernel's own round tables, one array per chirality.
+    arrays = {
+        chirality: np.array(table, dtype=np.int64)
+        for chirality, table in zip(kernel.chiralities, kernel.round_tables)
+    }
+    rounds = [arrays[chirality] for chirality in kernel.chiralities]
     seed_array = np.asarray([int(s) for s in seeds], dtype=np.int64)
     if classes:
         if len(kernel.activations) > 1:
@@ -1186,7 +1155,7 @@ def reachable_csr(
         fresh, fresh_lifts = [], []
         _occ, row, deg = _frontier_rows(kernel, tables, frontier)
         for _lo, _hi, succ, _move_at, raw in _expand_frontier(
-            kernel, tables, folded, lifts, row, deg, classes
+            kernel, tables, rounds, lifts, row, deg, classes
         ):
             unseen = np.flatnonzero(~reached[succ])
             new, first = np.unique(succ[unseen], return_index=True)
@@ -1235,7 +1204,7 @@ def reachable_csr(
     counts = [np.zeros(1, dtype=np.int64)]
     succs, labels = [np.zeros(0, dtype=id_type)], [np.zeros(0, dtype=label_type)]
     for lo, hi, succ, move_at, raw in _expand_frontier(
-        kernel, tables, folded, lifts, row, deg, classes
+        kernel, tables, rounds, lifts, row, deg, classes
     ):
         dst = np.take(ids, succ, mode="clip")
         if classes and group:

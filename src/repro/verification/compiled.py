@@ -8,7 +8,7 @@ tables lives here, shared by the two execution machines built on top:
   subclasses :class:`CompiledTables` and adds adversarial move
   enumeration plus reachability (the exact path's fast backend);
 * the **simulation runner** — :mod:`repro.scenarios.simulate` replays
-  the flat tables (:meth:`CompiledTables.simulation_tables`) against a
+  the round tables (:attr:`CompiledTables.round_tables`) against a
   precompiled schedule's edge-bitmask array (the schedule-dynamics
   campaigns' fast backend).
 
@@ -27,16 +27,25 @@ chirality-vector)``:
   :meth:`~repro.robots.algorithms.tables.TableAlgorithm.packed_tables`;
   for every other finite-state algorithm the table is built by closing
   ``Algorithm.compute`` over all 8 views);
-* per (chirality, node) the local left/right port masks and per
-  (chirality, node, dir-bit) the pointed-edge mask and landing node are
-  precomputed, using the *same*
-  :func:`repro.sim.engine.local_ports` helper the simulator's Look phase
-  uses.
+* per (chirality, node) the local left/right port masks are
+  precomputed, using the *same* :func:`repro.sim.engine.local_ports`
+  helper the simulator's Look phase uses;
+* the Move phase is the one **landing rule** (:func:`landings`), kept
+  as table-independent data per (topology, chirality): a robot moves
+  through its view's left (direction bit 0) or right (1) edge, so where
+  it lands depends only on its node, its 3-bit view and its direction
+  bit;
+* the two compose into one **round table** per robot
+  (:attr:`CompiledTables.round_tables`): its next slot at index ``slot
+  · 8 + view``, ``base · 8`` entries, shared per chirality. Every packed
+  machine steps a robot by one lookup in it, and the NumPy machines
+  compose a whole table stack with the same landing data
+  (:func:`repro.verification.batch.round_stack`).
 
-Algorithm-independent tables (per-node port masks, placements, seed
-states, mask↔edge-set decodings) are cached process-wide: sweeps build
-one compilation per table, and without the caches the per-table setup
-would dominate the tiny per-table graphs.
+Algorithm-independent tables (per-node port masks, landing data,
+placements, seed states, mask↔edge-set decodings) are cached
+process-wide: sweeps build one compilation per table, and without the
+caches the per-table setup would dominate the tiny per-table graphs.
 
 ``step_packed`` is differentially tested against both
 ``ProductSystem.step`` and ``step_fsync``/``step_ssync``
@@ -122,9 +131,7 @@ STATE_TABLE_LIMIT = 1 << 16
 # Topologies are immutable and hash by (type, n), so keys stay small and
 # exact.
 # ----------------------------------------------------------------------
-_NodeTables = tuple[
-    tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[NodeId, ...]
-]
+_NodeTables = tuple[tuple[int, ...], tuple[int, ...]]
 _node_table_cache: dict[tuple[Topology, Chirality], _NodeTables] = {}
 _mask_edges_cache_by_topology: dict[Topology, dict[int, frozenset[EdgeId]]] = {}
 _placement_cache: dict[tuple[Topology, int], tuple[tuple[NodeId, ...], ...]] = {}
@@ -133,33 +140,46 @@ _seed_cache: dict[tuple[Topology, int, int, int], tuple[PackedState, ...]] = {}
 
 
 def _node_tables(topology: Topology, chirality: Chirality) -> _NodeTables:
-    """Per-(topology, chirality) node tables: local port masks and moves."""
+    """Per-(topology, chirality) local left/right port masks per node."""
     key = (topology, chirality)
     cached = _node_table_cache.get(key)
     if cached is not None:
         return cached
     left_masks: list[int] = []
     right_masks: list[int] = []
-    move_masks: list[int] = []
-    move_dests: list[NodeId] = []
     for node in range(topology.n):
         left_port, right_port = local_ports(topology, node, chirality)
         left_masks.append(0 if left_port is None else 1 << left_port)
         right_masks.append(0 if right_port is None else 1 << right_port)
-        for dir_bit in (0, 1):
-            global_dir = chirality.to_global(_BIT_DIR[dir_bit])
-            port = topology.port(node, global_dir)
-            landing = topology.neighbor(node, global_dir)
-            move_masks.append(0 if port is None else 1 << port)
-            move_dests.append(node if landing is None else landing)
-    tables = (
-        tuple(left_masks),
-        tuple(right_masks),
-        tuple(move_masks),
-        tuple(move_dests),
-    )
+    tables = (tuple(left_masks), tuple(right_masks))
     _node_table_cache[key] = tables
     return tables
+
+
+@functools.lru_cache(maxsize=None)
+def landings(topology: Topology, chirality: Chirality) -> tuple[NodeId, ...]:
+    """The landing rule as table-independent data, per (topology,
+    chirality): entry ``(node · 8 + view) · 2 + dir_bit`` is the node a
+    robot on ``node`` ends its round on after computing direction bit
+    ``dir_bit`` from the 3-bit ``view`` (``4·left + 2·right`` edge
+    presence plus the tower bit).
+
+    The edge a robot moves through in direction bit 0 (1) is its view's
+    left (right) edge, so the move succeeds exactly when view bit 4 (2)
+    is set: the robot then lands on the edge's far end, else it stays.
+    Every packed and NumPy machine reads the rule from here.
+    """
+    out: list[NodeId] = []
+    for node in range(topology.n):
+        far = [
+            topology.neighbor(node, chirality.to_global(direction))
+            for direction in _BIT_DIR
+        ]
+        for view in range(8):
+            for dir_bit in (0, 1):
+                landing = far[dir_bit] if view >> (2 - dir_bit) & 1 else None
+                out.append(node if landing is None else landing)
+    return tuple(out)
 
 
 def _default_placements(
@@ -228,6 +248,14 @@ def _close_state_table(
     return tuple(objects), index, transitions, dir_bits
 
 
+@functools.lru_cache(maxsize=None)
+def _landing_slots(
+    topology: Topology, chirality: Chirality, state_count: int
+) -> tuple[int, ...]:
+    """:func:`landings` scaled to slot units, ``landing · S``."""
+    return tuple(node * state_count for node in landings(topology, chirality))
+
+
 # A sweep solves thousands of tables over one packed space, so the
 # quotient's per-state arithmetic is cached across tables (bounded).
 @functools.lru_cache(maxsize=1 << 14)
@@ -272,7 +300,7 @@ class CompiledTables:
     single ints, edge/activation sets are bitmasks, Look–Compute is a
     flat table lookup. This class performs *no* adversarial move
     enumeration and holds *no* game graph — it only answers "what does
-    one round do" (:meth:`step_packed`, :meth:`simulation_tables`) and
+    one round do" (:meth:`step_packed`, :attr:`round_tables`) and
     translates between the packed and object-level worlds
     (:meth:`encode`/:meth:`decode`, :meth:`edges_to_mask`/
     :meth:`mask_to_edges`, :meth:`split_move`).
@@ -327,11 +355,13 @@ class CompiledTables:
         ) = _close_state_table(algorithm)
         self.state_count = len(self._state_objects)
         self._base = self.n * self.state_count
+        #: Index of the algorithm's initial state in the state table.
+        self.initial_index = self._state_index[algorithm.initial_state()]
 
-        # Per-chirality node tables; robots alias their chirality's tables.
+        # Per robot, its chirality's ``(left, right)`` port masks per node.
         # All algorithm-independent tables are shared process-wide so that
         # sweeps (one compilation per table) pay the setup only once.
-        self._robot_tables = tuple(
+        self.port_masks = tuple(
             _node_tables(topology, chirality) for chirality in self.chiralities
         )
         self._mask_edges_cache = _mask_edges_cache_by_topology.setdefault(
@@ -460,50 +490,70 @@ class CompiledTables:
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def round_tables(self) -> tuple[list[int], ...]:
+        """Per robot, its whole round as one next-slot table.
+
+        Entry ``slot · 8 + view`` is the slot (``node · S + state``) a
+        robot in ``slot`` ends the round in when it sees the 3-bit
+        ``view`` (``4·left + 2·right`` edge presence plus the tower bit):
+        the Look–Compute table composed with the landing rule of
+        :func:`landings`. ``base · 8`` entries, built on first use and
+        shared by the robots of one chirality.
+        """
+        dirs = self._dir_bits
+        # Per (state, view): the landing entry's offset within a node's
+        # 16 entries, and the computed state.
+        steps = [
+            ((row & 7) * 2 + dirs[t], t) for row, t in enumerate(self._transitions)
+        ]
+        tables = {}
+        for chirality in dict.fromkeys(self.chiralities):
+            slots = _landing_slots(self.topology, chirality, self.state_count)
+            tables[chirality] = [
+                slots[at + offset] + t
+                for at in range(0, 16 * self.n, 16)
+                for offset, t in steps
+            ]
+        return tuple(tables[chirality] for chirality in self.chiralities)
+
     def _state_tables(self, state: PackedState) -> tuple[int, list[tuple]]:
-        """Mask-independent per-state tables for
+        """Mask-independent per-state tables for :meth:`step_packed` and
         :meth:`~repro.verification.kernel.PackedKernel.reachable` (runs
         once per state, never per move).
 
         Returns ``(occupied, per_robot)``: the occupied-node bitmask and,
         highest robot index first (the order a successor is composed
-        in), the per-robot move tuple ``(position, view row with the
-        multiplicity bit folded in, left port mask, right port mask,
-        pointer row, move masks, move dests)``.
+        in), the per-robot tuple ``(key, left port mask, right port mask,
+        round table)`` with ``key = slot · 8 + tower bit``: adding a
+        move's edge-view bits to it indexes the robot's round table.
         """
         base = self._base
         state_count = self.state_count
-        positions: list[NodeId] = []
-        rows: list[int] = []
+        slots: list[int] = []
         x = state
         for _ in range(self.k):
             x, slot = divmod(x, base)
-            position, s = divmod(slot, state_count)
-            positions.append(position)
-            rows.append(s * 8)
+            slots.append(slot)
         occupied = 0
         towers = 0
-        for position in positions:
-            bit = 1 << position
+        for slot in slots:
+            bit = 1 << slot // state_count
             if occupied & bit:
                 towers |= bit
             occupied |= bit
+        round_tables = self.round_tables
         per_robot: list[tuple] = []
         for i in range(self.k - 1, -1, -1):
-            position = positions[i]
-            left_masks, right_masks, move_masks, move_dests = self._robot_tables[i]
-            view = rows[i]
-            if towers >> position & 1:
-                view += 1
+            slot = slots[i]
+            node = slot // state_count
+            left_masks, right_masks = self.port_masks[i]
             per_robot.append(
                 (
-                    position,
-                    view,
-                    left_masks[position],
-                    right_masks[position],
-                    position * 2,
-                    move_masks,
-                    move_dests,
+                    slot * 8 + (towers >> node & 1),
+                    left_masks[node],
+                    right_masks[node],
+                    round_tables[i],
                 )
             )
         return occupied, per_robot
@@ -513,8 +563,8 @@ class CompiledTables:
         packed: PackedState,
         present_mask: int,
         act_mask: Optional[int] = None,
-    ) -> tuple[PackedState, tuple[bool, ...]]:
-        """One round on packed data; returns (successor, moved flags).
+    ) -> PackedState:
+        """One round on packed data; returns the successor.
 
         ``act_mask`` is the activated-robot bitmask of a semi-synchronous
         round (``None`` = everyone, the FSYNC round). Inactive robots keep
@@ -523,74 +573,20 @@ class CompiledTables:
         """
         if act_mask is None:
             act_mask = self.full_act
-        base = self._base
-        state_count = self.state_count
-        positions: list[NodeId] = []
-        states_idx: list[int] = []
-        x = packed
-        for _ in range(self.k):
-            x, slot = divmod(x, base)
-            position, s = divmod(slot, state_count)
-            positions.append(position)
-            states_idx.append(s)
-        occupied = 0
-        towers = 0
-        for position in positions:
-            bit = 1 << position
-            if occupied & bit:
-                towers |= bit
-            occupied |= bit
-        transitions = self._transitions
-        dir_bits = self._dir_bits
+        _occupied, per_robot = self._state_tables(packed)
         successor = 0
-        moved = [False] * self.k
-        for i in range(self.k - 1, -1, -1):
-            position = positions[i]
-            if not act_mask >> i & 1:
-                successor = successor * base + position * state_count + states_idx[i]
-                continue
-            left_masks, right_masks, move_masks, move_dests = self._robot_tables[i]
-            view = states_idx[i] * 8
-            if present_mask & left_masks[position]:
-                view += 4
-            if present_mask & right_masks[position]:
-                view += 2
-            if towers >> position & 1:
-                view += 1
-            new_state = transitions[view]
-            pointer = position * 2 + dir_bits[new_state]
-            if present_mask & move_masks[pointer]:
-                landing = move_dests[pointer]
-                moved[i] = True
+        robots = range(self.k - 1, -1, -1)
+        for robot, (key, lmask, rmask, table) in zip(robots, per_robot):
+            if act_mask >> robot & 1:
+                if present_mask & lmask:
+                    key += 4
+                if present_mask & rmask:
+                    key += 2
+                slot = table[key]
             else:
-                landing = position
-            successor = successor * base + landing * state_count + new_state
-        return successor, tuple(moved)
-
-    def simulation_tables(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[_NodeTables, ...], int]:
-        """The flat tables a bounded simulation loop consumes directly.
-
-        Returns ``(transitions, dir_bits, robot_tables, initial_index)``:
-        the Look–Compute table (``transitions[s * 8 + view_index]``), the
-        per-state direction bits, the per-robot ``(left port masks, right
-        port masks, pointed-edge masks, landing nodes)`` node tables, and
-        the initial state's index. A horizon-bounded runner
-        (:mod:`repro.scenarios.simulate`) keeps per-robot position/state
-        arrays in place and consults these tables per round — the same
-        compiled data :meth:`step_packed` reads, without the packed
-        encode/decode per step that a graph search needs and a linear
-        replay does not. The vector frontier
-        (:func:`~repro.verification.batch_solver.reachable_csr`) reads
-        the first two as NumPy arrays.
-        """
-        return (
-            self._transitions,
-            self._dir_bits,
-            self._robot_tables,
-            self._state_index[self.algorithm.initial_state()],
-        )
+                slot = key >> 3
+            successor = successor * self._base + slot
+        return successor
 
     # ------------------------------------------------------------------
     # Initial states
@@ -604,36 +600,22 @@ class CompiledTables:
         towerless placement, rotation-reduced on rings; robot states are
         the algorithm's initial state (index 0 in the packed table).
         """
-        initial = self.algorithm.initial_state()
-        initial_index = self._state_index[initial]
-        base = self._base
-        state_count = self.state_count
         if placements is None:
             # Seeds depend only on (topology, k, packing radix, initial
             # index) — identical for every table of a sweep family.
-            key = (self.topology, self.k, base, initial_index)
+            key = (self.topology, self.k, self._base, self.initial_index)
             cached = _seed_cache.get(key)
             if cached is None:
                 cached = tuple(
-                    self._encode_placement(p, initial_index)
+                    self.encode_placement(p)
                     for p in _default_placements(self.topology, self.k)
                 )
                 _seed_cache[key] = cached
             return list(cached)
-        seeds = []
-        for placement in placements:
-            seeds.append(self._encode_placement(placement, initial_index))
-        return seeds
+        return [self.encode_placement(placement) for placement in placements]
 
     def encode_placement(self, placement: Sequence[NodeId]) -> PackedState:
-        """Pack one placement with every robot in the initial state."""
-        initial_index = self._state_index[self.algorithm.initial_state()]
-        return self._encode_placement(placement, initial_index)
-
-    def _encode_placement(
-        self, placement: Sequence[NodeId], initial_index: int
-    ) -> PackedState:
-        """Pack a placement with every robot in the initial state.
+        """Pack one placement with every robot in the initial state.
 
         Raises :class:`~repro.errors.TopologyError` for a node off the
         footprint, as the engine does.
@@ -646,7 +628,10 @@ class CompiledTables:
         packed = 0
         for position in reversed(tuple(placement)):
             self.topology.check_node(position)
-            packed = packed * self._base + position * self.state_count + initial_index
+            packed = (
+                packed * self._base + position * self.state_count
+                + self.initial_index
+            )
         return packed
 
 
@@ -658,5 +643,6 @@ __all__ = [
     "SwapClasses",
     "SysState",
     "check_scheduler",
+    "landings",
     "swap_classes",
 ]

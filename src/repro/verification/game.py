@@ -248,7 +248,6 @@ def verify_exploration(
     k: int,
     chirality_vectors: Optional[Sequence[Sequence[Chirality]]] = None,
     max_states: int = 2_000_000,
-    validate: bool = True,
     placements: Optional[Sequence[Sequence[NodeId]]] = None,
     backend: str = "packed",
     certificates: bool = True,
@@ -258,10 +257,10 @@ def verify_exploration(
     """Decide an exploration property for a finite-state algorithm instance.
 
     Returns an :class:`ExplorationVerdict`; when the adversary wins, the
-    verdict carries a simulator-validated :class:`TrapCertificate` (set
-    ``validate=False`` to skip the replay, e.g. inside huge sweeps, or
-    ``certificates=False`` to skip building the lasso altogether when
-    only the verdict matters — sweeps counting verdicts do this).
+    verdict carries a :class:`TrapCertificate`, replayed through the
+    simulator before it is returned (``certificates=False`` skips
+    building the lasso, and with it the replay, when only the verdict
+    matters — sweeps counting verdicts do this).
 
     ``placements`` overrides the initial configurations to quantify over
     (default: every towerless placement, rotation-reduced on rings — the
@@ -350,8 +349,7 @@ def verify_exploration(
                     _internal_transitions(kernel, csr, members, classes),
                     allowed, classes,
                 )
-                if validate:
-                    validate_certificate(certificate, algorithm)
+                validate_certificate(certificate, algorithm)
             return ExplorationVerdict(
                 algorithm_name=algorithm.name,
                 topology=topology,
@@ -393,7 +391,7 @@ def synthesize_trap(
     explorable (no trap exists).
     """
     verdict = verify_exploration(
-        algorithm, topology, k, chirality_vectors, max_states, validate=True,
+        algorithm, topology, k, chirality_vectors, max_states,
         backend=backend, prop=prop, scheduler=scheduler,
     )
     if verdict.explorable or verdict.certificate is None:
@@ -450,11 +448,22 @@ class _CsrGraph:
         them one entry at a time: the lists themselves (whose labels may
         pass 63 bits, on rings of more than 62 edges), or the NumPy
         arrays copied once into compact stdlib arrays of the same item
-        size (:func:`~repro.verification.batch_solver.compact`)."""
-        fields = (self.indptr, self.succs, self.labels)
-        if self.on_numpy:
-            return tuple(batch_solver.compact(values) for values in fields)
-        return fields
+        size (:func:`~repro.verification.batch_solver.compact`). Field by
+        field, the NumPy array is then replaced by a view of its copy
+        (same dtype and array type), so one copy of each stays alive."""
+        if not self.on_numpy:
+            return self.indptr, self.succs, self.labels
+        np = batch_solver.require_numpy()
+        rows = []
+        for name in ("indptr", "succs", "labels"):
+            values = getattr(self, name)
+            row = batch_solver.compact(values)
+            setattr(
+                self, name,
+                np.frombuffer(row, dtype=values.dtype).view(type(values)),
+            )
+            rows.append(row)
+        return tuple(rows)
 
 
 def _build_csr(
@@ -902,7 +911,7 @@ def _moves(
     out = []
     for mask in kernel.moves_for_occupied(kernel.occupied_mask(state)):
         for act, bits in kernel.activations:
-            succ = kernel.step_packed(state, mask, act)[0]
+            succ = kernel.step_packed(state, mask, act)
             if classes:
                 succ = kernel.canonical(succ, classes)
             out.append((mask | bits, succ))
@@ -1099,12 +1108,12 @@ def _lift_cycle(
     """
     state = seed
     for mask in prefix:
-        state = kernel.step_packed(state, mask)[0]
+        state = kernel.step_packed(state, mask)
     anchor = state
     lifted: list[int] = []
     for _ in range(math.factorial(kernel.k)):
         for mask in cycle:
-            state = kernel.step_packed(state, mask)[0]
+            state = kernel.step_packed(state, mask)
         lifted.extend(cycle)
         if state == anchor:
             return lifted

@@ -7,8 +7,9 @@ per successor. That is the right *oracle*, but millions of transitions per
 sweep make it the wrong hot loop.
 
 The packed machinery is split in two. The *compilation* — packed-state
-encoding, flat Look–Compute transition tables, per-(chirality, node)
-port/edge masks, SSYNC identity handling — lives in
+encoding, per-(chirality, node) port masks, and each robot's round
+table (the Look–Compute table composed with the landing rule: its next
+slot at ``slot · 8 + view``) — lives in
 :mod:`repro.verification.compiled` (:class:`CompiledTables`), where the
 simulation chunk runner (:mod:`repro.scenarios.simulate`) shares it.
 This module is the *game-solver consumer* of that compilation:
@@ -211,9 +212,6 @@ class PackedKernel(CompiledTables):
                 frontier.append(seed)
 
         base = self._base
-        state_count = self.state_count
-        transitions = self._transitions
-        dir_bits = self._dir_bits
         max_states = self.max_states
         moves_cache = self._moves_cache
         moves_for_occupied = self.moves_for_occupied
@@ -239,20 +237,15 @@ class PackedKernel(CompiledTables):
                 moves = moves_for_occupied(occupied)
             for mask in moves:
                 # The Look–Compute–Move outcome depends only on the edge
-                # mask: compose the all-active successor once...
+                # mask: compose the all-active successor once, one round
+                # table lookup per robot...
                 active = 0
-                for position, view, lmask, rmask, pointer_row, mm, md in per_robot:
+                for key, lmask, rmask, table in per_robot:
                     if mask & lmask:
-                        view += 4
+                        key += 4
                     if mask & rmask:
-                        view += 2
-                    new_state = transitions[view]
-                    pointer = pointer_row + dir_bits[new_state]
-                    if mask & mm[pointer]:
-                        landing = md[pointer]
-                    else:
-                        landing = position
-                    active = active * base + landing * state_count + new_state
+                        key += 2
+                    active = active * base + table[key]
                 if classes:
                     raw = active
                     active = self.canonical(raw, classes)

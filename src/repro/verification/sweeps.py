@@ -24,9 +24,9 @@ vectors first, the expensive mixed vectors only for tables that
 survive — and solves each vector for every pending table at once: on
 ``vector`` the chunk is decoded straight into one NumPy table stack and
 solved in lockstep, building table objects only for explorers' names;
-on ``packed`` and ``object`` (and with ``validate``, or for instances
-too large for the dense solver) each pending table is rebuilt from its
-pattern and verified alone.
+on ``packed`` and ``object`` (and for instances too large for the
+dense solver) each pending table is rebuilt from its pattern and
+verified alone.
 
 :func:`repro.verification.enumeration.sweep_spec` builds the specs of
 the theorems' classes (``sweep`` and ``table1`` use it).
@@ -203,7 +203,6 @@ def sweep_chunk(
     spec: "ScenarioSpec",
     bits_chunk: Sequence[int],
     backend: str = "auto",
-    validate: bool = False,
 ) -> _ChunkOutcome:
     """Verify one chunk of ``spec``'s table bit-patterns, in-process.
 
@@ -217,12 +216,12 @@ def sweep_chunk(
     list of pending tables; a table leaves it at the first vector that
     traps it. Each vector is solved for every pending table at once by
     the dense :func:`~repro.verification.batch_solver.solve_tables` (on
-    ``vector`` without ``validate``, when the product space is
+    ``vector``, when the product space is
     :func:`~repro.verification.batch_solver.dense_eligible`: the chunk is
     decoded into one table stack and no table object is built) or else
-    table by table by :func:`~repro.verification.game.verify_exploration`,
-    which replays every trap certificate when ``validate`` is set.
-    Explorers' names are built last, in input order.
+    table by table by :func:`~repro.verification.game.verify_exploration`
+    without certificates. Explorers' names are built last, in input
+    order.
     """
     backend = resolve_solver_backend(backend)
     fam = _FAMILIES[spec.robots.family]
@@ -233,7 +232,7 @@ def sweep_chunk(
     topology = RingTopology(spec.n)
     placements = start_placements(spec.starts, topology, fam.k)
     member = fam.maker(0)
-    if backend == "vector" and not validate and batch_solver.dense_eligible(
+    if backend == "vector" and batch_solver.dense_eligible(
         PackedKernel(topology, member, fam.plan[0][0], scheduler=spec.scheduler)
     ):
         tables = family_tables(spec.robots.family, bits_chunk)
@@ -256,12 +255,11 @@ def sweep_chunk(
             start = time.perf_counter()
             hit, reached = [], []
             for index in pending:
-                # A sweep only tallies verdicts: lasso extraction is
-                # skipped unless certificate replay was requested.
+                # A sweep only tallies verdicts: no lasso is extracted.
                 verdict = verify_exploration(
                     fam.maker(bits_chunk[index]), topology, k=fam.k,
-                    chirality_vectors=(vector,), validate=validate,
-                    backend=backend, certificates=validate,
+                    chirality_vectors=(vector,), backend=backend,
+                    certificates=False,
                     placements=placements, prop=spec.prop,
                     scheduler=spec.scheduler,
                 )
@@ -316,7 +314,6 @@ def run_table_sweep(
     spec: "ScenarioSpec",
     backend: str = "packed",
     jobs: Optional[int] = 1,
-    validate: bool = False,
 ) -> SweepResult:
     """Verify every table of ``spec``'s class and tally the verdicts.
 
@@ -342,7 +339,7 @@ def run_table_sweep(
     # no checkpoints, so it cuts for its workers instead.
     chunks = _chunked(spec.expand_patterns(), jobs)
     import_backend(backend)
-    work = partial(sweep_chunk, spec, backend=backend, validate=validate)
+    work = partial(sweep_chunk, spec, backend=backend)
     executor = ChunkExecutor(
         work, jobs, RetryPolicy(quarantine=False), faults.active_plan()
     )

@@ -33,10 +33,12 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
   a graph automorphism of every rotation-closed instance; and checking target 0
   alone yields the verdict and certificate of a full all-target scan.
 * **Folded steps** — the edge a robot moves through is its view's left
-  or right edge (rings and chains, n=3..8, both chiralities), so the
-  frontier's per-robot table over ``(slot, tower bit, edge bits)``
-  equals the Look–Compute step followed by the landing it replaced
-  (``PEF_3+``, ``PEF_2`` and a memory-2 two-robot table).
+  or right edge (rings and chains, n=3..8, both chiralities), so every
+  robot's round table over ``(slot, tower bit, edge bits)`` — the
+  compiled one and the NumPy composition of a decoded stack — equals
+  the Look–Compute step followed by the landing it replaced
+  (``PEF_3+``, ``PEF_2``, a memory-2 and a memoryless two-robot table,
+  both chiralities).
 * **Solve phase** — the NumPy arena, live-arena and rotation helpers
   equal their plain-Python twins field for field, no verdict (EXPLORES,
   or TRAPPED with the packed backend's certificate) converts a
@@ -88,7 +90,7 @@ from repro.scenarios import (
     get_scenario,
     iter_scenarios,
 )
-from repro.types import Chirality
+from repro.types import Chirality, Direction
 from repro.verification import batch, batch_solver, game
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.certificates import validate_certificate
@@ -146,14 +148,32 @@ class TestSolverDifferential:
 
     @pytest.mark.parametrize("name", _solver_scenario_names())
     def test_certificate_replay_on_first_chunk(self, name: str) -> None:
-        # validate=True routes per-table through the CSR certificate
-        # path and replays every emitted lasso through the simulator.
+        # Per table, verify_exploration builds the CSR certificate and
+        # replays every emitted lasso through the simulator: the vector
+        # and packed verdicts and certificates are identical, and the
+        # trapped tables are the ones the chunk's tally counts.
         spec = get_scenario(name)
         chunk = spec.chunks()[0][:6]
-        vector = sweep_chunk(spec, chunk, backend="vector", validate=True)
-        assert vector == sweep_chunk(
-            spec, chunk, backend="packed", validate=True
-        )
+        family = spec.robots.family
+        topology = RingTopology(spec.n)
+        vectors = [vector for stage in family_plan(family) for vector in stage]
+        trapped = 0
+        for bits in chunk:
+            verdicts = [
+                verify_exploration(
+                    family_maker(family)(bits), topology, k=family_k(family),
+                    chirality_vectors=vectors, backend=backend,
+                    placements=start_placements(
+                        spec.starts, topology, family_k(family)
+                    ),
+                    prop=spec.prop, scheduler=spec.scheduler,
+                )
+                for backend in ("vector", "packed")
+            ]
+            assert verdicts[0].certificate == verdicts[1].certificate
+            assert verdicts[0].explorable == verdicts[1].explorable
+            trapped += not verdicts[0].explorable
+        assert trapped == sweep_chunk(spec, chunk, backend="packed")[1]
 
     def test_empty_chunk(self) -> None:
         spec = make_table_spec("two", 4)
@@ -978,7 +998,7 @@ class TestMergedRows:
                     row: dict[int, int] = {}
                     for mask in moves:
                         for act, bits in kernel.activations:
-                            succ = kernel.step_packed(state, mask, act)[0]
+                            succ = kernel.step_packed(state, mask, act)
                             if classes:
                                 succ = kernel.canonical(succ, classes)
                             j = index[succ]
@@ -1197,21 +1217,23 @@ class TestSparseFrontier:
 
 
 class TestFoldedSteps:
-    """The frontier's per-robot folded table is the Look–Compute step
-    composed with the landing it replaced."""
+    """Every robot's round table — the packed machines' and the NumPy
+    stacks' alike — is the Look–Compute step composed with the landing
+    it replaced."""
 
     @pytest.mark.parametrize("kind", [RingTopology, ChainTopology])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_move_edge_is_a_view_edge(self, kind, n: int) -> None:
         # What makes the fold possible: the edge a robot moves through
         # in direction d is its view's left (d=0) or right (d=1) edge.
+        topology = kind(n)
         for chirality in (Chirality.AGREE, Chirality.DISAGREE):
-            left, right, move_masks, _dests = _node_tables(kind(n), chirality)
+            left, right = _node_tables(topology, chirality)
             for node in range(n):
-                assert move_masks[2 * node] == left[node]
-                assert move_masks[2 * node + 1] == right[node]
+                for masks, direction in ((left, Direction.LEFT), (right, Direction.RIGHT)):
+                    port = topology.port(node, chirality.to_global(direction))
+                    assert masks[node] == (0 if port is None else 1 << port)
 
-    @requires_numpy
     @pytest.mark.parametrize(
         "topology,name,k",
         [
@@ -1221,38 +1243,58 @@ class TestFoldedSteps:
             (ChainTopology(4), "pef2", 2),
             (RingTopology(5), "two-m2", 2),
             (ChainTopology(5), "two-m2", 2),
+            (RingTopology(4), "two", 2),
+            (ChainTopology(4), "two", 2),
         ],
         ids=repr,
     )
     def test_fold_equals_step_then_landing(self, topology, name, k) -> None:
+        bits = None
         if name == "two-m2":
-            algorithm = family_maker(name)(random.Random(30).getrandbits(64))
-        else:
+            bits = random.Random(30).getrandbits(64)
+        elif name == "two":
+            bits = random.Random(30).randrange(family_space(name))
+        if bits is None:
             algorithm = get_algorithm(name)
+        else:
+            algorithm = family_maker(name)(bits)
         chiralities = (Chirality.AGREE, Chirality.DISAGREE, Chirality.AGREE)[:k]
         kernel = PackedKernel(topology, algorithm, chiralities)
-        trans, dirs, robot_tables, _initial = kernel.simulation_tables()
         S = kernel.state_count
-        folded = batch_solver._fold_steps(kernel)
-        assert len(folded) == k
-        for table, (left, right, move_masks, move_dests) in zip(
-            folded, robot_tables
-        ):
-            assert table.size == kernel._base * 8
-            for slot in range(kernel._base):
-                node, state = divmod(slot, S)
-                for view in range(8):
-                    # The move whose edge view this is: left, right or both.
-                    move = (left[node] if view & 4 else 0) | (
-                        right[node] if view & 2 else 0
-                    )
-                    new_state = trans[state * 8 + view]
-                    pointer = 2 * node + dirs[new_state]
-                    landing = (
-                        move_dests[pointer] if move & move_masks[pointer]
-                        else node
-                    )
-                    assert table[slot * 8 + view] == landing * S + new_state
+        trans, dirs = kernel._transitions, kernel._dir_bits
+        folds = [kernel.round_tables]
+        if bits is not None and batch.have_numpy():
+            # The NumPy composition of the family's decoded stack.
+            stack = family_tables(name, [bits])
+            folds.append([
+                batch.round_stack(stack, topology, chirality)[0].tolist()
+                for chirality in chiralities
+            ])
+        for fold in folds:
+            assert len(fold) == k
+            for table, chirality in zip(fold, chiralities):
+                left, right = _node_tables(topology, chirality)
+                assert len(table) == kernel._base * 8
+                for slot in range(kernel._base):
+                    node, state = divmod(slot, S)
+                    for view in range(8):
+                        # The move whose edge view this is: left, right or
+                        # both.
+                        move = (left[node] if view & 4 else 0) | (
+                            right[node] if view & 2 else 0
+                        )
+                        new_state = trans[state * 8 + view]
+                        direction = (Direction.LEFT, Direction.RIGHT)[
+                            dirs[new_state]
+                        ]
+                        global_dir = chirality.to_global(direction)
+                        port = topology.port(node, global_dir)
+                        landing = (
+                            topology.neighbor(node, global_dir)
+                            if port is not None and move >> port & 1
+                            else node
+                        )
+                        assert table[slot * 8 + view] == landing * S + new_state
 
 
 @requires_numpy

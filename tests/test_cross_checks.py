@@ -123,13 +123,13 @@ class TestSsyncSolverVsBlocker:
         # The paper's flagship reason for restricting itself to FSYNC:
         # PEF_3+ with k = 3 provably explores the 4-ring under FSYNC, yet
         # the SSYNC activation adversary defeats it — synchrony, not
-        # robot count, is the broken leg. validate=True replays the
+        # robot count, is the broken leg. verify_exploration replays the
         # solver's SSYNC trap through the SSYNC engine.
         ring = RingTopology(4)
         fsync = verify_exploration(PEF3Plus(), ring, k=3)
         assert fsync.explorable
         ssync = verify_exploration(
-            PEF3Plus(), ring, k=3, scheduler="ssync", validate=True
+            PEF3Plus(), ring, k=3, scheduler="ssync"
         )
         assert not ssync.explorable
         cert = ssync.certificate

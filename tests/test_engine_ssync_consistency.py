@@ -129,9 +129,11 @@ def test_packed_kernel_and_product_replay_ssync_traces(seed: int) -> None:
         active = result.activations[t]
         act_mask = sum(1 << robot for robot in active)
         edge_mask = kernel.edges_to_mask(record.present_edges)
-        packed, moved = kernel.step_packed(packed, edge_mask, act_mask)
+        before = kernel.positions_of(packed)
+        packed = kernel.step_packed(packed, edge_mask, act_mask)
         engine_successor = (record.after.positions, record.after.states)
         assert kernel.decode(packed) == engine_successor
-        assert moved == record.moved
+        after = kernel.positions_of(packed)
+        assert tuple(map(int.__ne__, before, after)) == record.moved
         assert system.step(state, record.present_edges, active) == engine_successor
         state = engine_successor

@@ -2,8 +2,8 @@
 
 Every verdict asserted here is one the paper proves. Trap certificates are
 independently replay-validated inside ``verify_exploration`` itself
-(``validate=True`` is the default), so each negative assertion doubles as
-an engine/solver cross-check.
+(whenever it builds one, the default), so each negative assertion
+doubles as an engine/solver cross-check.
 """
 
 from __future__ import annotations

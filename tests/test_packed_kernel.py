@@ -53,7 +53,12 @@ from repro.verification.game import (
     verify_exploration,
 )
 from repro.verification.kernel import PackedKernel
-from repro.verification.sweeps import run_table_sweep
+from repro.verification.sweeps import (
+    family_maker,
+    family_plan,
+    run_table_sweep,
+    start_placements,
+)
 from repro.verification.product import ProductSystem
 
 
@@ -109,12 +114,15 @@ class TestStepAgreement:
         packed = kernel.encode(state)
         for record in trace.records:
             mask = kernel.edges_to_mask(record.present_edges)
-            packed, moved = kernel.step_packed(packed, mask)
+            before = kernel.positions_of(packed)
+            packed = kernel.step_packed(packed, mask)
             object_successor = system.step(state, record.present_edges)
             engine_successor = (record.after.positions, record.after.states)
             assert kernel.decode(packed) == engine_successor
             assert object_successor == engine_successor
-            assert moved == record.moved
+            # A move always changes node (footprints have no self-loops).
+            after = kernel.positions_of(packed)
+            assert tuple(map(int.__ne__, before, after)) == record.moved
             state = engine_successor
 
     @pytest.mark.parametrize("seed", range(6))
@@ -134,7 +142,7 @@ class TestStepAgreement:
                 edge for edge in topology.edges if rng.random() < 0.5
             )
             expected = system.step(state, present)
-            packed, _moved = kernel.step_packed(
+            packed = kernel.step_packed(
                 kernel.encode(state), kernel.edges_to_mask(present)
             )
             assert kernel.decode(packed) == expected
@@ -196,7 +204,7 @@ class TestGraphIdentity:
             graph = kernel.reachable(seeds, occupied_out=occupied)
             for state, out in graph.items():
                 assert out == [
-                    (tagged(mask, act), kernel.step_packed(state, mask, act)[0])
+                    (tagged(mask, act), kernel.step_packed(state, mask, act))
                     for mask in kernel.moves_for_occupied(occupied[state])
                     for act in acts
                 ]
@@ -250,58 +258,52 @@ class TestCompiledSplit:
         for game_only in ("moves_for_occupied", "reachable"):
             assert not hasattr(CompiledTables, game_only)
 
-    def test_simulation_tables_replay_matches_step_packed(self) -> None:
-        # The flat tables handed to the simulation runner drive a round
-        # to the same outcome as the packed step (both schedulers' round
-        # shapes: everyone active, and a single active robot).
+    def test_round_table_replay_matches_the_engine(self) -> None:
+        # The packed simulator's round — one slot per robot, advanced by
+        # one round-table lookup at ``slot · 8 + view`` — reaches the
+        # object product's successor (the engine's step), under both
+        # schedulers' round shapes: everyone active, and a single
+        # active robot.
         rng = random.Random(20170605)
         for _ in range(25):
             topology, algorithm, chiralities = _random_instance(rng)
             tables = CompiledTables(topology, algorithm, chiralities)
-            transitions, dir_bits, robot_tables, initial_index = (
-                tables.simulation_tables()
-            )
+            system = ProductSystem(topology, algorithm, chiralities)
             k = tables.k
+            S = tables.state_count
             positions = [rng.randrange(topology.n) for _ in range(k)]
-            states = [initial_index] * k
             mask = rng.randrange(1 << topology.edge_count)
             active = (
                 None if rng.random() < 0.5 else (rng.randrange(k),)
             )
-            packed = tables.encode_placement(positions)
-            act_mask = (
-                None if active is None else sum(1 << i for i in active)
+            start = (tuple(positions), (algorithm.initial_state(),) * k)
+            expected = system.step(
+                start,
+                tables.mask_to_edges(mask),
+                None if active is None else frozenset(active),
             )
-            expected, _moved = tables.step_packed(packed, mask, act_mask)
-            occupied = 0
+            slots = [position * S + tables.initial_index for position in positions]
             towers = 0
-            for position in positions:
-                bit = 1 << position
-                if occupied & bit:
-                    towers |= bit
-                occupied |= bit
+            for i, position in enumerate(positions):
+                if position in positions[:i]:
+                    towers |= 1 << position
             for i in range(k) if active is None else active:
-                left_masks, right_masks, move_masks, move_dests = (
-                    robot_tables[i]
-                )
-                position = positions[i]
-                view = states[i] * 8
-                if mask & left_masks[position]:
+                left_masks, right_masks = tables.port_masks[i]
+                node = positions[i]
+                view = slots[i] * 8
+                if mask & left_masks[node]:
                     view += 4
-                if mask & right_masks[position]:
+                if mask & right_masks[node]:
                     view += 2
-                if towers >> position & 1:
+                if towers >> node & 1:
                     view += 1
-                new_state = transitions[view]
-                pointer = position * 2 + dir_bits[new_state]
-                if mask & move_masks[pointer]:
-                    positions[i] = move_dests[pointer]
-                states[i] = new_state
-            base = tables.n * tables.state_count
+                slots[i] = tables.round_tables[i][view]
             repacked = 0
-            for position, s in zip(reversed(positions), reversed(states)):
-                repacked = repacked * base + position * tables.state_count + s
-            assert repacked == expected
+            for slot in reversed(slots):
+                repacked = repacked * tables.n * S + slot
+            assert tables.decode(repacked) == expected
+            act_mask = None if active is None else 1 << active[0]
+            assert tables.step_packed(tables.encode(start), mask, act_mask) == repacked
 
 
 class TestKernelEncoding:
@@ -377,8 +379,8 @@ class TestVerdictAgreement:
             object_verdict.transitions_explored
             == packed_verdict.transitions_explored
         )
-        # validate=True (the default) already replayed the packed
-        # certificate through the simulator; check shape consistency too.
+        # verify_exploration already replayed the packed certificate
+        # through the simulator; check shape consistency too.
         if not packed_verdict.explorable:
             assert packed_verdict.certificate is not None
             assert len(packed_verdict.certificate.eventually_missing) <= 1
@@ -390,12 +392,8 @@ class TestVerdictAgreement:
         n = rng.randint(3, 5)
         k = rng.randint(1, 2)
         ring = RingTopology(n)
-        object_verdict = verify_exploration(
-            algorithm, ring, k=k, backend="object", validate=False
-        )
-        packed_verdict = verify_exploration(
-            algorithm, ring, k=k, backend="packed", validate=False
-        )
+        object_verdict = verify_exploration(algorithm, ring, k=k, backend="object")
+        packed_verdict = verify_exploration(algorithm, ring, k=k, backend="packed")
         assert object_verdict.explorable == packed_verdict.explorable
         assert object_verdict.certificate == packed_verdict.certificate
         assert object_verdict.states_explored == packed_verdict.states_explored
@@ -450,12 +448,10 @@ class TestSsyncScheduler:
         k = rng.randint(1, 2)
         ring = RingTopology(n)
         object_verdict = verify_exploration(
-            algorithm, ring, k=k, backend="object", scheduler="ssync",
-            validate=False,
+            algorithm, ring, k=k, backend="object", scheduler="ssync"
         )
         packed_verdict = verify_exploration(
-            algorithm, ring, k=k, backend="packed", scheduler="ssync",
-            validate=False,
+            algorithm, ring, k=k, backend="packed", scheduler="ssync"
         )
         assert object_verdict.explorable == packed_verdict.explorable
         assert object_verdict.certificate == packed_verdict.certificate
@@ -482,12 +478,12 @@ class TestSsyncScheduler:
             assert fsync.states_explored == ssync.states_explored, bits
 
     def test_ssync_certificates_replay_through_run_ssync(self) -> None:
-        # validate=True replays the packed SSYNC lasso through the SSYNC
-        # engine with the certificate's own activation sets.
+        # verify_exploration replays the packed SSYNC lasso through the
+        # SSYNC engine with the certificate's own activation sets.
         for backend in ("packed", "object"):
             verdict = verify_exploration(
                 PEF2(), RingTopology(4), k=2, backend=backend,
-                scheduler="ssync", validate=True,
+                scheduler="ssync",
             )
             assert not verdict.explorable
             cert = verdict.certificate
@@ -583,10 +579,22 @@ class TestSweepRegression:
             )
 
     def test_validated_sweep_replays_certificates(self) -> None:
-        # validate=True forces lasso extraction + simulator replay inside
-        # the packed sweep path.
-        result = run_table_sweep(
-            sweep_spec("two", 4, sample=4, rng_seed=11), backend="packed",
-            validate=True,
-        )
+        # The sweep tallies verdicts without certificates; every table it
+        # counts as trapped yields a certificate that verify_exploration
+        # replays through the simulator, under the same chirality plan.
+        spec = sweep_spec("two", 4, sample=4, rng_seed=11)
+        result = run_table_sweep(spec, backend="packed")
         assert result.total == 4
+        trapped = 0
+        for bits in spec.expand_patterns():
+            verdict = verify_exploration(
+                family_maker("two")(bits), RingTopology(4), k=2,
+                chirality_vectors=[
+                    vector for stage in family_plan("two") for vector in stage
+                ],
+                backend="packed",
+                placements=start_placements("well", RingTopology(4), 2),
+            )
+            trapped += not verdict.explorable
+            assert verdict.explorable or verdict.certificate is not None
+        assert trapped == result.trapped
