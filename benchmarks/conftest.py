@@ -65,23 +65,29 @@ def timed_best_of():
 
 
 @pytest.fixture
-def merge_bench_sweeps(results_dir: Path):
-    """Merge entries into ``BENCH_sweeps.json``, replacing only their sweeps.
+def merge_bench_sweeps(results_dir: Path, request):
+    """Merge one test's entries into ``BENCH_sweeps.json``.
 
-    Several benchmark files contribute entries to the one snapshot; each
-    writer must replace its own sweep names and preserve everyone else's,
-    so re-running a single file never silently drops the others' numbers.
+    Several benchmark files contribute entries to the one snapshot, so
+    re-running a single file must never drop the others' numbers. Each
+    entry records its ``writer`` — the test that wrote it, as
+    ``<file>::<test>`` — and a merge replaces everything that writer (or
+    any entry of the sweeps it writes) left before: a case the writer
+    renamed or dropped leaves no stale entry behind.
     """
+    writer = f"{request.node.path.name}::{request.node.name}"
 
     def merge(entries: list[dict]) -> Path:
         snapshot = results_dir / "BENCH_sweeps.json"
+        entries = [{**entry, "writer": writer} for entry in entries]
         owned = {entry["sweep"] for entry in entries}
         existing = []
         if snapshot.exists():
             existing = [
                 entry
                 for entry in json.loads(snapshot.read_text())["entries"]
-                if entry.get("sweep") not in owned
+                if entry.get("writer") != writer
+                and entry.get("sweep") not in owned
             ]
         snapshot.write_text(
             json.dumps(

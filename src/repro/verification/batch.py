@@ -75,11 +75,6 @@ if TYPE_CHECKING:
 #: Compact the row arrays once the finished fraction reaches this.
 COMPACT_THRESHOLD = 0.5
 
-# Per-(topology, chirality) ndarray twins of the compiled node tables,
-# cached process-wide like the scalar tables they mirror.
-_np_node_cache: dict = {}
-
-
 _UNLOADED = object()
 
 # The NumPy module once loaded, None when it is unavailable, _UNLOADED
@@ -130,24 +125,6 @@ def require_numpy() -> Any:
             "pass backend='auto' to fall back to 'packed' automatically"
         )
     return np
-
-
-def _np_node_tables(topology: Topology, chirality: Chirality) -> tuple:
-    """ndarray ``(left_masks, right_masks)`` port masks per (topology,
-    chirality), process-cached: the int64 twins of
-    :func:`repro.verification.compiled._node_tables`."""
-    key = (topology, chirality)
-    cached = _np_node_cache.get(key)
-    if cached is None:
-        from repro.verification.compiled import _node_tables
-
-        np = require_numpy()
-        cached = tuple(
-            np.array(masks, dtype=np.int64)
-            for masks in _node_tables(topology, chirality)
-        )
-        _np_node_cache[key] = cached
-    return cached
 
 
 def round_stack(stack: Any, topology: Topology, chirality: Chirality) -> Any:
@@ -216,6 +193,8 @@ def simulate_batch(
     seconds per kernel phase (``compile``/``gather``/``compact`` — the
     caller decides whether to emit them as telemetry).
     """
+    from repro.verification.compiled import _node_tables
+
     np = require_numpy()
     timings = {"compile": 0.0, "gather": 0.0, "compact": 0.0}
     start = time.perf_counter()
@@ -267,9 +246,17 @@ def simulate_batch(
 
     # The (robot, chirality-vector) blocks, in row-block order: per-row
     # offsets select each row's block in the per-mask edge-view tables
-    # built by _mask_tables, and its chirality's round tables.
+    # built by _mask_tables, and its chirality's round tables. A block
+    # reads its chirality's compiled port masks, made arrays once here.
     blocks = [(i, vector) for i in range(k) for vector in vectors]
-    node_tables = [_np_node_tables(topology, vector[i]) for i, vector in blocks]
+    ports = {
+        chirality: tuple(
+            np.array(masks, dtype=np.int64)
+            for masks in _node_tables(topology, chirality)
+        )
+        for chirality in chiralities
+    }
+    node_tables = [ports[vector[i]] for i, vector in blocks]
     block_rounds = np.array(
         [chiralities.index(vector[i]) * batch * width for i, vector in blocks],
         dtype=np.int64,

@@ -11,20 +11,26 @@ decoding — positions, multiplicity bits, adversary move sets, port masks
 ``transitions[view]`` does. So the *geometry* of the space is compiled
 once per ``(topology, chirality vector, S, scheduler)``
 (:class:`DenseSpace`, process-cached) and a whole chunk of tables is
-solved in lockstep. The chunk arrives as one ``(B, S·8)`` int64 stack —
-a sweep decodes its bit patterns straight into it with shifts and masks
-(:func:`decode_tables`), building no per-table object — and a table
-state's direction bit is its low bit, so no direction table comes with
-it:
+solved in lockstep. The geometry is written down once for both NumPy
+solvers: :func:`_frontier_tables` holds the adversary's moves as one
+CSR over every occupancy and each robot's edge view per (move, node),
+and :func:`_decode` turns packed states into slots, nodes, occupancy
+and towers; the dense space reads both for every state, the frontier
+for each row slice it expands. The chunk arrives as one ``(B, S·8)``
+int64 stack — a sweep decodes its bit patterns straight into it with
+shifts and masks (:func:`decode_tables`), building no per-table object
+— and a table state's direction bit is its low bit, so no direction
+table comes with it:
 
 * **expand** — the stack of Look–Compute tables becomes, per
   chirality, its stack of round tables (next slot at ``slot · 8 +
   view``, :func:`~repro.verification.batch.round_stack`); per robot one
   gather of that ``(base·8, B)`` table, weighted by the robot's radix,
-  at precompiled keys turns it into the robot's share of the full
-  dense successor tensor ``succ[b, p, j]`` over every state ``p`` and
-  adversary move ``j`` — a successor is the sum of its robots' shares.
-  A move is an edge mask
+  at precompiled keys (slot · 8 + tower bit + edge view, each state's
+  move row padded to the longest by repeating its first move) turns it
+  into the robot's share of the full dense successor tensor ``succ[b,
+  p, j]`` over every state ``p`` and adversary move ``j`` — a
+  successor is the sum of its robots' shares. A move is an edge mask
   crossed with one of the kernel's activation columns
   (:attr:`~repro.verification.compiled.CompiledTables.activations`:
   FSYNC's single all-active column, SSYNC's every non-empty robot
@@ -114,13 +120,8 @@ from array import array
 from typing import Optional, Sequence
 
 from repro.errors import VerificationError
-from repro.verification.batch import (
-    _np_node_tables,
-    have_numpy,
-    require_numpy,
-    round_stack,
-)
-from repro.verification.compiled import SwapClasses
+from repro.verification.batch import have_numpy, require_numpy, round_stack
+from repro.verification.compiled import SwapClasses, _node_tables
 from repro.verification.kernel import PackedKernel
 
 #: Hard cap on a dense space's state count (beyond it, tables are solved
@@ -166,6 +167,12 @@ _INDEX_BOUND = 1 << 31
 #: largest level of ``verify pef3+ --n 8 --k 3`` (152k transitions) is
 #: cut into five slices.
 _SLICE_TRANSITIONS = 1 << 15
+
+#: States :func:`_frontier_rows` decodes at a time, so the per-robot
+#: temporaries of a decode stay small: ``verify pef3+ --n 8 --k 3``
+#: decoding its 12,992 states at once peaked 0.6 MB higher in RSS
+#: (2-core host, ``os.wait4``) than in slices of this size.
+_DECODE_STATES = 1 << 12
 
 _space_cache: dict = {}
 _frontier_cache: dict = {}
@@ -226,10 +233,15 @@ class DenseSpace:
     """The table-independent geometry of one dense product space.
 
     Everything here depends only on ``(topology, chirality vector, S,
-    scheduler)`` — decoded positions, multiplicity bits, padded adversary
-    move tables, per-robot round-table keys and idle shares, transition
-    labels. Instances are process-cached (:func:`dense_space`), so a
-    sweep pays the construction once per chirality stage.
+    scheduler)`` and is read off the frontier's geometry
+    (:func:`_frontier_tables`): every state is decoded (:func:`_decode`),
+    its occupancy's row of the move CSR is padded to the longest row by
+    repeating the row's first move, and each robot's round-table key of
+    a (state, move) cell is its slot · 8 + tower bit + the move's edge
+    view at its node; the cell's labels are the move crossed with the
+    activation columns. Instances are process-cached
+    (:func:`dense_space`), so a sweep pays the construction once per
+    chirality stage.
     """
 
     def __init__(self, kernel: PackedKernel) -> None:
@@ -246,40 +258,38 @@ class DenseSpace:
         self.act_shift = kernel.act_shift
         self.full_act = kernel.full_act
         self.activations = kernel.activations
-        space, S, k = self.space, self.S, self.k
+        space, k = self.space, self.k
 
-        ar = np.arange(space, dtype=np.int64)
-        slots = [(ar // self.base**i) % self.base for i in range(k)]
-        pos = [slot // S for slot in slots]
-        occ = np.zeros(space, dtype=np.int64)
-        tow = np.zeros(space, dtype=np.int64)
-        for p in pos:
-            bit = np.int64(1) << p
-            tow |= occ & bit
-            occ |= bit
+        slots, nodes, occ, towers = _decode(
+            kernel, np.arange(space, dtype=np.int64)
+        )
         self.occ = occ
 
-        moves_pad = kernel.padded_moves(occ.tolist())
+        # Per state, its occupancy's row of the move CSR, padded to the
+        # longest row by repeating the row's first move: the padding
+        # duplicates a real transition, harmless for reachability and
+        # label unions.
+        tables = _frontier_tables(kernel)
+        _occ_keys, move_ptr, moves, view_bits = tables
+        row, _deg = _move_rows(kernel, tables, occ)
+        first = move_ptr[row][:, None]
+        fanout = move_ptr[row + 1][:, None] - first
+        column = np.arange(fanout.max())
+        move_at = first + np.where(column < fanout, column, 0)
+        cell = move_at * self.n
 
         # Per robot ``(key, weight, idle)``, all table-independent: the
         # index into its round table of every (state, move) cell — slot
-        # · 8 + tower bit + left/right edge bits — its radix weight
-        # ``base^i``, and the weighted share ``slot · base^i`` a robot
-        # SSYNC leaves inactive contributes. int16: every slot share is
-        # below the dense cap of 2^15 states, and the expansion tensors
-        # are memory-bound.
+        # · 8 + tower bit + the move's edge view at its node — its radix
+        # weight ``base^i``, and the weighted share ``slot · base^i`` a
+        # robot SSYNC leaves inactive contributes. int16: every slot
+        # share is below the dense cap of 2^15 states, and the expansion
+        # tensors are memory-bound.
         self.chiralities = kernel.chiralities
         self.robots = []
         for i in range(k):
-            left, right = (
-                np.asarray(masks, dtype=np.int64)[pos[i]][:, None]
-                for masks in kernel.port_masks[i]
-            )
-            key = (
-                (slots[i] * 8 + ((tow >> pos[i]) & 1))[:, None]
-                + 4 * ((moves_pad & left) != 0)
-                + 2 * ((moves_pad & right) != 0)
-            )
+            key = (slots[i] * 8 + ((towers >> nodes[i]) & 1))[:, None]
+            key = key + view_bits[i][cell + nodes[i][:, None]]
             weight = self.base**i
             self.robots.append((
                 key,
@@ -292,7 +302,7 @@ class DenseSpace:
         # Move-major, activation-column-minor, like the kernel's order.
         label_bits = np.array([bits for _act, bits in self.activations])
         self.labels = (
-            (moves_pad[:, :, None] | label_bits)
+            (moves[move_at][:, :, None] | label_bits)
             .reshape(space, -1)
             .astype(_value_dtype(_label_bits(kernel)))
         )
@@ -393,43 +403,34 @@ def _expand(sp: DenseSpace, trans: "object") -> "object":
 def _unpack(rows: "object", count: int, as_bool: bool = True) -> "object":
     """Bit-rows ``(..., words)`` uint64 → ``(..., count)`` flags.
 
+    The words are read as little-endian bytes (``'<u8'``: no copy of
+    native rows on a little-endian host), so flag ``w · 64 + b`` is bit
+    ``b`` of word ``w`` on any host and in any byte order.
     ``as_bool=False`` returns the raw 0/1 uint8 plane (one copy fewer)
     for consumers that only mask or reduce it.
     """
     np = require_numpy()
-    if np.little_endian:
-        flat = np.unpackbits(
-            np.ascontiguousarray(rows).view(np.uint8),
-            axis=-1,
-            bitorder="little",
-        )[..., :count]
-        return flat.astype(bool) if as_bool else flat
-    word_of = np.arange(count, dtype=np.int64) // _BITS
-    bit_of = (np.arange(count) % _BITS).astype(np.uint64)
-    bits = (rows[..., word_of] >> bit_of) & np.uint64(1)
-    return bits.astype(bool) if as_bool else bits.astype(np.uint8)
+    flat = np.unpackbits(
+        np.ascontiguousarray(rows, dtype="<u8").view(np.uint8),
+        axis=-1,
+        bitorder="little",
+    )[..., :count]
+    return flat.astype(bool) if as_bool else flat
 
 
 def _pack(flags: "object", words: int) -> "object":
     """0/1 flags ``(..., count)`` → bit-rows ``(..., words)`` uint64.
 
-    The inverse of :func:`_unpack`; bits past ``count`` are zero.
+    The inverse of :func:`_unpack`, written through a ``'<u8'`` view of
+    the packed bytes; bits past ``count`` are zero.
     """
     np = require_numpy()
-    lead, count = flags.shape[:-1], flags.shape[-1]
-    if np.little_endian:
-        packed = np.packbits(flags, axis=-1, bitorder="little")
-        if packed.shape[-1] != words * 8:
-            padded = np.zeros(lead + (words * 8,), dtype=np.uint8)
-            padded[..., : packed.shape[-1]] = packed
-            packed = padded
-        return packed.view(np.uint64)
-    padded = np.zeros(lead + (words * _BITS,), dtype=np.uint64)
-    padded[..., :count] = flags
-    weights = np.uint64(1) << np.arange(_BITS, dtype=np.uint64)
-    return np.bitwise_or.reduce(
-        padded.reshape(lead + (words, _BITS)) * weights, axis=-1
-    )
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    if packed.shape[-1] != words * 8:
+        padded = np.zeros(flags.shape[:-1] + (words * 8,), dtype=np.uint8)
+        padded[..., : packed.shape[-1]] = packed
+        packed = padded
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def _adjacency(sp: DenseSpace, succ: "object") -> "object":
@@ -753,7 +754,8 @@ def solve_tables(
 
 
 def _frontier_tables(kernel: PackedKernel) -> tuple:
-    """Process-cached, table-independent geometry of the sparse frontier.
+    """The process-cached NumPy geometry of adversary moves and edge
+    views, read by the sparse frontier and by :class:`DenseSpace`.
 
     Returns ``(occ_keys, move_ptr, moves, view_bits)``. ``occ_keys`` are
     the ascending occupied-node masks a state can have (popcount ``1..k``
@@ -780,7 +782,10 @@ def _frontier_tables(kernel: PackedKernel) -> tuple:
         moves = np.array([move for row in rows for move in row], dtype=np.int64)
         view_bits = {}
         for chirality in dict.fromkeys(kernel.chiralities):
-            left, right = _np_node_tables(kernel.topology, chirality)
+            left, right = (
+                np.array(masks, dtype=np.int64)
+                for masks in _node_tables(kernel.topology, chirality)
+            )
             view_bits[chirality] = (
                 4 * ((moves[:, None] & left) != 0)
                 + 2 * ((moves[:, None] & right) != 0)
@@ -828,33 +833,53 @@ def _row_slices(deg: "object") -> "object":
         lo = hi
 
 
+def _decode(kernel: PackedKernel, states: "object") -> tuple:
+    """``(slots, nodes, occupancy, towers)`` of an int64 array of packed
+    states: per robot its slot and node arrays, robot 0 first, and per
+    state the mask of its occupied nodes and of the nodes holding a
+    tower (two or more robots)."""
+    np = require_numpy()
+    slots = _digits(kernel, states)
+    nodes = [slot // kernel.state_count for slot in slots]
+    occ = np.zeros_like(states)
+    towers = np.zeros_like(states)
+    for node in nodes:
+        bit = np.left_shift(1, node)
+        towers |= occ & bit
+        occ |= bit
+    return slots, nodes, occ, towers
+
+
+def _move_rows(kernel: PackedKernel, tables: tuple, occ: "object") -> tuple:
+    """Per occupied-node mask, its row in the move CSR of
+    :func:`_frontier_tables` and the transition count of a state that
+    has it (moves times activation columns)."""
+    np = require_numpy()
+    occ_keys, move_ptr, _moves, _views = tables
+    row = np.searchsorted(occ_keys, occ)
+    return row, (move_ptr[row + 1] - move_ptr[row]) * len(kernel.activations)
+
+
 def _frontier_rows(
     kernel: PackedKernel, tables: tuple, states: "object"
 ) -> tuple:
     """Per packed state: its occupied-node mask, the row of its
     occupancy in the move CSR of :func:`_frontier_tables`, and its
-    transition count (moves times activation columns)."""
+    transition count. States are decoded :data:`_DECODE_STATES` at a
+    time, so only the occupancy is kept for all of them."""
     np = require_numpy()
-    occ_keys, move_ptr, _moves, _robots = tables
-    base, S = kernel._base, kernel.state_count
-    occ = np.zeros_like(states)
-    rest = states
-    for _ in range(kernel.k):
-        occ |= np.left_shift(1, rest % base // S)
-        rest = rest // base
-    row = np.searchsorted(occ_keys, occ)
-    deg = (move_ptr[row + 1] - move_ptr[row]) * len(kernel.activations)
-    return occ, row, deg
+    occ = np.empty_like(states)
+    for lo in range(0, states.size, _DECODE_STATES):
+        hi = lo + _DECODE_STATES
+        occ[lo:hi] = _decode(kernel, states[lo:hi])[2]
+    return (occ,) + _move_rows(kernel, tables, occ)
 
 
 def out_degrees(kernel: PackedKernel, occ: "object") -> "object":
     """Per occupied-node mask, the transition count of a state that has
     it (int64): the occupancy fixes the adversary's moves, so this is
     :func:`_frontier_rows`' ``deg`` without decoding the states."""
-    np = require_numpy()
-    occ_keys, move_ptr, _moves, _robots = _frontier_tables(kernel)
-    row = np.searchsorted(occ_keys, occ)
-    return (move_ptr[row + 1] - move_ptr[row]) * len(kernel.activations)
+    return _move_rows(kernel, _frontier_tables(kernel), occ)[1]
 
 
 #: Min/max comparator networks that sort 2..5 values (1, 3, 5 and 9
@@ -973,25 +998,18 @@ def _expand_frontier(
     """
     np = require_numpy()
     _occ_keys, move_ptr, _moves, view_bits = tables
-    base, S = kernel._base, kernel.state_count
+    base = kernel._base
     for lo, hi in _row_slices(deg):
         rows = row[lo:hi]
         # Per-state values reach the state's moves by repeating them.
         fanout = move_ptr[rows + 1] - move_ptr[rows]
         move_at = _csr_rows(move_ptr, rows)
-        slots = _digits(kernel, states[lo:hi])
-        pos = [slot // S for slot in slots]
-        occ = np.zeros_like(slots[0])
-        towers = np.zeros_like(slots[0])
-        for p in pos:
-            bit = np.left_shift(1, p)
-            towers |= occ & bit
-            occ |= bit
+        slots, nodes, _occ, towers = _decode(kernel, states[lo:hi])
         cell = move_at * kernel.n
         active = []
         for i, table in enumerate(rounds):
-            key = slots[i] * 8 + ((towers >> pos[i]) & 1)
-            at = view_bits[i][cell + np.repeat(pos[i], fanout)]
+            key = slots[i] * 8 + ((towers >> nodes[i]) & 1)
+            at = view_bits[i][cell + np.repeat(nodes[i], fanout)]
             at += np.repeat(key, fanout)
             active.append(table[at])
         del cell, at

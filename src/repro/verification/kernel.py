@@ -29,7 +29,9 @@ edges not adjacent to an occupied node are always present; adjacent edges
 range over all subsets, in the same order), so the kernel's graph and
 ``ProductSystem.reachable()``'s, packed with :meth:`~CompiledTables.encode`,
 give the *identical* canonical CSR — same states, same per-state
-transition order.
+transition order. This module holds no NumPy code: the vector backend's
+NumPy form of these moves is
+:func:`repro.verification.batch_solver._frontier_tables`.
 
 **Schedulers.** The adversary move is really a *(edge-mask,
 activation-mask)* pair, and the activation axis is data:
@@ -55,7 +57,7 @@ which scheduler produced it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import VerificationError
 from repro.graph.topology import Topology
@@ -130,30 +132,6 @@ class PackedKernel(CompiledTables):
         result = tuple(moves)
         self._moves_cache[occupied] = result
         return result
-
-    def padded_moves(self, occupied_values: Sequence[int]) -> "object":
-        """Padded ndarray view of the adversary move enumeration.
-
-        For the vector solver: row ``p`` holds
-        :meth:`moves_for_occupied` of ``occupied_values[p]`` padded to
-        the longest enumeration by repeating move 0 — the always-valid
-        all-non-adjacent-edges mask, so the padding duplicates a real
-        transition and stays harmless for reachability and label unions.
-        Returns the int64 ``(len, width)`` table. Raises
-        :class:`~repro.errors.VerificationError` when NumPy — an optional
-        dependency — is absent.
-        """
-        from repro.verification.batch import require_numpy
-
-        np = require_numpy()
-
-        rows = [self.moves_for_occupied(occ) for occ in occupied_values]
-        width = max(len(row) for row in rows)
-        moves_pad = np.empty((len(rows), width), dtype=np.int64)
-        for p, row in enumerate(rows):
-            moves_pad[p, : len(row)] = row
-            moves_pad[p, len(row) :] = row[0]
-        return moves_pad
 
     # ------------------------------------------------------------------
     # Reachability

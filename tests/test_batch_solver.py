@@ -60,13 +60,19 @@ Three contracts, mirroring ``test_batch.py``'s simulation-side suite:
 * **Dense expansion** — for every state the lockstep BFS visits, the
   (label, successor) pairs of the dense successor tensor are exactly
   ``PackedKernel.reachable``'s transitions, and the visited set is its
-  reached set (single n=3, two and memory-2 two n=4, FSYNC/SSYNC).
+  reached set (single n=3, two and memory-2 two n=4, FSYNC/SSYNC); and
+  every (state, padded move, activation column) cell of the dense
+  geometry, composed from the kernel's round tables at the space's keys,
+  is ``step_packed``'s successor under the label ``move | activation
+  bits``, padding repeating each row's first move (single n=3, 4, two
+  n=4, 5, memory-2 two n=4, FSYNC/SSYNC, every plan vector).
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import random
 from pathlib import Path
 
@@ -710,6 +716,9 @@ class TestArenaLocalScc:
         rows = batch_solver._pack(flags, 3)
         assert rows.shape == (4, 7, 3) and rows.dtype == np.uint64
         assert (batch_solver._unpack(rows, 130) == flags).all()
+        # The words are values, whatever their byte order in memory.
+        swapped = rows.astype(">u8")
+        assert (batch_solver._unpack(swapped, 130) == flags).all()
 
     @pytest.mark.parametrize("prop", ["perpetual", "live"])
     @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
@@ -856,6 +865,56 @@ class TestDenseExpansion:
                     sp.labels[state].tolist(), succ[table, state].tolist()
                 )
                 assert set(dense) == set(out), (bits, state)
+
+    @pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+    @pytest.mark.parametrize(
+        "family,n",
+        [("single", 3), ("single", 4), ("two", 4), ("two", 5), ("two-m2", 4)],
+    )
+    def test_geometry_steps_like_the_kernel(self, family, n, scheduler) -> None:
+        # Every (state, padded move, activation column) cell: the robots'
+        # round tables read at the space's keys, idle robots put back on
+        # their slots, compose the kernel's own step; the cell's label is
+        # the move with the column's activation bits; and a row padded
+        # past its occupancy's moves repeats the first one.
+        topology = RingTopology(n)
+        maker = family_maker(family)
+        bits = random.Random(n).randrange(family_space(family))
+        for vector in itertools.chain.from_iterable(family_plan(family)):
+            kernel = PackedKernel(
+                topology, maker(bits), vector, scheduler=scheduler
+            )
+            sp = batch_solver.dense_space(kernel)
+            keys = [key.tolist() for key, _weight, _idle in sp.robots]
+            labels = sp.labels.tolist()
+            weights = [sp.base**i for i in range(sp.k)]
+            columns = kernel.activations
+            width = sp.branch // len(columns)
+            longest = 0
+            for state in range(sp.space):
+                occupied = kernel.occupied_mask(state)
+                assert sp.occ[state] == occupied
+                moves = kernel.moves_for_occupied(occupied)
+                longest = max(longest, len(moves))
+                padded = moves + (moves[0],) * (width - len(moves))
+                slots = [state // weight % sp.base for weight in weights]
+                for j, move in enumerate(padded):
+                    active = [
+                        table[key[state][j]]
+                        for table, key in zip(kernel.round_tables, keys)
+                    ]
+                    for c, (act, act_bits) in enumerate(columns):
+                        successor = sum(
+                            (active[i] if act >> i & 1 else slots[i]) * weight
+                            for i, weight in enumerate(weights)
+                        )
+                        assert successor == kernel.step_packed(
+                            state, move, act
+                        ), (vector, state, move, act)
+                        assert labels[state][j * len(columns) + c] == (
+                            move | act_bits
+                        )
+            assert longest == width
 
 
 def _pef3_instance(n: int, scheduler: str, vector: int, towers: bool) -> tuple:
