@@ -101,65 +101,4 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
-    # types
-    "Direction",
-    "GlobalDirection",
-    "Chirality",
-    "LEFT",
-    "RIGHT",
-    "CW",
-    "CCW",
-    "AGREE",
-    "DISAGREE",
-    # errors
-    "ReproError",
-    "TopologyError",
-    "ScheduleError",
-    "ConfigurationError",
-    "AlgorithmError",
-    "VerificationError",
-    "CertificateError",
-    # graph
-    "Topology",
-    "RingTopology",
-    "ChainTopology",
-    "EvolvingGraph",
-    # robots
-    "Algorithm",
-    "PEF3Plus",
-    "PEF2",
-    "PEF1",
-    "registry",
-    "get_algorithm",
-    # sim
-    "Configuration",
-    "ExecutionTrace",
-    "RunResult",
-    "run_fsync",
-    "run_ssync",
-    "VisitTracker",
-    "TowerLogger",
-    # adversaries
-    "OscillationTrap",
-    "TheoremPhaseTrap",
-    "WindowConfinementAdversary",
-    "SsyncBlocker",
-    # verification
-    "verify_exploration",
-    "synthesize_trap",
-    "TrapCertificate",
-    "validate_certificate",
-    # analysis
-    "exploration_report",
-    "tower_report",
-    "recurrence_report",
-    # scenarios / campaigns
-    "ScenarioSpec",
-    "RobotClassSpec",
-    "get_scenario",
-    "scenario_names",
-    "ResultStore",
-    "CampaignRunner",
-]
+__all__ = ["__version__", *_EXPORTS]

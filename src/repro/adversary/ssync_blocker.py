@@ -36,7 +36,7 @@ from repro.adversary.base import RecurrenceLedger
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.topology import Topology
 from repro.sim.config import Observation
-from repro.sim.semi_sync import step_ssync
+from repro.sim.engine import step_ssync
 from repro.types import EdgeId, GlobalDirection, RobotId
 
 

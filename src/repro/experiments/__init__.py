@@ -42,24 +42,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
-__all__ = [
-    "schedule_battery",
-    "run_battery",
-    "BatteryOutcome",
-    "Table1Row",
-    "reproduce_table1",
-    "render_table1",
-    "Figure2Outcome",
-    "Figure3Outcome",
-    "figure2_experiment",
-    "figure3_experiment",
-    "Lemma41Scenario",
-    "Lemma41Outcome",
-    "default_scenarios",
-    "run_lemma41_construction",
-    "CoverTimePoint",
-    "cover_time_sweep",
-    "IllInitiatedOutcome",
-    "all_placements_with_towers",
-    "probe_ill_initiated",
-]
+__all__ = list(_EXPORTS)

@@ -44,34 +44,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
-__all__ = [
-    "Topology",
-    "RingTopology",
-    "ChainTopology",
-    "EvolvingGraph",
-    "ExplicitSchedule",
-    "FunctionSchedule",
-    "RecordedEvolvingGraph",
-    "restrict",
-    "StaticSchedule",
-    "EventuallyMissingEdgeSchedule",
-    "IntermittentEdgeSchedule",
-    "BernoulliSchedule",
-    "MarkovSchedule",
-    "PeriodicSchedule",
-    "TIntervalConnectedSchedule",
-    "AtMostOneAbsentSchedule",
-    "CompositeSchedule",
-    "SwitchAfterSchedule",
-    "chain_like_schedule",
-    "underlying_edges",
-    "eventual_underlying_edges",
-    "recurrent_edges",
-    "is_connected_over_time",
-    "is_connected_edge_set",
-    "one_edge",
-    "journey_exists",
-    "foremost_journey",
-    "temporal_reachability",
-    "temporal_eccentricity",
-]
+__all__ = list(_EXPORTS)

@@ -70,34 +70,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
-__all__ = [
-    "DEFAULT_HORIZON",
-    "DYNAMICS_FAMILIES",
-    "EXHAUSTIVE_LIMIT",
-    "RANDOMIZED_FAMILIES",
-    "SCENARIO_FORMAT_VERSION",
-    "SCHEDULE_PARAMS",
-    "build_schedule",
-    "schedule_masks",
-    "simulate_chunk",
-    "simulation_placements",
-    "validate_dynamics",
-    "RobotClassSpec",
-    "ScenarioSpec",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
-    "iter_scenarios",
-    "smallest_scenario",
-    "FAULT_PLAN_ENV_VAR",
-    "KILL_EXIT_CODE",
-    "FaultPlan",
-    "RecoveryReport",
-    "ResultStore",
-    "chunk_digest",
-    "is_failure_record",
-    "CampaignRunner",
-    "CampaignRunOutcome",
-    "CampaignStatus",
-    "RetryPolicy",
-]
+__all__ = list(_EXPORTS)

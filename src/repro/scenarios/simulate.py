@@ -46,9 +46,8 @@ execution substrates with one semantics:
   array (:func:`~repro.scenarios.dynamics.schedule_masks`), and runs the
   bounded-horizon check on packed occupancy bitsets, one round-table
   lookup per active robot and round;
-* ``backend="object"`` drives :func:`repro.sim.engine.step_fsync` /
-  :func:`repro.sim.semi_sync.step_ssync` per round — the semantics
-  oracle, kept as the differential reference.
+* ``backend="object"`` drives :func:`repro.sim.engine.step_round` per
+  round — the semantics oracle, kept as the differential reference.
 
 ``packed`` and ``object`` share one per-table loop and differ only in
 the run function they plug into it: one bounded run of one table under
@@ -97,8 +96,7 @@ from repro.scenarios import faults
 from repro.robots.algorithms.base import Algorithm
 from repro.scenarios.dynamics import build_schedule, schedule_masks
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.engine import make_initial_configuration, step_fsync
-from repro.sim.semi_sync import step_ssync
+from repro.sim.engine import make_initial_configuration, step_round
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification.backends import resolve_solver_backend
 from repro.verification.compiled import CompiledTables
@@ -151,14 +149,10 @@ def _bounded_explores(
     if prop == "live" and seen == nodes:
         return True, 0
     for t in range(horizon):
-        if activations is None:
-            configuration, _views, _moved = step_fsync(
-                topology, algorithm, configuration, steps[t]
-            )
-        else:
-            configuration, _views, _moved = step_ssync(
-                topology, algorithm, configuration, steps[t], activations[t]
-            )
+        configuration, _views, _moved = step_round(
+            topology, algorithm, configuration, steps[t],
+            None if activations is None else activations[t],
+        )
         if t < mid:
             seen.update(configuration.positions)
         else:

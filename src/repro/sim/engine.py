@@ -1,9 +1,16 @@
-"""The FSYNC engine: fully synchronous Look–Compute–Move rounds (§2.3).
+"""The round engine: Look–Compute–Move rounds under FSYNC and SSYNC (§2.3).
 
-The single-round transition lives in :func:`step_fsync` and is the one
-source of truth for the model's semantics — the exhaustive verifier
-(:mod:`repro.verification`) drives the *same* function, so a solver verdict
-and a simulator replay can never disagree about what a round does.
+A round has two bodies, side by side: :func:`step_fsync`, the fully
+synchronous round, and :func:`step_ssync`, the same round applied to an
+adversary-chosen set of robots (the semi-synchronous model of Di Luna et
+al.). They stay two implementations, so the differential tests that
+compare FSYNC with everyone-active SSYNC compare two bodies;
+:func:`step_round` picks one (``active is None`` = FSYNC) and is the one
+entry point every caller steps through — the run loop behind :func:`run_fsync` and
+:func:`~repro.sim.semi_sync.run_ssync`, the exhaustive verifier's object
+product (:mod:`repro.verification.product`) and the object simulator —
+so a solver verdict and a simulator replay can never disagree about what
+a round does.
 
 Round ``t`` (from configuration ``γ_t`` on snapshot ``G_t``):
 
@@ -16,12 +23,23 @@ Round ``t`` (from configuration ``γ_t`` on snapshot ``G_t``):
    deterministic) algorithm, synchronously;
 4. **Move**: every robot crosses its pointed edge iff that edge is in
    ``E_t``; otherwise it stays.
+
+Under SSYNC only the round's active robots Compute and Move; the others
+keep their state and position but still count for multiplicity in the
+Look.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.errors import ConfigurationError, ScheduleError
 from repro.graph.topology import Topology
@@ -31,7 +49,10 @@ from repro.robots.view import LocalView
 from repro.sim.config import Configuration, Observation, validate_initial_configuration
 from repro.sim.observers import Observer
 from repro.sim.trace import ExecutionTrace, RoundRecord
-from repro.types import Chirality, EdgeId, GlobalDirection, NodeId
+from repro.types import Chirality, EdgeId, GlobalDirection, NodeId, RobotId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.semi_sync import ActivationScheduler
 
 
 @runtime_checkable
@@ -127,6 +148,57 @@ def step_fsync(
     return after, views, moved_tuple(moved)
 
 
+def step_ssync(
+    topology: Topology,
+    algorithm: Algorithm,
+    configuration: Configuration,
+    present: frozenset[EdgeId],
+    active: frozenset[RobotId],
+) -> tuple[Configuration, tuple[LocalView, ...], tuple[bool, ...]]:
+    """One semi-synchronous round: only ``active`` robots act, atomically.
+
+    Views are computed on the shared snapshot exactly as in FSYNC —
+    inactive robots still count for multiplicity detection. Inactive
+    robots' states and positions are untouched.
+    """
+    views = look(topology, configuration, present)
+    new_states = list(configuration.states)
+    for robot in active:
+        new_states[robot] = algorithm.compute(configuration.states[robot], views[robot])
+    new_positions = list(configuration.positions)
+    moved = [False] * configuration.robot_count
+    for robot in active:
+        position = configuration.positions[robot]
+        chirality = configuration.chiralities[robot]
+        global_dir = chirality.to_global(new_states[robot].dir)
+        port = topology.port(position, global_dir)
+        if port is not None and port in present:
+            landing = topology.neighbor(position, global_dir)
+            assert landing is not None
+            new_positions[robot] = landing
+            moved[robot] = True
+    after = Configuration(
+        positions=tuple(new_positions),
+        states=tuple(new_states),
+        chiralities=configuration.chiralities,
+    )
+    return after, views, moved_tuple(moved)
+
+
+def step_round(
+    topology: Topology,
+    algorithm: Algorithm,
+    configuration: Configuration,
+    present: frozenset[EdgeId],
+    active: Optional[frozenset[RobotId]] = None,
+) -> tuple[Configuration, tuple[LocalView, ...], tuple[bool, ...]]:
+    """One round: :func:`step_fsync` when ``active is None``, else
+    :func:`step_ssync` over the ``active`` robots."""
+    if active is None:
+        return step_fsync(topology, algorithm, configuration, present)
+    return step_ssync(topology, algorithm, configuration, present, active)
+
+
 def moved_tuple(moved: Sequence[bool]) -> tuple[bool, ...]:
     """Normalize movement flags to a tuple (micro-helper for callers)."""
     return tuple(bool(m) for m in moved)
@@ -134,7 +206,8 @@ def moved_tuple(moved: Sequence[bool]) -> tuple[bool, ...]:
 
 @dataclass
 class RunResult:
-    """Outcome of a finite run: final configuration plus optional trace."""
+    """Outcome of a finite run: final configuration, the robots each
+    round activated (all of them under FSYNC) and an optional trace."""
 
     topology: Topology
     algorithm: Algorithm
@@ -142,11 +215,24 @@ class RunResult:
     final: Configuration
     rounds: int
     trace: Optional[ExecutionTrace]
+    activations: list[frozenset[RobotId]]
 
     @property
     def k(self) -> int:
         """Number of robots."""
         return self.initial.robot_count
+
+    def activation_counts(self) -> dict[RobotId, int]:
+        """How many times each robot was activated (fairness audit)."""
+        counts: dict[RobotId, int] = {robot: 0 for robot in self.initial.robots}
+        for active in self.activations:
+            for robot in active:
+                counts[robot] += 1
+        return counts
+
+    def is_fair(self) -> bool:
+        """Whether every robot was activated at least once (finite proxy)."""
+        return all(count > 0 for count in self.activation_counts().values())
 
 
 def make_initial_configuration(
@@ -209,6 +295,34 @@ def run_fsync(
         Enforce Section 2.4's well-initiated conditions on γ_0. Disable
         only for deliberately ill-initiated experiments.
     """
+    return _run_rounds(
+        topology, scheduler, None, algorithm, positions, rounds, chiralities,
+        observers, keep_trace, require_well_initiated,
+    )
+
+
+def _run_rounds(
+    topology: Topology,
+    scheduler: EdgeScheduler,
+    activations: "Optional[ActivationScheduler]",
+    algorithm: Algorithm,
+    positions: Sequence[NodeId],
+    rounds: int,
+    chiralities: Optional[Sequence[Chirality]],
+    observers: Iterable[Observer],
+    keep_trace: bool,
+    require_well_initiated: bool,
+) -> RunResult:
+    """The one run loop of :func:`run_fsync` and
+    :func:`~repro.sim.semi_sync.run_ssync` (``activations is None`` =
+    FSYNC, every robot active every round).
+
+    Each round the edge scheduler is consulted first (it sees the
+    configuration but not the activation choice), then the activation
+    scheduler, which may observe everything — the activation adversary
+    has the last word, as in Di Luna et al.'s argument. An activation set
+    must be non-empty and name only robots of the run.
+    """
     if rounds < 0:
         raise ScheduleError(f"rounds must be non-negative, got {rounds}")
     configuration = make_initial_configuration(topology, algorithm, positions, chiralities)
@@ -224,13 +338,26 @@ def run_fsync(
         observer.on_start(topology, configuration)
 
     initial = configuration
+    everyone = frozenset(configuration.robots)
+    activation_log: list[frozenset[RobotId]] = []
     for t in range(rounds):
         observation = Observation(
             t=t, topology=topology, configuration=configuration, algorithm=algorithm
         )
         present = frozenset(scheduler.edges_at(t, observation))
         topology.check_edge_set(present)
-        after, views, moved = step_fsync(topology, algorithm, configuration, present)
+        active: Optional[frozenset[RobotId]] = None
+        if activations is not None:
+            active = frozenset(activations.active_robots(t, observation))
+            if not active:
+                raise ConfigurationError(f"round {t} activates no robot")
+            for robot in active:
+                if robot not in configuration.robots:
+                    raise ConfigurationError(f"activation of unknown robot {robot}")
+        activation_log.append(everyone if active is None else active)
+        after, views, moved = step_round(
+            topology, algorithm, configuration, present, active
+        )
         record = RoundRecord(
             t=t,
             present_edges=present,
@@ -252,6 +379,7 @@ def run_fsync(
         final=configuration,
         rounds=rounds,
         trace=trace,
+        activations=activation_log,
     )
 
 
@@ -260,6 +388,8 @@ __all__ = [
     "local_ports",
     "look",
     "step_fsync",
+    "step_ssync",
+    "step_round",
     "RunResult",
     "make_initial_configuration",
     "run_fsync",

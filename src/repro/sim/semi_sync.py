@@ -10,8 +10,10 @@ against our concrete algorithms (experiment X2):
 * an activation-scheduler protocol — who performs a full atomic
   Look–Compute–Move cycle this round (FSYNC is the everyone-always
   special case);
-* :func:`run_ssync` — the engine; inactive robots keep their state and
-  position but remain visible to multiplicity detection;
+* :func:`run_ssync` — the run loop of :mod:`repro.sim.engine` under an
+  activation scheduler; the round body is
+  :func:`repro.sim.engine.step_ssync`, where inactive robots keep their
+  state and position but remain visible to multiplicity detection;
 * round-robin / explicit-list schedulers, plus adversarial ones living in
   :mod:`repro.adversary.ssync_blocker`.
 
@@ -22,15 +24,14 @@ adversary's power comes from *timing*, not starvation of activations.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import ScheduleError
 from repro.graph.topology import Topology
 from repro.robots.algorithms.base import Algorithm
-from repro.sim.config import Configuration, Observation, validate_initial_configuration
-from repro.sim.engine import EdgeScheduler, look, make_initial_configuration, moved_tuple
+from repro.sim.config import Observation
+from repro.sim.engine import EdgeScheduler, RunResult, _run_rounds
 from repro.sim.observers import Observer
-from repro.sim.trace import ExecutionTrace, RoundRecord
 from repro.types import Chirality, NodeId, RobotId
 
 
@@ -39,7 +40,8 @@ class ActivationScheduler(Protocol):
     """Chooses which robots perform a full L-C-M cycle at each round."""
 
     def active_robots(self, t: int, observation: Observation) -> frozenset[RobotId]:
-        """The robots activated at round ``t`` (must be non-empty for progress)."""
+        """The robots activated at round ``t`` (non-empty; the run loop
+        refuses an empty set)."""
         ...  # pragma: no cover - protocol
 
 
@@ -71,43 +73,6 @@ class ListActivation:
         return self._pattern[t % len(self._pattern)]
 
 
-def step_ssync(
-    topology: Topology,
-    algorithm: Algorithm,
-    configuration: Configuration,
-    present: frozenset[int],
-    active: frozenset[RobotId],
-) -> tuple[Configuration, tuple, tuple[bool, ...]]:
-    """One semi-synchronous round: only ``active`` robots act, atomically.
-
-    Views are computed on the shared snapshot exactly as in FSYNC —
-    inactive robots still count for multiplicity detection. Inactive
-    robots' states and positions are untouched.
-    """
-    views = look(topology, configuration, present)
-    new_states = list(configuration.states)
-    for robot in active:
-        new_states[robot] = algorithm.compute(configuration.states[robot], views[robot])
-    new_positions = list(configuration.positions)
-    moved = [False] * configuration.robot_count
-    for robot in active:
-        position = configuration.positions[robot]
-        chirality = configuration.chiralities[robot]
-        global_dir = chirality.to_global(new_states[robot].dir)  # type: ignore[attr-defined]
-        port = topology.port(position, global_dir)
-        if port is not None and port in present:
-            landing = topology.neighbor(position, global_dir)
-            assert landing is not None
-            new_positions[robot] = landing
-            moved[robot] = True
-    after = Configuration(
-        positions=tuple(new_positions),
-        states=tuple(new_states),
-        chiralities=configuration.chiralities,
-    )
-    return after, views, moved_tuple(moved)
-
-
 def run_ssync(
     topology: Topology,
     scheduler: EdgeScheduler,
@@ -119,99 +84,19 @@ def run_ssync(
     observers: Iterable[Observer] = (),
     keep_trace: bool = True,
     require_well_initiated: bool = True,
-) -> "SsyncRunResult":
+) -> RunResult:
     """Run ``rounds`` semi-synchronous rounds (see :func:`run_fsync`).
 
-    The edge scheduler is consulted first each round (it sees the
-    configuration but *not* the activation choice); the activation
-    scheduler is consulted second and may observe everything — giving the
-    activation adversary the last word, as in [10]'s argument. Colluding
-    adversaries can nevertheless coordinate by sharing state.
+    The same loop as :func:`~repro.sim.engine.run_fsync`, with
+    ``activations`` choosing each round's active robots after the edge
+    scheduler has chosen its edges; the result's
+    :attr:`~repro.sim.engine.RunResult.activations` log records them.
+    Colluding adversaries can coordinate by sharing state.
     """
-    if rounds < 0:
-        raise ScheduleError(f"rounds must be non-negative, got {rounds}")
-    configuration = make_initial_configuration(topology, algorithm, positions, chiralities)
-    if require_well_initiated:
-        validate_initial_configuration(topology, configuration)
-
-    trace = ExecutionTrace(topology, configuration) if keep_trace else None
-    observer_list = list(observers)
-    for observer in observer_list:
-        observer.on_start(topology, configuration)
-
-    initial = configuration
-    activation_log: list[frozenset[RobotId]] = []
-    for t in range(rounds):
-        observation = Observation(
-            t=t, topology=topology, configuration=configuration, algorithm=algorithm
-        )
-        present = frozenset(scheduler.edges_at(t, observation))
-        topology.check_edge_set(present)
-        active = frozenset(activations.active_robots(t, observation))
-        for robot in active:
-            if robot not in configuration.robots:
-                raise ConfigurationError(f"activation of unknown robot {robot}")
-        activation_log.append(active)
-        after, views, moved = step_ssync(
-            topology, algorithm, configuration, present, active
-        )
-        record = RoundRecord(
-            t=t,
-            present_edges=present,
-            before=configuration,
-            views=views,
-            after=after,
-            moved=moved,
-        )
-        if trace is not None:
-            trace.append(record)
-        for observer in observer_list:
-            observer.on_round(record)
-        configuration = after
-
-    return SsyncRunResult(
-        topology=topology,
-        algorithm=algorithm,
-        initial=initial,
-        final=configuration,
-        rounds=rounds,
-        trace=trace,
-        activations=activation_log,
+    return _run_rounds(
+        topology, scheduler, activations, algorithm, positions, rounds,
+        chiralities, observers, keep_trace, require_well_initiated,
     )
-
-
-class SsyncRunResult:
-    """Outcome of an SSYNC run: adds the activation log to the run data."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        algorithm: Algorithm,
-        initial: Configuration,
-        final: Configuration,
-        rounds: int,
-        trace: Optional[ExecutionTrace],
-        activations: list[frozenset[RobotId]],
-    ) -> None:
-        self.topology = topology
-        self.algorithm = algorithm
-        self.initial = initial
-        self.final = final
-        self.rounds = rounds
-        self.trace = trace
-        self.activations = activations
-
-    def activation_counts(self) -> dict[RobotId, int]:
-        """How many times each robot was activated (fairness audit)."""
-        counts: dict[RobotId, int] = {robot: 0 for robot in self.initial.robots}
-        for active in self.activations:
-            for robot in active:
-                counts[robot] += 1
-        return counts
-
-    def is_fair(self) -> bool:
-        """Whether every robot was activated at least once (finite proxy)."""
-        return all(count > 0 for count in self.activation_counts().values())
 
 
 __all__ = [
@@ -219,7 +104,5 @@ __all__ = [
     "EveryRobotActivation",
     "RoundRobinActivation",
     "ListActivation",
-    "step_ssync",
     "run_ssync",
-    "SsyncRunResult",
 ]

@@ -85,31 +85,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)
 
-__all__ = [
-    "AUTO_BACKEND",
-    "BACKEND_CHOICES",
-    "SOLVER_BACKENDS",
-    "PROPERTIES",
-    "resolve_solver_backend",
-    "vector_available",
-    "START_POLICIES",
-    "TABLE_FAMILIES",
-    "CompiledTables",
-    "PackedKernel",
-    "ProductSystem",
-    "SysState",
-    "ExplorationVerdict",
-    "check_property",
-    "check_scheduler",
-    "verify_exploration",
-    "synthesize_trap",
-    "TrapCertificate",
-    "certificate_schedule",
-    "validate_certificate",
-    "SweepResult",
-    "available_cpus",
-    "sample_table_patterns",
-    "sweep_spec",
-    "run_table_sweep",
-    "sweep_chunk",
-]
+__all__ = list(_EXPORTS)

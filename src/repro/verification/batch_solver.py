@@ -85,10 +85,10 @@ move order, the *same* canonical graph the packed backend builds from
 ``PackedKernel.reachable`` — so vector and packed verdicts and
 certificates are bit-identical by construction. It feeds the shared
 solve phase in :mod:`repro.verification.game` (``verify`` and the
-certificate path of validated sweeps), which stays on the arrays: the
-NumPy kernels at the end of this module check rotation closure
-(:func:`rotation_closed`), grow the live arena
-(:func:`avoid_reachable`) and count transitions (:func:`out_degrees`),
+certificate path of validated sweeps), which stays on the arrays: this
+module's NumPy kernels grow the live arena (:func:`avoid_reachable`),
+OR the swap links of the states that reach a quotient's root
+(:func:`reaching_links`) and count transitions (:func:`out_degrees`),
 and the rows the Python Tarjan walks arrive as compact stdlib arrays
 (:func:`compact`). There is no scalar size fallback.
 
@@ -1259,28 +1259,6 @@ def reachable_csr(
 # ----------------------------------------------------------------------
 # Solve-phase kernels over a reachable_csr graph (repro.verification.game)
 # ----------------------------------------------------------------------
-def rotation_closed(
-    kernel: PackedKernel, states: "object", classes: SwapClasses = ()
-) -> bool:
-    """Whether an ascending packed-state array is closed under rotation.
-
-    The NumPy form of :func:`repro.verification.game._rotation_closed`:
-    every robot's slot moves one node on (``node → node + 1 mod n``,
-    state kept), the rotated slots are sorted within the swap
-    ``classes`` of a quotient, and each rotated state must be found in
-    ``states``.
-    """
-    np = require_numpy()
-    S, n = kernel.state_count, kernel.n
-    slots = [
-        (slot // S + 1) % n * S + slot % S for slot in _digits(kernel, states)
-    ]
-    _sort_classes(slots, classes)
-    rotated = _encode(kernel, slots)
-    at = np.minimum(np.searchsorted(states, rotated), states.size - 1)
-    return bool((states[at] == rotated).all())
-
-
 def avoid_reachable(
     indptr: "object", succs: "object", occ: "object", seeds: Sequence[int],
     target_bit: int,
@@ -1326,6 +1304,5 @@ __all__ = [
     "out_degrees",
     "reachable_csr",
     "reaching_links",
-    "rotation_closed",
     "solve_tables",
 ]

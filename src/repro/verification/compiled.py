@@ -569,7 +569,7 @@ class CompiledTables:
         ``act_mask`` is the activated-robot bitmask of a semi-synchronous
         round (``None`` = everyone, the FSYNC round). Inactive robots keep
         their position *and* state — they still count for multiplicity
-        detection, exactly as in :func:`repro.sim.semi_sync.step_ssync`.
+        detection, exactly as in :func:`repro.sim.engine.step_ssync`.
         """
         if act_mask is None:
             act_mask = self.full_act

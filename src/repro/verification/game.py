@@ -42,18 +42,24 @@ with identical initial states) and by ring reflection (which flips every
 robot's chirality). *Targets* are reduced by ring rotation too, when it
 applies: rotating every robot one node on (``v → v + 1``, edge
 ``e → e + 1``) commutes with a round, so on a ring whose reachable state
-set is closed under rotation (a linear-time check), rotation is an
-automorphism of the labeled game graph that maps the target-``v``
-avoiding arena onto the target-``v + 1`` one, preserving internal
-transitions, label unions (up to relabeling edges) and activation
-unions. Target 0 then wins iff any target does, and since the solve loop
-returns the first winning target, checking target 0 alone changes
-neither verdicts nor certificates. It applies to the perpetual property
+set is closed under rotation, rotation is an automorphism of the labeled
+game graph that maps the target-``v`` avoiding arena onto the
+target-``v + 1`` one, preserving internal transitions, label unions (up
+to relabeling edges) and activation unions. Target 0 then wins iff any
+target does, and since the solve loop returns the first winning target,
+checking target 0 alone changes neither verdicts nor certificates. It applies to the perpetual property
 only: the live arena is also confined to target-avoiding *seeds*, and the
 rotation-reduced seeds all occupy node 0, so live targets are all
 scanned. ``PEF_3+``'s reachable sets are rotation-closed (n checks of the
 SCC search become one); ill-initiated FSYNC seeds, for example, need not
-be.
+be. Closure is read off the seeds alone (:func:`_rotation_closed`): the
+reachable set is ``R = Reach(S)`` from the seeds ``S``, and since
+rotation ``ρ`` commutes with a round (the adversary's moves at a state
+are its occupied nodes' edges, which rotate along), ``ρ(R) =
+Reach(ρ(S))``. If every rotated seed is in ``R``, then ``Reach(ρ(S)) ⊆
+R`` as ``R`` is closed under successors, so ``ρ(R) ⊆ R``, and ``ρ(R) =
+R`` because ``ρ`` is a bijection of the finite state space; the
+converse is immediate, as ``S ⊆ R``.
 
 **Robot-permutation quotient** (FSYNC on rings from the default seeds).
 Let ``G`` be the robot permutations that keep chiralities (one symmetric
@@ -115,9 +121,10 @@ The builders record those pairs per entered state
 (:meth:`~repro.verification.compiled.CompiledTables.swap_links`), and
 the check depends on the quotient alone, never on which lifts a
 backend kept. When it fails, the full graph is built instead. With
-``R = G·Q``, rotation commutes with ``G``, so ``R`` is rotation-closed
-iff every representative's rotation canonicalizes into ``Q``
-(:func:`_rotation_closed`). Under SSYNC a swap also relabels the
+``R = G·Q``, a state lies in ``R`` iff its representative lies in
+``Q``, and rotation commutes with ``G``, so the rotation check
+canonicalizes each rotated seed representative and looks it up in
+``Q`` (:func:`_rotation_closed`). Under SSYNC a swap also relabels the
 activation sets, and fairness would need its own argument; SSYNC,
 chains and explicit ``placements`` keep the full graph.
 
@@ -139,9 +146,9 @@ states it needs: the winner's members and the prefix's parents. The
 vector backend keeps the CSR as narrow NumPy arrays — int32 offsets and
 successor indices (int64 past 2^31), labels and occupied masks in the
 narrowest dtype that holds their bits — and holds one chirality
-vector's graph at a time. Rotation closure and the live arena run in
-NumPy; the rows the Tarjan walks are copied once per chirality vector
-into compact stdlib arrays. Verdicts, counts and certificates are
+vector's graph at a time. The live arena runs in NumPy; the rows the
+Tarjan walks are copied once per chirality vector into compact stdlib
+arrays. Verdicts, counts and certificates are
 bit-identical across the three backends.
 
 On a win the solver emits a :class:`~.certificates.TrapCertificate`
@@ -154,6 +161,7 @@ other under either scheduler.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import deque
@@ -329,7 +337,7 @@ def verify_exploration(
         if (
             prop == "perpetual"
             and topology.is_ring
-            and _rotation_closed(kernel, csr.states, classes)
+            and _rotation_closed(kernel, csr, classes)
         ):
             targets = (0,)
         for target in targets:
@@ -734,36 +742,30 @@ def _reaching_links(csr: _CsrGraph, root: int, joined) -> int:
 
 
 def _rotation_closed(
-    kernel: PackedKernel, states: Sequence[int], classes: SwapClasses = ()
+    kernel: PackedKernel, csr: _CsrGraph, classes: SwapClasses = ()
 ) -> bool:
-    """Whether a packed state set is closed under ring rotation.
+    """Whether a reached state set is closed under ring rotation, read
+    off its seeds (the module docstring's symmetry paragraph).
 
     Rotation moves every robot from node ``v`` to ``v + 1 (mod n)`` and
-    keeps its state: each slot ``v * S + s`` gains ``S``, and a slot at
-    node ``n - 1`` wraps by ``-base``. Rotation is a bijection of the
-    finite state space, so closure makes the set a union of orbits. A
-    quotient's states are rotated, then canonicalized (rotation commutes
-    with robot swaps). The vector backend's ascending int64 state array
-    is checked in NumPy.
+    keeps its state. Each seed is rotated, canonicalized on a quotient,
+    and looked up by bisection in the ascending ``csr.states`` — a list
+    or, on the vector backend, an int64 array.
     """
-    if not isinstance(states, list):
-        return batch_solver.rotation_closed(kernel, states, classes)
-    base = kernel._base
-    wrap = base - kernel.state_count
-    shift = sum(kernel.state_count * base**i for i in range(kernel.k))
-    members = set(states)
-    for state in states:
-        rotated = state + shift
-        rest = state
-        weight = base
+    S, n, base = kernel.state_count, kernel.n, kernel._base
+    states = csr.states
+    for seed in csr.seeds:
+        rest = int(states[seed])
+        rotated = 0
+        weight = 1
         for _ in range(kernel.k):
             rest, slot = divmod(rest, base)
-            if slot >= wrap:
-                rotated -= weight
+            rotated += ((slot // S + 1) % n * S + slot % S) * weight
             weight *= base
         if classes:
             rotated = kernel.canonical(rotated, classes)
-        if rotated not in members:
+        at = bisect.bisect_left(states, rotated)
+        if at == len(states) or states[at] != rotated:
             return False
     return True
 

@@ -4,8 +4,9 @@ A *system state* is ``(positions, states)`` — chirality is fixed per
 exploration (it never changes during an execution). The adversary's move
 at a state is a present-edge set — under ``scheduler="ssync"`` paired
 with a non-empty activated-robot set; the robots' deterministic response
-is computed by :func:`repro.sim.engine.step_fsync` (respectively
-:func:`repro.sim.semi_sync.step_ssync`), the same functions the
+is computed by :func:`repro.sim.engine.step_round` (the FSYNC body
+:func:`~repro.sim.engine.step_fsync`, respectively the SSYNC body
+:func:`~repro.sim.engine.step_ssync`), the same entry point the
 simulators run, so solver and simulator can never disagree on semantics.
 
 This module is the engine oracle and nothing else: every transition of
@@ -41,8 +42,7 @@ from repro.graph.topology import (
 )
 from repro.robots.algorithms.base import Algorithm
 from repro.sim.config import Configuration
-from repro.sim.engine import step_fsync
-from repro.sim.semi_sync import step_ssync
+from repro.sim.engine import step_round
 from repro.types import Chirality, EdgeId, NodeId, RobotId
 from repro.verification.compiled import check_scheduler
 
@@ -173,21 +173,16 @@ class ProductSystem:
 
         ``active`` selects the robots performing their atomic L-C-M cycle
         this round (``None`` = everyone, the FSYNC round); either way the
-        transition is computed by the corresponding *simulator* step
-        function, keeping this path the semantics oracle.
+        transition is the *simulator's* :func:`~repro.sim.engine.step_round`,
+        keeping this path the semantics oracle.
         """
         positions, states = state
         configuration = Configuration(
             positions=positions, states=states, chiralities=self.chiralities
         )
-        if active is None:
-            after, _views, _moved = step_fsync(
-                self.topology, self.algorithm, configuration, present
-            )
-        else:
-            after, _views, _moved = step_ssync(
-                self.topology, self.algorithm, configuration, present, active
-            )
+        after, _views, _moved = step_round(
+            self.topology, self.algorithm, configuration, present, active
+        )
         return (after.positions, after.states)
 
     def transitions(self, state: SysState) -> Iterator[Transition]:

@@ -89,7 +89,13 @@ from repro.graph.topology import (
     Topology,
     arbitrary_placements,
 )
-from repro.robots.algorithms import PEF1, PEF2, PEF3Plus, get_algorithm
+from repro.robots.algorithms import (
+    PEF1,
+    PEF2,
+    PEF3Plus,
+    get_algorithm,
+    registry,
+)
 from repro.scenarios import (
     CampaignRunner,
     ResultStore,
@@ -1236,7 +1242,7 @@ class TestSparseFrontier:
         # every state's rotated out-transitions (as a multiset) are
         # exactly the rotated state's out-transitions.
         kernel, _seeds, csr = _scalar_csr(*case)
-        if not _rotation_closed(kernel, csr.states):
+        if not _rotation_closed(kernel, csr):
             # Ill-initiated FSYNC starts reach a set that is not closed
             # under rotation; the solve loop then scans every target.
             assert case[3]
@@ -1421,8 +1427,8 @@ class TestVectorSolvePhase:
         kernel, seeds, reference = _scalar_csr(*case)
         sparse = _CsrGraph(*batch_solver.reachable_csr(kernel, seeds))
         assert sparse.on_numpy and not reference.on_numpy
-        assert _rotation_closed(kernel, sparse.states) == _rotation_closed(
-            kernel, reference.states
+        assert _rotation_closed(kernel, sparse) == _rotation_closed(
+            kernel, reference
         )
         for target in range(kernel.n):
             bit = 1 << target
@@ -1716,8 +1722,76 @@ def _full_target_scan(algorithm, topology, k, scheduler, prop, placements):
     return None
 
 
+def _full_rotation_scan(kernel, states, classes=()) -> bool:
+    """Reference closure: rotate every reached state (canonicalized on a
+    quotient) and look it up, as the solver did before the seed rule."""
+    S, n, base = kernel.state_count, kernel.n, kernel._base
+    members = {int(state) for state in states}
+    for state in members:
+        rest, rotated, weight = state, 0, 1
+        for _ in range(kernel.k):
+            rest, slot = divmod(rest, base)
+            rotated += ((slot // S + 1) % n * S + slot % S) * weight
+            weight *= base
+        if classes:
+            rotated = kernel.canonical(rotated, classes)
+        if rotated not in members:
+            return False
+    return True
+
+
+def _rotation_corpus() -> list:
+    """Every registered algorithm plus two random memoryless and two
+    random memory-2 tables (fixed seed), as ``(name, algorithm)``."""
+    rng = random.Random(34)
+    corpus = [(name, get_algorithm(name)) for name in registry]
+    for family in ("two", "two-m2"):
+        for _ in range(2):
+            bits = rng.randrange(family_space(family))
+            corpus.append((f"{family}:{bits}", family_maker(family)(bits)))
+    return corpus
+
+
 class TestRotationReducedTargets:
     """Checking target 0 alone never changes a verdict or certificate."""
+
+    @pytest.mark.parametrize(
+        "backend,max_cells",
+        [("packed", 10), pytest.param("vector", 12, marks=requires_numpy)],
+    )
+    def test_seed_rule_matches_full_scan(self, backend, max_cells) -> None:
+        # Rings n=2..6 with k <= 3 robots and n·k <= max_cells, FSYNC and
+        # SSYNC, default (quotiented under FSYNC) and arbitrary
+        # placements, every default chirality vector: the seeds decide
+        # closure exactly when every reached state does.
+        cases = opened = 0
+        for name, algorithm in _rotation_corpus():
+            for n, k in itertools.product(range(2, 7), range(1, 4)):
+                if k >= n or n * k > max_cells:
+                    continue
+                topology = RingTopology(n)
+                for scheduler, towers in itertools.product(
+                    ("fsync", "ssync"), (False, True)
+                ):
+                    placements = (
+                        arbitrary_placements(topology, k) if towers else None
+                    )
+                    quotient = scheduler == "fsync" and not towers
+                    for vector in default_chirality_vectors(k):
+                        kernel, csr, classes = game._build_csr(
+                            backend, topology, algorithm, vector, 10**6,
+                            placements, scheduler, quotient,
+                        )
+                        expected = _full_rotation_scan(
+                            kernel, csr.states, classes
+                        )
+                        assert _rotation_closed(kernel, csr, classes) == (
+                            expected
+                        ), (name, n, k, scheduler, towers, vector)
+                        cases += 1
+                        opened += not expected
+        # Both answers occur: the corpus is not all closed.
+        assert cases > 500 and opened >= 3
 
     @pytest.mark.parametrize(
         "algorithm,n,k,scheduler,prop,towers",
@@ -1752,8 +1826,8 @@ class TestRotationReducedTargets:
         # Seeds pin robot 0 at node 0, so a live trap never starves node
         # 0: reducing live targets to node 0 would wrongly report
         # EXPLORES. The live scan must visit every target.
-        kernel, seeds = _pef3_instance(4, "ssync", 0, False)
-        assert _rotation_closed(kernel, list(kernel.reachable(seeds)))
+        kernel, _seeds, csr = _scalar_csr(4, "ssync", 0, False)
+        assert _rotation_closed(kernel, csr)
         verdict = verify_exploration(
             PEF3Plus(), RingTopology(4), 3, backend="packed", prop="live",
             scheduler="ssync",

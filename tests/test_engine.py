@@ -1,4 +1,5 @@
-"""Tests for the FSYNC engine: round semantics, traces, validation."""
+"""Tests for the round engine: round semantics, the one run loop behind
+``run_fsync`` and ``run_ssync``, traces and validation."""
 
 from __future__ import annotations
 
@@ -6,12 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import ConfigurationError, ScheduleError, TopologyError
 from repro.graph.schedules import BernoulliSchedule, StaticSchedule
 from repro.graph.topology import ChainTopology, RingTopology
 from repro.robots.algorithms import PEF3Plus, KeepDirection
 from repro.sim.config import Configuration
-from repro.sim.engine import make_initial_configuration, run_fsync, step_fsync
+from repro.sim.engine import (
+    RunResult,
+    make_initial_configuration,
+    run_fsync,
+    step_fsync,
+    step_round,
+    step_ssync,
+)
+from repro.sim.semi_sync import ListActivation, RoundRobinActivation, run_ssync
 from repro.types import AGREE, DISAGREE, Chirality
 
 
@@ -192,6 +201,81 @@ class TestRunFsync:
                     assert candidates, (before, after, record.present_edges)
                 else:
                     assert before == after
+
+
+def _run(runner: str, ring, positions, rounds: int, activations=None, **kwargs):
+    """One run of ``PEF_3+`` on the static ``ring``: ``run_fsync``, or
+    ``run_ssync`` under ``activations`` (round-robin by default)."""
+    schedule = StaticSchedule(ring)
+    if runner == "fsync":
+        return run_fsync(
+            ring, schedule, PEF3Plus(), positions=positions, rounds=rounds,
+            **kwargs,
+        )
+    return run_ssync(
+        ring, schedule, activations or RoundRobinActivation(), PEF3Plus(),
+        positions=positions, rounds=rounds, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("runner", ["fsync", "ssync"])
+class TestOneRunLoop:
+    """Both runners share one loop: one validation, one ``RunResult``."""
+
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_off_footprint_ill_initiated_start_raises(
+        self, runner: str, rounds: int
+    ) -> None:
+        with pytest.raises(TopologyError):
+            _run(
+                runner, RingTopology(4), [7], rounds,
+                require_well_initiated=False,
+            )
+
+    def test_activation_accounting(self, runner: str) -> None:
+        ring = RingTopology(6)
+        result = _run(runner, ring, [0, 2, 4], 7)
+        assert isinstance(result, RunResult)
+        if runner == "fsync":
+            assert result.activations == [frozenset({0, 1, 2})] * 7
+            assert result.activation_counts() == {0: 7, 1: 7, 2: 7}
+        else:
+            assert result.activations == [frozenset({t % 3}) for t in range(7)]
+            assert result.activation_counts() == {0: 3, 1: 2, 2: 2}
+        assert result.is_fair()
+        assert not _run(runner, ring, [0, 2, 4], 0).is_fair()
+        assert _run(runner, ring, [0, 2, 4], 2).is_fair() == (runner == "fsync")
+
+
+class TestActivationChecks:
+    def test_empty_activation_set_refused(self) -> None:
+        ring = RingTopology(5)
+        with pytest.raises(ConfigurationError, match="round 0 activates no robot"):
+            _run("ssync", ring, [0, 2], 1, ListActivation([[]]))
+        pattern = ListActivation([[0], []])
+        assert _run("ssync", ring, [0, 2], 1, pattern).rounds == 1
+        with pytest.raises(ConfigurationError, match="round 1 activates no robot"):
+            _run("ssync", ring, [0, 2], 2, pattern)
+
+    def test_unknown_robot_refused(self) -> None:
+        with pytest.raises(ConfigurationError, match="unknown robot 2"):
+            _run("ssync", RingTopology(5), [0, 2], 1, ListActivation([[2]]))
+
+    def test_step_round_picks_the_body(self) -> None:
+        ring = RingTopology(5)
+        algorithm = PEF3Plus()
+        config = make_initial_configuration(ring, algorithm, [0, 1, 3])
+        present = ring.all_edges - {0}
+        assert step_round(ring, algorithm, config, present) == step_fsync(
+            ring, algorithm, config, present
+        )
+        active = frozenset({1})
+        assert step_round(
+            ring, algorithm, config, present, active
+        ) == step_ssync(ring, algorithm, config, present, active)
+        assert step_round(
+            ring, algorithm, config, present, active
+        ) != step_fsync(ring, algorithm, config, present)
 
 
 class TestPaperBehaviour:
