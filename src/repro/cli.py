@@ -500,7 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         c_action.add_argument(
             "--jobs", type=int, default=None, metavar="J",
-            help="worker processes (default: all available cores)",
+            help="worker processes (default: all available cores when the "
+            "pending chunks' estimated cost outweighs a fork per attempt, "
+            "else none: every attempt runs in this process)",
         )
         if action in ("run", "retry-failed"):
             c_action.add_argument(

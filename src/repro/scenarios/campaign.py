@@ -38,7 +38,8 @@ contract:
 
 The runner parallelizes *across* chunks (``jobs``), writing each record
 as its chunk lands; record order on disk is scheduling-dependent, merged
-order never is.
+order never is. Without an explicit ``jobs``, a run whose chunks cost
+less than forking for them settles in the parent (:func:`plan_jobs`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro._lazy import lazy_exports
 from repro.errors import (
@@ -97,6 +98,57 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 CAMPAIGN_REPORT_VERSION = 1
+
+# Serial seconds one table costs on each concrete backend, and the wall
+# clock one forked attempt adds to its chunk (spawn, the child's fresh
+# pages, reaping), measured on a 2-core host. A thm41-two-n4 chunk costs
+# 9 µs per table on vector warm and 19 µs cold (12–280 µs on the other
+# registered families), 0.1–3.7 ms per table on packed and 0.4–53 ms on
+# object. The fork cost solves `--jobs 1` = C·c and `--jobs 2` =
+# C·(c + f)/2 for thm41-two-n4: 0.90 and 1.12 s for C = 64 chunks, less
+# about 0.25 s of startup common to both. One cost per backend is only
+# checked where it was measured: past MEASURED_WORKERS workers a slow
+# vector family (18 ms chunks, estimated at 4 ms) would lose its
+# parallelism, so such a run keeps one worker per core.
+TABLE_COST_S = {"vector": 15e-6, "packed": 1.5e-3, "object": 10e-3}
+FORK_OVERHEAD_S = 0.018
+MEASURED_WORKERS = 2
+
+
+def plan_jobs(
+    jobs: Optional[int],
+    cpus: int,
+    chunk_tables: Sequence[int],
+    backend: str,
+    chunk_timeout: Optional[float] = None,
+) -> tuple[int, float]:
+    """``(jobs, estimated seconds of one chunk)`` for one campaign run.
+
+    An explicit ``jobs`` is kept. Otherwise ``w = min(cpus, chunks)``
+    forked workers settle ``C`` chunks of serial cost ``c`` in about
+    ``C·(c + f)/w`` against ``C·c`` in the parent, so the run forks up to
+    ``cpus`` workers only when ``c·(w − 1) > f`` (``f`` is
+    :data:`FORK_OVERHEAD_S`), and runs every attempt in the parent
+    otherwise. ``c`` is the mean pending chunk's table count × the
+    backend's :data:`TABLE_COST_S`. A deadline needs a worker to kill,
+    and ``w`` above :data:`MEASURED_WORKERS` is outside what the
+    constants were measured at, so both always fork.
+    """
+    chunk_s = (
+        sum(chunk_tables) / len(chunk_tables) * TABLE_COST_S[backend]
+        if chunk_tables
+        else 0.0
+    )
+    if jobs is not None:
+        return jobs, chunk_s
+    workers = min(cpus, len(chunk_tables))
+    if (
+        chunk_timeout is not None
+        or workers > MEASURED_WORKERS
+        or chunk_s * (workers - 1) > FORK_OVERHEAD_S
+    ):
+        return cpus, chunk_s
+    return 1, chunk_s
 
 
 @dataclass(frozen=True)
@@ -211,7 +263,7 @@ class CampaignRunOutcome:
 
 
 def _campaign_chunk(
-    spec_data: dict[str, Any], backend: str, chunk: tuple[int, ...]
+    spec_data: dict[str, Any], backend: str, chunk: Sequence[int]
 ) -> tuple:
     """Run one chunk of a campaign (the executor's work function).
 
@@ -249,6 +301,11 @@ class CampaignRunner:
     chunk records and report bytes never depend on it, and a campaign
     checkpointed under one backend resumes cleanly under any other.
 
+    ``jobs`` caps the forked workers. Left ``None``, each :meth:`run`
+    picks from its pending work (:func:`plan_jobs`): every core when more
+    than two workers would run or the chunks cost more than forking for
+    them, else every attempt in this process. ``self.jobs`` is the cap, all available cores by default.
+
     ``policy`` governs retries, per-chunk deadlines and quarantine
     (:class:`RetryPolicy`); ``faults`` installs an explicit
     :class:`~repro.scenarios.faults.FaultPlan` for this runner (tests and
@@ -277,6 +334,7 @@ class CampaignRunner:
         self.store = store
         self.backend = check_backend_choice(backend)
         self.jobs = resolve_jobs(jobs)
+        self._requested_jobs = jobs
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
         self.telemetry = telemetry
@@ -311,7 +369,6 @@ class CampaignRunner:
             "scenario": spec.name,
             "scenario_id": spec.scenario_id,
             "backend": backend,
-            "jobs": self.jobs,
         }
         if isinstance(configured, TelemetryConfig):
             return configured.with_context(
@@ -323,7 +380,7 @@ class CampaignRunner:
     # Status
     # ------------------------------------------------------------------
     def _checked_records(
-        self, spec: ScenarioSpec, chunks: list[tuple[int, ...]]
+        self, spec: ScenarioSpec, chunks: list[Sequence[int]]
     ) -> dict[int, dict[str, Any]]:
         """Stored records, cross-checked against the spec's own chunking."""
         records = self.store.load_records(spec)
@@ -345,7 +402,7 @@ class CampaignRunner:
     def _merged_status(
         self,
         spec: ScenarioSpec,
-        chunks: list[tuple[int, ...]],
+        chunks: list[Sequence[int]],
         records: dict[int, dict[str, Any]],
     ) -> CampaignStatus:
         """Fold records in chunk order into a status (the report's core)."""
@@ -439,12 +496,14 @@ class CampaignRunner:
         backend = self._resolve_backend()
         config = self._telemetry_config(spec, backend)
         if config is None:
-            return self._run(spec, max_chunks, include_failed, backend)
+            return self._run(spec, max_chunks, include_failed, backend, {})
         previous = telemetry.active()
         telemetry.install(config)
         try:
             with telemetry.span("campaign") as span_attrs:
-                outcome = self._run(spec, max_chunks, include_failed, backend)
+                outcome = self._run(
+                    spec, max_chunks, include_failed, backend, span_attrs
+                )
                 span_attrs["chunks_run"] = outcome.chunks_run
                 span_attrs["settled"] = outcome.status.settled
             return outcome
@@ -457,6 +516,7 @@ class CampaignRunner:
         max_chunks: Optional[int],
         include_failed: bool,
         backend: str,
+        span_attrs: dict[str, Any],
     ) -> CampaignRunOutcome:
         self.store.prepare(spec)
         chunks = spec.chunks()
@@ -487,6 +547,18 @@ class CampaignRunner:
         if telemetry.armed():
             telemetry.counter("store.cache_hit", cached)
             telemetry.counter("store.cache_miss", len(pending))
+        # Decided once, before any chunk is dispatched: a run either
+        # forks a worker per attempt or settles every attempt here.
+        jobs, chunk_s = plan_jobs(
+            self._requested_jobs,
+            self.jobs,
+            [len(chunk) for _, chunk in pending],
+            backend,
+            self.policy.chunk_timeout,
+        )
+        span_attrs.update(
+            jobs=jobs, chunk_cost_s=chunk_s, fork_overhead_s=FORK_OVERHEAD_S
+        )
         plan = self.faults if self.faults is not None else faults.active_plan()
         previous_handlers = self._install_signal_handlers()
         previous_plan = faults._STATE.plan
@@ -494,7 +566,7 @@ class CampaignRunner:
             faults.install(self.faults)
         executor = ChunkExecutor(
             partial(_campaign_chunk, spec.to_dict(), backend),
-            self.jobs,
+            jobs,
             self.policy,
             plan,
             self._check_interrupt,
@@ -721,8 +793,12 @@ class CampaignRunner:
 
 __all__ = [
     "CAMPAIGN_REPORT_VERSION",
+    "FORK_OVERHEAD_S",
+    "MEASURED_WORKERS",
+    "TABLE_COST_S",
     "CampaignRunner",
     "CampaignRunOutcome",
     "CampaignStatus",
     "RetryPolicy",
+    "plan_jobs",
 ]

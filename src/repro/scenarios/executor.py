@@ -11,7 +11,9 @@ An attempt runs in one of two places, and both hand the supervisor the
 same message, ``("ok", tally)`` or ``("error", "Type: message")``:
 
 * **in the parent process** when at most one attempt can run at a time
-  and no deadline is set — so a ``--jobs 1`` call stays on warm process
+  and no deadline is set — so a ``--jobs 1`` call, and a default
+  ``campaign run`` whose chunks cost less than forking for them
+  (:func:`repro.scenarios.campaign.plan_jobs`), stays on warm process
   caches and forks nothing;
 * **in a forked worker**, one per attempt, otherwise. A hand-rolled
   supervisor rather than ``multiprocessing.Pool``, because a pool treats
@@ -54,7 +56,7 @@ if TYPE_CHECKING:
 # backoff-retry promotion, without busy-polling.
 _SUPERVISOR_TICK_SECONDS = 0.2
 
-Work = Callable[[tuple[int, ...]], tuple]
+Work = Callable[[Sequence[int]], tuple]
 """A chunk runner: bit patterns in, the chunk's tally out."""
 
 
@@ -101,7 +103,7 @@ class _Attempt(NamedTuple):
     """One attempt at one chunk: its index, bit patterns and number."""
 
     index: int
-    chunk: tuple[int, ...]
+    chunk: Sequence[int]
     number: int
 
 
@@ -200,7 +202,7 @@ class ChunkExecutor:
         self._history: dict[int, list[dict[str, Any]]] = {}
 
     def settle(
-        self, chunks: Sequence[tuple[int, tuple[int, ...]]]
+        self, chunks: Sequence[tuple[int, Sequence[int]]]
     ) -> Iterator[tuple[int, tuple]]:
         """Settle ``(index, chunk)`` pairs; yield each as it settles.
 

@@ -34,7 +34,6 @@ one ``None`` check per chunk and one per append.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -43,6 +42,7 @@ from pathlib import Path
 from typing import IO, Any, Mapping, Optional
 
 from repro import telemetry
+from repro._sha256 import sha256
 from repro.errors import ScenarioError, WorkerCrashError
 
 ENV_VAR = "REPRO_FAULT_PLAN"
@@ -105,7 +105,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def roll(self, site: str, key: str) -> float:
         """A uniform draw in ``[0, 1)``, pure in ``(seed, site, key)``."""
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self.seed}|{site}|{key}".encode("utf-8")
         ).digest()
         return int.from_bytes(digest[:8], "big") / 2**64
@@ -338,7 +338,7 @@ def backoff_delay(
     jitter decorrelates retries without sacrificing replayability.
     """
     raw = min(cap, base * (2 ** max(0, attempt - 1)))
-    digest = hashlib.sha256(
+    digest = sha256(
         f"{seed}|backoff|{key}|{attempt}".encode("utf-8")
     ).digest()
     jitter = int.from_bytes(digest[:8], "big") / 2**64

@@ -38,11 +38,11 @@ must agree on.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
+from repro._sha256 import sha256
 from repro.errors import ScenarioError
 from repro.graph.schedules import SCHEDULE_FAMILIES
 from repro.scenarios.dynamics import (
@@ -297,7 +297,7 @@ class ScenarioSpec:
         canonical = json.dumps(
             self.payload_dict(), sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict[str, Any]:
         """Versioned JSON-ready encoding (see :mod:`repro.serialize`)."""
@@ -357,15 +357,20 @@ class ScenarioSpec:
             self.robots.rng_seed,
         )
 
-    def chunks(self) -> list[tuple[int, ...]]:
+    def chunks(self) -> list[Sequence[int]]:
         """The pattern stream cut into fixed-size checkpoint chunks.
 
         The cut depends only on the spec (never on worker count), so chunk
         index ``i`` names the same work in every run — the invariant that
         makes campaign checkpoints portable across interrupts and hosts.
+        An exhaustive family's chunks are ``range`` objects (65,536 Python
+        ints for ``thm41-two-n4`` are about 3.7 MB); a sample's are tuples.
         """
-        patterns = self.expand_patterns()
         size = self.chunk_size
+        if self.robots.sample is None:
+            space = family_space(self.robots.family)
+            return [range(i, min(i + size, space)) for i in range(0, space, size)]
+        patterns = self.expand_patterns()
         return [
             tuple(patterns[i : i + size]) for i in range(0, len(patterns), size)
         ]

@@ -42,7 +42,6 @@ Two read paths, on purpose:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 from repro import telemetry
+from repro._sha256 import sha256
 from repro.errors import ScenarioError, StoreCorruptionError
 from repro.scenarios import faults
 from repro.scenarios.spec import ScenarioSpec
@@ -68,7 +68,7 @@ _FAILURE_KEYS_DIAGNOSED = _FAILURE_KEYS | {"diagnostics"}
 def chunk_digest(patterns: Sequence[int]) -> str:
     """Content digest of one chunk's bit patterns (16 hex chars)."""
     canonical = json.dumps(list(patterns), separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def canonical_line(record: dict[str, Any]) -> str:
@@ -79,7 +79,7 @@ def canonical_line(record: dict[str, Any]) -> str:
 def record_check(record: Mapping[str, Any]) -> str:
     """The content check of a record's non-``check`` fields (12 hex)."""
     body = {key: value for key, value in record.items() if key != "check"}
-    return hashlib.sha256(
+    return sha256(
         canonical_line(body).encode("utf-8")
     ).hexdigest()[:12]
 

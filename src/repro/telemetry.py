@@ -95,6 +95,8 @@ SUMMARY_VERSION = 1
 BASELINE_VERSION = 1
 
 _PHASE_NAMES = ("compile", "simulate", "gather", "compact")
+# What a ``campaign`` span records of its jobs decision.
+_DISPATCH_KEYS = ("jobs", "chunk_cost_s", "fork_overhead_s")
 _PERCENTILES = (("p50_s", 0.50), ("p90_s", 0.90), ("p99_s", 0.99))
 
 
@@ -395,9 +397,11 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Aggregate a trace's events into the analyze/baseline summary.
 
     Per scenario (the ``scenario`` context attribute): campaign wall
-    time, ok/failed chunk counts, tables verified, throughput, retry /
-    crash / timeout / quarantine / fault tallies, per-phase latency
-    percentiles, and store append/cache statistics. The shape is the
+    time, each run's jobs decision (``dispatch``: the jobs, the estimated
+    seconds of one chunk and the fork overhead it was weighed against),
+    ok/failed chunk counts, tables verified, throughput, retry / crash /
+    timeout / quarantine / fault tallies, per-phase latency percentiles,
+    and store append/cache statistics. The shape is the
     data model the future campaign service's metrics endpoint serves.
     """
 
@@ -421,6 +425,7 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
                     "cache_misses": 0,
                     "dedup": 0,
                 },
+                "dispatch": [],
                 "_phase_durs": {name: [] for name in _PHASE_NAMES},
                 "_append_durs": [],
             },
@@ -439,6 +444,10 @@ def summarize(events: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
             if name == "campaign":
                 data["campaigns"] += 1
                 data["wall_s"] += dur
+                if "chunk_cost_s" in attrs:
+                    data["dispatch"].append(
+                        {key: attrs.get(key) for key in _DISPATCH_KEYS}
+                    )
             elif name == "chunk.attempt":
                 if attrs.get("ok", "error" not in attrs):
                     data["chunks_ok"] += 1
@@ -513,6 +522,12 @@ def render_summary(summary: Mapping[str, Any]) -> str:
             f"{data['tables']} tables @ "
             f"{data['throughput_tables_per_s']:,.0f} tables/s"
         )
+        for decision in data["dispatch"]:
+            lines.append(
+                f"    dispatch: jobs={decision['jobs']}, est. chunk "
+                f"{decision['chunk_cost_s'] * 1e3:.1f}ms vs fork "
+                f"{decision['fork_overhead_s'] * 1e3:.1f}ms"
+            )
         for phase_name, stats in data["phases"].items():
             lines.append(
                 f"    phase.{phase_name:<9} count={stats['count']:<4} "

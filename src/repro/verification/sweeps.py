@@ -16,7 +16,8 @@ and for every verification backend (``vector``, ``packed``, ``object``
 available core. A sweep is a campaign without a store: no
 checkpoints, no resume, the same tallies.
 
-A chunk is a tuple of bit patterns, and :func:`sweep_chunk` takes
+A chunk is a sequence of bit patterns (a tuple, or a ``range`` for an
+exhaustive campaign), and :func:`sweep_chunk` takes
 ``(spec, bits_chunk, backend)`` like the simulation runner
 (:func:`repro.scenarios.simulate.simulate_chunk`). It walks the
 family's chirality-fallback plan in one stage-major loop — cheap

@@ -16,6 +16,7 @@ import pytest
 
 from scenario_testlib import make_tiny_dynamics_scenario as tiny_dyn_spec
 from scenario_testlib import make_tiny_scenario as tiny_spec
+from repro.cli import main as cli_main
 from repro.errors import ScenarioError
 from repro.scenarios import (
     CampaignRunner,
@@ -23,9 +24,12 @@ from repro.scenarios import (
     ResultStore,
     RetryPolicy,
     RobotClassSpec,
+    get_scenario,
     simulate_chunk,
 )
-from repro.verification import sweeps
+from repro.scenarios import campaign
+from repro.scenarios.campaign import plan_jobs
+from repro.verification import batch, sweeps
 from repro.verification.sweeps import sweep_chunk
 
 
@@ -176,6 +180,74 @@ class TestOneExecutor:
         record = runner.failure_details(spec)[1]
         assert record["attempts"] == 2
         assert record["error"].startswith("ChunkTimeoutError: chunk 1 exceeded")
+
+
+def chunk_tables(name: str) -> list[int]:
+    return [len(chunk) for chunk in get_scenario(name).chunks()]
+
+
+class TestDefaultJobs:
+    """Without ``jobs``, a run forks only when its chunks outweigh a fork."""
+
+    def test_small_vector_family_on_two_cores_runs_in_the_parent(self) -> None:
+        jobs, chunk_s = plan_jobs(None, 2, chunk_tables("thm41-two-n6"), "vector")
+        assert jobs == 1
+        assert chunk_s == pytest.approx(64 * 15e-6)
+
+    def test_packed_backend_forks(self) -> None:
+        assert plan_jobs(None, 2, chunk_tables("thm41-two-n6"), "packed")[0] == 2
+
+    def test_eight_cores_fork_for_thm41_two_n4_on_vector(self) -> None:
+        tables = chunk_tables("thm41-two-n4")
+        assert plan_jobs(None, 2, tables, "vector")[0] == 1
+        assert plan_jobs(None, 8, tables, "vector")[0] == 8
+
+    def test_more_workers_than_measured_fork(self) -> None:
+        # An 18 ms vector chunk is estimated at 4 ms: past two workers the
+        # model is unmeasured, so the run keeps its parallelism.
+        assert plan_jobs(None, 4, [256] * 8, "vector")[0] == 4
+        # Two chunks make two workers on any host: the model decides.
+        assert plan_jobs(None, 8, [64, 64], "vector")[0] == 1
+
+    def test_explicit_jobs_is_left_alone(self) -> None:
+        tables = chunk_tables("thm41-two-n6")
+        assert plan_jobs(2, 2, tables, "vector")[0] == 2
+        assert plan_jobs(1, 8, tables, "packed")[0] == 1
+
+    def test_deadline_still_forks(self) -> None:
+        tables = chunk_tables("thm41-two-n6")
+        assert plan_jobs(None, 2, tables, "vector", chunk_timeout=5.0)[0] == 2
+
+    def test_one_pending_chunk_never_forks(self) -> None:
+        assert plan_jobs(None, 8, [1024], "object") == (1, 1024 * 10e-3)
+        assert plan_jobs(None, 8, [], "packed") == (1, 0.0)
+
+    @pytest.mark.skipif(not batch.have_numpy(), reason="numpy not installed")
+    def test_default_run_of_a_small_family_forks_nothing(
+        self, tmp_path: Path, monkeypatch, capsys
+    ) -> None:
+        import multiprocessing.process
+
+        name = "thm41-two-n6"
+        assert cli_main(
+            ["campaign", "run", name, "--store", str(tmp_path / "forked"),
+             "--jobs", "2"]
+        ) == 0
+
+        def refuse(process) -> None:
+            raise AssertionError("a default small campaign forked a worker")
+
+        # Two cores whatever the host has: the host the model was measured on.
+        monkeypatch.setattr(campaign, "resolve_jobs", lambda jobs: jobs or 2)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert cli_main(
+            ["campaign", "run", name, "--store", str(tmp_path / "parent")]
+        ) == 0
+        assert "8 chunks, 512/512 trapped" in capsys.readouterr().out
+        spec = get_scenario(name)
+        forked = ResultStore(tmp_path / "forked").report_path(spec)
+        parent = ResultStore(tmp_path / "parent").report_path(spec)
+        assert parent.read_bytes() == forked.read_bytes()
 
 
 class TestScenarioDimensions:

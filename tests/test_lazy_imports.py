@@ -171,6 +171,30 @@ class TestVectorWorkLoadsNumpyInTheParent:
         assert "numpy.ma" not in modules
 
 
+class TestNoOpenSSL:
+    """SHA-256 comes from the interpreter's builtin module.
+
+    ``hashlib`` loads OpenSSL's libcrypto through ``_hashlib`` (about
+    3.5 MB of resident memory); scenario ids, chunk digests, record
+    checks and fault rolls need none of it.
+    """
+
+    def test_campaign_and_sweep_verbs_leave_hashlib_unloaded(
+        self, tmp_path: Path
+    ) -> None:
+        store = ["--store", str(tmp_path)]
+        commands = [
+            ["campaign", "list"],
+            ["campaign", "run", SOLVER_FAMILY, *store],
+            ["campaign", "report", SOLVER_FAMILY, *store],
+            ["campaign", "run", SIMULATION_FAMILY, *store, "--jobs", "2"],
+            ["sweep", "--robots", "1", "--n", "3", "--jobs", "2"],
+        ]
+        for argv, (code, modules) in zip(commands, run_probe(*commands)):
+            assert code == 0, argv
+            assert "_hashlib" not in modules, argv
+
+
 class TestNoNumpyContract:
     def test_cached_campaign_still_refuses_vector(
         self, cached_store: Path, monkeypatch, capsys

@@ -122,6 +122,43 @@ class TestSpanCoverage:
         assert spans[0]["dur"] >= 0.95 * wall
 
 
+class TestJobsDecision:
+    """The ``campaign`` span records how many workers the run forked, and why."""
+
+    @pytest.mark.parametrize(
+        ("jobs", "backend", "expected"),
+        [(None, "packed", 1), (None, "object", 2), (2, "packed", 2)],
+    )
+    def test_span_and_analyze_show_the_decision(
+        self, tmp_path, monkeypatch, jobs, backend, expected
+    ):
+        from repro.scenarios import campaign
+
+        # Two cores whatever the host has. The tiny spec's chunks average
+        # 6 tables: 9 ms on packed (stays here), 60 ms on object (forks).
+        monkeypatch.setattr(campaign, "resolve_jobs", lambda jobs: jobs or 2)
+        spec = make_tiny_scenario()
+        trace_dir = tmp_path / "trace"
+        _run_campaign(tmp_path, spec, jobs=jobs, backend=backend, trace=trace_dir)
+        events = telemetry.load_trace(trace_dir)
+        (span,) = [e for e in events if e["name"] == "campaign"]
+        chunk_s = 6 * campaign.TABLE_COST_S[backend]
+        assert span["attrs"]["jobs"] == expected
+        assert span["attrs"]["chunk_cost_s"] == pytest.approx(chunk_s)
+        assert span["attrs"]["fork_overhead_s"] == campaign.FORK_OVERHEAD_S
+        spawned = sum(e["name"] == "worker.spawn" for e in events)
+        assert spawned == (0 if expected == 1 else spec.chunk_count)
+        summary = telemetry.summarize(events)
+        assert summary["scenarios"][spec.name]["dispatch"] == [
+            {"jobs": expected, "chunk_cost_s": pytest.approx(chunk_s),
+             "fork_overhead_s": campaign.FORK_OVERHEAD_S}
+        ]
+        assert (
+            f"dispatch: jobs={expected}, est. chunk {chunk_s * 1e3:.1f}ms "
+            "vs fork 18.0ms" in telemetry.render_summary(summary)
+        )
+
+
 class TestEventSchema:
     def test_config_round_trip(self, tmp_path):
         config = TelemetryConfig(
